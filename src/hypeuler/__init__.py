@@ -17,7 +17,6 @@ from .exact_arith import (
     CyclotomicNumber,
     bernoulli_number,
     bernoulli_polynomial_eval,
-    cyclotomic_mul,
     poly_exact_divide,
     odd_part_of_numerator,
     pi_enclosure,

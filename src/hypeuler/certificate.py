@@ -23,15 +23,9 @@ from . import __version__
 from .exact_arith import RationalInterval, dyadic_round_up, format_rational, parse_rational
 from .euler_char import chi_principal_from_values, index_divisor
 from .field_tables import FieldTable, load_table
-from .local_factors import calibrate_oracle, minimum_proof, table_fingerprint
+from .local_factors import table_fingerprint
 from .characters_zeta import zeta_k_special
-from .search_bounds import (
-    CertificateSection,
-    VERDICT_CERTIFIED,
-    certify_section,
-    enumerate_candidates,
-    high_degree_exclusion,
-)
+from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section
 
 CERTIFICATE_FORMAT = "hypeuler-certificate v1"
 
@@ -251,178 +245,151 @@ class VerificationOutcome:
         return self.ok
 
 
-def _fail(msg: str, checks: int) -> VerificationOutcome:
-    return VerificationOutcome(ok=False, checks=checks, divergence=msg)
+class _Divergence(Exception):
+    """A claim of the certificate differs from its recomputation."""
+
+
+# What a missing key or a value of the wrong shape raises while a claim is read.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError)
+
+
+class _Checks:
+    """Counts the checks made and raises the first divergence."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def __call__(self, ok: bool, divergence: str) -> None:
+        self.count += 1
+        if not ok:
+            raise _Divergence(divergence)
 
 
 def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None) -> VerificationOutcome:
     """Recompute every arithmetic claim of a certificate from scratch.
 
-    Shares only the exact-arithmetic core with the producer in its trusted
-    base: zeta values, local factor polynomials, bound cutoffs, reduced
-    products, witness primality/divisibility and verdict logic are all
-    recomputed and compared, not trusted.
+    The sections must be exactly the requested ranks.  Each section's
+    recorded evidence (kind, bound audits, candidates, high-degree rows,
+    local factors, field list and verdict) must equal what the
+    certification driver recomputes for that rank, without the dual path.
+    Each field verdict's zeta row, reduced product, witness and Euler data
+    are also re-derived here on their own.  A missing key or malformed
+    value is reported as a divergence, never raised.
     """
-    if not isinstance(cert, dict):
+    if isinstance(cert, (str, Path)):
         cert = read_certificate(cert)
-    checks = 0
-    if cert.get("format") != CERTIFICATE_FORMAT:
-        return _fail(f"unknown certificate format {cert.get('format')!r}", checks)
-    if table is None:
-        table = load_table()
-    checks += 1
-    if cert.get("dataset", {}).get("checksum") != table.checksum:
-        return _fail("dataset checksum does not match the table in use", checks)
-    if cert.get("status") != "complete":
-        return _fail(f"certificate status is {cert.get('status')!r}", checks)
+    check = _Checks()
+    try:
+        _verify(cert, table if table is not None else load_table(), check)
+    except _Divergence as exc:
+        return VerificationOutcome(ok=False, checks=check.count, divergence=str(exc))
+    return VerificationOutcome(ok=True, checks=check.count)
 
-    for sec in cert.get("sections", []):
-        r = sec["r"]
+
+def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
+    try:
+        fmt = cert.get("format")
+        check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {fmt!r}")
+        checksum = cert["dataset"]["checksum"]
+        check(checksum == table.checksum, "dataset checksum does not match the table in use")
+        check(cert["status"] == "complete", f"certificate status is {cert['status']!r}")
+        ranks = sorted(set(cert["parameters"]["requested_r"]))
+        sections = list(cert["sections"])
+        section_ranks = [sec["r"] for sec in sections]
+        overall = dict(cert["overall"])
+    except _MALFORMED as exc:
+        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {exc})") from None
+    check(all(type(r) is int and r >= 2 for r in ranks), f"requested ranks {ranks} are not all integers >= 2")
+    check(section_ranks == ranks, f"sections cover ranks {section_ranks}, requested ranks are {ranks}")
+    dims = [str(2 * r) for r in ranks]
+    check(set(overall) == set(dims), f"overall verdicts cover dimensions {list(overall)}, requested {dims}")
+    for sec, r in zip(sections, ranks):
         tag = f"section r={r}"
-        if sec["n"] != 2 * r:
-            return _fail(f"{tag}: n={sec['n']} is not 2r", checks)
+        expected = section_to_json(certify_section(r, table, dual_path=False))
+        try:
+            _verify_section(sec, expected, table, check, tag)
+            check(overall[str(2 * r)] == sec["verdict"], f"{tag}: overall map disagrees with section verdict")
+        except _MALFORMED as exc:
+            raise _Divergence(f"{tag}: malformed entry ({type(exc).__name__}: {exc})") from None
 
-        if "local_factors" in sec:
-            proof = minimum_proof(r)
-            by_slug = {e.type.slug(): e for e in proof.entries}
-            entries = sec["local_factors"]["entries"]
-            checks += 1
-            if {e["type"] for e in entries} != set(by_slug):
-                return _fail(f"{tag}: maximal type list does not match enumeration", checks)
-            for e in entries:
-                known = by_slug[e["type"]]
-                checks += 1
-                if [str(int(c)) for c in known.polynomial.coeffs] != e["polynomial"]:
-                    return _fail(f"{tag}: polynomial mismatch for type {e['type']}", checks)
-                if parse_rational(e["value_at_q2"]) != known.value_at_two:
-                    return _fail(f"{tag}: value at q=2 mismatch for type {e['type']}", checks)
-            checks += 1
-            if parse_rational(sec["local_factors"]["minimum_at_q2"]) != proof.minimum:
-                return _fail(f"{tag}: minimum over types at q=2 mismatch", checks)
-            recal = calibrate_oracle(r)
-            cal = {k: parse_rational(v) for k, v in sec["local_factors"]["calibration"].items()}
-            checks += 1
-            if cal != recal:
-                return _fail(f"{tag}: order-formula calibration mismatch", checks)
 
-        if "bounds" in sec:
-            enum = enumerate_candidates(r, table)
-            audits = {a.degree: a for a in enum.audits}
-            for b in sec["bounds"]:
-                a = audits.get(b["degree"])
-                checks += 1
-                if a is None:
-                    return _fail(f"{tag}: unexpected bounds degree {b['degree']}", checks)
-                for key, known in (("pass_one", a.pass_one), ("pass_two", a.pass_two)):
-                    checks += 1
-                    if b[key]["disc_upper"] != known.disc_upper:
-                        return _fail(
-                            f"{tag}: degree {b['degree']} {key} cutoff "
-                            f"{b[key]['disc_upper']} != recomputed {known.disc_upper}",
-                            checks,
-                        )
-                    if b[key]["doubled_exponent"] != known.doubled_exponent:
-                        return _fail(f"{tag}: degree {b['degree']} {key} exponent mismatch", checks)
-                checks += 1
-                if list(b["pass_two_discs"]) != list(a.pass_two_discs):
-                    return _fail(f"{tag}: degree {b['degree']} pass-two discriminants mismatch", checks)
-            cand = [(c["degree"], c["disc"]) for c in sec.get("candidates", [])]
-            checks += 1
-            if cand != [(rec.degree, rec.disc) for rec in enum.records]:
-                return _fail(f"{tag}: candidate list mismatch", checks)
-
-        if "high_degree" in sec:
-            hd = high_degree_exclusion(r, table=table if sec["high_degree"]["low_degree"] else None)
-            checks += 1
-            if not hd.growth_factor.strictly_greater_than(1):
-                return _fail(f"{tag}: high-degree growth factor fails", checks)
-            for row in sec["high_degree"]["low_degree"]:
-                known = next((x for x in hd.low_degree if x.degree == row["degree"]), None)
-                checks += 1
-                if known is None or known.disc_upper != row["disc_upper"] or known.excluded != row["excluded"]:
-                    return _fail(f"{tag}: high-degree row for degree {row['degree']} mismatch", checks)
-
-        all_obstructed = True
-        for v in sec.get("verdicts", []):
-            label = v["label"]
-            rec = table.by_disc(v["degree"], v["disc"])
-            checks += 1
-            if rec is None or rec.label != label or rec.h != v["h"]:
-                return _fail(f"{tag}: field {label} not found in dataset as recorded", checks)
-            zetas = [parse_rational(z) for z in v["zeta_values"]]
-            checks += 1
-            if len(zetas) != r:
-                return _fail(f"{tag}: {label}: expected {r} zeta values", checks)
-            for j, claimed in enumerate(zetas, start=1):
-                checks += 1
-                recomputed = zeta_k_special(rec, j)
-                if recomputed != claimed:
-                    return _fail(
-                        f"{tag}: zeta value for field {label}, j={j}: certificate says "
-                        f"{format_rational(claimed)}, recomputed {format_rational(recomputed)}",
-                        checks,
-                    )
-            product = Fraction(1)
-            for z in zetas:
-                product *= abs(z)
-            checks += 1
-            if product != parse_rational(v["product"]):
-                return _fail(f"{tag}: {label}: reduced zeta product mismatch", checks)
-            num = product.numerator
-            odd = num >> ((num & -num).bit_length() - 1)
-            checks += 1
-            if str(odd) != v["odd_numerator"]:
-                return _fail(f"{tag}: {label}: odd numerator mismatch", checks)
-            witness = v["witness"]
-            if witness is None:
-                all_obstructed = False
-                checks += 1
-                if odd != 1 or v["conclusion"] != "unobstructed":
-                    return _fail(f"{tag}: {label}: missing witness despite nontrivial numerator", checks)
-            else:
-                checks += 3
-                if not isprime(witness) or witness <= 2:
-                    return _fail(f"{tag}: {label}: witness {witness} is not an odd prime", checks)
-                if odd % witness != 0:
-                    return _fail(f"{tag}: {label}: witness {witness} does not divide {odd}", checks)
-                if v["conclusion"] != "obstructed":
-                    return _fail(f"{tag}: {label}: witness present but conclusion not obstructed", checks)
-                for p in range(3, witness, 2):
-                    if odd % p == 0 and isprime(p):
-                        return _fail(f"{tag}: {label}: witness {witness} is not the smallest prime", checks)
-            euler = v["euler"]
-            chi = chi_principal_from_values(r, v["degree"], [abs(z) for z in zetas], [])
-            checks += 1
-            if chi != parse_rational(euler["chi_lambda"]):
-                return _fail(f"{tag}: {label}: chi(Lambda) mismatch", checks)
-            checks += 1
-            if euler["index_divisor"] != index_divisor(v["h"], v["degree"], 0):
-                return _fail(f"{tag}: {label}: index divisor mismatch", checks)
-            checks += 1
-            if chi / euler["index_divisor"] != parse_rational(euler["chi_gamma_lower"]):
-                return _fail(f"{tag}: {label}: chi(Gamma) lower bound mismatch", checks)
-            if v.get("dual_path"):
-                lo, hi = (parse_rational(s) for s in v["dual_path"]["enclosure"])
-                checks += 1
-                if not (lo <= chi <= hi):
-                    return _fail(f"{tag}: {label}: recorded enclosure misses the exact value", checks)
-
-        checks += 1
-        expect_certified = sec["verdict"] == VERDICT_CERTIFIED
-        has_field_proof = bool(sec.get("verdicts"))
-        bound_only = (
-            sec.get("kind") == "bound-exclusion"
-            and "high_degree" in sec
-            and all(row["excluded"] for row in sec["high_degree"]["low_degree"])
+def _verify_section(sec: dict, expected: dict, table: FieldTable, check: _Checks, tag: str) -> None:
+    missing, extra = sorted(expected.keys() - sec.keys()), sorted(sec.keys() - expected.keys())
+    check(not missing and not extra, f"{tag}: evidence missing {missing}, unexpected {extra}")
+    for claimed, known in zip(sec.get("bounds", []), expected.get("bounds", [])):
+        for key in ("pass_one", "pass_two"):
+            check(
+                claimed[key]["disc_upper"] == known[key]["disc_upper"],
+                f"{tag}: degree {known['degree']} {key} cutoff "
+                f"{claimed[key]['disc_upper']} != recomputed {known[key]['disc_upper']}",
+            )
+    known_entries = expected.get("local_factors", {}).get("entries", [])
+    known_polynomials = {e["type"]: e["polynomial"] for e in known_entries}
+    for e in sec.get("local_factors", {}).get("entries", []):
+        check(
+            known_polynomials.get(e["type"]) == e["polynomial"],
+            f"{tag}: polynomial mismatch for type {e['type']}",
         )
-        actually_certified = bound_only or (has_field_proof and all_obstructed)
-        if expect_certified != actually_certified:
-            return _fail(f"{tag}: verdict {sec['verdict']!r} inconsistent with evidence", checks)
-        checks += 1
-        if cert["overall"].get(str(sec["n"])) != sec["verdict"]:
-            return _fail(f"{tag}: overall map disagrees with section verdict", checks)
+    for key in sorted(expected.keys() - {"verdicts"}):
+        check(sec[key] == expected[key], f"{tag}: {key} differs from the recomputed evidence")
+    fields = [(v["label"], v["conclusion"]) for v in sec["verdicts"]]
+    known_fields = [(v["label"], v["conclusion"]) for v in expected["verdicts"]]
+    check(fields == known_fields, f"{tag}: field verdicts {fields} differ from the recomputed {known_fields}")
+    for v in sec["verdicts"]:
+        _verify_field(v, expected["r"], table, check, tag)
 
-    return VerificationOutcome(ok=True, checks=checks)
+
+def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str) -> None:
+    """Re-derive one field verdict: zeta row, reduced product, witness and
+    Euler data, and the recorded dual-path enclosure's containment."""
+    label = v["label"]
+    rec = table.by_disc(v["degree"], v["disc"])
+    check(
+        rec is not None and rec.label == label and rec.h == v["h"],
+        f"{tag}: field {label} not found in dataset as recorded",
+    )
+    zetas = [parse_rational(z) for z in v["zeta_values"]]
+    check(len(zetas) == r, f"{tag}: {label}: expected {r} zeta values")
+    for j, claimed in enumerate(zetas, start=1):
+        recomputed = zeta_k_special(rec, j)
+        check(
+            recomputed == claimed,
+            f"{tag}: zeta value for field {label}, j={j}: certificate says "
+            f"{format_rational(claimed)}, recomputed {format_rational(recomputed)}",
+        )
+    product = Fraction(1)
+    for z in zetas:
+        product *= abs(z)
+    check(product == parse_rational(v["product"]), f"{tag}: {label}: reduced zeta product mismatch")
+    num = product.numerator
+    odd = num >> ((num & -num).bit_length() - 1)
+    check(str(odd) == v["odd_numerator"], f"{tag}: {label}: odd numerator mismatch")
+    witness = v["witness"]
+    if witness is None:
+        check(
+            odd == 1 and v["conclusion"] == "unobstructed",
+            f"{tag}: {label}: missing witness despite nontrivial numerator",
+        )
+    else:
+        check(isprime(witness) and witness > 2, f"{tag}: {label}: witness {witness} is not an odd prime")
+        check(odd % witness == 0, f"{tag}: {label}: witness {witness} does not divide {odd}")
+        check(v["conclusion"] == "obstructed", f"{tag}: {label}: witness present but not obstructed")
+        check(
+            not any(odd % p == 0 and isprime(p) for p in range(3, witness, 2)),
+            f"{tag}: {label}: witness {witness} is not the smallest prime",
+        )
+    euler = v["euler"]
+    chi = chi_principal_from_values(r, v["degree"], [abs(z) for z in zetas], [])
+    check(chi == parse_rational(euler["chi_lambda"]), f"{tag}: {label}: chi(Lambda) mismatch")
+    divisor = euler["index_divisor"]
+    check(divisor == index_divisor(v["h"], v["degree"], 0), f"{tag}: {label}: index divisor mismatch")
+    check(
+        chi / divisor == parse_rational(euler["chi_gamma_lower"]),
+        f"{tag}: {label}: chi(Gamma) lower bound mismatch",
+    )
+    if v["dual_path"] is not None:
+        lo, hi = (parse_rational(s) for s in v["dual_path"]["enclosure"])
+        check(lo <= chi <= hi, f"{tag}: {label}: recorded enclosure misses the exact value")
 
 
 # ---------------------------------------------------------------------------

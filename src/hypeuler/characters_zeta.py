@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from sympy import jacobi_symbol
 
@@ -209,18 +209,14 @@ def _l_value_at_negative(n: int, chi: DirichletCharacter) -> CyclotomicNumber:
     return generalized_bernoulli(n, chi).scale(Fraction(-1, n))
 
 
-@dataclass(frozen=True)
-class ZetaSpecialValue:
-    label: str
-    j: int
-    value: Fraction
-
-
+@cache
 def zeta_k_special(rec: NumberFieldRecord, j: int) -> Fraction:
     """The signed rational zeta_k(1-2j) for a totally real abelian field.
 
     Product of L(1-2j, chi) over the character group; cyclotomic
     intermediates must collapse to a rational or the computation aborts.
+    Memoized: a field's row is needed by its obstruction verdict, its
+    Euler characteristic and every higher rank, and is computed once.
     """
     if j < 1:
         raise CharacterError("j must be a positive integer")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from sympy import factorint
 
@@ -75,8 +76,12 @@ class CrConstant:
     interval: RationalInterval
 
 
+@cache
 def C_of_r(r: int, precision_bits: int = 160) -> CrConstant:
-    """C(r) = prod_{j=1}^{r} (2j-1)! / (2 pi)^(2j), enclosed rigorously."""
+    """C(r) = prod_{j=1}^{r} (2j-1)! / (2 pi)^(2j), enclosed rigorously.
+
+    Memoized: every bounds pass and exclusion check of a rank uses it.
+    """
     if r < 1:
         raise EulerCharError("rank constant needs r >= 1")
     fact = 1

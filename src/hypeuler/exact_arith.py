@@ -344,11 +344,6 @@ class CyclotomicNumber:
         return self.coeffs[0]
 
 
-def cyclotomic_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
-    """Product in Q(zeta_m); raises on mismatched orders."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # Rational intervals
 # ---------------------------------------------------------------------------
@@ -564,17 +559,12 @@ def _pi_enclosure_bits(bits: int) -> RationalInterval:
     return a5.scale(16) - a239.scale(4)
 
 
-def pi_enclosure(max_width: Fraction | None = None, bits: int | None = None) -> RationalInterval:
-    """Rigorous enclosure of pi.
-
-    Default width is below 10^-40; pass ``max_width`` or ``bits`` for a
-    different target.  The enclosure is cached per precision tier.
+def pi_enclosure(bits: int = 160) -> RationalInterval:
+    """Rigorous enclosure of pi of width below 2^-(bits-4), bits rounded
+    up to a multiple of 32.  The enclosure is cached per precision tier.
     """
-    if bits is None:
-        if max_width is None:
-            max_width = Fraction(1, 10**40)
-        bits = max(8, math.ceil(-math.log2(float(max_width))) + 2)
     bits = ((bits + 31) // 32) * 32  # quantize for cache reuse
     enc = _pi_enclosure_bits(bits)
-    assert enc.width < Fraction(1, 2 ** (bits - 4))
+    if enc.width >= Fraction(1, 2 ** (bits - 4)):
+        raise ExactArithError(f"pi enclosure at {bits} bits is not narrower than 2^-{bits - 4}")
     return enc

@@ -1,5 +1,5 @@
 """The proof driver: rigorous discriminant bounds, degree exclusions,
-two-pass candidate enumeration, and per-rank nonexistence sections.
+candidate enumeration, and per-rank nonexistence sections.
 
 Bounding strategy: a maximal arithmetic subgroup with |chi| <= 1 forces
 the defining field's discriminant below an explicit cutoff obtained from
@@ -14,7 +14,8 @@ exact integer comparisons.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from sympy import integer_nthroot
@@ -49,13 +50,6 @@ class HighDegreeCheckError(SearchError):
 class BoundsMode(enum.Enum):
     CLASS_NUMBER_BOUNDED = "class-number-bounded"  # h eliminated via the analytic bound
     CLASS_NUMBER_ONE = "class-number-one"  # h = 1 assumed
-
-    @classmethod
-    def from_value(cls, v: str) -> "BoundsMode":
-        for m in cls:
-            if m.value == v:
-                return m
-        raise SearchError(f"unknown bounds mode {v!r}")
 
 
 DISCRIMINANT_FLOOR_BASE = Fraction(13, 2)  # |D| > 6.5^d for degree d >= 5 (external axiom)
@@ -154,6 +148,21 @@ class HighDegreeExclusion:
         return all(row.excluded for row in self.low_degree)
 
 
+def _low_degree_rows(passes: Iterable[BoundsPass], table: FieldTable) -> tuple[LowDegreeRow, ...]:
+    """Compare each first-pass cutoff with the smallest discriminant of its degree."""
+    rows = []
+    for p in passes:
+        floor = table.minimal_disc(p.degree)
+        if floor is None:
+            raise SearchError(f"table has no degree-{p.degree} records to bound against")
+        rows.append(
+            LowDegreeRow(
+                degree=p.degree, disc_upper=p.disc_upper, minimal_disc=floor, excluded=p.disc_upper < floor
+            )
+        )
+    return tuple(rows)
+
+
 def high_degree_exclusion(
     r: int, table: FieldTable | None = None, precision_bits: int = 160
 ) -> HighDegreeExclusion:
@@ -164,7 +173,7 @@ def high_degree_exclusion(
 
     When a table is supplied, the d in {2,3,4} cutoffs are also compared
     against the smallest totally real discriminant of each degree (the
-    bound-only exclusion used for ranks >= 6).
+    bound-only exclusion recorded for ranks >= 6).
     """
     c = C_of_r(r, precision_bits).interval
     pi_iv = pi_enclosure(bits=precision_bits)
@@ -177,67 +186,77 @@ def high_degree_exclusion(
         raise HighDegreeCheckError(f"r={r}: per-degree growth factor does not exceed 1")
     if not at_five.strictly_greater_than(1):
         raise HighDegreeCheckError(f"r={r}: degree-5 exclusion inequality failed")
-    rows = []
+    rows: tuple[LowDegreeRow, ...] = ()
     if table is not None:
-        for d in SEARCH_DEGREES:
-            cutoff = disc_upper_bound(r, d)
-            floor = table.minimal_disc(d)
-            if floor is None:
-                raise SearchError(f"table has no degree-{d} records to bound against")
-            rows.append(LowDegreeRow(degree=d, disc_upper=cutoff, minimal_disc=floor, excluded=cutoff < floor))
+        passes = (compute_bounds_pass(r, d, BoundsMode.CLASS_NUMBER_BOUNDED) for d in SEARCH_DEGREES)
+        rows = _low_degree_rows(passes, table)
     return HighDegreeExclusion(
-        r=r, growth_factor=growth, value_at_degree_five=at_five, low_degree=tuple(rows)
+        r=r, growth_factor=growth, value_at_degree_five=at_five, low_degree=rows
     )
+
+
+FIELD_VERDICTS = "field-verdicts"
+BOUND_EXCLUSION = "bound-exclusion"
+
+
+def regime(r: int) -> str:
+    """The evidence label of a rank >= 3 section.
+
+    Ranks 3..5 (``field-verdicts``) re-filter the candidates with the
+    class-number-one pass and record both passes and the candidate list.
+    From rank 6 on (``bound-exclusion``) the section records the
+    first-pass cutoffs against the smallest discriminant of each degree.
+    Pass two is skipped there: on the bundled table it removes no further
+    field, and its enclosures cost seconds per rank at r = 13..15.
+    """
+    return FIELD_VERDICTS if r <= 5 else BOUND_EXCLUSION
 
 
 @dataclass(frozen=True)
 class DegreeAudit:
     degree: int
     pass_one: BoundsPass
-    pass_two: BoundsPass
     pass_one_discs: tuple[int, ...]
-    pass_two_discs: tuple[int, ...]
+    pass_two: BoundsPass | None = None  # None where the regime skips pass two
+    pass_two_discs: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
 class CandidateEnumeration:
     r: int
     audits: tuple[DegreeAudit, ...]
-    records: tuple[NumberFieldRecord, ...]  # final (pass two) candidates, sorted
+    records: tuple[NumberFieldRecord, ...]  # final candidates, sorted
 
 
 def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
-    """Two-pass candidate search over degrees 2..4.
+    """Candidate search over degrees 2..4.
 
     Pass one bounds |D| without class-number knowledge and verifies that
     every survivor has h = 1 (raising loudly otherwise, since the
-    certification flow depends on it); pass two re-filters with the
-    class-number-one bound.  Higher degrees are handled separately by
-    ``high_degree_exclusion``.
+    certification flow depends on it).  In the ``field-verdicts`` regime
+    pass two re-filters with the class-number-one bound; otherwise the
+    pass-one survivors are the candidates.  Higher degrees are handled
+    separately by ``high_degree_exclusion``.
     """
+    two_pass = regime(r) == FIELD_VERDICTS
     audits: list[DegreeAudit] = []
     final: list[NumberFieldRecord] = []
     for d in SEARCH_DEGREES:
         p1 = compute_bounds_pass(r, d, BoundsMode.CLASS_NUMBER_BOUNDED)
-        fields1 = query(table, d, p1.disc_upper) if p1.disc_upper >= 1 else []
-        bad = [f for f in fields1 if f.h != 1]
+        fields = query(table, d, p1.disc_upper) if p1.disc_upper >= 1 else []
+        bad = [f for f in fields if f.h != 1]
         if bad:
             raise PassOneClassNumberError(
                 f"r={r}, degree {d}: pass-one survivors with h > 1: "
                 + ", ".join(f"{f.label} (h={f.h})" for f in bad)
             )
-        p2 = compute_bounds_pass(r, d, BoundsMode.CLASS_NUMBER_ONE)
-        fields2 = [f for f in fields1 if f.disc <= p2.disc_upper]
-        audits.append(
-            DegreeAudit(
-                degree=d,
-                pass_one=p1,
-                pass_two=p2,
-                pass_one_discs=tuple(f.disc for f in fields1),
-                pass_two_discs=tuple(f.disc for f in fields2),
-            )
-        )
-        final.extend(fields2)
+        audit = DegreeAudit(degree=d, pass_one=p1, pass_one_discs=tuple(f.disc for f in fields))
+        if two_pass:
+            p2 = compute_bounds_pass(r, d, BoundsMode.CLASS_NUMBER_ONE)
+            fields = [f for f in fields if f.disc <= p2.disc_upper]
+            audit = replace(audit, pass_two=p2, pass_two_discs=tuple(f.disc for f in fields))
+        audits.append(audit)
+        final.extend(fields)
     final.sort(key=lambda f: (f.degree, f.disc))
     return CandidateEnumeration(r=r, audits=tuple(audits), records=tuple(final))
 
@@ -293,24 +312,21 @@ def field_verdict(
 
 VERDICT_CERTIFIED = "nonexistence certified"
 VERDICT_INCONCLUSIVE = "inconclusive"
+SURVIVOR_NOTE = "bound-only exclusion left survivors; their zeta-numerator obstruction decides the rank"
 
 
 @dataclass(frozen=True)
 class CertificateSection:
     r: int
     n: int
-    kind: str  # "field-verdicts" | "bound-exclusion" | "failure-demo"
+    kind: str  # regime(r) for r >= 3, "failure-demo" for r = 2
     verdict: str
-    local_factor_proof: MinimumProof | None
-    calibration: dict[str, Fraction] | None
-    enumeration: CandidateEnumeration | None
     verdicts: tuple[FieldVerdict, ...]
-    high_degree: HighDegreeExclusion | None
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-
-def _verdicts_for(records, r, precision_bits, dual_path) -> tuple[FieldVerdict, ...]:
-    return tuple(field_verdict(rec, r, precision_bits, dual_path) for rec in records)
+    local_factor_proof: MinimumProof | None = None
+    calibration: dict[str, Fraction] | None = None
+    enumeration: CandidateEnumeration | None = None  # recorded in the field-verdicts regime only
+    high_degree: HighDegreeExclusion | None = None
+    notes: tuple[str, ...] = ()
 
 
 def certify_section(
@@ -318,133 +334,67 @@ def certify_section(
 ) -> CertificateSection:
     """Run the whole argument for one rank and package the result.
 
-    Ranks 3..5 use the full two-pass enumeration with per-field zeta
-    obstructions.  Ranks >= 6 try the bound-only exclusion first and fall
-    back to field verdicts for any surviving discriminants.  Rank 2
-    documents the known failure: the scan stops at the first
-    unobstructed field.
+    Every rank >= 3 takes one path: bound the discriminant at degrees 2..4
+    (degrees >= 5 die against the discriminant floor), give each surviving
+    field an obstruction verdict, attach the local-factor integrality
+    proof when any field survives, and certify when every survivor is
+    obstructed.  ``regime(r)`` only decides which evidence is recorded.
+    Rank 2 is never certified (see ``_scan_rank_two``).
     """
-    if r == 2:
-        return _certify_rank_two(table, precision_bits)
     if r < 2:
         raise SearchError("rank must be at least 2")
-    if 3 <= r <= 5:
-        proof = minimum_proof(r)
-        calibration = calibrate_oracle(r)
-        enumeration = enumerate_candidates(r, table)
-        verdicts = _verdicts_for(enumeration.records, r, precision_bits, dual_path)
-        high = high_degree_exclusion(r, table=None, precision_bits=160)
-        certified = bool(verdicts) and all(v.obstruction.obstructed for v in verdicts)
-        return CertificateSection(
-            r=r,
-            n=2 * r,
-            kind="field-verdicts",
-            verdict=VERDICT_CERTIFIED if certified else VERDICT_INCONCLUSIVE,
-            local_factor_proof=proof,
-            calibration=calibration,
-            enumeration=enumeration,
-            verdicts=verdicts,
-            high_degree=high,
-        )
-    # r >= 6: bound-only exclusion, with obstruction fallback for survivors
-    high = high_degree_exclusion(r, table=table, precision_bits=160)
-    notes: list[str] = []
-    survivors: list[NumberFieldRecord] = []
-    for row in high.low_degree:
-        if not row.excluded:
-            survivors.extend(query(table, row.degree, row.disc_upper))
-    if not survivors:
-        return CertificateSection(
-            r=r,
-            n=2 * r,
-            kind="bound-exclusion",
-            verdict=VERDICT_CERTIFIED,
-            local_factor_proof=None,
-            calibration=None,
-            enumeration=None,
-            verdicts=(),
-            high_degree=high,
-        )
-    notes.append(
-        "bound-only exclusion left survivors; their zeta-numerator obstruction decides the rank"
-    )
-    proof = minimum_proof(r)  # integrality of every local factor at this rank
-    calibration = calibrate_oracle(r)
-    bad_h = [f for f in survivors if f.h != 1]
-    if bad_h:
-        raise PassOneClassNumberError(
-            f"r={r}: surviving fields with h > 1: " + ", ".join(f.label for f in bad_h)
-        )
-    verdicts = _verdicts_for(sorted(survivors, key=lambda f: (f.degree, f.disc)), r, precision_bits, dual_path)
+    if r == 2:
+        return _scan_rank_two(table)
+    kind = regime(r)
+    high = high_degree_exclusion(r)
+    enumeration = enumerate_candidates(r, table)
+    candidates = enumeration.records
+    if kind == BOUND_EXCLUSION:
+        # Only the rows are kept: the exact pass-one enclosures run to a
+        # megabyte per rank at r = 13..15.
+        high = replace(high, low_degree=_low_degree_rows((a.pass_one for a in enumeration.audits), table))
+        enumeration = None
+    verdicts = tuple(field_verdict(rec, r, precision_bits, dual_path) for rec in candidates)
     certified = all(v.obstruction.obstructed for v in verdicts)
     return CertificateSection(
         r=r,
         n=2 * r,
-        kind="bound-exclusion",
+        kind=kind,
         verdict=VERDICT_CERTIFIED if certified else VERDICT_INCONCLUSIVE,
-        local_factor_proof=proof,
-        calibration=calibration,
-        enumeration=None,
         verdicts=verdicts,
+        local_factor_proof=minimum_proof(r) if verdicts else None,
+        calibration=calibrate_oracle(r) if verdicts else None,
+        enumeration=enumeration,
         high_degree=high,
-        notes=tuple(notes),
+        notes=(SURVIVOR_NOTE,) if verdicts and kind == BOUND_EXCLUSION else (),
     )
 
 
-def _certify_rank_two(table: FieldTable, precision_bits: int) -> CertificateSection:
-    """Rank 2 scan, expected inconclusive: stops at the first field whose
-    zeta product has trivial odd numerator (the nonexistence argument has
-    no purchase there).
-
-    Finding one unobstructed field is decisive for "inconclusive" even if
-    the scan is truncated; a "certified" claim would need the full
-    two-pass machinery, so a complete obstructed scan refuses to certify
-    unless every query stayed within the completeness bounds.
+def _scan_rank_two(table: FieldTable) -> CertificateSection:
+    """Rank 2 (n = 4) is always inconclusive: no local-factor integrality
+    proof exists below rank 3 (``minimum_proof(2)`` raises).  The scan
+    walks the h = 1 fields under the first-pass cutoffs, as far as the
+    table is complete, and stops at the first field whose zeta product has
+    trivial odd numerator, where the argument has no purchase at all.
     """
+
+    def h_one_fields():
+        for d in SEARCH_DEGREES:
+            cutoff = compute_bounds_pass(2, d, BoundsMode.CLASS_NUMBER_BOUNDED).disc_upper
+            reach = min(cutoff, table.completeness.get(d, 0))
+            yield from (rec for rec in query(table, d, reach) if rec.h == 1)
+
     verdicts: list[FieldVerdict] = []
-    notes: list[str] = []
-    scan_complete = True
-    for d in SEARCH_DEGREES:
-        p1 = compute_bounds_pass(2, d, BoundsMode.CLASS_NUMBER_BOUNDED)
-        if p1.disc_upper < (table.minimal_disc(d) or 0):
-            continue
-        reach = min(p1.disc_upper, table.completeness.get(d, 0))
-        if reach < p1.disc_upper:
-            scan_complete = False
-        for rec in query(table, d, reach):
-            if rec.h != 1:
-                scan_complete = False  # h > 1 fields are outside the h = 1 decomposition
-                continue
-            v = field_verdict(rec, 2, precision_bits, dual_path=False)
-            verdicts.append(v)
-            if not v.obstruction.obstructed:
-                notes.append(
-                    f"{rec.label}: zeta product {v.obstruction.product} has trivial odd "
-                    "numerator, no odd-prime witness exists"
-                )
-                return CertificateSection(
-                    r=2,
-                    n=4,
-                    kind="failure-demo",
-                    verdict=VERDICT_INCONCLUSIVE,
-                    local_factor_proof=None,
-                    calibration=None,
-                    enumeration=None,
-                    verdicts=tuple(verdicts),
-                    high_degree=None,
-                    notes=tuple(notes),
-                )
-    if not scan_complete:
-        raise SearchError("rank-2 scan was truncated; cannot certify from a partial scan")
+    notes = ("no local-factor integrality proof exists below rank 3",)
+    for rec in h_one_fields():
+        v = field_verdict(rec, 2, dual_path=False)
+        verdicts.append(v)
+        if not v.obstruction.obstructed:
+            notes = (
+                f"{rec.label}: zeta product {v.obstruction.product} has trivial odd "
+                "numerator, no odd-prime witness exists",
+            )
+            break
     return CertificateSection(
-        r=2,
-        n=4,
-        kind="failure-demo",
-        verdict=VERDICT_CERTIFIED,
-        local_factor_proof=None,
-        calibration=None,
-        enumeration=None,
-        verdicts=tuple(verdicts),
-        high_degree=None,
-        notes=tuple(notes),
+        r=2, n=4, kind="failure-demo", verdict=VERDICT_INCONCLUSIVE, verdicts=tuple(verdicts), notes=notes
     )

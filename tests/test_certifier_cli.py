@@ -106,6 +106,31 @@ class TestVerifier:
         outcome = verify_certificate(bad, table)
         assert not outcome.ok
 
+    def test_missing_sections_rejected(self, theorem_cert, table):
+        bad = clone(theorem_cert)
+        bad["parameters"]["requested_r"] = [3]
+        bad["sections"] = []
+        bad["overall"] = {"6": "nonexistence certified"}
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and "sections cover ranks []" in outcome.divergence
+
+    def test_stripped_section_rejected(self, theorem_cert, table):
+        bad = clone(theorem_cert)
+        sec = bad["sections"][0]
+        for key in ("bounds", "candidates", "local_factors", "high_degree"):
+            del sec[key]
+        sec["verdicts"] = sec["verdicts"][:1]
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok
+        assert outcome.divergence.startswith("section r=3: evidence missing")
+
+    def test_missing_key_is_named_divergence(self, theorem_cert, table):
+        bad = clone(theorem_cert)
+        del bad["sections"][0]["verdicts"][0]["euler"]
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok
+        assert outcome.divergence.startswith("section r=3: malformed")
+
     def test_local_factor_tamper_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
         bad["sections"][0]["local_factors"]["entries"][0]["polynomial"][0] = "2"
@@ -169,6 +194,14 @@ class TestCliProcess:
         Path("c.json").write_text(json.dumps(cert), encoding="utf-8")
         assert main(["--verify", "c.json"]) == 1
         assert "FAILED" in capsys.readouterr().err
+
+    def test_verify_malformed_exits_one(self, theorem_cert, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        bad = clone(theorem_cert)
+        del bad["sections"][1]["verdicts"][0]["euler"]
+        Path("c.json").write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["--verify", "c.json"]) == 1
+        assert "section r=4: malformed" in capsys.readouterr().err
 
     def test_verify_missing_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypeuler import exact_arith
 from hypeuler.exact_arith import (
     CyclotomicNumber,
     CyclotomicOrderError,
@@ -16,7 +17,6 @@ from hypeuler.exact_arith import (
     RationalInterval,
     bernoulli_number,
     bernoulli_polynomial_eval,
-    cyclotomic_mul,
     cyclotomic_polynomial,
     dyadic_round_down,
     dyadic_round_up,
@@ -143,7 +143,7 @@ class TestCyclotomic:
     def test_multiplicative_identity(self):
         x = CyclotomicNumber(3, (F(2, 3), F(-1, 5)))
         one = CyclotomicNumber.from_rational(3, 1)
-        assert cyclotomic_mul(x, one) == x
+        assert x * one == x
 
     def test_conjugate_product_is_norm(self):
         z = CyclotomicNumber.root_of_unity(3)
@@ -154,7 +154,7 @@ class TestCyclotomic:
 
     def test_order_mismatch(self):
         with pytest.raises(CyclotomicOrderError):
-            cyclotomic_mul(CyclotomicNumber.root_of_unity(3), CyclotomicNumber.root_of_unity(4))
+            CyclotomicNumber.root_of_unity(3) * CyclotomicNumber.root_of_unity(4)
 
     def test_unsupported_order(self):
         with pytest.raises(CyclotomicOrderError):
@@ -274,6 +274,12 @@ class TestPiAndRoots:
     def test_pi_enclosure_tight(self):
         enc = pi_enclosure(bits=256)
         assert enc.width < F(1, 2**252)
+
+    def test_pi_enclosure_too_wide_raises(self, monkeypatch):
+        # the width post-condition must hold under python -O as well
+        monkeypatch.setattr(exact_arith, "_pi_enclosure_bits", lambda bits: RationalInterval(F(3), F(4)))
+        with pytest.raises(ExactArithError, match="pi enclosure"):
+            pi_enclosure()
 
     def test_half_integer_power(self):
         iv = rational_power_half(5, 21)  # 5^(21/2)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
+from hypeuler import search_bounds
 from hypeuler.field_tables import load_table, parse_table_text
 from hypeuler.search_bounds import (
     VERDICT_CERTIFIED,
@@ -190,6 +191,34 @@ class TestCertifySections:
         got = {v.record.disc: v.obstruction.witness for v in s.verdicts}
         assert got == EXPECTED_WITNESSES[r]
         assert s.local_factor_proof is not None and s.calibration is not None
+
+    def test_rank2_never_certified(self):
+        # every field of this table is obstructed at rank 2, but no
+        # local-factor proof exists below rank 3
+        only_d8 = """hypeuler-fields v1
+# completeness: 2 1000
+# completeness: 3 2000
+# completeness: 4 10000
+2.2.8.1|2|8|1|1|1|8|-
+"""
+        s = certify_section(2, parse_table_text(only_d8))
+        assert [v.record.label for v in s.verdicts] == ["2.2.8.1"]
+        assert s.verdicts[0].obstruction.obstructed
+        assert s.verdict == VERDICT_INCONCLUSIVE
+        assert s.local_factor_proof is None
+
+    @pytest.mark.parametrize(("r", "passes"), [(3, 6), (5, 6), (6, 3), (8, 3)])
+    def test_bounds_passes_per_section(self, r, passes, table, monkeypatch):
+        # pass two runs only in the field-verdicts regime (r <= 5)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compute_bounds_pass(*args, **kwargs)
+
+        monkeypatch.setattr(search_bounds, "compute_bounds_pass", counting)
+        certify_section(r, table, dual_path=False)
+        assert len(calls) == passes
 
     def test_rank2_failure_demo(self, table):
         s = certify_section(2, table, precision_bits=128)
