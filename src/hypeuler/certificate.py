@@ -20,7 +20,13 @@ from pathlib import Path
 from sympy import isprime
 
 from . import __version__
-from .exact_arith import RationalInterval, dyadic_round_up, format_rational, parse_rational
+from .exact_arith import (
+    RationalInterval,
+    dyadic_round_up,
+    format_rational,
+    parse_rational,
+    two_adic_valuation,
+)
 from .euler_char import chi_principal_from_values, index_divisor
 from .field_tables import FieldTable, load_table
 from .local_factors import table_fingerprint
@@ -35,8 +41,8 @@ class CertificateError(Exception):
 
 
 def _interval_json(iv: RationalInterval) -> list[str]:
-    # Exact endpoints can run to many thousands of digits; store an
-    # outward-rounded enclosure (still rigorous) at bounded precision.
+    # A certificate needs fewer bits than the working precision; store an
+    # outward-rounded enclosure (still rigorous) at 128 significant bits.
     rounded = iv.outward_round(sig_bits=128)
     return [format_rational(rounded.lo), format_rational(rounded.hi)]
 
@@ -159,29 +165,35 @@ def axioms(dataset_checksum: str) -> list[dict]:
     ]
 
 
+def _dataset_json(table: FieldTable) -> dict:
+    return {
+        "checksum": table.checksum,
+        "source": table.source,
+        "completeness": {str(k): v for k, v in sorted(table.completeness.items())},
+    }
+
+
 def build_certificate(
-    sections: list[CertificateSection],
+    sections: list[dict],
     table: FieldTable,
     precision_bits: int,
     requested: list[int],
     status: str = "complete",
     error: str | None = None,
 ) -> dict:
+    """Assemble a certificate from sections serialized by ``section_to_json``,
+    in rank order."""
     cert: dict = {
         "format": CERTIFICATE_FORMAT,
         "tool": {"name": "hypeuler", "version": __version__},
-        "dataset": {
-            "checksum": table.checksum,
-            "source": table.source,
-            "completeness": {str(k): v for k, v in sorted(table.completeness.items())},
-        },
+        "dataset": _dataset_json(table),
         "axioms": axioms(table.checksum),
         "parameters": {
             "precision_bits": precision_bits,
             "requested_r": sorted(requested),
         },
-        "sections": [section_to_json(s) for s in sorted(sections, key=lambda s: s.r)],
-        "overall": {str(2 * s.r): s.verdict for s in sections},
+        "sections": sections,
+        "overall": {str(s["n"]): s["verdict"] for s in sections},
         "status": status,
     }
     if error is not None:
@@ -214,11 +226,13 @@ def run_certification(
 
     Exit codes: 0 all certified, 2 at least one rank inconclusive,
     1 internal error (the certificate is then partial, status failed).
+    Each rank is certified and serialized inside its own failure envelope,
+    so an error at either step names the rank.
     """
-    sections: list[CertificateSection] = []
+    sections: list[dict] = []
     for r in sorted(set(requested_r)):
         try:
-            sections.append(certify_section(r, table, precision_bits, dual_path))
+            sections.append(section_to_json(certify_section(r, table, precision_bits, dual_path)))
         except Exception as exc:  # embed the failure, per the exit-code contract
             cert = build_certificate(
                 sections, table, precision_bits, requested_r, status="failed",
@@ -226,7 +240,7 @@ def run_certification(
             )
             return cert, 1
     cert = build_certificate(sections, table, precision_bits, requested_r)
-    code = 0 if all(s.verdict == VERDICT_CERTIFIED for s in sections) else 2
+    code = 0 if all(s["verdict"] == VERDICT_CERTIFIED for s in sections) else 2
     return cert, code
 
 
@@ -273,8 +287,14 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     local factors, field list and verdict) must equal what the
     certification driver recomputes for that rank, without the dual path.
     Each field verdict's zeta row, reduced product, witness and Euler data
-    are also re-derived here on their own.  A missing key or malformed
-    value is reported as a divergence, never raised.
+    are also re-derived here on their own.  The dataset and the axioms
+    must be those of the table in use.  A recorded dual-path enclosure
+    must contain the exact value and have a relative width of at most
+    2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, and the
+    recorded ``relative_width`` must be a positive rational no larger
+    (``_dual_path_width_bound`` derives the bound from the 128-bit
+    serialization).  A missing key or malformed value is reported as a
+    divergence, never raised.
     """
     if isinstance(cert, (str, Path)):
         cert = read_certificate(cert)
@@ -290,9 +310,15 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     try:
         fmt = cert.get("format")
         check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {fmt!r}")
-        checksum = cert["dataset"]["checksum"]
-        check(checksum == table.checksum, "dataset checksum does not match the table in use")
+        dataset, known = cert["dataset"], _dataset_json(table)
+        for key, value in known.items():
+            check(dataset[key] == value, f"dataset {key} does not match the table in use")
+        check(dataset.keys() == known.keys(), f"dataset has unexpected keys {sorted(dataset.keys() - known.keys())}")
+        check(cert["axioms"] == axioms(table.checksum), "axioms differ from those of the table in use")
         check(cert["status"] == "complete", f"certificate status is {cert['status']!r}")
+        precision = cert["parameters"]["precision_bits"]
+        check(type(precision) is int, f"parameters.precision_bits {precision!r} is not an integer")
+        width_bound = _dual_path_width_bound(precision)
         ranks = sorted(set(cert["parameters"]["requested_r"]))
         sections = list(cert["sections"])
         section_ranks = [sec["r"] for sec in sections]
@@ -307,13 +333,15 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
         tag = f"section r={r}"
         expected = section_to_json(certify_section(r, table, dual_path=False))
         try:
-            _verify_section(sec, expected, table, check, tag)
+            _verify_section(sec, expected, table, check, tag, width_bound)
             check(overall[str(2 * r)] == sec["verdict"], f"{tag}: overall map disagrees with section verdict")
         except _MALFORMED as exc:
             raise _Divergence(f"{tag}: malformed entry ({type(exc).__name__}: {exc})") from None
 
 
-def _verify_section(sec: dict, expected: dict, table: FieldTable, check: _Checks, tag: str) -> None:
+def _verify_section(
+    sec: dict, expected: dict, table: FieldTable, check: _Checks, tag: str, width_bound: Fraction
+) -> None:
     missing, extra = sorted(expected.keys() - sec.keys()), sorted(sec.keys() - expected.keys())
     check(not missing and not extra, f"{tag}: evidence missing {missing}, unexpected {extra}")
     for claimed, known in zip(sec.get("bounds", []), expected.get("bounds", [])):
@@ -336,12 +364,27 @@ def _verify_section(sec: dict, expected: dict, table: FieldTable, check: _Checks
     known_fields = [(v["label"], v["conclusion"]) for v in expected["verdicts"]]
     check(fields == known_fields, f"{tag}: field verdicts {fields} differ from the recomputed {known_fields}")
     for v in sec["verdicts"]:
-        _verify_field(v, expected["r"], table, check, tag)
+        _verify_field(v, expected["r"], table, check, tag, width_bound)
 
 
-def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str) -> None:
+def _dual_path_width_bound(precision_bits: int) -> Fraction:
+    """The largest relative width accepted for a dual-path enclosure at
+    working precision ``precision_bits``: 2^(8 - min(precision_bits, 128)).
+
+    Each zeta factor is enclosed to width 2^-precision_bits, and the
+    serialization at 128 significant bits widens each end by under 2^-127
+    relative, so an honest enclosure stays below
+    2^(1 - min(precision_bits, 128)) on every rank in use; the bound
+    leaves 7 bits of room and still rejects any enclosure that says
+    nothing, such as [0, 10^100].
+    """
+    return Fraction(2) ** (8 - min(precision_bits, 128))
+
+
+def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, width_bound: Fraction) -> None:
     """Re-derive one field verdict: zeta row, reduced product, witness and
-    Euler data, and the recorded dual-path enclosure's containment."""
+    Euler data, and the recorded dual-path enclosure's containment and
+    width."""
     label = v["label"]
     rec = table.by_disc(v["degree"], v["disc"])
     check(
@@ -387,9 +430,26 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str) 
         chi / divisor == parse_rational(euler["chi_gamma_lower"]),
         f"{tag}: {label}: chi(Gamma) lower bound mismatch",
     )
-    if v["dual_path"] is not None:
-        lo, hi = (parse_rational(s) for s in v["dual_path"]["enclosure"])
+    two_exponent = -two_adic_valuation(chi / divisor)
+    check(
+        type(euler["two_exponent"]) is int and euler["two_exponent"] == two_exponent,
+        f"{tag}: {label}: two_exponent {euler['two_exponent']!r} != recomputed {two_exponent}",
+    )
+    dual = v["dual_path"]
+    if dual is not None:
+        lo, hi = (parse_rational(s) for s in dual["enclosure"])
         check(lo <= chi <= hi, f"{tag}: {label}: recorded enclosure misses the exact value")
+        check(dual["contains_exact"] is True, f"{tag}: {label}: contains_exact is not true")
+        check(
+            (hi - lo) / chi <= width_bound,
+            f"{tag}: {label}: recorded enclosure's relative width exceeds {format_rational(width_bound)}",
+        )
+        relative_width = parse_rational(dual["relative_width"])
+        check(
+            0 < relative_width <= width_bound,
+            f"{tag}: {label}: relative_width {dual['relative_width']!r} is not a positive "
+            f"rational at most {format_rational(width_bound)}",
+        )
 
 
 # ---------------------------------------------------------------------------

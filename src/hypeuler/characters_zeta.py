@@ -259,7 +259,15 @@ def _pochhammer(s: int, k: int) -> int:
     return out
 
 
-def hurwitz_zeta_enclosure(s: int, q: Fraction, terms: int, corrections: int) -> RationalInterval:
+@cache
+def _euler_maclaurin_coefficient(s: int, i: int) -> Fraction:
+    """B_2i / (2i)! * s(s+1)...(s+2i-2), shared by every Hurwitz call at s."""
+    return bernoulli_number(2 * i) / math.factorial(2 * i) * _pochhammer(s, 2 * i - 1)
+
+
+def hurwitz_zeta_enclosure(
+    s: int, q: Fraction, terms: int, corrections: int, precision_bits: int = 192
+) -> RationalInterval:
     """Enclosure of zeta_H(s, q) = sum_{k>=0} (k+q)^{-s} for integer s >= 2
     and rational q in (0, 1].
 
@@ -267,31 +275,42 @@ def hurwitz_zeta_enclosure(s: int, q: Fraction, terms: int, corrections: int) ->
     f(x) = (x+q)^{-s} every even-order derivative is positive, so the
     remainder after m correction terms lies between 0 and the first
     omitted term; that term supplies the enclosure width.
+
+    Every term is a rational num/den, summed as integers in units of 2^-P:
+    floor(num 2^P / den) into the lower end and the ceiling into the upper
+    end, e.g. floor and ceil of qd^s 2^P / (k qd + qn)^s for the partial
+    sum.  P exceeds ``precision_bits`` by the bit length of the term count,
+    so the rounding costs below 2^-precision_bits in all; the result (at
+    least 1) carries working precision ``precision_bits``.
     """
     if s < 2:
         raise CharacterError("Hurwitz enclosure requires s >= 2")
     q = as_rational(q)
     if not 0 < q <= 1:
         raise CharacterError("Hurwitz parameter must lie in (0, 1]")
-    partial = sum((Fraction(1) / (k + q) ** s for k in range(terms)), Fraction(0))
-    N = terms + q
-    tail = N ** (1 - s) / (s - 1) + N ** (-s) / Fraction(2)
-    for i in range(1, corrections + 1):
-        tail += (
-            bernoulli_number(2 * i)
-            / math.factorial(2 * i)
-            * _pochhammer(s, 2 * i - 1)
-            * N ** (1 - s - 2 * i)
-        )
-    omitted = (
-        bernoulli_number(2 * corrections + 2)
-        / math.factorial(2 * corrections + 2)
-        * _pochhammer(s, 2 * corrections + 1)
-        * N ** (-s - 2 * corrections - 1)
-    )
-    lo = partial + tail + min(Fraction(0), omitted)
-    hi = partial + tail + max(Fraction(0), omitted)
-    return RationalInterval(lo, hi)
+    qn, qd = q.numerator, q.denominator
+    M = terms * qd + qn  # N = terms + q = M / qd
+    P = precision_bits + (terms + corrections + 3).bit_length()
+
+    def bracket(num: int, den: int) -> tuple[int, int]:
+        """floor and ceiling of num/den in units of 2^-P."""
+        quot, rem = divmod(num << P, den)
+        return quot, quot + (rem > 0)
+
+    def correction(i: int) -> tuple[int, int]:
+        """The i-th Euler-Maclaurin correction c N^(1-s-2i) as num, den."""
+        c = _euler_maclaurin_coefficient(s, i)
+        m = s + 2 * i - 1
+        return c.numerator * qd**m, c.denominator * M**m
+
+    summed = [(qd**s, (k * qd + qn) ** s) for k in range(terms)]
+    summed += [(qd ** (s - 1), (s - 1) * M ** (s - 1)), (qd**s, 2 * M**s)]
+    summed += [correction(i) for i in range(1, corrections + 1)]
+    brackets = [bracket(num, den) for num, den in summed]
+    omitted_lo, omitted_hi = bracket(*correction(corrections + 1))
+    lo = sum(b[0] for b in brackets) + min(0, omitted_lo)
+    hi = sum(b[1] for b in brackets) + max(0, omitted_hi)
+    return RationalInterval(Fraction(lo, 1 << P), Fraction(hi, 1 << P)).outward_round(precision_bits)
 
 
 @lru_cache(maxsize=64)
@@ -308,7 +327,7 @@ def _l_factor_enclosure(
     chi = chars[0]
     f = chi.modulus
     hz: dict[int, RationalInterval] = {
-        a: hurwitz_zeta_enclosure(s, Fraction(a, f), terms, corrections)
+        a: hurwitz_zeta_enclosure(s, Fraction(a, f), terms, corrections, bits)
         for a in range(1, f + 1)
         if chi.exponent_of(a) is not None
     }

@@ -1,10 +1,14 @@
 """Exact arithmetic foundations.
 
-Everything in this module is exact: scalar values are arbitrary-precision
-rationals (`fractions.Fraction`), intervals are pairs of rationals that
-provably enclose the real number they stand for, and polynomial and
-cyclotomic arithmetic is carried out over the rationals with canonical
-reduction.  No floating point enters any computation.
+Scalar values are arbitrary-precision rationals (`fractions.Fraction`),
+and polynomial and cyclotomic arithmetic is carried out over the
+rationals with canonical reduction, all exactly.  Intervals are pairs of
+rationals that provably enclose the real number they stand for; an
+interval built from rationals stays exact, while the enclosures of
+transcendental quantities carry a working precision and every result
+computed from them is rounded outward to dyadic endpoints at that
+precision (see `RationalInterval`).  No floating point enters any
+computation.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to use concurrently.  The Bernoulli cache only
@@ -14,7 +18,7 @@ ever grows and is guarded by the GIL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -372,27 +376,70 @@ def _int_nthroot(n: int, k: int) -> int:
     return x
 
 
-def _nth_root_lower(x: Fraction, n: int, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(_int_nthroot(math.floor(x * scale**n), n), scale)
+def _scaled_root(x: Fraction, n: int, bits: int) -> int:
+    """floor(x^(1/n) * 2^bits) for x >= 0."""
+    return _int_nthroot((x.numerator << (bits * n)) // x.denominator, n)
 
 
-def _nth_root_upper(x: Fraction, n: int, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(_int_nthroot(math.floor(x * scale**n), n) + 1, scale)
+def _join(p: int | None, q: int | None) -> int | None:
+    """Working precision of a result: an exact operand (None) takes on the
+    other's precision, two rounded operands the larger one."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    return max(p, q)
+
+
+def _rounded(lo: Fraction, hi: Fraction, prec: int | None) -> "RationalInterval":
+    """[lo, hi] rounded outward to ``prec`` significant bits (kept exact when
+    ``prec`` is None)."""
+    if prec is None:
+        return RationalInterval(lo, hi)
+    return RationalInterval(dyadic_round_down(lo, prec), dyadic_round_up(hi, prec), prec)
+
+
+def _pow_rounded(x: Fraction, k: int, prec: int | None, up: bool) -> Fraction:
+    """A bound on x**k (k >= 1) from above (``up``) or below.
+
+    Square-and-multiply on |x|: every intermediate product of nonnegative
+    numbers is rounded in one direction to ``prec`` significant bits, which
+    bounds |x|**k from that side; an odd power of a negative x flips it.
+    """
+    if prec is None:
+        return x**k
+    negative = x < 0 and k % 2 == 1
+    rnd = dyadic_round_up if up != negative else dyadic_round_down
+    base, acc = abs(x), Fraction(1)
+    while True:
+        if k & 1:
+            acc = rnd(acc * base, prec)
+        k >>= 1
+        if not k:
+            break
+        base = rnd(base * base, prec)
+    return -acc if negative else acc
 
 
 @dataclass(frozen=True)
 class RationalInterval:
-    """Closed interval [lo, hi] with exact rational endpoints.
+    """Closed interval [lo, hi] with rational endpoints that encloses the
+    real number it stands for.
 
-    Endpoint arithmetic is exact, so interval operations produce true
-    enclosures with no rounding step; irrational quantities (pi, roots)
-    enter only through explicitly enclosed values.
+    An interval is either exact (``prec`` None: built from rationals, and
+    its arithmetic is exact) or carries a working precision ``prec`` in
+    significant bits.  Every result with a rounded operand is rounded
+    outward to dyadic endpoints at the larger working precision of its
+    operands, so endpoint sizes stay bounded while every result still
+    encloses the exact one; an exact interval stays exact until it meets a
+    rounded one.  Precision enters through ``outward_round``, ``nth_root``
+    and the enclosures of transcendental quantities (pi, Hurwitz zeta),
+    each at the precision its caller asks for.
     """
 
     lo: Fraction
     hi: Fraction
+    prec: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -425,13 +472,13 @@ class RationalInterval:
         return self.hi < as_rational(c)
 
     def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
+        return _rounded(self.lo + other.lo, self.hi + other.hi, _join(self.prec, other.prec))
 
     def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo - other.hi, self.hi - other.lo)
+        return _rounded(self.lo - other.hi, self.hi - other.lo, _join(self.prec, other.prec))
 
     def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
+        return RationalInterval(-self.hi, -self.lo, self.prec)
 
     def __mul__(self, other: "RationalInterval") -> "RationalInterval":
         products = (
@@ -440,18 +487,18 @@ class RationalInterval:
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return RationalInterval(min(products), max(products))
+        return _rounded(min(products), max(products), _join(self.prec, other.prec))
 
     def scale(self, c: int | Fraction) -> "RationalInterval":
         c = as_rational(c)
         if c >= 0:
-            return RationalInterval(self.lo * c, self.hi * c)
-        return RationalInterval(self.hi * c, self.lo * c)
+            return _rounded(self.lo * c, self.hi * c, self.prec)
+        return _rounded(self.hi * c, self.lo * c, self.prec)
 
     def reciprocal(self) -> "RationalInterval":
         if self.lo <= 0 <= self.hi:
             raise ExactArithError("reciprocal of an interval containing zero")
-        return RationalInterval(1 / self.hi, 1 / self.lo)
+        return _rounded(1 / self.hi, 1 / self.lo, self.prec)
 
     def __truediv__(self, other: "RationalInterval") -> "RationalInterval":
         return self * other.reciprocal()
@@ -461,24 +508,30 @@ class RationalInterval:
             return self.reciprocal().pow_int(-k)
         if k == 0:
             return RationalInterval.exact(1)
-        if k % 2 == 1 or self.lo >= 0:
-            return RationalInterval(self.lo**k, self.hi**k)
-        if self.hi <= 0:
-            return RationalInterval(self.hi**k, self.lo**k)
+        lo, hi, p = self.lo, self.hi, self.prec
+        if k % 2 == 1 or lo >= 0:
+            return RationalInterval(_pow_rounded(lo, k, p, False), _pow_rounded(hi, k, p, True), p)
+        if hi <= 0:
+            return RationalInterval(_pow_rounded(hi, k, p, False), _pow_rounded(lo, k, p, True), p)
         # even power of an interval straddling zero
-        return RationalInterval(Fraction(0), max(self.lo**k, self.hi**k))
+        return RationalInterval(Fraction(0), max(_pow_rounded(lo, k, p, True), _pow_rounded(hi, k, p, True)), p)
 
     def nth_root(self, n: int, bits: int = 64) -> "RationalInterval":
         """Enclosure of the n-th root (requires lo >= 0).
 
         Endpoints come from scaled integer roots: the returned bounds
-        satisfy lo'^n <= lo and hi'^n >= hi with |hi'-lo'| controlled
-        by ``bits`` binary digits.
+        satisfy lo'^n <= lo and hi'^n >= hi, and are dyadic with
+        denominator 2^bits, so |hi'-lo'| is controlled by ``bits`` binary
+        digits.  The result carries working precision ``bits`` or the
+        operand's, whichever is larger.
         """
         if self.lo < 0:
             raise ExactArithError("n-th root of an interval with negative lower end")
+        scale = 1 << bits
         return RationalInterval(
-            _nth_root_lower(self.lo, n, bits), _nth_root_upper(self.hi, n, bits)
+            Fraction(_scaled_root(self.lo, n, bits), scale),
+            Fraction(_scaled_root(self.hi, n, bits) + 1, scale),
+            _join(self.prec, bits),
         )
 
     def sqrt(self, bits: int = 64) -> "RationalInterval":
@@ -489,10 +542,9 @@ class RationalInterval:
 
     def outward_round(self, sig_bits: int = 128) -> "RationalInterval":
         """Widen to dyadic endpoints with about ``sig_bits`` significant
-        bits; the result still encloses the original interval."""
-        return RationalInterval(
-            dyadic_round_down(self.lo, sig_bits), dyadic_round_up(self.hi, sig_bits)
-        )
+        bits; the result still encloses the original interval and carries
+        ``sig_bits`` as its working precision."""
+        return _rounded(self.lo, self.hi, sig_bits)
 
 
 def _dyadic_shift(x: Fraction, sig_bits: int) -> int:
@@ -506,15 +558,21 @@ def _dyadic_shift(x: Fraction, sig_bits: int) -> int:
 def dyadic_round_down(x: Fraction, sig_bits: int = 128) -> Fraction:
     """Largest dyadic rational with ~sig_bits significant bits that is <= x."""
     x = as_rational(x)
+    n, d = x.numerator, x.denominator
     shift = _dyadic_shift(x, sig_bits)
-    return Fraction(math.floor(x * Fraction(2) ** shift)) / Fraction(2) ** shift
+    if shift >= 0:
+        return Fraction((n << shift) // d, 1 << shift)
+    return Fraction((n // (d << -shift)) << -shift)
 
 
 def dyadic_round_up(x: Fraction, sig_bits: int = 128) -> Fraction:
     """Smallest dyadic rational with ~sig_bits significant bits that is >= x."""
     x = as_rational(x)
+    n, d = x.numerator, x.denominator
     shift = _dyadic_shift(x, sig_bits)
-    return Fraction(math.ceil(x * Fraction(2) ** shift)) / Fraction(2) ** shift
+    if shift >= 0:
+        return Fraction(-((-n << shift) // d), 1 << shift)
+    return Fraction(-((-n) // (d << -shift)) << -shift)
 
 
 def rational_power_half(x: int | Fraction, twice_exponent: int, bits: int = 96) -> RationalInterval:
@@ -556,12 +614,15 @@ def _pi_enclosure_bits(bits: int) -> RationalInterval:
     terms = max(4, int(bits / 4.6) + 4)
     a5 = _arctan_inv_enclosure(5, terms)
     a239 = _arctan_inv_enclosure(239, max(4, terms // 2))
-    return a5.scale(16) - a239.scale(4)
+    # 32 guard bits: the rounding widens each end by under 2^-(bits+29).
+    return (a5.scale(16) - a239.scale(4)).outward_round(bits + 32)
 
 
 def pi_enclosure(bits: int = 160) -> RationalInterval:
     """Rigorous enclosure of pi of width below 2^-(bits-4), bits rounded
-    up to a multiple of 32.  The enclosure is cached per precision tier.
+    up to a multiple of 32.  The enclosure is cached per precision tier
+    and carries working precision bits + 32, so every interval computed
+    from it is rounded at that precision.
     """
     bits = ((bits + 31) // 32) * 32  # quantize for cache reuse
     enc = _pi_enclosure_bits(bits)

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .exact_arith import _int_nthroot
+
 HEADER = "hypeuler-fields v1"
 REQUIRED_COMPLETENESS = {2: 1000, 3: 1000, 4: 1000}
 
@@ -327,10 +329,9 @@ def fundamental_unit(D: int) -> tuple[int, int]:
 
 
 def _int_cube_bound(n: int) -> int:
-    c = round(n ** (1.0 / 3)) if n < 2**50 else int(n ** (1.0 / 3))
-    while c**3 < n:
-        c += 1
-    return c + 2
+    """ceil(n^(1/3)) + 2, in exact integer arithmetic for any n >= 0."""
+    c = _int_nthroot(n, 3)
+    return c + (c**3 < n) + 2
 
 
 def quadratic_class_number(D: int) -> int:

@@ -131,6 +131,48 @@ class TestVerifier:
         assert not outcome.ok
         assert outcome.divergence.startswith("section r=3: malformed")
 
+    @pytest.mark.parametrize(
+        ("path", "value", "named"),
+        [
+            (("axioms", 0, "statement"), "every field is small", "axioms"),
+            (("axioms",), [], "axioms"),
+            (("dataset", "source"), "elsewhere", "dataset source"),
+            (("dataset", "completeness", "2"), 5000, "dataset completeness"),
+            (("dataset", "completeness"), None, "dataset completeness"),
+            (("sections", 0, "verdicts", 0, "euler", "two_exponent"), 1, "two_exponent"),
+            (("sections", 0, "verdicts", 0, "euler", "two_exponent"), "11", "two_exponent"),
+            (("sections", 0, "verdicts", 0, "dual_path", "enclosure"), ["0", "1" + "0" * 100], "relative width"),
+            (("sections", 0, "verdicts", 0, "dual_path", "relative_width"), "1", "relative_width"),
+            (("sections", 0, "verdicts", 0, "dual_path", "relative_width"), "0", "relative_width"),
+            (("sections", 0, "verdicts", 0, "dual_path", "relative_width"), "-1/2", "relative_width"),
+            (("sections", 0, "verdicts", 0, "dual_path", "contains_exact"), False, "contains_exact"),
+            (("parameters", "precision_bits"), "128", "precision_bits"),
+        ],
+    )
+    def test_replaced_claim_named(self, theorem_cert, table, path, value, named):
+        bad = clone(theorem_cert)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and named in outcome.divergence
+
+    def test_duplicated_verdict_two_exponent_rejected(self, theorem_cert, table):
+        # the two_exponent of one field copied onto another
+        bad = clone(theorem_cert)
+        verdicts = bad["sections"][0]["verdicts"]
+        donor = next(v for v in verdicts if v["euler"]["two_exponent"] != verdicts[0]["euler"]["two_exponent"])
+        verdicts[0]["euler"]["two_exponent"] = donor["euler"]["two_exponent"]
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and "two_exponent" in outcome.divergence
+
+    def test_extra_dataset_key_rejected(self, theorem_cert, table):
+        bad = clone(theorem_cert)
+        bad["dataset"]["note"] = "extra"
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and "dataset has unexpected keys ['note']" in outcome.divergence
+
     def test_local_factor_tamper_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
         bad["sections"][0]["local_factors"]["entries"][0]["polynomial"][0] = "2"
@@ -213,6 +255,19 @@ class TestCliProcess:
         assert main(["--r", "3", "--precision", "128", "--out", "b.json", "--report", "rb.txt"]) == 0
         assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
         assert Path("ra.txt").read_bytes() == Path("rb.txt").read_bytes()
+
+    @pytest.mark.parametrize("r", (28, 29, 30))
+    def test_rank_past_serialization_limit_fails_inside_envelope(self, r, tmp_path, monkeypatch, capsys):
+        # value_at_degree_five exceeds 10^4300 from r = 28 on, beyond the
+        # int-to-str limit of the num/den encoding: a partial certificate
+        # with status failed, a report and exit 1, not a traceback
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", str(r), "--out", "c.json", "--report", "r.txt"]) == 1
+        cert = read_certificate("c.json")
+        assert cert["status"] == "failed" and cert["sections"] == []
+        assert cert["error"].startswith(f"r={r}: ValueError")
+        assert f"error: r={r}: " in Path("r.txt").read_text(encoding="utf-8")
+        assert f"error: r={r}: " in capsys.readouterr().err
 
     def test_bad_fields_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

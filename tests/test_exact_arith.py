@@ -264,6 +264,86 @@ class TestIntervalSoundness:
                 assert v.denominator >= 1
 
 
+precisions = st.integers(min_value=2, max_value=48)
+
+
+def is_dyadic_at(x, prec):
+    """x = m * 2^e with |m| < 2^(prec + 1)."""
+    n, d = x.numerator, x.denominator
+    if d & (d - 1):
+        return False
+    n = abs(n)
+    odd = n >> ((n & -n).bit_length() - 1) if n else 0
+    return odd.bit_length() <= prec + 1
+
+
+class TestRoundedIntervals:
+    """Intervals with a working precision: each result is rounded outward,
+    so it encloses the exact pointwise result with bounded endpoints."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fractions_mid, fractions_mid, fractions_mid, fractions_mid, unit_fracs, unit_fracs, precisions, precisions)
+    def test_ops_enclose(self, a, b, c, d, t1, t2, p, q):
+        X = make_interval(a, b).outward_round(p)
+        Y = make_interval(c, d).outward_round(q)
+        x, y = point_inside(X, t1), point_inside(Y, t2)
+        pq = max(p, q)
+        results = [(x + y, X + Y, pq), (x - y, X - Y, pq), (-x, -X, p), (x * y, X * Y, pq), (x * c, X.scale(c), p)]
+        if not Y.lo <= 0 <= Y.hi:
+            results += [(1 / y, Y.reciprocal(), q), (x / y, X / Y, pq)]
+        for exact, enclosure, prec in results:
+            assert exact in enclosure
+            assert enclosure.prec == prec
+            assert is_dyadic_at(enclosure.lo, prec) and is_dyadic_at(enclosure.hi, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fractions_mid, fractions_mid, unit_fracs, precisions, st.integers(min_value=-4, max_value=40))
+    def test_pow_int_encloses(self, a, b, t, p, k):
+        X = make_interval(a, b).outward_round(p)
+        x = point_inside(X, t)
+        if k < 0 and X.lo <= 0 <= X.hi:
+            with pytest.raises(ExactArithError):
+                X.pow_int(k)
+            return
+        power = X.pow_int(k)
+        assert x**k in power
+        if k:
+            assert power.prec == p and is_dyadic_at(power.hi, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=10**6, max_denominator=30),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=30),
+        unit_fracs,
+        precisions,
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_nth_root_encloses(self, a, b, t, p, n, bits):
+        X = make_interval(a, b).outward_round(p)
+        x = point_inside(X, t)
+        root = X.nth_root(n, bits)
+        assert root.lo**n <= x <= root.hi**n
+        assert root.prec == max(p, bits)
+
+    def test_exact_stays_exact_until_it_meets_a_rounded_interval(self):
+        third = RationalInterval.exact(F(1, 3))
+        assert (third * third + third).prec is None
+        assert (third * third + third).lo == F(4, 9)
+        mixed = third * RationalInterval.exact(F(1, 7)).outward_round(20)
+        assert mixed.prec == 20 and F(1, 21) in mixed and mixed.lo != mixed.hi
+
+    def test_long_product_stays_bounded(self):
+        # 200 rounded multiplications keep the endpoint size at the precision
+        step = RationalInterval.exact(F(22, 7)).outward_round(64)
+        acc = RationalInterval.exact(1)
+        for _ in range(200):
+            acc = acc * step
+        assert F(22, 7) ** 200 in acc
+        assert max(acc.hi.numerator.bit_length(), acc.hi.denominator.bit_length()) < 400
+        assert acc.pow_int(3).contains_interval(RationalInterval(acc.lo**3, acc.hi**3))
+
+
 class TestPiAndRoots:
     def test_pi_enclosure_default_width(self):
         enc = pi_enclosure()

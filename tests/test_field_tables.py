@@ -8,6 +8,7 @@ from hypeuler.field_tables import (
     CompletenessError,
     TableFormatError,
     TableInvariantError,
+    _int_cube_bound,
     checksum_of_text,
     fundamental_unit,
     is_fundamental_discriminant,
@@ -169,6 +170,13 @@ class TestClassNumberOracle:
         for D in (5, 8, 13, 17, 61, 97, 397):
             t, u = fundamental_unit(D)
             assert t * t - D * u * u in (4, -4)
+
+    def test_cube_bound_beyond_float_range(self):
+        # a float cube root overflows here; the bound is ceil(cbrt(n)) + 2
+        n = 2**1100
+        c = _int_cube_bound(n)
+        assert (c - 3) ** 3 < n <= (c - 2) ** 3
+        assert _int_cube_bound(27) == 5 and _int_cube_bound(28) == 6
 
     def test_known_class_numbers(self):
         assert quadratic_class_number(5) == 1

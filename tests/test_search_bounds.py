@@ -4,6 +4,8 @@ import pytest
 from mpmath import mp
 
 from hypeuler import search_bounds
+from hypeuler.euler_char import C_of_r
+from hypeuler.exact_arith import pi_enclosure
 from hypeuler.field_tables import load_table, parse_table_text
 from hypeuler.search_bounds import (
     VERDICT_CERTIFIED,
@@ -47,9 +49,16 @@ class TestClassNumberBound:
         assert iv.hi.__floor__() == 5  # h <= 5 for Q(sqrt 5)
 
     def test_scaling_in_disc(self):
+        # rounding at the working precision replaces exact proportionality:
+        # both enclose 7 * 16 (pi/12)^2 and agree to that precision
         unit = class_number_bound(2, 1)
         scaled = class_number_bound(2, 7)
-        assert scaled.lo == unit.lo * 7 and scaled.hi == unit.hi * 7
+        fine = pi_enclosure(bits=512)
+        true_lo, true_hi = (7 * 16 * (x / 12) ** 2 for x in (fine.lo, fine.hi))
+        assert scaled.lo <= true_lo and true_hi <= scaled.hi
+        assert unit.lo * 7 <= true_lo and true_hi <= unit.hi * 7
+        tolerance = scaled.hi / 2 ** (scaled.prec - 4)
+        assert abs(scaled.lo - unit.lo * 7) <= tolerance and abs(scaled.hi - unit.hi * 7) <= tolerance
 
     def test_d3_disc49(self):
         iv = class_number_bound(3, 49).outward_round(120)
@@ -93,6 +102,37 @@ class TestDiscUpperBounds:
             assert F(X + 1) ** e2 > p.threshold_squared.hi
             # the enclosure is tight enough that both endpoints agree
             assert p.enclosure_decisive
+
+
+def endpoint_bits(iv):
+    return max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in (iv.lo, iv.hi))
+
+
+def mantissa_bits(x):
+    """Bit length of the odd part of a dyadic rational's numerator."""
+    assert x.denominator & (x.denominator - 1) == 0, "endpoint is not dyadic"
+    n = abs(x.numerator)
+    return (n >> ((n & -n).bit_length() - 1)).bit_length() if n else 0
+
+
+class TestEndpointSizes:
+    """Endpoints are rounded to the working precision, so their size is
+    set by the precision and the magnitude, not by the length of the
+    computation (exact endpoints reached 640k bits for C(30) and 5.1M bits
+    for these thresholds)."""
+
+    def test_rank30_constant(self):
+        iv = C_of_r(30).interval
+        assert endpoint_bits(iv) < 2000
+        assert max(mantissa_bits(iv.lo), mantissa_bits(iv.hi)) <= iv.prec + 1
+
+    @pytest.mark.parametrize("mode", list(BoundsMode))
+    def test_rank30_threshold(self, mode):
+        t_sq = compute_bounds_pass(30, 4, mode).threshold_squared
+        # T^2 is about 2^-8000 here, so the power-of-two denominator alone
+        # needs some 8000 bits; the mantissa stays at the working precision
+        assert endpoint_bits(t_sq) < 10_000
+        assert max(mantissa_bits(t_sq.lo), mantissa_bits(t_sq.hi)) <= t_sq.prec + 1
 
 
 class TestHighDegreeExclusion:
@@ -168,6 +208,14 @@ class TestFieldVerdicts:
         assert v.conclusion == "obstructed"
         assert v.obstruction.witness == 67
         assert v.dual_path.contains
+
+    def test_precision_512_meets_target(self, table):
+        # each zeta factor is enclosed to width 2^-512, so the whole
+        # enclosure's relative width stays near 2^-512 as well
+        v = field_verdict(table.by_disc(2, 5), 3, precision_bits=512)
+        assert v.dual_path.contains
+        assert v.dual_path.relative_width < F(1, 2**505)
+        assert v.dual_path.enclosure.prec >= 512
 
     def test_witness_divides_odd_numerator(self, table):
         for D in (8, 12, 13, 17):
