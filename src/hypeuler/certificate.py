@@ -5,9 +5,9 @@ A certificate is a plain JSON tree in which every rational is an exact
 ``num/den`` string and every interval a pair of such strings; no floating
 point number appears anywhere.  Given the bundled dataset, the verifier
 recomputes every arithmetic claim (zeta special values, local factor
-polynomials and minima, bound cutoffs, reduced products, witness
-primality and divisibility) from scratch and reports the first
-divergence.
+polynomials and minima, bound cutoffs, reduced products, and that each
+witness is the smallest prime factor of its numerator) from scratch and
+reports the first divergence.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
-
-from sympy import isprime
 
 from . import __version__
 from .exact_arith import (
@@ -288,8 +287,9 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     certification driver recomputes for that rank, without the dual path.
     Each field verdict's zeta row, reduced product, witness and Euler data
     are also re-derived here on their own.  The dataset and the axioms
-    must be those of the table in use.  A recorded dual-path enclosure
-    must contain the exact value and have a relative width of at most
+    must be those of the table in use.  Every field verdict at rank >= 3
+    must carry a dual-path enclosure (rank 2 has none), which must
+    contain the exact value and have a relative width of at most
     2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, and the
     recorded ``relative_width`` must be a positive rational no larger
     (``_dual_path_width_bound`` derives the bound from the 128-bit
@@ -414,12 +414,20 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
             f"{tag}: {label}: missing witness despite nontrivial numerator",
         )
     else:
-        check(isprime(witness) and witness > 2, f"{tag}: {label}: witness {witness} is not an odd prime")
-        check(odd % witness == 0, f"{tag}: {label}: witness {witness} does not divide {odd}")
-        check(v["conclusion"] == "obstructed", f"{tag}: {label}: witness present but not obstructed")
+        # An odd divisor w > 2 of ``odd`` with no odd divisor d of ``odd`` in
+        # 3 <= d < min(w, isqrt(odd) + 1) is its smallest prime factor: a
+        # composite w has a factor at most its square root, and a smaller
+        # prime p above that root would make p * w > odd divide odd.
+        check(type(witness) is int and witness > 2, f"{tag}: {label}: witness {witness!r} is not an integer > 2")
         check(
-            not any(odd % p == 0 and isprime(p) for p in range(3, witness, 2)),
-            f"{tag}: {label}: witness {witness} is not the smallest prime",
+            odd % witness == 0,
+            f"{tag}: {label}: witness {witness} is not an odd prime factor of {odd}: it does not divide it",
+        )
+        check(v["conclusion"] == "obstructed", f"{tag}: {label}: witness present but not obstructed")
+        smaller = next((d for d in range(3, min(witness, isqrt(odd) + 1), 2) if odd % d == 0), None)
+        check(
+            smaller is None,
+            f"{tag}: {label}: witness {witness} is not the smallest prime factor of {odd}: {smaller} divides it",
         )
     euler = v["euler"]
     chi = chi_principal_from_values(r, v["degree"], [abs(z) for z in zetas], [])
@@ -436,6 +444,12 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
         f"{tag}: {label}: two_exponent {euler['two_exponent']!r} != recomputed {two_exponent}",
     )
     dual = v["dual_path"]
+    # The certifier records a dual-path check for every field at rank >= 3
+    # and none at rank 2.
+    check(
+        (dual is not None) == (r >= 3),
+        f"{tag}: {label}: dual-path record is {'missing' if dual is None else 'unexpected at rank 2'}",
+    )
     if dual is not None:
         lo, hi = (parse_rational(s) for s in dual["enclosure"])
         check(lo <= chi <= hi, f"{tag}: {label}: recorded enclosure misses the exact value")

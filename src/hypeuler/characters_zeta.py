@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from sympy import jacobi_symbol
-
 from .exact_arith import (
     CyclotomicNumber,
     RationalInterval,
@@ -115,6 +113,23 @@ def _kronecker_at_two(D: int) -> int:
     return 1 if D % 8 in (1, 7) else -1
 
 
+def _jacobi_symbol(m: int, n: int) -> int:
+    """Jacobi symbol (m/n) for odd n >= 1, by quadratic reciprocity and
+    the (2/n) rule."""
+    m %= n
+    value = 1
+    while m:
+        while m % 2 == 0:
+            m //= 2
+            if n % 8 in (3, 5):
+                value = -value
+        m, n = n, m
+        if m % 4 == 3 and n % 4 == 3:
+            value = -value
+        m %= n
+    return value if n == 1 else 0
+
+
 def kronecker_symbol(D: int, a: int) -> int:
     """Kronecker symbol (D/a) for a >= 1."""
     if a == 0:
@@ -127,7 +142,7 @@ def kronecker_symbol(D: int, a: int) -> int:
         value *= _kronecker_at_two(D)
     if a == 1:
         return value
-    return value * int(jacobi_symbol(D, a))
+    return value * _jacobi_symbol(D, a)
 
 
 def kronecker_character(D: int) -> DirichletCharacter:

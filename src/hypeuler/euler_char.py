@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from sympy import factorint
-
 from .exact_arith import (
     RationalInterval,
     pi_enclosure,
     rational_power_half,
+    smallest_prime_factor,
     two_adic_valuation,
 )
 from .characters_zeta import zeta_k_numeric, zeta_row
@@ -179,7 +178,7 @@ def smallest_odd_prime_factor(n: int) -> int | None:
     """Smallest prime factor of an odd n > 1; None for n = 1."""
     if n == 1:
         return None
-    return min(factorint(n))
+    return smallest_prime_factor(n)
 
 
 def reciprocal_integer_obstruction(datum: ArithmeticDatum) -> ObstructionVerdict:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from sympy import factorint
-
-from .exact_arith import ExactDivisionError, RatPolynomial, poly_exact_divide
+from .exact_arith import ExactDivisionError, RatPolynomial, poly_exact_divide, smallest_prime_factor
 
 
 class LocalFactorError(Exception):
@@ -131,7 +130,12 @@ def enumerate_maximal_types(r: int) -> list[ParahoricType]:
 
 
 def is_prime_power(q: int) -> bool:
-    return q >= 2 and len(factorint(q)) == 1
+    if q < 2:
+        return False
+    p = smallest_prime_factor(q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def _check_q(q: int) -> None:
@@ -150,6 +154,7 @@ def _qpow_plus(exp: int) -> RatPolynomial:
     return RatPolynomial.from_seq([1] + [0] * (exp - 1) + [1])
 
 
+@cache
 def _closed_form(t: ParahoricType, r: int) -> tuple[RatPolynomial, RatPolynomial]:
     t.validate_for_rank(r)
     one = RatPolynomial.of(1)

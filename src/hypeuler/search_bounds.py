@@ -18,9 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from sympy import integer_nthroot
-
-from .exact_arith import RationalInterval, pi_enclosure
+from .exact_arith import RationalInterval, _int_nthroot, pi_enclosure
 from .euler_char import (
     ArithmeticDatum,
     C_of_r,
@@ -69,7 +67,7 @@ def _largest_int_with_power_at_most(bound: Fraction, exponent: int) -> int:
     if bound < 1:
         return 0
     floor_bound = bound.numerator // bound.denominator
-    x = int(integer_nthroot(floor_bound, exponent)[0])
+    x = _int_nthroot(floor_bound, exponent)
     while Fraction(x + 1) ** exponent <= bound:
         x += 1
     while x > 0 and Fraction(x) ** exponent > bound:

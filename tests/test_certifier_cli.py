@@ -99,6 +99,44 @@ class TestVerifier:
         outcome = verify_certificate(bad, table)
         assert not outcome.ok and "cutoff" in outcome.divergence
 
+    @pytest.mark.parametrize(
+        ("verdict", "witness", "named"),
+        [
+            (1, 361, "witness 361 is not the smallest prime factor of 3971: 11 divides it"),  # 19^2
+            (1, 209, "witness 209 is not the smallest prime factor"),  # 11 * 19
+            (1, 19, "witness 19 is not the smallest prime factor of 3971: 11 divides it"),
+            (4, 5791, "witness 5791 is not the smallest prime factor of 237431: 41 divides it"),
+            (1, 13, "witness 13 is not an odd prime factor of 3971: it does not divide it"),
+            (1, 1, "witness 1 is not an integer > 2"),
+            (1, -11, "witness -11 is not an integer > 2"),
+            (1, "11", "witness '11' is not an integer > 2"),
+            (1, True, "witness True is not an integer > 2"),
+            (1, 11.0, "witness 11.0 is not an integer > 2"),
+        ],
+    )
+    def test_wrong_witness_named(self, theorem_cert, table, verdict, witness, named):
+        # 2.2.8.1 at r = 3 has odd numerator 3971 = 11 * 19^2, 2.2.17.1 has 237431 = 41 * 5791
+        bad = clone(theorem_cert)
+        bad["sections"][0]["verdicts"][verdict]["witness"] = witness
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and named in outcome.divergence
+
+    def test_stripped_dual_path_rejected(self, theorem_cert, table):
+        bad = clone(theorem_cert)
+        for sec in bad["sections"]:
+            for v in sec["verdicts"]:
+                v["dual_path"] = None
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok
+        assert outcome.divergence == "section r=3: 2.2.5.1: dual-path record is missing"
+
+    def test_rank_two_dual_path_rejected(self, theorem_cert, table):
+        cert, _ = run_certification([2], table, precision_bits=128)
+        assert verify_certificate(cert, table).ok
+        cert["sections"][0]["verdicts"][0]["dual_path"] = theorem_cert["sections"][0]["verdicts"][0]["dual_path"]
+        outcome = verify_certificate(cert, table)
+        assert not outcome.ok and "dual-path record is unexpected at rank 2" in outcome.divergence
+
     def test_verdict_flip_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
         bad["sections"][0]["verdicts"][0]["witness"] = None
