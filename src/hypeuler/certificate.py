@@ -34,6 +34,10 @@ from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_sectio
 
 CERTIFICATE_FORMAT = "hypeuler-certificate v1"
 
+# The least working precision a certificate may be made or verified at; it
+# keeps the dual-path width bound at or below 2^-56.
+MIN_PRECISION_BITS = 64
+
 
 class CertificateError(Exception):
     pass
@@ -290,8 +294,9 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     must be those of the table in use.  Every field verdict at rank >= 3
     must carry a dual-path enclosure (rank 2 has none), which must
     contain the exact value and have a relative width of at most
-    2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, and the
-    recorded ``relative_width`` must be a positive rational no larger
+    2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, which must be
+    at least ``MIN_PRECISION_BITS`` (so the bound is at most 2^-56), and
+    the recorded ``relative_width`` must be a positive rational no larger
     (``_dual_path_width_bound`` derives the bound from the 128-bit
     serialization).  A missing key or malformed value is reported as a
     divergence, never raised.
@@ -318,6 +323,10 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
         check(cert["status"] == "complete", f"certificate status is {cert['status']!r}")
         precision = cert["parameters"]["precision_bits"]
         check(type(precision) is int, f"parameters.precision_bits {precision!r} is not an integer")
+        check(
+            precision >= MIN_PRECISION_BITS,
+            f"parameters.precision_bits {precision} is below the floor of {MIN_PRECISION_BITS} bits",
+        )
         width_bound = _dual_path_width_bound(precision)
         ranks = sorted(set(cert["parameters"]["requested_r"]))
         sections = list(cert["sections"])

@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .exact_arith import (
     CyclotomicNumber,
     RationalInterval,
     as_rational,
     bernoulli_number,
-    bernoulli_polynomial_eval,
 )
 from .field_tables import NumberFieldRecord, is_fundamental_discriminant
 
@@ -69,7 +68,7 @@ class DirichletCharacter:
     exponents: tuple[tuple[int, int], ...]  # sorted (residue, exponent) pairs
     primitive: bool
 
-    @property
+    @cached_property
     def _map(self) -> dict[int, int]:
         return dict(self.exponents)
 
@@ -203,20 +202,46 @@ def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
 
 def generalized_bernoulli(n: int, chi: DirichletCharacter) -> CyclotomicNumber:
     """B_{n,chi} = f^{n-1} sum_{a=1}^{f} chi(a) B_n(a/f), as an element of
-    Q(zeta_order)."""
+    Q(zeta_order).
+
+    Expanding B_n(x) = sum_k C(n, k) B_k x^(n-k) and grouping the residues
+    a by their exponent e gives
+    B_{n,chi} = sum_e zeta^e sum_k C(n, k) B_k f^(k-1) P_e(n-k)
+    with the integer power sums P_e(m) = sum of a^m over the class of e,
+    so only one root of unity is built per class.
+    """
     if n < 1:
         raise CharacterError("generalized Bernoulli index must be positive")
     f = chi.modulus
-    total = CyclotomicNumber.from_rational(chi.order, 0)
+    power_sums: dict[int, list[int]] = {}
     for a in range(1, f + 1):
         e = chi.exponent_of(a)
         if e is None:
             continue
-        term = CyclotomicNumber.root_of_unity(chi.order, e).scale(
-            bernoulli_polynomial_eval(n, Fraction(a, f))
-        )
-        total = total + term
-    return total.scale(Fraction(f) ** (n - 1))
+        sums = power_sums.setdefault(e, [0] * (n + 1))
+        power = 1
+        for m in range(n + 1):
+            sums[m] += power
+            power *= a
+    weights, den = _bernoulli_weights(n)
+    total = CyclotomicNumber.from_rational(chi.order, 0)
+    for e, sums in sorted(power_sums.items()):
+        class_sum = Fraction(sum(w * f**k * sums[n - k] for k, w in weights), den * f)
+        total = total + CyclotomicNumber.root_of_unity(chi.order, e).scale(class_sum)
+    return total
+
+
+@cache
+def _bernoulli_weights(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The nonzero C(n, k) B_k over one common denominator L, as the pairs
+    (k, C(n, k) B_k L) and L."""
+    den = math.lcm(*(bernoulli_number(k).denominator for k in range(n + 1)))
+    weights = tuple(
+        (k, math.comb(n, k) * bernoulli_number(k).numerator * (den // bernoulli_number(k).denominator))
+        for k in range(n + 1)
+        if bernoulli_number(k)
+    )
+    return weights, den
 
 
 def _l_value_at_negative(n: int, chi: DirichletCharacter) -> CyclotomicNumber:

@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .certificate import (
+    MIN_PRECISION_BITS,
     read_certificate,
     render_report,
     run_certification,
@@ -50,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="hypeuler_report.txt", metavar="PATH",
                    help="report output path")
     p.add_argument("--precision", type=int, default=192, metavar="BITS",
-                   help="target bits for the transcendental cross-check enclosures")
+                   help=f"target bits for the transcendental cross-check enclosures "
+                   f"(at least {MIN_PRECISION_BITS})")
     p.add_argument("--max-r", type=int, default=12, metavar="R",
                    help="largest rank in the default sweep (used when neither --n nor --r is given)")
     p.add_argument("--verify", default=None, metavar="PATH",
@@ -101,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         ranks = _requested_ranks(args, parser)
+        if args.precision < MIN_PRECISION_BITS:
+            parser.error(f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -138,6 +138,28 @@ def bernoulli_polynomial_eval(n: int, x: int | Fraction) -> Fraction:
 # Polynomials over Q
 # ---------------------------------------------------------------------------
 
+# The two kernels below take coefficients lowest degree first and work on
+# whatever exact numbers they are given: on integers they stay integers.
+
+
+def horner(coeffs: Sequence, x):
+    """p(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def taylor_shift(coeffs: Sequence, a) -> list:
+    """Coefficients of u -> p(u + a), by repeated synthetic division by
+    u - a (Ruffini-Horner) in place on a copy: pass i leaves the i-th
+    Taylor coefficient at a in position i."""
+    cs = list(coeffs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
+
 
 @dataclass(frozen=True)
 class RatPolynomial:
@@ -201,20 +223,11 @@ class RatPolynomial:
         return RatPolynomial.from_seq(a * c for a in self.coeffs)
 
     def evaluate(self, x: int | Fraction) -> Fraction:
-        x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return as_rational(horner(self.coeffs, as_rational(x)))
 
     def shift_argument(self, a: int | Fraction) -> "RatPolynomial":
         """The polynomial u -> p(u + a)."""
-        a = as_rational(a)
-        acc = RatPolynomial.zero()
-        x_plus_a = RatPolynomial.of(a, 1)
-        for c in reversed(self.coeffs):
-            acc = acc * x_plus_a + RatPolynomial.of(c)
-        return acc
+        return RatPolynomial(tuple(taylor_shift(self.coeffs, as_rational(a))))
 
     def divmod(self, den: "RatPolynomial") -> tuple["RatPolynomial", "RatPolynomial"]:
         if den.is_zero():

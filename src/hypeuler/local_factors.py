@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .exact_arith import ExactDivisionError, RatPolynomial, poly_exact_divide, smallest_prime_factor
+from .exact_arith import RatPolynomial, horner, smallest_prime_factor, taylor_shift
 
 
 class LocalFactorError(Exception):
@@ -143,51 +143,80 @@ def _check_q(q: int) -> None:
         raise LocalFactorError(f"q must be a prime power >= 2, got {q}")
 
 
-# Closed forms, as numerator/denominator polynomial pairs in q.
+# Closed forms, as numerator/denominator pairs of integer coefficient
+# tuples in q (lowest degree first).  Every factor of either side is a
+# binomial q^e - 1 or q^e + 1, so every denominator is monic.
 
 
-def _qpow_minus(exp: int) -> RatPolynomial:
-    return RatPolynomial.from_seq([-1] + [0] * (exp - 1) + [1])
+def _binomial_product(factors: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Coefficients of the product of q^e + s over the (e, s) pairs."""
+    out = [1]
+    for e, s in factors:
+        nxt = [s * c for c in out] + [0] * e
+        for k, c in enumerate(out):
+            nxt[k + e] += c
+        out = nxt
+    return tuple(out)
 
 
-def _qpow_plus(exp: int) -> RatPolynomial:
-    return RatPolynomial.from_seq([1] + [0] * (exp - 1) + [1])
+def _closed_form(t: ParahoricType, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    t.validate_for_rank(r)
+    if t.kind is Kind.TORUS_SPLIT:
+        num, den = [(2 * r, -1)], [(1, -1)]
+    elif t.kind is Kind.TORUS_NONSPLIT:
+        num, den = [(2 * r, -1)], [(1, 1)]
+    elif t.kind is Kind.TOP_D:
+        num, den = [(r, 1)], []
+    elif t.kind is Kind.TOP_2D:
+        num, den = [(r, -1)], []
+    elif t.kind is Kind.CHAIN_D:
+        num = [(t.i, 1)] + [(2 * k, -1) for k in range(t.i + 1, r + 1)]
+        den = [(2 * k, -1) for k in range(1, r - t.i + 1)]
+    else:
+        num = [(t.i + 1, -1)] + [(2 * k, -1) for k in range(t.i + 2, r + 1)]
+        den = [(2 * k, -1) for k in range(1, r - t.i)]
+    return _binomial_product(num), _binomial_product(den)
+
+
+def integer_exact_divide(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
+    """Quotient num/den in Z[q] by integer long division, for coefficient
+    tuples lowest degree first with no trailing zero (den nonzero).
+
+    Raises IntegralityError when the leading coefficient of den does not
+    divide a step (the quotient would leave Z[q]) or when the remainder is
+    nonzero (the division is inexact).
+    """
+    rem = list(num)
+    lead, width = den[-1], len(den)
+    quot = [0] * max(len(rem) - width + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, m = divmod(rem[i + width - 1], lead)
+        if m:
+            raise IntegralityError(f"leading coefficient {lead} does not divide {rem[i + width - 1]}")
+        quot[i] = c
+        if c:
+            for j, d in enumerate(den):
+                rem[i + j] -= c * d
+    if any(rem):
+        raise IntegralityError(f"nonzero remainder {RatPolynomial.from_seq(rem)} in exact division")
+    return tuple(quot)
 
 
 @cache
-def _closed_form(t: ParahoricType, r: int) -> tuple[RatPolynomial, RatPolynomial]:
-    t.validate_for_rank(r)
-    one = RatPolynomial.of(1)
-    if t.kind is Kind.TORUS_SPLIT:
-        return _qpow_minus(2 * r), RatPolynomial.of(-1, 1)
-    if t.kind is Kind.TORUS_NONSPLIT:
-        return _qpow_minus(2 * r), RatPolynomial.of(1, 1)
-    if t.kind is Kind.TOP_D:
-        return _qpow_plus(r), one
-    if t.kind is Kind.TOP_2D:
-        return _qpow_minus(r), one
-    if t.kind is Kind.CHAIN_D:
-        num = _qpow_plus(t.i)
-        for k in range(t.i + 1, r + 1):
-            num = num * _qpow_minus(2 * k)
-        den = one
-        for k in range(1, r - t.i + 1):
-            den = den * _qpow_minus(2 * k)
-        return num, den
-    num = _qpow_minus(t.i + 1)
-    for k in range(t.i + 2, r + 1):
-        num = num * _qpow_minus(2 * k)
-    den = one
-    for k in range(1, r - t.i):
-        den = den * _qpow_minus(2 * k)
-    return num, den
+def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
+    """The factor for type t at rank r as integer coefficients in q, shared
+    by every value, proof and fingerprint of that type."""
+    num, den = _closed_form(t, r)
+    try:
+        return integer_exact_divide(num, den)
+    except IntegralityError as exc:
+        raise IntegralityError(f"{t.slug()} at rank {r}: {exc}") from exc
 
 
 def local_factor_value(t: ParahoricType, r: int, q: int) -> Fraction:
     """Exact value of the factor for type t at residue size q."""
     _check_q(q)
-    num, den = _closed_form(t, r)
-    return num.evaluate(q) / den.evaluate(q)
+    return Fraction(horner(_quotient(t, r), q))
 
 
 def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
@@ -197,14 +226,7 @@ def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
     is non-integral (either would break the divisibility argument the
     certificates rely on).
     """
-    num, den = _closed_form(t, r)
-    try:
-        quot = poly_exact_divide(num, den)
-    except ExactDivisionError as exc:
-        raise IntegralityError(f"{t.slug()} at rank {r}: {exc}") from exc
-    if not quot.has_integer_coeffs():
-        raise IntegralityError(f"{t.slug()} at rank {r}: non-integer coefficients {quot.coeffs}")
-    return quot
+    return RatPolynomial.from_seq(_quotient(t, r))
 
 
 @dataclass(frozen=True)
@@ -235,15 +257,15 @@ def minimum_proof(r: int) -> MinimumProof:
     q >= 2), and that its value at q = 2 exceeds 4."""
     entries = []
     for t in enumerate_maximal_types(r):
-        poly = local_factor_polynomial(t, r)
-        shifted = poly.shift_argument(2)
-        nonneg = all(c >= 0 for c in shifted.coeffs)
+        coeffs = _quotient(t, r)
+        shifted = taylor_shift(coeffs, 2)
+        nonneg = all(c >= 0 for c in shifted)
         if not nonneg:
             raise MonotonicityError(f"{t.slug()} at rank {r}: shifted coefficients go negative")
-        at2 = poly.evaluate(2)
+        at2 = Fraction(shifted[0] if shifted else 0)  # p(2 + u) at u = 0
         if at2 <= 4:
             raise MonotonicityError(f"{t.slug()} at rank {r}: value {at2} at q=2 does not exceed 4")
-        entries.append(TypeMinimum(t, poly, at2, nonneg))
+        entries.append(TypeMinimum(t, RatPolynomial.from_seq(coeffs), at2, nonneg))
     return MinimumProof(r=r, entries=tuple(entries), minimum=min(e.value_at_two for e in entries))
 
 
@@ -371,7 +393,6 @@ def table_fingerprint(ranks: tuple[int, ...] = (3, 4, 5)) -> str:
     lines = []
     for r in ranks:
         for t in enumerate_maximal_types(r):
-            poly = local_factor_polynomial(t, r)
-            coeffs = ",".join(str(int(c)) for c in poly.coeffs)
+            coeffs = ",".join(str(c) for c in _quotient(t, r))
             lines.append(f"r={r} {t.slug()} [{coeffs}]")
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from hypeuler.certificate import (
+    MIN_PRECISION_BITS,
     read_certificate,
     render_report,
     run_certification,
@@ -11,6 +12,7 @@ from hypeuler.certificate import (
     verify_certificate,
 )
 from hypeuler.cli import main
+from hypeuler.exact_arith import format_rational, parse_rational
 from hypeuler.field_tables import load_table
 
 
@@ -218,6 +220,69 @@ class TestVerifier:
         assert not outcome.ok and "polynomial" in outcome.divergence
 
 
+@pytest.fixture(scope="module")
+def rank_three_cert(table):
+    cert, code = run_certification([3], table)
+    assert code == 0
+    return cert
+
+
+def local_factor_mutations(cert):
+    """One perturbed copy of the certificate per leaf of the rank-3
+    local-factor block, with the leaf's path."""
+    lf = cert["sections"][0]["local_factors"]
+    paths = [("minimum_at_q2",)] + [("calibration", slug) for slug in lf["calibration"]]
+    for k, e in enumerate(lf["entries"]):
+        paths += [("entries", k, "polynomial", i) for i in range(len(e["polynomial"]))]
+        paths += [("entries", k, "value_at_q2"), ("entries", k, "shifted_nonnegative")]
+    for path in paths:
+        bad = clone(cert)
+        node = bad["sections"][0]["local_factors"]
+        for key in path[:-1]:
+            node = node[key]
+        old = node[path[-1]]
+        if isinstance(old, bool):
+            node[path[-1]] = not old
+        elif path[0] == "calibration":
+            node[path[-1]] = format_rational(2 * parse_rational(old))
+        else:
+            node[path[-1]] = str(int(old) + 1)
+        yield path, bad
+
+
+class TestPrecisionFloor:
+    def test_below_floor_precision_rejected(self, rank_three_cert, table):
+        # the width bound would grow to 2^7 and accept relative widths of 1/2
+        bad = clone(rank_three_cert)
+        bad["parameters"]["precision_bits"] = 1
+        for v in bad["sections"][0]["verdicts"]:
+            v["dual_path"]["relative_width"] = "1/2"
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok
+        assert outcome.divergence == "parameters.precision_bits 1 is below the floor of 64 bits"
+
+    def test_floor_precision_verifies(self, rank_three_cert, table):
+        cert = clone(rank_three_cert)
+        cert["parameters"]["precision_bits"] = MIN_PRECISION_BITS
+        assert verify_certificate(cert, table).ok
+        cert["parameters"]["precision_bits"] = MIN_PRECISION_BITS - 1
+        assert "below the floor" in verify_certificate(cert, table).divergence
+
+
+class TestLocalFactorMutations:
+    def test_every_leaf_is_a_named_divergence(self, rank_three_cert, table):
+        assert verify_certificate(rank_three_cert, table).ok
+        mutated = 0
+        for path, bad in local_factor_mutations(rank_three_cert):
+            outcome = verify_certificate(bad, table)
+            assert not outcome.ok, path
+            assert outcome.divergence.startswith("section r=3: "), (path, outcome.divergence)
+            assert "local_factors" in outcome.divergence or "polynomial mismatch" in outcome.divergence, path
+            mutated += 1
+        # 8 types: 46 coefficients, 8 values, 8 flags, 8 calibrations, 1 minimum
+        assert mutated == 71
+
+
 class TestReport:
     def test_report_contains_zeta_rows(self, theorem_cert):
         report = render_report(theorem_cert)
@@ -259,6 +324,13 @@ class TestCliProcess:
     def test_n_and_r_mutually_exclusive(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--n", "6", "--r", "3"]) == 1
+
+    @pytest.mark.parametrize("bits", ["0", "-3", "63"])
+    def test_precision_below_floor_usage_error(self, bits, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", "3", "--precision", bits]) == 1
+        assert f"--precision must be at least 64 bits, got {bits}" in capsys.readouterr().err
+        assert not Path("hypeuler_certificate.json").exists()
 
     def test_verify_round_trip(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -3,11 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from hypeuler import local_factors
 from hypeuler.exact_arith import RatPolynomial
 from hypeuler.local_factors import (
+    IntegralityError,
     Kind,
     LocalFactor,
     LocalFactorError,
+    MonotonicityError,
     ParahoricType,
     calibrate_oracle,
     enumerate_maximal_types,
@@ -149,6 +152,27 @@ class TestMinimumProof:
     def test_r4_r5_minima(self):
         assert minimum_proof(4).minimum == 15  # 2^4 - 1
         assert minimum_proof(5).minimum == 31  # 2^5 - 1
+
+    @pytest.mark.parametrize(
+        ("coeffs", "named"),
+        [
+            ((11, -5, 1), "shifted coefficients go negative"),  # (u+2)^2 - 5(u+2) + 11 = u^2 - u + 5
+            ((0, 0, 1), "does not exceed 4"),  # q^2 is 4 at q = 2
+        ],
+    )
+    def test_failed_checks_raise(self, monkeypatch, coeffs, named):
+        monkeypatch.setattr(local_factors, "_quotient", lambda t, r: coeffs)
+        with pytest.raises(MonotonicityError, match=named):
+            minimum_proof(3)
+
+    def test_inexact_closed_form_raises(self, monkeypatch):
+        monkeypatch.setattr(local_factors, "_closed_form", lambda t, r: ((1, 0, 1), (-1, 1)))
+        local_factors._quotient.cache_clear()
+        try:
+            with pytest.raises(IntegralityError, match="split.torus-split at rank 3: nonzero remainder"):
+                local_factor_polynomial(t_split_gl1(), 3)
+        finally:
+            local_factors._quotient.cache_clear()
 
 
 class TestOrderFormulaOracle:
