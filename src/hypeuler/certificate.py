@@ -231,7 +231,16 @@ def run_certification(
     1 internal error (the certificate is then partial, status failed).
     Each rank is certified and serialized inside its own failure envelope,
     so an error at either step names the rank.
+
+    Raises ValueError, before any rank runs, when ``precision_bits`` is not
+    an integer of at least ``MIN_PRECISION_BITS``: the verifier rejects a
+    certificate made below that floor.
     """
+    if type(precision_bits) is not int or precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(
+            f"precision_bits must be an integer of at least MIN_PRECISION_BITS = "
+            f"{MIN_PRECISION_BITS}, got {precision_bits!r}"
+        )
     sections: list[dict] = []
     for r in sorted(set(requested_r)):
         try:

@@ -337,17 +337,23 @@ def hurwitz_zeta_enclosure(
         quot, rem = divmod(num << P, den)
         return quot, quot + (rem > 0)
 
-    def correction(i: int) -> tuple[int, int]:
-        """The i-th Euler-Maclaurin correction c N^(1-s-2i) as num, den."""
+    # the i-th correction c_i N^(1-s-2i) as num/den: running powers of
+    # qd^2 and M^2 from i = 1 through the omitted term i = corrections + 1
+    num_power, den_power = qd ** (s + 1), M ** (s + 1)
+    square_qd, square_M = qd * qd, M * M
+    tail = []
+    for i in range(1, corrections + 2):
         c = _euler_maclaurin_coefficient(s, i)
-        m = s + 2 * i - 1
-        return c.numerator * qd**m, c.denominator * M**m
+        tail.append((c.numerator * num_power, c.denominator * den_power))
+        num_power *= square_qd
+        den_power *= square_M
+    *kept, omitted = tail
 
     summed = [(qd**s, (k * qd + qn) ** s) for k in range(terms)]
     summed += [(qd ** (s - 1), (s - 1) * M ** (s - 1)), (qd**s, 2 * M**s)]
-    summed += [correction(i) for i in range(1, corrections + 1)]
+    summed += kept
     brackets = [bracket(num, den) for num, den in summed]
-    omitted_lo, omitted_hi = bracket(*correction(corrections + 1))
+    omitted_lo, omitted_hi = bracket(*omitted)
     lo = sum(b[0] for b in brackets) + min(0, omitted_lo)
     hi = sum(b[1] for b in brackets) + max(0, omitted_hi)
     return RationalInterval(Fraction(lo, 1 << P), Fraction(hi, 1 << P)).outward_round(precision_bits)
@@ -358,12 +364,18 @@ def _sqrt3_enclosure(bits: int) -> RationalInterval:
     return RationalInterval.exact(3).sqrt(bits)
 
 
+@cache
 def _l_factor_enclosure(
-    chars: list[DirichletCharacter], s: int, terms: int, corrections: int, bits: int
+    chars: tuple[DirichletCharacter, ...], s: int, terms: int, corrections: int, bits: int
 ) -> RationalInterval:
     """Enclosure of the product of L(s, chi) over ``chars``, where chars is
-    either [chi] with chi real or a conjugate pair [chi, chibar] of cubic
-    characters (handled jointly through |L|^2 = A^2 + B^2)."""
+    either (chi,) with chi real or a conjugate pair (chi, chibar) of cubic
+    characters (handled jointly through |L|^2 = A^2 + B^2).
+
+    Memoized: zeta(s) is a factor of every field's zeta_k(s), and a field's
+    L(s, chi) is needed again at every higher rank, so each is computed
+    once per run.
+    """
     chi = chars[0]
     f = chi.modulus
     hz: dict[int, RationalInterval] = {
@@ -401,6 +413,38 @@ def _l_factor_enclosure(
     raise UnsupportedFieldError(f"cannot evaluate L numerically for character order {chi.order}")
 
 
+def _character_groups(rec: NumberFieldRecord) -> list[tuple[DirichletCharacter, ...]]:
+    """The field's characters as factors of zeta_k: each real character on
+    its own, each non-real one with its conjugate."""
+    chars = characters_for_field(rec)
+    groups: list[tuple[DirichletCharacter, ...]] = []
+    used: set[int] = set()
+    for i, chi in enumerate(chars):
+        if i in used:
+            continue
+        if chi.order <= 2:
+            groups.append((chi,))
+            used.add(i)
+            continue
+        conj = chi.conjugate()
+        for k in range(i + 1, len(chars)):
+            if k not in used and chars[k] == conj:
+                groups.append((chi, chars[k]))
+                used.update((i, k))
+                break
+        else:
+            raise UnsupportedFieldError(f"{rec.label}: character group is not conjugation-closed")
+    return groups
+
+
+def _round_width_floor(s: int, terms: int, corrections: int, degree: int) -> Fraction:
+    """B = |c_(m+1)| / (terms+1)^(s+2m+1) * 2^-(degree-1) for m corrections:
+    a lower bound on the width of zeta_k_numeric's enclosure in the round
+    (terms, m) of a field of that degree (see ``zeta_k_numeric``)."""
+    c = _euler_maclaurin_coefficient(s, corrections + 1)
+    return abs(c) / ((terms + 1) ** (s + 2 * corrections + 1) * 2 ** (degree - 1))
+
+
 def zeta_k_numeric(
     rec: NumberFieldRecord,
     s: int,
@@ -410,44 +454,50 @@ def zeta_k_numeric(
     """Rigorous enclosure of zeta_k(s) for even s >= 2, with target width
     2^-precision_bits (relative to magnitude ~1).
 
+    The enclosure is the product of the L-factor enclosures of
+    ``_character_groups``.  They are computed on a ladder of rounds
+    (terms, m): 32 series terms and m = 14 Euler-Maclaurin corrections,
+    then the terms doubled and m raised by 6 (at most 40) per round, until
+    the width is at most 2^-precision_bits.
+
+    A round whose floor B = ``_round_width_floor`` is above the target is
+    skipped without being computed, since it must fail.  Proof: the
+    zeta(s) factor is one Hurwitz enclosure at q = 1, whose width is at
+    least its omitted correction |c_(m+1)| / (terms+1)^(s+2m+1), since
+    rounding only widens it.  An interval product has width at least
+    width(X) * max|Y|, and max|Y| is at least the true |value| that Y
+    encloses.  By the Euler product, |L(s, chi)| >= zeta(2s)/zeta(s)
+    > 6/pi^2 > 1/2 for every character at even s >= 2, so a real
+    character's factor is above 1/2 and a conjugate pair's |L(s, chi)|^2
+    above 1/4.  The factors other than zeta(s) thus multiply to more than
+    2^-(degree-1), and the round's width is at least B.  The round at
+    ``max_terms`` is never skipped, so a PrecisionError still carries that
+    round's enclosure as ``best``.
+
+    Each L-factor enclosure is memoized per (characters, s, round,
+    precision), so zeta(s) is shared across fields and L(s, chi) across
+    ranks.
+
     Raises PrecisionError carrying the best enclosure if the target width
     is not reached within ``max_terms`` series terms.
     """
     if s < 2 or s % 2 != 0:
         raise CharacterError("numeric evaluation is defined for even s >= 2")
-    chars = characters_for_field(rec)
-    groups: list[list[DirichletCharacter]] = []
-    used: set[int] = set()
-    for i, chi in enumerate(chars):
-        if i in used:
-            continue
-        if chi.order <= 2:
-            groups.append([chi])
-            used.add(i)
-            continue
-        conj = chi.conjugate()
-        for k in range(i + 1, len(chars)):
-            if k not in used and chars[k] == conj:
-                groups.append([chi, chars[k]])
-                used.update((i, k))
-                break
-        else:
-            raise UnsupportedFieldError(f"{rec.label}: character group is not conjugation-closed")
+    groups = _character_groups(rec)
     target = Fraction(1, 2**precision_bits)
     terms, corrections = 32, 14
-    best: RationalInterval | None = None
     while True:
-        acc = RationalInterval.exact(1)
-        for group in groups:
-            acc = acc * _l_factor_enclosure(group, s, terms, corrections, precision_bits + 16)
-        best = acc
-        if acc.width <= target:
-            return acc
-        if terms >= max_terms:
-            raise PrecisionError(
-                f"width {float(acc.width):.3e} above target 2^-{precision_bits} "
-                f"after {terms} terms",
-                best,
-            )
+        if terms >= max_terms or _round_width_floor(s, terms, corrections, rec.degree) <= target:
+            acc = RationalInterval.exact(1)
+            for group in groups:
+                acc = acc * _l_factor_enclosure(group, s, terms, corrections, precision_bits + 16)
+            if acc.width <= target:
+                return acc
+            if terms >= max_terms:
+                raise PrecisionError(
+                    f"width {float(acc.width):.3e} above target 2^-{precision_bits} "
+                    f"after {terms} terms",
+                    acc,
+                )
         terms *= 2
         corrections = min(corrections + 6, 40)

@@ -325,10 +325,10 @@ _ORDER = {"B": _order_b, "D": _order_d, "2D": _order_2d}
 _DIM = {"B": _dim_b, "D": _dim_d, "2D": _dim_d}
 
 
-def order_formula_value(t: ParahoricType, r: int, q: int) -> Fraction:
-    """The factor reconstructed from first principles: the ratio of the
-    ambient B_r group order to the quotient-type order, divided by q to
-    half the dimension gap."""
+def _order_formula_terms(t: ParahoricType, r: int, q: int) -> tuple[int, int]:
+    """``order_formula_value`` as an integer numerator and denominator: the
+    B_r group order, and the quotient-type order times q to half the
+    dimension gap."""
     t.validate_for_rank(r)
     _check_q(q)
     factors = _quotient_factors(t, r)
@@ -340,7 +340,14 @@ def order_formula_value(t: ParahoricType, r: int, q: int) -> Fraction:
     gap = _dim_b(r) - dim_m
     if gap % 2 != 0:
         raise LocalFactorError(f"{t.slug()}: odd dimension gap {gap}")
-    return Fraction(_order_b(r, q), order_m) / Fraction(q) ** (gap // 2)
+    return _order_b(r, q), order_m * q ** (gap // 2)
+
+
+def order_formula_value(t: ParahoricType, r: int, q: int) -> Fraction:
+    """The factor reconstructed from first principles: the ratio of the
+    ambient B_r group order to the quotient-type order, divided by q to
+    half the dimension gap."""
+    return Fraction(*_order_formula_terms(t, r, q))
 
 
 def _is_power_of_two(x: Fraction) -> bool:
@@ -352,13 +359,23 @@ def _is_power_of_two(x: Fraction) -> bool:
 
 def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dict[str, Fraction]:
     """Per-type ratio closed-form / order-formula, required to be a single
-    power of 2 independent of q.  Raises CalibrationError otherwise."""
+    power of 2 independent of q.  Raises CalibrationError otherwise.
+
+    At each q the ratio is v_q den_q / num_q, with v_q the integer
+    closed-form value and num_q / den_q the order formula
+    (``_order_formula_terms``).  The ratios are compared across q by
+    integer cross-multiplication, and one ``Fraction`` is built per type."""
     constants: dict[str, Fraction] = {}
     for t in enumerate_maximal_types(r):
-        ratios = {local_factor_value(t, r, q) / order_formula_value(t, r, q) for q in qs}
-        if len(ratios) != 1:
-            raise CalibrationError(f"{t.slug()} at rank {r}: calibration varies with q: {sorted(ratios)}")
-        c = ratios.pop()
+        ratios = []
+        for q in qs:
+            num, den = _order_formula_terms(t, r, q)
+            ratios.append((horner(_quotient(t, r), q) * den, num))
+        top, bottom = ratios[0]
+        if any(n * bottom != top * d for n, d in ratios[1:]):
+            distinct = sorted({Fraction(n, d) for n, d in ratios})
+            raise CalibrationError(f"{t.slug()} at rank {r}: calibration varies with q: {distinct}")
+        c = Fraction(top, bottom)
         if not _is_power_of_two(c):
             raise CalibrationError(f"{t.slug()} at rank {r}: calibration {c} is not a power of 2")
         constants[t.slug()] = c

@@ -251,6 +251,16 @@ def local_factor_mutations(cert):
 
 
 class TestPrecisionFloor:
+    @pytest.mark.parametrize("bits", [8, -3, 63])
+    def test_library_below_floor_raises(self, bits, table):
+        with pytest.raises(ValueError, match=f"MIN_PRECISION_BITS = 64, got {bits}"):
+            run_certification([3], table, precision_bits=bits)
+
+    def test_library_floor_certifies(self, table):
+        cert, code = run_certification([3], table, precision_bits=MIN_PRECISION_BITS)
+        assert code == 0 and cert["status"] == "complete"
+        assert verify_certificate(cert, table).ok
+
     def test_below_floor_precision_rejected(self, rank_three_cert, table):
         # the width bound would grow to 2^7 and accept relative widths of 1/2
         bad = clone(rank_three_cert)
@@ -378,6 +388,16 @@ class TestCliProcess:
         assert cert["error"].startswith(f"r={r}: ValueError")
         assert f"error: r={r}: " in Path("r.txt").read_text(encoding="utf-8")
         assert f"error: r={r}: " in capsys.readouterr().err
+
+    def test_precision_past_enclosure_range_fails_inside_envelope(self, tmp_path, monkeypatch, capsys):
+        # about 800 bits is the most the 4096-term Hurwitz round reaches;
+        # past it every shorter round is skipped and that round fails fast
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", "3", "--precision", "1024", "--out", "c.json", "--report", "r.txt"]) == 1
+        cert = read_certificate("c.json")
+        assert cert["status"] == "failed" and cert["sections"] == []
+        assert cert["error"].startswith("r=3: PrecisionError")
+        assert "error: r=3: PrecisionError" in capsys.readouterr().err
 
     def test_bad_fields_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

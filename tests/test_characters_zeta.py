@@ -19,6 +19,7 @@ from hypeuler.characters_zeta import (
     zeta_k_special,
     zeta_row,
 )
+from hypeuler.characters_zeta import _character_groups, _l_factor_enclosure, _round_width_floor
 from hypeuler.exact_arith import RationalInterval, pi_enclosure, rational_power_half
 from hypeuler.field_tables import load_table
 
@@ -246,3 +247,68 @@ class TestNumericZeta:
     def test_odd_s_rejected(self, table):
         with pytest.raises(CharacterError):
             zeta_k_numeric(rec_q(table, 5), 3)
+
+
+# The bundled candidate fields, as (degree, discriminant).
+CANDIDATE_FIELDS = [(2, 5), (2, 8), (2, 12), (2, 13), (2, 17), (3, 49), (3, 81)]
+
+
+def full_ladder(rec, s, precision_bits, max_terms=4096):
+    """zeta_k_numeric's ladder with every round computed from 32 terms and
+    14 corrections, none skipped: the first enclosure within
+    2^-precision_bits, and (terms, corrections, width) of each round."""
+    target = F(1, 2**precision_bits)
+    terms, corrections = 32, 14
+    rounds = []
+    while True:
+        acc = RationalInterval.exact(1)
+        for group in _character_groups(rec):
+            acc = acc * _l_factor_enclosure(group, s, terms, corrections, precision_bits + 16)
+        rounds.append((terms, corrections, acc.width))
+        if acc.width <= target or terms >= max_terms:
+            return acc, rounds
+        terms *= 2
+        corrections = min(corrections + 6, 40)
+
+
+class TestRoundSkipping:
+    @pytest.mark.parametrize("degree,disc", CANDIDATE_FIELDS)
+    def test_skip_matches_full_ladder(self, table, degree, disc):
+        rec = table.by_disc(degree, disc)
+        for bits in (64, 112, 128, 144, 192, 256):
+            winning = set()
+            for s in range(2, 13, 2):
+                got = zeta_k_numeric(rec, s, precision_bits=bits)
+                want, rounds = full_ladder(rec, s, bits)
+                assert (got.lo, got.hi, got.prec) == (want.lo, want.hi, want.prec), (bits, s)
+                for terms, corrections, width in rounds:
+                    assert width >= _round_width_floor(s, terms, corrections, rec.degree), (bits, s, terms)
+                winning.add(len(rounds))
+            if bits in (128, 144):
+                assert len(winning) > 1, f"the winning round should vary with s at {bits} bits"
+
+    def test_failing_round_not_computed(self, table, monkeypatch):
+        # zeta_k(2) at 176 bits: the 32-term round's floor is about 2^-128,
+        # so only the 64-term round runs
+        assert _round_width_floor(2, 32, 14, 2) > F(1, 2**176)
+        seen = []
+
+        def counting(s, q, terms, corrections, precision_bits):
+            seen.append(terms)
+            return hurwitz_zeta_enclosure(s, q, terms, corrections, precision_bits)
+
+        monkeypatch.setattr("hypeuler.characters_zeta.hurwitz_zeta_enclosure", counting)
+        zeta_k_numeric(rec_q(table, 5), 2, precision_bits=176)
+        assert seen and set(seen) == {64}
+
+
+class TestPrecisionRange:
+    def test_800_bits_reached(self, table):
+        enc = zeta_k_numeric(rec_q(table, 5), 2, precision_bits=800)
+        assert enc.width <= F(1, 2**800)
+
+    def test_805_bits_beyond_the_ladder(self, table):
+        with pytest.raises(PrecisionError) as err:
+            zeta_k_numeric(rec_q(table, 5), 2, precision_bits=805)
+        assert "after 4096 terms" in str(err.value)
+        assert err.value.best.lo > 1

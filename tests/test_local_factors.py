@@ -198,6 +198,23 @@ class TestOrderFormulaOracle:
         assert set(constants) == {t.slug() for t in enumerate_maximal_types(r)}
         assert set(constants.values()) == {F(1)}
 
+    def test_calibration_varying_with_q_named(self, monkeypatch):
+        # an order formula off by a factor q: the ratios 1/q differ across q
+        terms = local_factors._order_formula_terms
+        monkeypatch.setattr(
+            local_factors, "_order_formula_terms", lambda t, r, q: (terms(t, r, q)[0] * q, terms(t, r, q)[1])
+        )
+        with pytest.raises(local_factors.CalibrationError, match=r"at rank 3: calibration varies with q: \[Fraction\(1, 9\)"):
+            calibrate_oracle(3, qs=(2, 9))
+
+    def test_calibration_not_power_of_two_named(self, monkeypatch):
+        terms = local_factors._order_formula_terms
+        monkeypatch.setattr(
+            local_factors, "_order_formula_terms", lambda t, r, q: (terms(t, r, q)[0] * 3, terms(t, r, q)[1])
+        )
+        with pytest.raises(local_factors.CalibrationError, match="at rank 3: calibration 1/3 is not a power of 2"):
+            calibrate_oracle(3)
+
 
 class TestLocalFactorRecord:
     def test_construction_validates(self):
