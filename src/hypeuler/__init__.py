@@ -14,7 +14,7 @@ from .exact_arith import (
     Rational,
     RationalInterval,
     RatPolynomial,
-    CyclotomicNumber,
+    Zeta3Number,
     bernoulli_number,
     bernoulli_polynomial_eval,
     poly_exact_divide,

@@ -39,6 +39,11 @@ CERTIFICATE_FORMAT = "hypeuler-certificate v1"
 MIN_PRECISION_BITS = 64
 
 
+# The keys of a complete certificate (a failed one adds "error") and of its parameters.
+_CERTIFICATE_KEYS = {"format", "tool", "dataset", "axioms", "parameters", "sections", "overall", "status"}
+_PARAMETER_KEYS = {"precision_bits", "requested_r"}
+
+
 class CertificateError(Exception):
     pass
 
@@ -76,7 +81,7 @@ def section_to_json(section: CertificateSection) -> dict:
                 {
                     "type": e.type.slug(),
                     "description": e.type.describe(proof.r),
-                    "polynomial": [str(int(c)) for c in e.polynomial.coeffs],
+                    "polynomial": [str(c) for c in e.polynomial],
                     "value_at_q2": format_rational(e.value_at_two),
                     "shifted_nonnegative": e.shifted_nonnegative,
                 }
@@ -193,7 +198,7 @@ def build_certificate(
         "axioms": axioms(table.checksum),
         "parameters": {
             "precision_bits": precision_bits,
-            "requested_r": sorted(requested),
+            "requested_r": sorted(set(requested)),
         },
         "sections": sections,
         "overall": {str(s["n"]): s["verdict"] for s in sections},
@@ -294,6 +299,13 @@ class _Checks:
 def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None) -> VerificationOutcome:
     """Recompute every arithmetic claim of a certificate from scratch.
 
+    The top-level keys and the ``parameters`` keys must be exactly those
+    that ``build_certificate`` writes for a complete certificate (so no
+    ``error``), the tool must be named ``hypeuler``, and
+    ``parameters.requested_r`` must be strictly increasing.  The tool's
+    ``version`` must be a string but is otherwise unpinned: a certificate
+    made by another version verifies if its evidence does.
+
     The sections must be exactly the requested ranks.  Each section's
     recorded evidence (kind, bound audits, candidates, high-degree rows,
     local factors, field list and verdict) must equal what the
@@ -324,26 +336,34 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     try:
         fmt = cert.get("format")
         check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {fmt!r}")
+        missing, extra = sorted(_CERTIFICATE_KEYS - cert.keys()), sorted(cert.keys() - _CERTIFICATE_KEYS)
+        check(not missing and not extra, f"certificate keys: missing {missing}, unexpected {extra}")
+        tool = cert["tool"]
+        check(tool.keys() == {"name", "version"} and tool["name"] == "hypeuler", f"tool {tool!r} is not hypeuler")
+        check(type(tool["version"]) is str, f"tool.version {tool['version']!r} is not a string")
         dataset, known = cert["dataset"], _dataset_json(table)
         for key, value in known.items():
             check(dataset[key] == value, f"dataset {key} does not match the table in use")
         check(dataset.keys() == known.keys(), f"dataset has unexpected keys {sorted(dataset.keys() - known.keys())}")
         check(cert["axioms"] == axioms(table.checksum), "axioms differ from those of the table in use")
         check(cert["status"] == "complete", f"certificate status is {cert['status']!r}")
-        precision = cert["parameters"]["precision_bits"]
+        parameters = cert["parameters"]
+        check(parameters.keys() == _PARAMETER_KEYS, f"parameters has keys {sorted(parameters)}")
+        precision = parameters["precision_bits"]
         check(type(precision) is int, f"parameters.precision_bits {precision!r} is not an integer")
         check(
             precision >= MIN_PRECISION_BITS,
             f"parameters.precision_bits {precision} is below the floor of {MIN_PRECISION_BITS} bits",
         )
         width_bound = _dual_path_width_bound(precision)
-        ranks = sorted(set(cert["parameters"]["requested_r"]))
+        ranks = list(parameters["requested_r"])
         sections = list(cert["sections"])
         section_ranks = [sec["r"] for sec in sections]
         overall = dict(cert["overall"])
     except _MALFORMED as exc:
         raise _Divergence(f"malformed certificate ({type(exc).__name__}: {exc})") from None
     check(all(type(r) is int and r >= 2 for r in ranks), f"requested ranks {ranks} are not all integers >= 2")
+    check(all(a < b for a, b in zip(ranks, ranks[1:])), f"requested ranks {ranks} are not strictly increasing")
     check(section_ranks == ranks, f"sections cover ranks {section_ranks}, requested ranks are {ranks}")
     dims = [str(2 * r) for r in ranks]
     check(set(overall) == set(dims), f"overall verdicts cover dimensions {list(overall)}, requested {dims}")

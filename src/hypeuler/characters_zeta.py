@@ -4,9 +4,11 @@ positive integers used as an independent cross-check.
 
 Exact path: decompose zeta_k as a product of Dirichlet L-functions over
 the field's character group and evaluate L(1-n, chi) = -B_{n,chi}/n with
-generalized Bernoulli numbers.  Values of non-quadratic characters live
-in a cyclotomic field; the conjugate-paired product always collapses to
-a rational, and the code raises if it ever fails to.
+generalized Bernoulli numbers.  The fields are real quadratic or cyclic
+cubic, so every character has order 1, 2 or 3 and every L-value lies in
+Q(zeta3); the product is taken there, and the code raises unless it
+collapses to a nonzero rational (a cubic character's L-value times its
+conjugate's is a norm from Q(zeta3), hence rational).
 
 Numeric path: L(s, chi) = f^{-s} sum_a chi(a) zeta_H(s, a/f) with the
 Hurwitz zeta enclosed by an Euler-Maclaurin tail whose remainder is
@@ -21,10 +23,11 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
 from .exact_arith import (
-    CyclotomicNumber,
     RationalInterval,
+    Zeta3Number,
     as_rational,
     bernoulli_number,
+    root_of_unity,
 )
 from .field_tables import NumberFieldRecord, is_fundamental_discriminant
 
@@ -66,7 +69,6 @@ class DirichletCharacter:
     modulus: int
     order: int
     exponents: tuple[tuple[int, int], ...]  # sorted (residue, exponent) pairs
-    primitive: bool
 
     @cached_property
     def _map(self) -> dict[int, int]:
@@ -79,11 +81,11 @@ class DirichletCharacter:
         a %= self.modulus
         return self._map.get(a)
 
-    def value(self, a: int) -> CyclotomicNumber:
+    def value(self, a: int) -> Zeta3Number:
         e = self.exponent_of(a)
         if e is None:
-            return CyclotomicNumber.from_rational(self.order, 0)
-        return CyclotomicNumber.root_of_unity(self.order, e)
+            return Zeta3Number(Fraction(0))
+        return root_of_unity(self.order, e)
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -93,17 +95,15 @@ class DirichletCharacter:
         return e is not None and e % self.order == 0
 
     def conjugate(self) -> "DirichletCharacter":
-        m = self.order
         return DirichletCharacter(
             modulus=self.modulus,
-            order=m,
-            exponents=tuple(sorted((a, (-e) % m) for a, e in self.exponents)),
-            primitive=self.primitive,
+            order=self.order,
+            exponents=tuple(sorted((a, -e % self.order) for a, e in self.exponents)),
         )
 
 
 def trivial_character() -> DirichletCharacter:
-    return DirichletCharacter(modulus=1, order=1, exponents=((0, 0),), primitive=True)
+    return DirichletCharacter(modulus=1, order=1, exponents=((0, 0),))
 
 
 def _kronecker_at_two(D: int) -> int:
@@ -155,7 +155,7 @@ def kronecker_character(D: int) -> DirichletCharacter:
             continue
         s = kronecker_symbol(D, a)
         exps.append((a % D, 0 if s == 1 else 1))
-    return DirichletCharacter(modulus=D, order=2, exponents=tuple(sorted(exps)), primitive=True)
+    return DirichletCharacter(modulus=D, order=2, exponents=tuple(sorted(exps)))
 
 
 def character_from_generator(modulus: int, generator: int, image_exponent: int, order: int) -> DirichletCharacter:
@@ -174,12 +174,14 @@ def character_from_generator(modulus: int, generator: int, image_exponent: int, 
         raise UnsupportedFieldError(
             f"{generator} does not generate the units mod {modulus}; character data invalid"
         )
-    return DirichletCharacter(modulus=modulus, order=order, exponents=tuple(sorted(exps.items())), primitive=True)
+    return DirichletCharacter(modulus=modulus, order=order, exponents=tuple(sorted(exps.items())))
 
 
 def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
     """The full character group of an abelian totally real field (size =
-    degree), trivial character first, conjugates adjacent."""
+    degree): the trivial character first, then the real character of a
+    quadratic field or the cubic character of a cyclic cubic field followed
+    by its conjugate."""
     if not rec.abelian:
         raise UnsupportedFieldError(f"{rec.label}: field is not abelian, no character decomposition")
     if rec.degree == 2:
@@ -200,9 +202,9 @@ def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
 # ---------------------------------------------------------------------------
 
 
-def generalized_bernoulli(n: int, chi: DirichletCharacter) -> CyclotomicNumber:
+def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Zeta3Number:
     """B_{n,chi} = f^{n-1} sum_{a=1}^{f} chi(a) B_n(a/f), as an element of
-    Q(zeta_order).
+    Q(zeta3).
 
     Expanding B_n(x) = sum_k C(n, k) B_k x^(n-k) and grouping the residues
     a by their exponent e gives
@@ -224,10 +226,10 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> CyclotomicNumber:
             sums[m] += power
             power *= a
     weights, den = _bernoulli_weights(n)
-    total = CyclotomicNumber.from_rational(chi.order, 0)
+    total = Zeta3Number(Fraction(0))
     for e, sums in sorted(power_sums.items()):
         class_sum = Fraction(sum(w * f**k * sums[n - k] for k, w in weights), den * f)
-        total = total + CyclotomicNumber.root_of_unity(chi.order, e).scale(class_sum)
+        total = total + root_of_unity(chi.order, e).scale(class_sum)
     return total
 
 
@@ -244,7 +246,7 @@ def _bernoulli_weights(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     return weights, den
 
 
-def _l_value_at_negative(n: int, chi: DirichletCharacter) -> CyclotomicNumber:
+def _l_value_at_negative(n: int, chi: DirichletCharacter) -> Zeta3Number:
     """L(1-n, chi) = -B_{n,chi}/n."""
     return generalized_bernoulli(n, chi).scale(Fraction(-1, n))
 
@@ -253,33 +255,21 @@ def _l_value_at_negative(n: int, chi: DirichletCharacter) -> CyclotomicNumber:
 def zeta_k_special(rec: NumberFieldRecord, j: int) -> Fraction:
     """The signed rational zeta_k(1-2j) for a totally real abelian field.
 
-    Product of L(1-2j, chi) over the character group; cyclotomic
-    intermediates must collapse to a rational or the computation aborts.
+    Product of L(1-2j, chi) over the character group in Q(zeta3), which
+    must collapse to a nonzero rational or the computation aborts.
     Memoized: a field's row is needed by its obstruction verdict, its
     Euler characteristic and every higher rank, and is computed once.
     """
     if j < 1:
         raise CharacterError("j must be a positive integer")
-    n = 2 * j
-    chars = characters_for_field(rec)
-    rational_part = Fraction(1)
-    by_order: dict[int, CyclotomicNumber] = {}
-    for chi in chars:
-        val = _l_value_at_negative(n, chi)
-        if val.is_rational():
-            rational_part *= val.as_rational()
-        else:
-            acc = by_order.get(chi.order)
-            by_order[chi.order] = val if acc is None else acc * val
-    for order, acc in sorted(by_order.items()):
-        if not acc.is_rational():
-            raise InternalConsistencyError(
-                f"{rec.label}, j={j}: conjugate product in Q(zeta_{order}) did not collapse to Q"
-            )
-        rational_part *= acc.as_rational()
-    if rational_part == 0:
+    value = Zeta3Number(Fraction(1))
+    for chi in characters_for_field(rec):
+        value = value * _l_value_at_negative(2 * j, chi)
+    if not value.is_rational():
+        raise InternalConsistencyError(f"{rec.label}, j={j}: L-value product in Q(zeta3) did not collapse to Q")
+    if value.is_zero():
         raise InternalConsistencyError(f"{rec.label}, j={j}: zeta special value vanished")
-    return rational_part
+    return value.as_rational()
 
 
 def zeta_row(rec: NumberFieldRecord, r: int) -> list[Fraction]:
@@ -390,51 +380,34 @@ def _l_factor_enclosure(
             e = chi.exponent_of(a)
             acc = acc + (enc if e == 0 else -enc)
         return acc.scale(scale)
-    if chi.order == 3 and len(chars) == 2:
-        # real part uses Re zeta_3^e in {1, -1/2}; imaginary part is
-        # (sqrt(3)/2) * (S1 - S2) over the exponent-1 and exponent-2 classes
-        re_acc = RationalInterval.exact(0)
-        s1 = RationalInterval.exact(0)
-        s2 = RationalInterval.exact(0)
-        for a, enc in hz.items():
-            e = chi.exponent_of(a)
-            if e == 0:
-                re_acc = re_acc + enc
-            elif e == 1:
-                re_acc = re_acc - enc.scale(Fraction(1, 2))
-                s1 = s1 + enc
-            else:
-                re_acc = re_acc - enc.scale(Fraction(1, 2))
-                s2 = s2 + enc
-        half_sqrt3 = _sqrt3_enclosure(bits).scale(Fraction(1, 2))
-        im_acc = half_sqrt3 * (s1 - s2)
-        mod_sq = re_acc.pow_int(2) + im_acc.pow_int(2)
-        return mod_sq.scale(scale * scale)
-    raise UnsupportedFieldError(f"cannot evaluate L numerically for character order {chi.order}")
+    # a conjugate pair of cubic characters: the real part uses Re zeta_3^e
+    # in {1, -1/2}; the imaginary part is (sqrt(3)/2) * (S1 - S2) over the
+    # exponent-1 and exponent-2 classes
+    re_acc = RationalInterval.exact(0)
+    s1 = RationalInterval.exact(0)
+    s2 = RationalInterval.exact(0)
+    for a, enc in hz.items():
+        e = chi.exponent_of(a)
+        if e == 0:
+            re_acc = re_acc + enc
+        elif e == 1:
+            re_acc = re_acc - enc.scale(Fraction(1, 2))
+            s1 = s1 + enc
+        else:
+            re_acc = re_acc - enc.scale(Fraction(1, 2))
+            s2 = s2 + enc
+    half_sqrt3 = _sqrt3_enclosure(bits).scale(Fraction(1, 2))
+    im_acc = half_sqrt3 * (s1 - s2)
+    mod_sq = re_acc.pow_int(2) + im_acc.pow_int(2)
+    return mod_sq.scale(scale * scale)
 
 
 def _character_groups(rec: NumberFieldRecord) -> list[tuple[DirichletCharacter, ...]]:
-    """The field's characters as factors of zeta_k: each real character on
-    its own, each non-real one with its conjugate."""
-    chars = characters_for_field(rec)
-    groups: list[tuple[DirichletCharacter, ...]] = []
-    used: set[int] = set()
-    for i, chi in enumerate(chars):
-        if i in used:
-            continue
-        if chi.order <= 2:
-            groups.append((chi,))
-            used.add(i)
-            continue
-        conj = chi.conjugate()
-        for k in range(i + 1, len(chars)):
-            if k not in used and chars[k] == conj:
-                groups.append((chi, chars[k]))
-                used.update((i, k))
-                break
-        else:
-            raise UnsupportedFieldError(f"{rec.label}: character group is not conjugation-closed")
-    return groups
+    """The field's characters as factors of zeta_k: the trivial character,
+    then the real character or the conjugate pair that
+    ``characters_for_field`` lists after it."""
+    trivial, *rest = characters_for_field(rec)
+    return [(trivial,), tuple(rest)]
 
 
 def _round_width_floor(s: int, terms: int, corrections: int, degree: int) -> Fraction:

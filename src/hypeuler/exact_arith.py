@@ -1,14 +1,14 @@
 """Exact arithmetic foundations.
 
 Scalar values are arbitrary-precision rationals (`fractions.Fraction`),
-and polynomial and cyclotomic arithmetic is carried out over the
-rationals with canonical reduction, all exactly.  Intervals are pairs of
-rationals that provably enclose the real number they stand for; an
-interval built from rationals stays exact, while the enclosures of
-transcendental quantities carry a working precision and every result
-computed from them is rounded outward to dyadic endpoints at that
-precision (see `RationalInterval`).  No floating point enters any
-computation.
+polynomials have rational coefficients, and the values of Dirichlet
+characters of order at most 3 live in Q(zeta3) (`Zeta3Number`), all
+exact.  Intervals are pairs of rationals that provably enclose the real
+number they stand for; an interval built from rationals stays exact,
+while the enclosures of transcendental quantities carry a working
+precision and every result computed from them is rounded outward to
+dyadic endpoints at that precision (see `RationalInterval`).  No floating
+point enters any computation.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to use concurrently.  The Bernoulli cache only
@@ -32,10 +32,6 @@ class ExactArithError(Exception):
 
 class ExactDivisionError(ExactArithError):
     """Polynomial division left a nonzero remainder."""
-
-
-class CyclotomicOrderError(ExactArithError):
-    """Operands live in cyclotomic fields of different orders."""
 
 
 def as_rational(x: int | Fraction) -> Fraction:
@@ -112,13 +108,18 @@ def bernoulli_number(n: int) -> Fraction:
     """B_n with the convention B_1 = -1/2.
 
     Computed from the defining recurrence
-    sum_{k=0}^{n} C(n+1, k) B_k = 0 (n >= 1), memoized.
+    sum_{k=0}^{n} C(n+1, k) B_k = 0 (n >= 1), memoized.  B_k vanishes at
+    every odd k >= 3, so those entries are stored without a sum and the
+    sum runs over k = 0, 1 and the even k only.
     """
     if n < 0:
         raise ExactArithError("Bernoulli index must be nonnegative")
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
-        s = sum(Fraction(math.comb(m + 1, k)) * _BERNOULLI[k] for k in range(m))
+        if m > 1 and m % 2:
+            _BERNOULLI.append(Fraction(0))
+            continue
+        s = sum(math.comb(m + 1, k) * _BERNOULLI[k] for k in (0, 1, *range(2, m, 2)) if k < m)
         _BERNOULLI.append(-s / (m + 1))
     return _BERNOULLI[n]
 
@@ -179,14 +180,6 @@ class RatPolynomial:
             cs.pop()
         return cls(tuple(cs))
 
-    @classmethod
-    def zero(cls) -> "RatPolynomial":
-        return cls(())
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int | Fraction = 1) -> "RatPolynomial":
-        return cls.from_seq([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -194,22 +187,9 @@ class RatPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return RatPolynomial.from_seq(a)
-
-    def __neg__(self) -> "RatPolynomial":
-        return RatPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "RatPolynomial") -> "RatPolynomial":
         if self.is_zero() or other.is_zero():
-            return RatPolynomial.zero()
+            return RatPolynomial(())
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -217,10 +197,6 @@ class RatPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return RatPolynomial.from_seq(out)
-
-    def scale(self, c: int | Fraction) -> "RatPolynomial":
-        c = as_rational(c)
-        return RatPolynomial.from_seq(a * c for a in self.coeffs)
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         return as_rational(horner(self.coeffs, as_rational(x)))
@@ -237,7 +213,7 @@ class RatPolynomial:
         lead = dn[-1]
         qdeg = len(rem) - len(dn)
         if qdeg < 0:
-            return RatPolynomial.zero(), self
+            return RatPolynomial(()), self
         quot = [Fraction(0)] * (qdeg + 1)
         for i in range(qdeg, -1, -1):
             c = rem[i + len(dn) - 1] / lead
@@ -279,111 +255,52 @@ def poly_exact_divide(num: RatPolynomial, den: RatPolynomial) -> RatPolynomial:
     return q
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> RatPolynomial:
-    """The m-th cyclotomic polynomial, via (x^m - 1) / prod_{d|m, d<m} Phi_d."""
-    if m < 1:
-        raise ExactArithError("cyclotomic order must be positive")
-    num = RatPolynomial.from_seq([-1] + [0] * (m - 1) + [1])
-    for d in range(1, m):
-        if m % d == 0:
-            num = poly_exact_divide(num, cyclotomic_polynomial(d))
-    return num
-
-
-def _totient(m: int) -> int:
-    return sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
-
-
 # ---------------------------------------------------------------------------
-# Cyclotomic numbers
+# The field Q(zeta3)
 # ---------------------------------------------------------------------------
-
-MAX_CYCLOTOMIC_ORDER = 16
 
 
 @dataclass(frozen=True)
-class CyclotomicNumber:
-    """Element of Q(zeta_m) in the power basis 1, z, ..., z^{phi(m)-1},
-    canonically reduced modulo the m-th cyclotomic polynomial."""
+class Zeta3Number:
+    """The element a + b*zeta3 of Q(zeta3), where zeta3^2 = -1 - zeta3.
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    Every Dirichlet character the engine meets has order 1, 2 or 3, so
+    its values and every rational combination of them lie here."""
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.order <= MAX_CYCLOTOMIC_ORDER):
-            raise CyclotomicOrderError(f"cyclotomic order {self.order} unsupported (max {MAX_CYCLOTOMIC_ORDER})")
-        if len(self.coeffs) != _totient(self.order):
-            raise ExactArithError("coefficient vector has wrong length for this order")
+    a: Fraction
+    b: Fraction = Fraction(0)
 
-    @classmethod
-    def _reduced(cls, m: int, raw: Sequence[Fraction]) -> "CyclotomicNumber":
-        _, rem = RatPolynomial.from_seq(raw).divmod(cyclotomic_polynomial(m))
-        phi = _totient(m)
-        cs = list(rem.coeffs) + [Fraction(0)] * (phi - len(rem.coeffs))
-        return cls(m, tuple(cs))
+    def __add__(self, other: "Zeta3Number") -> "Zeta3Number":
+        return Zeta3Number(self.a + other.a, self.b + other.b)
 
-    @classmethod
-    def from_rational(cls, m: int, x: int | Fraction) -> "CyclotomicNumber":
-        phi = _totient(m)
-        return cls(m, (as_rational(x),) + (Fraction(0),) * (phi - 1))
+    def __mul__(self, other: "Zeta3Number") -> "Zeta3Number":
+        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2, with z^2 = -1 - z
+        bd = self.b * other.b
+        return Zeta3Number(self.a * other.a - bd, self.a * other.b + self.b * other.a - bd)
 
-    @classmethod
-    def root_of_unity(cls, m: int, power: int = 1) -> "CyclotomicNumber":
-        """zeta_m^power."""
-        power %= m
-        return cls._reduced(m, [Fraction(0)] * power + [Fraction(1)])
-
-    def _check_order(self, other: "CyclotomicNumber") -> None:
-        if self.order != other.order:
-            raise CyclotomicOrderError(f"incompatible cyclotomic orders {self.order} and {other.order}")
-
-    def __add__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        self._check_order(other)
-        return CyclotomicNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        self._check_order(other)
-        return CyclotomicNumber(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, tuple(-a for a in self.coeffs))
-
-    def scale(self, c: int | Fraction) -> "CyclotomicNumber":
-        c = as_rational(c)
-        return CyclotomicNumber(self.order, tuple(a * c for a in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        self._check_order(other)
-        prod = RatPolynomial(self.coeffs if any(self.coeffs) else ()) * RatPolynomial(
-            other.coeffs if any(other.coeffs) else ()
-        )
-        return CyclotomicNumber._reduced(self.order, prod.coeffs)
-
-    def galois_image(self, t: int) -> "CyclotomicNumber":
-        """Image under zeta -> zeta^t (t coprime to the order)."""
-        m = self.order
-        if math.gcd(t, m) != 1:
-            raise ExactArithError("Galois exponent must be coprime to the order")
-        raw = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
-            raw[(i * t) % m] += c
-        return CyclotomicNumber._reduced(m, raw)
-
-    def conjugates(self) -> list["CyclotomicNumber"]:
-        """The full Galois orbit (including the element itself)."""
-        return [self.galois_image(t) for t in range(1, self.order + 1) if math.gcd(t, self.order) == 1]
+    def scale(self, c: int | Fraction) -> "Zeta3Number":
+        return Zeta3Number(self.a * c, self.b * c)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.a and not self.b
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not self.b
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
-            raise ExactArithError(f"cyclotomic number {self.coeffs} is not rational")
-        return self.coeffs[0]
+            raise ExactArithError(f"{self.a} + {self.b}*zeta3 is not rational")
+        return self.a
+
+
+def root_of_unity(order: int, e: int) -> Zeta3Number:
+    """zeta_order^e in Q(zeta3), for order 1, 2 or 3."""
+    if order not in (1, 2, 3):
+        raise ExactArithError(f"roots of unity of order {order} do not lie in Q(zeta3)")
+    e %= order
+    if order == 3 and e:
+        return Zeta3Number(Fraction(0), Fraction(1)) if e == 1 else Zeta3Number(Fraction(-1), Fraction(-1))
+    return Zeta3Number(Fraction(-1 if e else 1))
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +405,6 @@ class RationalInterval:
         x = as_rational(x)
         return cls(x, x)
 
-    @classmethod
-    def of(cls, lo: int | Fraction, hi: int | Fraction) -> "RationalInterval":
-        return cls(as_rational(lo), as_rational(hi))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -505,9 +418,6 @@ class RationalInterval:
 
     def strictly_greater_than(self, c: int | Fraction) -> bool:
         return self.lo > as_rational(c)
-
-    def strictly_less_than(self, c: int | Fraction) -> bool:
-        return self.hi < as_rational(c)
 
     def __add__(self, other: "RationalInterval") -> "RationalInterval":
         return _rounded(self.lo + other.lo, self.hi + other.hi, _join(self.prec, other.prec))
@@ -574,9 +484,6 @@ class RationalInterval:
 
     def sqrt(self, bits: int = 64) -> "RationalInterval":
         return self.nth_root(2, bits)
-
-    def as_strings(self) -> tuple[str, str]:
-        return format_rational(self.lo), format_rational(self.hi)
 
     def outward_round(self, sig_bits: int = 128) -> "RationalInterval":
         """Widen to dyadic endpoints with about ``sig_bits`` significant

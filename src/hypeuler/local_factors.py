@@ -232,7 +232,7 @@ def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
 @dataclass(frozen=True)
 class TypeMinimum:
     type: ParahoricType
-    polynomial: RatPolynomial
+    polynomial: tuple[int, ...]  # integer coefficients, lowest degree first
     value_at_two: Fraction
     shifted_nonnegative: bool
 
@@ -265,7 +265,7 @@ def minimum_proof(r: int) -> MinimumProof:
         at2 = Fraction(shifted[0] if shifted else 0)  # p(2 + u) at u = 0
         if at2 <= 4:
             raise MonotonicityError(f"{t.slug()} at rank {r}: value {at2} at q=2 does not exceed 4")
-        entries.append(TypeMinimum(t, RatPolynomial.from_seq(coeffs), at2, nonneg))
+        entries.append(TypeMinimum(t, coeffs, at2, nonneg))
     return MinimumProof(r=r, entries=tuple(entries), minimum=min(e.value_at_two for e in entries))
 
 

@@ -267,7 +267,6 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
 @dataclass(frozen=True)
 class DualPathCheck:
     enclosure: RationalInterval
-    exact_value: Fraction
     contains: bool
     relative_width: Fraction
 
@@ -297,7 +296,6 @@ def field_verdict(
         exact = euler.chi_lambda
         dp = DualPathCheck(
             enclosure=enclosure,
-            exact_value=exact,
             contains=exact in enclosure,
             relative_width=enclosure.width / exact,
         )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -277,6 +278,76 @@ class TestPrecisionFloor:
         assert verify_certificate(cert, table).ok
         cert["parameters"]["precision_bits"] = MIN_PRECISION_BITS - 1
         assert "below the floor" in verify_certificate(cert, table).divergence
+
+
+class TestTopLevelKeys:
+    """The certificate's own keys, its tool and its parameters are pinned;
+    only the tool's version string is free."""
+
+    @pytest.mark.parametrize(
+        ("mutate", "named"),
+        [
+            (lambda c: c["tool"].update(version=2), "tool.version 2 is not a string"),
+            (lambda c: c["tool"].update(name="other"), "is not hypeuler"),
+            (lambda c: c.pop("tool"), "certificate keys: missing ['tool'], unexpected []"),
+            (lambda c: c.update(note="extra"), "certificate keys: missing [], unexpected ['note']"),
+            (lambda c: c.update(error="r=3: none"), "certificate keys: missing [], unexpected ['error']"),
+            (
+                lambda c: c["parameters"].update(seed=1),
+                "parameters has keys ['precision_bits', 'requested_r', 'seed']",
+            ),
+            (
+                lambda c: c["parameters"].update(requested_r=[3, 3]),
+                "requested ranks [3, 3] are not strictly increasing",
+            ),
+        ],
+        ids=[
+            "changed-version", "changed-name", "deleted-tool", "extra-key", "error-key", "extra-parameter",
+            "duplicate-rank",
+        ],
+    )
+    def test_mutation_is_named_divergence(self, rank_three_cert, table, mutate, named):
+        bad = clone(rank_three_cert)
+        mutate(bad)
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and named in outcome.divergence
+
+    def test_version_string_is_unpinned(self, rank_three_cert, table):
+        cert = clone(rank_three_cert)
+        cert["tool"]["version"] = "0.0.1"
+        assert verify_certificate(cert, table).ok
+
+    def test_repeated_rank_recorded_once(self, rank_three_cert, table):
+        cert, code = run_certification([3, 3], table)
+        assert code == 0 and cert["parameters"]["requested_r"] == [3]
+        assert serialize_certificate(cert) == serialize_certificate(rank_three_cert)
+
+
+class TestGoldenBytes:
+    """The certificate and report bytes of the headline ranks and of rank 2
+    at the default precision, as the CLI writes them for ``--n 6 --n 8
+    --n 10`` and ``--n 4``.  A deliberate change of the certificate or
+    report format updates these hashes together with a CHANGES.md entry."""
+
+    @pytest.mark.parametrize(
+        ("ranks", "cert_sha256", "report_sha256"),
+        [
+            (
+                [3, 4, 5],
+                "73854746393c4550cfb7e7d4ac1b9cc6060894d1721e5796d16e752184cb959f",
+                "9c46600b8410af4cca40b96f697e1b7df083fa41bcdd17e359cce4f5e425fcbc",
+            ),
+            (
+                [2],
+                "ae37be327be1514ab9ee95d82b1a88687c466516d0f34027d7d2bed311dbb487",
+                "159cf5e4ae2716243cd8f8aab98ca90d369b070416ac1a696fe2a644137c9333",
+            ),
+        ],
+    )
+    def test_bytes_pinned(self, table, ranks, cert_sha256, report_sha256):
+        cert, _ = run_certification(ranks, table)
+        assert hashlib.sha256(serialize_certificate(cert).encode("utf-8")).hexdigest() == cert_sha256
+        assert hashlib.sha256(render_report(cert).encode("utf-8")).hexdigest() == report_sha256
 
 
 class TestLocalFactorMutations:

@@ -9,34 +9,36 @@ from hypothesis import strategies as st
 
 from hypeuler import exact_arith
 from hypeuler.exact_arith import (
-    CyclotomicNumber,
-    CyclotomicOrderError,
     ExactArithError,
     ExactDivisionError,
     RatPolynomial,
     RationalInterval,
+    Zeta3Number,
     bernoulli_number,
     bernoulli_polynomial_eval,
-    cyclotomic_polynomial,
     dyadic_round_down,
     dyadic_round_up,
     odd_part_of_numerator,
     pi_enclosure,
     poly_exact_divide,
     rational_power_half,
+    root_of_unity,
     two_adic_valuation,
 )
 
 
 def bernoulli_akiyama_tanigawa(n):
-    """Independent oracle: Akiyama-Tanigawa transform (gives B_1 = +1/2,
-    flipped to the B_1 = -1/2 convention)."""
+    """Independent oracle: B_0..B_n by the Akiyama-Tanigawa transform, whose
+    row m leaves B_m in A[0] (with B_1 = +1/2, flipped to the B_1 = -1/2
+    convention)."""
     A = [F(0)] * (n + 1)
+    out = []
     for m in range(n + 1):
         A[m] = F(1, m + 1)
         for j in range(m, 0, -1):
             A[j - 1] = j * (A[j - 1] - A[j])
-    return -A[0] if n == 1 else A[0]
+        out.append(-A[0] if m == 1 else A[0])
+    return out
 
 
 class TestBernoulli:
@@ -45,8 +47,9 @@ class TestBernoulli:
         assert bernoulli_number(1) == F(-1, 2)
 
     def test_against_recurrence_oracle(self):
-        assert bernoulli_number(2) == bernoulli_akiyama_tanigawa(2) == F(1, 6)
-        assert bernoulli_number(10) == bernoulli_akiyama_tanigawa(10) == F(5, 66)
+        oracle = bernoulli_akiyama_tanigawa(100)
+        assert oracle[2] == F(1, 6) and oracle[10] == F(5, 66)
+        assert [bernoulli_number(n) for n in range(101)] == oracle
 
     def test_recurrence_identity_up_to_30(self):
         for n in range(1, 31):
@@ -124,56 +127,56 @@ class TestPolynomials:
         assert p.evaluate(x) == F(1, 2) - x**2 + x**3
 
 
-class TestCyclotomic:
-    def test_cyclotomic_polynomials(self):
-        assert cyclotomic_polynomial(1) == RatPolynomial.of(-1, 1)
-        assert cyclotomic_polynomial(3) == RatPolynomial.of(1, 1, 1)
-        assert cyclotomic_polynomial(4) == RatPolynomial.of(1, 0, 1)
-        assert cyclotomic_polynomial(12) == RatPolynomial.of(1, 0, -1, 0, 1)
-        # sympy cross-check
-        for m in range(1, 17):
-            ours = [int(c) for c in cyclotomic_polynomial(m).coeffs]
-            theirs = list(reversed(sympy.Poly(sympy.cyclotomic_poly(m, sympy.Symbol("x"))).all_coeffs()))
-            assert ours == theirs
+small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+zeta3_numbers = st.builds(Zeta3Number, small_fracs, small_fracs)
 
+
+def reduce_mod_zeta3(x, y):
+    """x * y through the RatPolynomial product of a + b t, reduced modulo
+    1 + t + t^2 (the minimal polynomial of zeta3) by ``divmod``."""
+    product = RatPolynomial.of(x.a, x.b) * RatPolynomial.of(y.a, y.b)
+    _, rem = product.divmod(RatPolynomial.of(1, 1, 1))
+    coeffs = list(rem.coeffs) + [F(0)] * (2 - len(rem.coeffs))
+    return Zeta3Number(*coeffs)
+
+
+class TestZeta3:
     def test_zeta3_square(self):
-        z = CyclotomicNumber.root_of_unity(3)
-        assert z * z == CyclotomicNumber.from_rational(3, -1) - z
+        z = root_of_unity(3, 1)
+        assert z * z == Zeta3Number(F(-1), F(-1)) == root_of_unity(3, 2)
+        assert root_of_unity(3, 7) == z and root_of_unity(2, 1) == Zeta3Number(F(-1))
 
     def test_multiplicative_identity(self):
-        x = CyclotomicNumber(3, (F(2, 3), F(-1, 5)))
-        one = CyclotomicNumber.from_rational(3, 1)
-        assert x * one == x
+        x = Zeta3Number(F(2, 3), F(-1, 5))
+        one = root_of_unity(1, 0)
+        assert x * one == x and one * x == x
 
     def test_conjugate_product_is_norm(self):
-        z = CyclotomicNumber.root_of_unity(3)
-        one = CyclotomicNumber.from_rational(3, 1)
-        z2 = CyclotomicNumber.root_of_unity(3, 2)
-        prod = (one + z) * (one + z2)
+        one = root_of_unity(1, 0)
+        prod = (one + root_of_unity(3, 1)) * (one + root_of_unity(3, 2))
         assert prod.is_rational() and prod.as_rational() == 1
 
-    def test_order_mismatch(self):
-        with pytest.raises(CyclotomicOrderError):
-            CyclotomicNumber.root_of_unity(3) * CyclotomicNumber.root_of_unity(4)
-
-    def test_unsupported_order(self):
-        with pytest.raises(CyclotomicOrderError):
-            CyclotomicNumber.root_of_unity(17)
-
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_galois_orbit_product_rational(self, m):
-        rng = random.Random(7 + m)
+    def test_galois_orbit_product_rational(self):
+        # the conjugate of a + b z is a + b z^2 = (a - b) - b z, and the
+        # product of the pair is the norm a^2 - ab + b^2
+        rng = random.Random(10)
         for _ in range(25):
-            coeffs = tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
-            x = CyclotomicNumber(m, coeffs)
-            prod = CyclotomicNumber.from_rational(m, 1)
-            for c in x.conjugates():
-                prod = prod * c
-            assert prod.is_rational()
+            a, b = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+            prod = Zeta3Number(a, b) * Zeta3Number(a - b, -b)
+            assert prod.is_rational() and prod.as_rational() == a * a - a * b + b * b
 
-    def test_power_reduction_canonical(self):
-        # zeta_5^7 == zeta_5^2 as stored vectors
-        assert CyclotomicNumber.root_of_unity(5, 7) == CyclotomicNumber.root_of_unity(5, 2)
+    @settings(max_examples=80, deadline=None)
+    @given(zeta3_numbers, zeta3_numbers)
+    def test_product_matches_polynomial_reduction(self, x, y):
+        assert x * y == reduce_mod_zeta3(x, y)
+
+    def test_irrational_has_no_rational_value(self):
+        with pytest.raises(ExactArithError):
+            root_of_unity(3, 1).as_rational()
+
+    def test_order_outside_zeta3_raises(self):
+        with pytest.raises(ExactArithError, match="order 4"):
+            root_of_unity(4, 1)
 
 
 class TestOddPart:

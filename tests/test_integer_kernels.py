@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hypeuler.characters_zeta import UnsupportedFieldError, characters_for_field, generalized_bernoulli
 from hypeuler.exact_arith import (
-    CyclotomicNumber,
     RatPolynomial,
+    Zeta3Number,
     bernoulli_polynomial_eval,
     horner,
     poly_exact_divide,
@@ -113,7 +113,7 @@ class TestIntegerExactDivide:
 def per_residue_bernoulli(n, chi):
     """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f), term by term."""
     f = chi.modulus
-    total = CyclotomicNumber.from_rational(chi.order, 0)
+    total = Zeta3Number(F(0))
     for a in range(1, f + 1):
         if chi.exponent_of(a) is not None:
             total = total + chi.value(a).scale(bernoulli_polynomial_eval(n, F(a, f)))
