@@ -228,7 +228,6 @@ def run_certification(
     requested_r: list[int],
     table: FieldTable,
     precision_bits: int = 192,
-    dual_path: bool = True,
 ) -> tuple[dict, int]:
     """Certify every requested rank; returns (certificate, exit code).
 
@@ -249,7 +248,7 @@ def run_certification(
     sections: list[dict] = []
     for r in sorted(set(requested_r)):
         try:
-            sections.append(section_to_json(certify_section(r, table, precision_bits, dual_path)))
+            sections.append(section_to_json(certify_section(r, table, precision_bits)))
         except Exception as exc:  # embed the failure, per the exit-code contract
             cert = build_certificate(
                 sections, table, precision_bits, requested_r, status="failed",
@@ -316,11 +315,16 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     must carry a dual-path enclosure (rank 2 has none), which must
     contain the exact value and have a relative width of at most
     2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, which must be
-    at least ``MIN_PRECISION_BITS`` (so the bound is at most 2^-56), and
-    the recorded ``relative_width`` must be a positive rational no larger
-    (``_dual_path_width_bound`` derives the bound from the 128-bit
-    serialization).  A missing key or malformed value is reported as a
+    at least ``MIN_PRECISION_BITS`` (so the bound is at most 2^-56;
+    ``_dual_path_width_bound`` derives it from the 128-bit serialization),
+    and the recorded ``relative_width`` must be a positive rational no
+    larger than the recorded enclosure's relative width rounded up to 32
+    significant bits.  A missing key or malformed value is reported as a
     divergence, never raised.
+
+    Unpinned slack, changing no verdict: the lower side of
+    ``relative_width`` (2^-400 verifies), and ``parameters.precision_bits``
+    at ranks with no dual-path record (any integer >= the floor).
     """
     if isinstance(cert, (str, Path)):
         cert = read_certificate(cert)
@@ -496,11 +500,14 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
             (hi - lo) / chi <= width_bound,
             f"{tag}: {label}: recorded enclosure's relative width exceeds {format_rational(width_bound)}",
         )
+        # The recorded enclosure contains the working one and rounding up is
+        # monotone, so an honest relative_width is at most this cap (<= width_bound).
+        cap = dyadic_round_up((hi - lo) / chi, 32)
         relative_width = parse_rational(dual["relative_width"])
         check(
-            0 < relative_width <= width_bound,
-            f"{tag}: {label}: relative_width {dual['relative_width']!r} is not a positive "
-            f"rational at most {format_rational(width_bound)}",
+            0 < relative_width <= cap,
+            f"{tag}: {label}: relative_width {dual['relative_width']!r} is not a positive rational "
+            f"at most the recorded enclosure's rounded relative width {format_rational(cap)}",
         )
 
 

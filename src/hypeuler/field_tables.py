@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .exact_arith import _int_nthroot
-
 HEADER = "hypeuler-fields v1"
 REQUIRED_COMPLETENESS = {2: 1000, 3: 1000, 4: 1000}
 
@@ -281,89 +279,37 @@ def query(table: FieldTable, degree: int, max_disc: int) -> list[NumberFieldReco
 # ---------------------------------------------------------------------------
 
 
-def _pell_minimal(m: int) -> tuple[int, int]:
-    """Minimal (x, y), y >= 1, with x^2 - m y^2 = +-1, via the continued
-    fraction of sqrt(m) (m not a perfect square)."""
-    a0 = math.isqrt(m)
-    if a0 * a0 == m:
-        raise TableInvariantError(f"{m} is a perfect square")
-    P, Q = 0, 1
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    a = a0
-    while True:
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        a = (P + a0) // Q
-        if Q == 1:
-            return p, q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-
-
-def fundamental_unit(D: int) -> tuple[int, int]:
-    """(t, u) with the fundamental unit of the order of discriminant D
-    equal to (t + u sqrt(D)) / 2 (t, u > 0).
-
-    For D = 4m this is the Pell unit of Z[sqrt(m)]; for D = 1 mod 4 the
-    half-integral solutions of t^2 - D u^2 = +-4 are searched below the
-    cube-root bound implied by the unit index, falling back to the Pell
-    unit when none exists.
-    """
-    if D % 4 == 0:
-        x, y = _pell_minimal(D // 4)
-        return 2 * x, y
-    if D % 4 != 1:
-        raise TableInvariantError(f"{D} is not a discriminant")
-    x, y = _pell_minimal(D)
-    # If the maximal order has index 3 over Z[sqrt(D)] units, u is tiny.
-    u_bound = _int_cube_bound(2 * y)
-    for u in range(1, u_bound + 1):
-        for sign in (-4, 4):
-            t2 = D * u * u + sign
-            if t2 > 0:
-                t = math.isqrt(t2)
-                if t * t == t2 and (t - u * D) % 2 == 0:
-                    return t, u
-    return 2 * x, 2 * y
-
-
-def _int_cube_bound(n: int) -> int:
-    """ceil(n^(1/3)) + 2, in exact integer arithmetic for any n >= 0."""
-    c = _int_nthroot(n, 3)
-    return c + (c**3 < n) + 2
-
-
 def quadratic_class_number(D: int) -> int:
     """Class number of the real quadratic field of fundamental
-    discriminant D, by the classical analytic class number formula
-    h = sqrt(D) L(1, chi_D) / (2 log eps_D)."""
-    from mpmath import mp, mpf, log, sin, pi as mp_pi, sqrt as mp_sqrt
+    discriminant D, by cycles of reduced forms (Cohen, GTM 138, 5.6).
 
-    from .characters_zeta import kronecker_character
-
+    A form (a, b, c) with b^2 - 4ac = D is reduced when
+    |sqrt(D) - 2|a|| < b < sqrt(D).  The reduction map rho permutes the
+    finitely many reduced forms, and its cycles are the narrow classes.
+    The narrow class number is h when the principal cycle holds a form
+    with a = -1 (the fundamental unit has norm -1) and 2h otherwise.
+    """
     if not is_fundamental_discriminant(D):
         raise TableInvariantError(f"{D} is not a fundamental discriminant")
-    chi = kronecker_character(D)
-    old_dps = mp.dps
-    mp.dps = 60
-    try:
-        t, u = fundamental_unit(D)
-        log_eps = log((mpf(t) + mpf(u) * mp_sqrt(D)) / 2)
-        acc = mpf(0)
-        for a in range(1, D):
-            e = chi.exponent_of(a)
-            if e is None:
-                continue
-            sgn = 1 if e == 0 else -1
-            acc -= sgn * log(sin(mp_pi * a / D))
-        h_real = acc / (2 * log_eps)
-        h = int(round(float(h_real)))
-        if abs(h_real - h) > mpf("1e-25") or h < 1:
-            raise TableInvariantError(f"class number formula did not converge for D={D}: {h_real}")
-        return h
-    finally:
-        mp.dps = old_dps
+    s = math.isqrt(D)
+    remaining: set[tuple[int, int, int]] = set()
+    for b in range(2 - D % 2, s + 1, 2):
+        n = (D - b * b) // 4  # = -ac
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+            if n % a == 0:
+                remaining |= {(a, b, -n // a), (-a, b, n // a)}
+    b = s - (s - D) % 2
+    form, cycles, norm_minus_one = (1, b, (b * b - D) // 4), 0, False  # the principal cycle first
+    while remaining:
+        cycles += 1
+        while form in remaining:
+            remaining.remove(form)
+            norm_minus_one |= cycles == 1 and form[0] == -1
+            _, b, c = form  # form = rho(form), with r = -b mod 2|c| and sqrt(D) - 2|c| < r < sqrt(D)
+            r = s - (s + b) % (2 * abs(c))
+            form = (c, r, (r * r - D) // (4 * c))
+        form = min(remaining, default=None)
+    return cycles if norm_minus_one else cycles // 2
 
 
 @dataclass
@@ -372,9 +318,11 @@ class ValidationReport:
     issues: list[str] = field(default_factory=list)
 
 
-def validate_table(table: FieldTable, oracle_disc_limit: int = 100) -> ValidationReport:
-    """Re-check all dataset invariants, and recompute quadratic class
-    numbers up to ``oracle_disc_limit`` with the independent oracle."""
+def validate_table(table: FieldTable) -> ValidationReport:
+    """Re-check all dataset invariants, recompute every quadratic class
+    number with the independent oracle, and check that the quadratic
+    records are exactly the fundamental discriminants up to the degree-2
+    completeness bound."""
     issues: list[str] = []
     try:
         _check_record_invariants(table)
@@ -386,13 +334,21 @@ def validate_table(table: FieldTable, oracle_disc_limit: int = 100) -> Validatio
         if key in seen:
             issues.append(f"duplicate record for degree {rec.degree}, disc {rec.disc}")
         seen.add(key)
-    for rec in table.records:
-        if rec.degree == 2 and rec.disc <= oracle_disc_limit:
-            try:
-                h = quadratic_class_number(rec.disc)
-            except TableError as exc:
-                issues.append(f"{rec.label}: class number oracle failed: {exc}")
-                continue
-            if h != rec.h:
-                issues.append(f"{rec.label}: recorded h={rec.h} but oracle computed h={h}")
+    quadratic = [rec for rec in table.records if rec.degree == 2]
+    for rec in quadratic:
+        try:
+            h = quadratic_class_number(rec.disc)
+        except TableError as exc:
+            issues.append(f"{rec.label}: class number oracle failed: {exc}")
+            continue
+        if h != rec.h:
+            issues.append(f"{rec.label}: recorded h={rec.h} but oracle computed h={h}")
+    bound = table.completeness.get(2, 0)
+    expected = {D for D in range(5, bound + 1) if is_fundamental_discriminant(D)}
+    recorded = {rec.disc for rec in quadratic if rec.disc <= bound}
+    if recorded != expected:
+        issues.append(
+            f"quadratic records up to the completeness bound {bound}: missing "
+            f"{sorted(expected - recorded)}, unexpected {sorted(recorded - expected)}"
+        )
     return ValidationReport(ok=not issues, issues=issues)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,33 @@ class TestTopLevelKeys:
         cert, code = run_certification([3, 3], table)
         assert code == 0 and cert["parameters"]["requested_r"] == [3]
         assert serialize_certificate(cert) == serialize_certificate(rank_three_cert)
+
+
+class TestDualPathWidth:
+    """``relative_width`` is capped by the recorded enclosure's own width;
+    its lower side and the precision at ranks without a dual path are the
+    documented unpinned slack."""
+
+    def test_width_above_recorded_enclosure_rejected(self, rank_three_cert, table):
+        # honest value about 2^-200; the cap of the recorded enclosure is about 2^-128
+        bad = clone(rank_three_cert)
+        bad["sections"][0]["verdicts"][0]["dual_path"]["relative_width"] = format_rational(Fraction(1, 2**120))
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok
+        assert outcome.divergence.startswith(
+            "section r=3: 2.2.5.1: relative_width '1/1329227995784915872903807060280344576' is not a "
+            "positive rational at most the recorded enclosure's rounded relative width"
+        )
+
+    def test_width_below_recorded_enclosure_is_unpinned(self, rank_three_cert, table):
+        cert = clone(rank_three_cert)
+        cert["sections"][0]["verdicts"][0]["dual_path"]["relative_width"] = format_rational(Fraction(1, 2**400))
+        assert verify_certificate(cert, table).ok
+
+    def test_precision_without_dual_path_is_unpinned(self, table):
+        cert, code = run_certification([13], table, precision_bits=100000)
+        assert code == 0 and cert["parameters"]["precision_bits"] == 100000
+        assert verify_certificate(cert, table).ok
 
 
 class TestGoldenBytes:

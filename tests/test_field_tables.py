@@ -1,3 +1,5 @@
+import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,9 +10,7 @@ from hypeuler.field_tables import (
     CompletenessError,
     TableFormatError,
     TableInvariantError,
-    _int_cube_bound,
     checksum_of_text,
-    fundamental_unit,
     is_fundamental_discriminant,
     load_table,
     parse_table_text,
@@ -18,6 +18,12 @@ from hypeuler.field_tables import (
     query,
     validate_table,
 )
+
+_BUILDER = Path(__file__).resolve().parents[1] / "tools" / "build_field_table.py"
+_spec = importlib.util.spec_from_file_location("build_field_table", _BUILDER)
+_builder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_builder)
+QUADRATIC_ANCHORS = _builder.QUADRATIC_ANCHORS
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +127,15 @@ class TestQuery:
 
 class TestValidation:
     def test_bundled_passes(self, table):
-        report = validate_table(table, oracle_disc_limit=100)
+        report = validate_table(table)
         assert report.ok, report.issues
+
+    def test_missing_quadratic_field_caught(self, table):
+        # 2.2.13.1 dropped: the quadratic records no longer reach the completeness bound
+        t = replace(table, records=tuple(r for r in table.records if r.label != "2.2.13.1"))
+        report = validate_table(t)
+        assert not report.ok
+        assert report.issues == ["quadratic records up to the completeness bound 1000: missing [13], unexpected []"]
 
     def test_wrong_class_number_caught(self):
         text = MINI_TABLE.replace("2.2.5.1|2|5|1|1|1|5|-", "2.2.5.1|2|5|2|1|1|5|-")
@@ -161,31 +174,19 @@ class TestClassNumberOracle:
         assert not is_fundamental_discriminant(20)
         assert not is_fundamental_discriminant(1)
 
-    def test_fundamental_units(self):
-        # (t + u sqrt(D))/2 with t^2 - D u^2 = +-4
-        assert fundamental_unit(5) == (1, 1)
-        assert fundamental_unit(13) == (3, 1)
-        assert fundamental_unit(17) == (8, 2)  # 4 + sqrt(17)
-        assert fundamental_unit(8) == (2, 1)  # 1 + sqrt(2)
-        for D in (5, 8, 13, 17, 61, 97, 397):
-            t, u = fundamental_unit(D)
-            assert t * t - D * u * u in (4, -4)
-
-    def test_cube_bound_beyond_float_range(self):
-        # a float cube root overflows here; the bound is ceil(cbrt(n)) + 2
-        n = 2**1100
-        c = _int_cube_bound(n)
-        assert (c - 3) ** 3 < n <= (c - 2) ** 3
-        assert _int_cube_bound(27) == 5 and _int_cube_bound(28) == 6
-
     def test_known_class_numbers(self):
-        assert quadratic_class_number(5) == 1
-        assert quadratic_class_number(40) == 2
-        assert quadratic_class_number(65) == 2
-        assert quadratic_class_number(145) == 4
-        assert quadratic_class_number(229) == 3
+        # the table builder's anchors from standard tables, 5 through 229 (h = 3)
+        assert {5: 1, 40: 2, 65: 2, 145: 4, 229: 3}.items() <= QUADRATIC_ANCHORS.items()
+        for D, h in QUADRATIC_ANCHORS.items():
+            assert quadratic_class_number(D) == h, f"D={D}"
 
-    def test_oracle_agrees_with_bundle_to_100(self, table):
-        for rec in table.records:
-            if rec.degree == 2 and rec.disc <= 100:
-                assert quadratic_class_number(rec.disc) == rec.h, f"D={rec.disc}"
+    @pytest.mark.parametrize("D", [1, 9, 20, 45, 1000])
+    def test_non_fundamental_discriminant_raises(self, D):
+        with pytest.raises(TableInvariantError, match="not a fundamental discriminant"):
+            quadratic_class_number(D)
+
+    def test_oracle_agrees_with_bundle(self, table):
+        quadratic = [rec for rec in table.records if rec.degree == 2]
+        assert len(quadratic) == 302
+        for rec in quadratic:
+            assert quadratic_class_number(rec.disc) == rec.h, f"D={rec.disc}"

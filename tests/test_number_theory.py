@@ -1,5 +1,6 @@
 """The integer number theory the engine runs on, checked against sympy,
-and a guard that importing the engine loads neither sympy nor mpmath."""
+and a guard that the engine imports, validates its table, certifies and
+verifies with neither sympy nor mpmath importable."""
 
 import os
 import subprocess
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 import hypeuler
 from hypeuler.characters_zeta import _jacobi_symbol, kronecker_symbol
 from hypeuler.euler_char import smallest_odd_prime_factor
-from hypeuler.exact_arith import _TRIAL_DIVISION_LIMIT, ExactArithError, smallest_prime_factor
+from hypeuler.exact_arith import ExactArithError, smallest_prime_factor
 from hypeuler.local_factors import is_prime_power
 
 odd_moduli = st.integers(min_value=0, max_value=10**9).map(lambda k: 2 * k + 1)
-# primes just above the trial-division limit, so their products need the fallback
-large_primes = st.integers(min_value=_TRIAL_DIVISION_LIMIT, max_value=1 << 20).map(sympy.nextprime)
+LARGE = 1 << 16
+# primes above 2^16, so their products have no prime factor below 2^16
+large_primes = st.integers(min_value=LARGE, max_value=1 << 20).map(sympy.nextprime)
 
 
 class TestJacobiSymbol:
@@ -56,7 +58,7 @@ class TestSmallestPrimeFactor:
 
     def test_fixed_semiprime_past_trial_division(self):
         p, q = 65537, 65539  # both prime, both above 2^16
-        assert min(p, q) > _TRIAL_DIVISION_LIMIT
+        assert min(p, q) > LARGE
         assert smallest_prime_factor(p * q) == 65537
         assert smallest_odd_prime_factor(p * q * q) == 65537
 
@@ -92,8 +94,16 @@ def test_import_loads_neither_sympy_nor_mpmath():
     src = str(Path(hypeuler.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, hypeuler, hypeuler.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))"
+        "import sys\n"
+        "sys.modules['sympy'] = sys.modules['mpmath'] = None\n"
+        "import hypeuler.cli\n"
+        "from hypeuler import load_table, validate_table\n"
+        "from hypeuler.certificate import run_certification, verify_certificate\n"
+        "from hypeuler.exact_arith import smallest_prime_factor\n"
+        "table = load_table()\n"
+        "report = validate_table(table)\n"
+        "cert, code = run_certification([3, 4, 5], table)\n"
+        "print(report.ok, smallest_prime_factor(65537 * 65539), code, verify_certificate(cert, table).ok)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "True 65537 0 True"

@@ -1,9 +1,12 @@
 """Regenerate the bundled totally-real field dataset (fields_v1.txt).
 
 Quadratic records: every fundamental discriminant up to the completeness
-bound, with class numbers computed by the analytic class number formula
-(continued-fraction fundamental unit, 60-digit working precision) and
-spot-checked against standard anchor values.
+bound, with class numbers counted exactly from the cycles of reduced
+binary quadratic forms (``field_tables.quadratic_class_number``) and
+spot-checked against standard anchor values.  The ``# source:`` line
+written below still names the analytic formula that first produced the
+table: it is part of the checksummed file, and both methods give the
+same class numbers.
 
 Cubic and quartic records: discriminant lists transcribed from the
 standard totally-real field tables; all such fields below 1000 have
