@@ -13,10 +13,10 @@ reports the first divergence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .exact_arith import (
@@ -213,10 +213,6 @@ def serialize_certificate(cert: dict) -> str:
     return json.dumps(cert, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def write_certificate(cert: dict, path: str | Path) -> None:
-    Path(path).write_text(serialize_certificate(cert), encoding="utf-8")
-
-
 def read_certificate(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -265,8 +261,7 @@ def run_certification(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     ok: bool
     checks: int
     divergence: str | None = None

@@ -18,9 +18,8 @@ rigorously bracketed by the first omitted correction term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 
 from .exact_arith import (
     RationalInterval,
@@ -61,18 +60,28 @@ class PrecisionError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DirichletCharacter:
     """Character mod f with values chi(a) = zeta_order^{exponents[a]} on
     residues coprime to f, and 0 elsewhere."""
 
-    modulus: int
-    order: int
-    exponents: tuple[tuple[int, int], ...]  # sorted (residue, exponent) pairs
+    __slots__ = ("modulus", "order", "exponents", "_map")
 
-    @cached_property
-    def _map(self) -> dict[int, int]:
-        return dict(self.exponents)
+    def __init__(self, modulus: int, order: int, exponents: tuple[tuple[int, int], ...]) -> None:
+        self.modulus, self.order = modulus, order
+        self.exponents = exponents  # sorted (residue, exponent) pairs
+        self._map = dict(exponents)
+
+    def _key(self) -> tuple:
+        return self.modulus, self.order, self.exponents
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"DirichletCharacter(modulus={self.modulus!r}, order={self.order!r}, exponents={self.exponents!r})"
 
     def exponent_of(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta_order^e, or None when gcd(a, f) > 1."""

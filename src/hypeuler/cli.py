@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .certificate import (
     MIN_PRECISION_BITS,
     read_certificate,
     render_report,
     run_certification,
+    serialize_certificate,
     verify_certificate,
-    write_certificate,
 )
 from .field_tables import TableError, load_table
 
@@ -84,6 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.verify is not None and (args.n or args.r):
+            parser.error("--verify cannot be combined with --n or --r")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -115,10 +118,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     cert, code = run_certification(ranks, table, precision_bits=args.precision)
-    write_certificate(cert, args.out)
-    report = render_report(cert)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(report)
+    for path, text in ((args.out, serialize_certificate(cert)), (args.report, render_report(cert))):
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     for n, verdict in sorted(cert.get("overall", {}).items(), key=lambda kv: int(kv[0])):
         print(f"n = {n}: {verdict}")
     if cert.get("status") == "failed":

@@ -18,9 +18,9 @@ rules out a reciprocal-integer value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .exact_arith import (
     RationalInterval,
@@ -42,29 +42,38 @@ class ClassNumberPreconditionError(EulerCharError):
     """The closed-form decomposition needs class number one."""
 
 
-@dataclass(frozen=True)
 class ArithmeticDatum:
     """A field, a rank, and the local factors over the bad places."""
 
-    field: NumberFieldRecord
-    r: int
-    local_factors: tuple[LocalFactor, ...] = ()
+    __slots__ = ("field", "r", "local_factors")
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
+    def __init__(self, field: NumberFieldRecord, r: int, local_factors: tuple[LocalFactor, ...] = ()) -> None:
+        if r < 2:
             raise EulerCharError("rank must be at least 2")
-        if not self.field.totally_real:
-            raise EulerCharError(f"{self.field.label}: field must be totally real")
-        if self.field.degree < 2:
+        if not field.totally_real:
+            raise EulerCharError(f"{field.label}: field must be totally real")
+        if field.degree < 2:
             raise EulerCharError("the rationals cannot define a cocompact lattice here")
+        self.field, self.r, self.local_factors = field, r, local_factors
+
+    def _key(self) -> tuple:
+        return self.field, self.r, self.local_factors
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ArithmeticDatum(field={self.field!r}, r={self.r!r}, local_factors={self.local_factors!r})"
 
     @property
     def degree(self) -> int:
         return self.field.degree
 
 
-@dataclass(frozen=True)
-class CrConstant:
+class CrConstant(NamedTuple):
     """The rank constant of the covolume formula: the exact symbolic pair
     (product of odd factorials, power of 2*pi) and a rigorous enclosure of
     their ratio."""
@@ -140,8 +149,7 @@ def index_divisor(h: int, degree: int, bad_place_count: int) -> int:
     return h * 2**degree * 4**bad_place_count
 
 
-@dataclass(frozen=True)
-class EulerChar:
+class EulerChar(NamedTuple):
     chi_lambda: Fraction
     index_divisor: int
     chi_gamma_lower: Fraction
@@ -160,8 +168,7 @@ def build_euler_char(datum: ArithmeticDatum) -> EulerChar:
     )
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     field_label: str
     r: int
     zeta_values: tuple[Fraction, ...]  # signed

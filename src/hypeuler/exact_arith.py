@@ -18,7 +18,6 @@ ever grows and is guarded by the GIL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -151,12 +150,23 @@ def taylor_shift(coeffs: Sequence, a) -> list:
     return cs
 
 
-@dataclass(frozen=True)
 class RatPolynomial:
     """Dense polynomial over Q.  Coefficients lowest degree first, no
     trailing zero; the zero polynomial has an empty coefficient tuple."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"RatPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def of(cls, *coeffs: int | Fraction) -> "RatPolynomial":
@@ -249,15 +259,25 @@ def poly_exact_divide(num: RatPolynomial, den: RatPolynomial) -> RatPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Zeta3Number:
     """The element a + b*zeta3 of Q(zeta3), where zeta3^2 = -1 - zeta3.
 
     Every Dirichlet character the engine meets has order 1, 2 or 3, so
     its values and every rational combination of them lie here."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)) -> None:
+        self.a, self.b = a, b
+
+    def __eq__(self, other: object) -> bool:
+        return (self.a, self.b) == (other.a, other.b) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"Zeta3Number(a={self.a!r}, b={self.b!r})"
 
     def __add__(self, other: "Zeta3Number") -> "Zeta3Number":
         return Zeta3Number(self.a + other.a, self.b + other.b)
@@ -365,7 +385,6 @@ def _pow_rounded(x: Fraction, k: int, prec: int | None, up: bool) -> Fraction:
     return -acc if negative else acc
 
 
-@dataclass(frozen=True)
 class RationalInterval:
     """Closed interval [lo, hi] with rational endpoints that encloses the
     real number it stands for.
@@ -378,16 +397,25 @@ class RationalInterval:
     encloses the exact one; an exact interval stays exact until it meets a
     rounded one.  Precision enters through ``outward_round``, ``nth_root``
     and the enclosures of transcendental quantities (pi, Hurwitz zeta),
-    each at the precision its caller asks for.
+    each at the precision its caller asks for.  Equality and hashing
+    compare the endpoints only, not ``prec``.
     """
 
-    lo: Fraction
-    hi: Fraction
-    prec: int | None = field(default=None, compare=False)
+    __slots__ = ("lo", "hi", "prec")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ExactArithError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction, prec: int | None = None) -> None:
+        if lo > hi:
+            raise ExactArithError(f"interval endpoints out of order: {lo} > {hi}")
+        self.lo, self.hi, self.prec = lo, hi, prec
+
+    def __eq__(self, other: object) -> bool:
+        return (self.lo, self.hi) == (other.lo, other.hi) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r}, prec={self.prec!r})"
 
     @classmethod
     def exact(cls, x: int | Fraction) -> "RationalInterval":

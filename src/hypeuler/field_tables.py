@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 HEADER = "hypeuler-fields v1"
 REQUIRED_COMPLETENESS = {2: 1000, 3: 1000, 4: 1000}
@@ -54,8 +53,7 @@ class CompletenessError(TableError):
     """A query reached beyond the asserted completeness bound."""
 
 
-@dataclass(frozen=True)
-class NumberFieldRecord:
+class _NumberFieldFields(NamedTuple):
     label: str
     degree: int
     disc: int
@@ -65,15 +63,20 @@ class NumberFieldRecord:
     conductor: int | None = None
     char_gen: tuple[int, int, int] | None = None  # (generator residue, image exponent, order)
 
-    def __post_init__(self) -> None:
+
+class NumberFieldRecord(_NumberFieldFields):  # checks in __new__, which a NamedTuple body cannot define
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "NumberFieldRecord":
+        self = super().__new__(cls, *args, **kwargs)
         if self.degree < 2:
             raise TableInvariantError(f"{self.label}: degree must be at least 2")
         if self.disc < 1 or self.h < 1:
             raise TableInvariantError(f"{self.label}: discriminant and class number must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class FieldTable:
+class FieldTable(NamedTuple):
     records: tuple[NumberFieldRecord, ...]
     completeness: dict[int, int]
     source: str
@@ -238,7 +241,7 @@ def _check_record_invariants(table: FieldTable) -> None:
 
 
 def bundled_table_path() -> Path:
-    return Path(str(resources.files("hypeuler").joinpath("data/fields_v1.txt")))
+    return Path(__file__).parent / "data" / "fields_v1.txt"
 
 
 def load_table(path: str | Path | None = None) -> FieldTable:
@@ -312,10 +315,9 @@ def quadratic_class_number(D: int) -> int:
     return cycles if norm_minus_one else cycles // 2
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
-    issues: list[str] = field(default_factory=list)
+    issues: list[str]
 
 
 def validate_table(table: FieldTable) -> ValidationReport:

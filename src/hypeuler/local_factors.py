@@ -12,9 +12,9 @@ from the order formulas of the finite reductive groups involved.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .exact_arith import RatPolynomial, horner, smallest_prime_factor, taylor_shift
 
@@ -63,13 +63,17 @@ _KIND_SLUGS = {
 _SLUG_KINDS = {v: k for k, v in _KIND_SLUGS.items()}
 
 
-@dataclass(frozen=True)
-class ParahoricType:
+class _ParahoricFields(NamedTuple):
     splitness: str  # "split" | "nonsplit"
     kind: Kind
     i: int | None = None
 
-    def __post_init__(self) -> None:
+
+class ParahoricType(_ParahoricFields):  # checks in __new__, which a NamedTuple body cannot define
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ParahoricType":
+        self = super().__new__(cls, *args, **kwargs)
         if self.splitness not in ("split", "nonsplit"):
             raise LocalFactorError(f"invalid splitness {self.splitness!r}")
         needs_i = self.kind in (Kind.CHAIN_D, Kind.CHAIN_2D)
@@ -79,6 +83,7 @@ class ParahoricType:
             raise LocalFactorError(f"{self.kind} occurs only in the split block")
         if self.kind in (Kind.CHAIN_2D, Kind.TOP_2D) and self.splitness != "nonsplit":
             raise LocalFactorError(f"{self.kind} occurs only in the nonsplit block")
+        return self
 
     def validate_for_rank(self, r: int) -> None:
         if r < 3:
@@ -229,16 +234,14 @@ def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
     return RatPolynomial.from_seq(_quotient(t, r))
 
 
-@dataclass(frozen=True)
-class TypeMinimum:
+class TypeMinimum(NamedTuple):
     type: ParahoricType
     polynomial: tuple[int, ...]  # integer coefficients, lowest degree first
     value_at_two: Fraction
     shifted_nonnegative: bool
 
 
-@dataclass(frozen=True)
-class MinimumProof:
+class MinimumProof(NamedTuple):
     r: int
     entries: tuple[TypeMinimum, ...]
     minimum: Fraction
@@ -382,8 +385,7 @@ def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dic
     return constants
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(NamedTuple):
     """A maximal type instantiated at a residue size, with its verified
     integer value."""
 

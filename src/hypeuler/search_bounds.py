@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_arith import RationalInterval, _int_nthroot, pi_enclosure
 from .euler_char import (
@@ -75,8 +75,7 @@ def _largest_int_with_power_at_most(bound: Fraction, exponent: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class BoundsPass:
+class BoundsPass(NamedTuple):
     r: int
     degree: int
     mode: BoundsMode
@@ -126,16 +125,14 @@ def disc_upper_bound(r: int, degree: int, mode: BoundsMode = BoundsMode.CLASS_NU
     return compute_bounds_pass(r, degree, mode).disc_upper
 
 
-@dataclass(frozen=True)
-class LowDegreeRow:
+class LowDegreeRow(NamedTuple):
     degree: int
     disc_upper: int
     minimal_disc: int
     excluded: bool  # disc_upper < minimal_disc
 
 
-@dataclass(frozen=True)
-class HighDegreeExclusion:
+class HighDegreeExclusion(NamedTuple):
     r: int
     growth_factor: RationalInterval  # (6 C(r)/pi) * 6.5^(r^2 + r/2 - 1), must exceed 1
     value_at_degree_five: RationalInterval  # (1/8) * growth^5, must exceed 1
@@ -210,8 +207,7 @@ def regime(r: int) -> str:
     return FIELD_VERDICTS if r <= 5 else BOUND_EXCLUSION
 
 
-@dataclass(frozen=True)
-class DegreeAudit:
+class DegreeAudit(NamedTuple):
     degree: int
     pass_one: BoundsPass
     pass_one_discs: tuple[int, ...]
@@ -219,8 +215,7 @@ class DegreeAudit:
     pass_two_discs: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class CandidateEnumeration:
+class CandidateEnumeration(NamedTuple):
     r: int
     audits: tuple[DegreeAudit, ...]
     records: tuple[NumberFieldRecord, ...]  # final candidates, sorted
@@ -252,7 +247,7 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
         if two_pass:
             p2 = compute_bounds_pass(r, d, BoundsMode.CLASS_NUMBER_ONE)
             fields = [f for f in fields if f.disc <= p2.disc_upper]
-            audit = replace(audit, pass_two=p2, pass_two_discs=tuple(f.disc for f in fields))
+            audit = audit._replace(pass_two=p2, pass_two_discs=tuple(f.disc for f in fields))
         audits.append(audit)
         final.extend(fields)
     final.sort(key=lambda f: (f.degree, f.disc))
@@ -264,15 +259,13 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualPathCheck:
+class DualPathCheck(NamedTuple):
     enclosure: RationalInterval
     contains: bool
     relative_width: Fraction
 
 
-@dataclass(frozen=True)
-class FieldVerdict:
+class FieldVerdict(NamedTuple):
     record: NumberFieldRecord
     r: int
     obstruction: ObstructionVerdict
@@ -311,8 +304,7 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 SURVIVOR_NOTE = "bound-only exclusion left survivors; their zeta-numerator obstruction decides the rank"
 
 
-@dataclass(frozen=True)
-class CertificateSection:
+class CertificateSection(NamedTuple):
     r: int
     n: int
     kind: str  # regime(r) for r >= 3, "failure-demo" for r = 2
@@ -348,7 +340,7 @@ def certify_section(
     if kind == BOUND_EXCLUSION:
         # Only the rows are kept: the exact pass-one enclosures run to a
         # megabyte per rank at r = 13..15.
-        high = replace(high, low_degree=_low_degree_rows((a.pass_one for a in enumeration.audits), table))
+        high = high._replace(low_degree=_low_degree_rows((a.pass_one for a in enumeration.audits), table))
         enumeration = None
     verdicts = tuple(field_verdict(rec, r, precision_bits, dual_path) for rec in candidates)
     certified = all(v.obstruction.obstructed for v in verdicts)

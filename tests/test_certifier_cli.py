@@ -468,6 +468,29 @@ class TestCliProcess:
         monkeypatch.chdir(tmp_path)
         assert main(["--verify", "nope.json"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--n", "--r"])
+    def test_verify_with_rank_usage_error(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", "13", "--out", "c.json", "--report", "r.txt"]) == 0
+        capsys.readouterr()
+        assert main(["--verify", "c.json", flag, "6" if flag == "--n" else "3"]) == 1
+        captured = capsys.readouterr()
+        assert "error: --verify cannot be combined with --n or --r" in captured.err
+        assert "verified" not in captured.out
+
+    def test_unwritable_out_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "missing" / "c.json"
+        assert main(["--r", "13", "--out", str(out), "--report", "r.txt"]) == 1
+        assert f"error: cannot write {out}: No such file or directory" in capsys.readouterr().err
+        assert not Path("r.txt").exists()
+
+    def test_unwritable_report_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", "13", "--out", "c.json", "--report", str(tmp_path)]) == 1
+        assert f"error: cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+        assert main(["--verify", "c.json"]) == 0
+
     def test_byte_identical_across_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--r", "3", "--precision", "128", "--out", "a.json", "--report", "ra.txt"]) == 0

@@ -1,6 +1,7 @@
 """The integer number theory the engine runs on, checked against sympy,
 and a guard that the engine imports, validates its table, certifies and
-verifies with neither sympy nor mpmath importable."""
+verifies with neither sympy nor mpmath importable, and without loading
+dataclasses, inspect or importlib.resources."""
 
 import os
 import subprocess
@@ -107,3 +108,19 @@ def test_import_loads_neither_sympy_nor_mpmath():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True 65537 0 True"
+    # Without site (which may preload modules) and with dataclasses
+    # unimportable: the engine itself imports neither it nor inspect nor
+    # importlib.resources.
+    code = (
+        "import sys\n"
+        "sys.modules['dataclasses'] = None\n"
+        "import hypeuler.cli\n"
+        "from hypeuler import load_table\n"
+        "from hypeuler.certificate import run_certification, verify_certificate\n"
+        "table = load_table()\n"
+        "cert, code = run_certification([3, 4, 5], table)\n"
+        "loaded = [m for m in ('inspect', 'importlib.resources') if m in sys.modules]\n"
+        "print(code, verify_certificate(cert, table).ok, loaded)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 True []"
