@@ -11,7 +11,6 @@ certificate together with an independent verifier.
 __version__ = "1.0.0"
 
 from .exact_arith import (
-    Rational,
     RationalInterval,
     RatPolynomial,
     Zeta3Number,
@@ -49,7 +48,6 @@ from .euler_char import (
 )
 from .search_bounds import (
     BoundsMode,
-    class_number_bound,
     disc_upper_bound,
     high_degree_exclusion,
     enumerate_candidates,

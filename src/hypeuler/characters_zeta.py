@@ -23,6 +23,7 @@ from functools import cache, lru_cache
 
 from .exact_arith import (
     RationalInterval,
+    Value,
     Zeta3Number,
     as_rational,
     bernoulli_number,
@@ -60,28 +61,17 @@ class PrecisionError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class DirichletCharacter:
+class DirichletCharacter(Value):
     """Character mod f with values chi(a) = zeta_order^{exponents[a]} on
     residues coprime to f, and 0 elsewhere."""
 
     __slots__ = ("modulus", "order", "exponents", "_map")
+    _compared = ("modulus", "order", "exponents")
 
     def __init__(self, modulus: int, order: int, exponents: tuple[tuple[int, int], ...]) -> None:
         self.modulus, self.order = modulus, order
         self.exponents = exponents  # sorted (residue, exponent) pairs
         self._map = dict(exponents)
-
-    def _key(self) -> tuple:
-        return self.modulus, self.order, self.exponents
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"DirichletCharacter(modulus={self.modulus!r}, order={self.order!r}, exponents={self.exponents!r})"
 
     def exponent_of(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta_order^e, or None when gcd(a, f) > 1."""

@@ -23,6 +23,12 @@ from .certificate import (
 )
 from .field_tables import TableError, load_table
 
+# The flags that only certification reads parse to None when absent, so one
+# rule rejects them all in verifier mode; certification then fills in these
+# defaults (--n and --r have none).
+_CERTIFY_DEFAULTS = dict(max_r=12, precision=192, out="hypeuler_certificate.json", report="hypeuler_report.txt")
+_CERTIFY_ONLY = ("n", "r", *_CERTIFY_DEFAULTS)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's default 2
@@ -47,14 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank to certify (repeatable, mutually exclusive with --n)")
     p.add_argument("--fields", default=None, metavar="PATH",
                    help="field table file (default: bundled dataset)")
-    p.add_argument("--out", default="hypeuler_certificate.json", metavar="PATH",
+    p.add_argument("--out", default=None, metavar="PATH",
                    help="certificate output path")
-    p.add_argument("--report", default="hypeuler_report.txt", metavar="PATH",
+    p.add_argument("--report", default=None, metavar="PATH",
                    help="report output path")
-    p.add_argument("--precision", type=int, default=192, metavar="BITS",
+    p.add_argument("--precision", type=int, default=None, metavar="BITS",
                    help=f"target bits for the transcendental cross-check enclosures "
                    f"(at least {MIN_PRECISION_BITS})")
-    p.add_argument("--max-r", type=int, default=12, metavar="R",
+    p.add_argument("--max-r", type=int, default=None, metavar="R",
                    help="largest rank in the default sweep (used when neither --n nor --r is given)")
     p.add_argument("--verify", default=None, metavar="PATH",
                    help="verify a previously emitted certificate instead of certifying")
@@ -85,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.verify is not None and (args.n or args.r):
-            parser.error("--verify cannot be combined with --n or --r")
+        if args.verify is not None and any(getattr(args, name) is not None for name in _CERTIFY_ONLY):
+            parser.error("--verify cannot be combined with --n, --r, --max-r, --precision, --out or --report")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -104,6 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"certificate verification FAILED: {outcome.divergence}", file=sys.stderr)
         return 1
 
+    vars(args).update({k: v for k, v in _CERTIFY_DEFAULTS.items() if getattr(args, k) is None})
     try:
         ranks = _requested_ranks(args, parser)
         if args.precision < MIN_PRECISION_BITS:

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 from .exact_arith import (
     RationalInterval,
+    Value,
+    odd_part_of_numerator,
     pi_enclosure,
     rational_power_half,
     smallest_prime_factor,
@@ -42,10 +44,11 @@ class ClassNumberPreconditionError(EulerCharError):
     """The closed-form decomposition needs class number one."""
 
 
-class ArithmeticDatum:
+class ArithmeticDatum(Value):
     """A field, a rank, and the local factors over the bad places."""
 
     __slots__ = ("field", "r", "local_factors")
+    _compared = __slots__
 
     def __init__(self, field: NumberFieldRecord, r: int, local_factors: tuple[LocalFactor, ...] = ()) -> None:
         if r < 2:
@@ -55,18 +58,6 @@ class ArithmeticDatum:
         if field.degree < 2:
             raise EulerCharError("the rationals cannot define a cocompact lattice here")
         self.field, self.r, self.local_factors = field, r, local_factors
-
-    def _key(self) -> tuple:
-        return self.field, self.r, self.local_factors
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"ArithmeticDatum(field={self.field!r}, r={self.r!r}, local_factors={self.local_factors!r})"
 
     @property
     def degree(self) -> int:
@@ -205,8 +196,7 @@ def reciprocal_integer_obstruction(datum: ArithmeticDatum) -> ObstructionVerdict
     product = Fraction(1)
     for z in signed:
         product *= abs(z)
-    num = product.numerator
-    odd = num >> ((num & -num).bit_length() - 1)
+    odd = odd_part_of_numerator(product)
     return ObstructionVerdict(
         field_label=datum.field.label,
         r=datum.r,

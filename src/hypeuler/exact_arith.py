@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class ExactArithError(Exception):
     """Base class for errors raised by the exact-arithmetic layer."""
@@ -85,6 +83,28 @@ def smallest_prime_factor(n: int) -> int:
     return next((d for d in range(3, math.isqrt(n) + 1, 2) if n % d == 0), n)
 
 
+class Value:
+    """Base of the immutable slotted value types: equality and hashing
+    compare the attributes named in ``_compared``, and the repr lists the
+    public slots."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...]  # set by every subclass
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if not name.startswith("_"))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials
 # ---------------------------------------------------------------------------
@@ -127,7 +147,7 @@ def bernoulli_polynomial_eval(n: int, x: int | Fraction) -> Fraction:
 # Polynomials over Q
 # ---------------------------------------------------------------------------
 
-# The two kernels below take coefficients lowest degree first and work on
+# The three kernels below take coefficients lowest degree first and work on
 # whatever exact numbers they are given: on integers they stay integers.
 
 
@@ -150,23 +170,34 @@ def taylor_shift(coeffs: Sequence, a) -> list:
     return cs
 
 
-class RatPolynomial:
+def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of num by den (nonzero leading coefficient).
+
+    A monic den keeps integer coefficients integral; any other leading
+    coefficient divides as a ``Fraction``."""
+    rem = list(num)
+    lead, width = den[-1], len(den)
+    quot = [0] * max(len(rem) - width + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + width - 1]
+        if lead != 1:
+            c = Fraction(c, lead)
+        quot[i] = c
+        if c:
+            for j, d in enumerate(den):
+                rem[i + j] -= c * d
+    return quot, rem
+
+
+class RatPolynomial(Value):
     """Dense polynomial over Q.  Coefficients lowest degree first, no
     trailing zero; the zero polynomial has an empty coefficient tuple."""
 
     __slots__ = ("coeffs",)
+    _compared = __slots__
 
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
         self.coeffs = coeffs
-
-    def __eq__(self, other: object) -> bool:
-        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"RatPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def of(cls, *coeffs: int | Fraction) -> "RatPolynomial":
@@ -207,50 +238,19 @@ class RatPolynomial:
     def divmod(self, den: "RatPolynomial") -> tuple["RatPolynomial", "RatPolynomial"]:
         if den.is_zero():
             raise ExactArithError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = den.coeffs
-        lead = dn[-1]
-        qdeg = len(rem) - len(dn)
-        if qdeg < 0:
-            return RatPolynomial(()), self
-        quot = [Fraction(0)] * (qdeg + 1)
-        for i in range(qdeg, -1, -1):
-            c = rem[i + len(dn) - 1] / lead
-            quot[i] = c
-            if c != 0:
-                for j, d in enumerate(dn):
-                    rem[i + j] -= c * d
+        quot, rem = long_division(self.coeffs, den.coeffs)
         return RatPolynomial.from_seq(quot), RatPolynomial.from_seq(rem)
 
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("q" if i == 1 else f"q^{i}")
-            if i > 0 and abs(c) == 1:
-                parts.append(mono if c > 0 else f"-{mono}")
-            elif i == 0:
-                parts.append(format_rational(c))
-            else:
-                parts.append(f"{format_rational(c)}*{mono}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
 
 
 def poly_exact_divide(num: RatPolynomial, den: RatPolynomial) -> RatPolynomial:
     """Quotient num/den in Q[q]; raises unless the division is exact."""
     q, r = num.divmod(den)
     if not r.is_zero():
-        raise ExactDivisionError(f"nonzero remainder {r} in exact polynomial division")
+        coeffs = ", ".join(map(str, r.coeffs))
+        raise ExactDivisionError(f"nonzero remainder [{coeffs}] in exact polynomial division")
     return q
 
 
@@ -259,25 +259,17 @@ def poly_exact_divide(num: RatPolynomial, den: RatPolynomial) -> RatPolynomial:
 # ---------------------------------------------------------------------------
 
 
-class Zeta3Number:
+class Zeta3Number(Value):
     """The element a + b*zeta3 of Q(zeta3), where zeta3^2 = -1 - zeta3.
 
     Every Dirichlet character the engine meets has order 1, 2 or 3, so
     its values and every rational combination of them lie here."""
 
     __slots__ = ("a", "b")
+    _compared = __slots__
 
     def __init__(self, a: Fraction, b: Fraction = Fraction(0)) -> None:
         self.a, self.b = a, b
-
-    def __eq__(self, other: object) -> bool:
-        return (self.a, self.b) == (other.a, other.b) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"Zeta3Number(a={self.a!r}, b={self.b!r})"
 
     def __add__(self, other: "Zeta3Number") -> "Zeta3Number":
         return Zeta3Number(self.a + other.a, self.b + other.b)
@@ -385,7 +377,7 @@ def _pow_rounded(x: Fraction, k: int, prec: int | None, up: bool) -> Fraction:
     return -acc if negative else acc
 
 
-class RationalInterval:
+class RationalInterval(Value):
     """Closed interval [lo, hi] with rational endpoints that encloses the
     real number it stands for.
 
@@ -402,20 +394,12 @@ class RationalInterval:
     """
 
     __slots__ = ("lo", "hi", "prec")
+    _compared = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction, prec: int | None = None) -> None:
         if lo > hi:
             raise ExactArithError(f"interval endpoints out of order: {lo} > {hi}")
         self.lo, self.hi, self.prec = lo, hi, prec
-
-    def __eq__(self, other: object) -> bool:
-        return (self.lo, self.hi) == (other.lo, other.hi) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r}, prec={self.prec!r})"
 
     @classmethod
     def exact(cls, x: int | Fraction) -> "RationalInterval":

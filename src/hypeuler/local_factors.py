@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .exact_arith import RatPolynomial, horner, smallest_prime_factor, taylor_shift
+from .exact_arith import RatPolynomial, horner, long_division, smallest_prime_factor, taylor_shift
 
 
 class LocalFactorError(Exception):
@@ -44,23 +44,12 @@ class Kind(enum.Enum):
     so enumeration lists them in both the split and nonsplit blocks.
     """
 
-    TORUS_SPLIT = "B(r-1) x split torus"
-    TORUS_NONSPLIT = "B(r-1) x nonsplit torus"
-    CHAIN_D = "D(i) x B(r-i)"
-    TOP_D = "1D(r)"
-    CHAIN_2D = "2D(i+1) x B(r-i-1)"
-    TOP_2D = "2D(r)"
-
-
-_KIND_SLUGS = {
-    Kind.TORUS_SPLIT: "torus-split",
-    Kind.TORUS_NONSPLIT: "torus-nonsplit",
-    Kind.CHAIN_D: "chain-d",
-    Kind.TOP_D: "top-d",
-    Kind.CHAIN_2D: "chain-2d",
-    Kind.TOP_2D: "top-2d",
-}
-_SLUG_KINDS = {v: k for k, v in _KIND_SLUGS.items()}
+    TORUS_SPLIT = "torus-split"  # B(r-1) x split torus
+    TORUS_NONSPLIT = "torus-nonsplit"  # B(r-1) x nonsplit torus
+    CHAIN_D = "chain-d"  # D(i) x B(r-i)
+    TOP_D = "top-d"  # 1D(r)
+    CHAIN_2D = "chain-2d"  # 2D(i+1) x B(r-i-1)
+    TOP_2D = "top-2d"  # 2D(r)
 
 
 class _ParahoricFields(NamedTuple):
@@ -94,7 +83,7 @@ class ParahoricType(_ParahoricFields):  # checks in __new__, which a NamedTuple 
             raise LocalFactorError(f"chain parameter i={self.i} outside 1..{r - 2}")
 
     def slug(self) -> str:
-        base = f"{self.splitness}.{_KIND_SLUGS[self.kind]}"
+        base = f"{self.splitness}.{self.kind.value}"
         return base if self.i is None else f"{base}.i{self.i}"
 
     @classmethod
@@ -102,7 +91,7 @@ class ParahoricType(_ParahoricFields):  # checks in __new__, which a NamedTuple 
         parts = slug.split(".")
         splitness, kind_slug = parts[0], parts[1]
         i = int(parts[2][1:]) if len(parts) > 2 else None
-        return cls(splitness, _SLUG_KINDS[kind_slug], i)
+        return cls(splitness, Kind(kind_slug), i)
 
     def describe(self, r: int) -> str:
         if self.kind is Kind.CHAIN_D:
@@ -184,27 +173,21 @@ def _closed_form(t: ParahoricType, r: int) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def integer_exact_divide(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient num/den in Z[q] by integer long division, for coefficient
+    """Quotient num/den in Z[q] by ``long_division``, for coefficient
     tuples lowest degree first with no trailing zero (den nonzero).
 
     Raises IntegralityError when the leading coefficient of den does not
     divide a step (the quotient would leave Z[q]) or when the remainder is
     nonzero (the division is inexact).
     """
-    rem = list(num)
-    lead, width = den[-1], len(den)
-    quot = [0] * max(len(rem) - width + 1, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c, m = divmod(rem[i + width - 1], lead)
-        if m:
-            raise IntegralityError(f"leading coefficient {lead} does not divide {rem[i + width - 1]}")
-        quot[i] = c
-        if c:
-            for j, d in enumerate(den):
-                rem[i + j] -= c * d
+    quot, rem = long_division(num, den)
+    lead = den[-1]
+    for c in reversed(quot):
+        if c.denominator != 1:
+            raise IntegralityError(f"leading coefficient {lead} does not divide {c * lead}")
     if any(rem):
-        raise IntegralityError(f"nonzero remainder {RatPolynomial.from_seq(rem)} in exact division")
-    return tuple(quot)
+        raise IntegralityError(f"nonzero remainder [{', '.join(map(str, rem))}] in exact division")
+    return tuple(map(int, quot))
 
 
 @cache

@@ -52,14 +52,7 @@ class BoundsMode(enum.Enum):
 
 DISCRIMINANT_FLOOR_BASE = Fraction(13, 2)  # |D| > 6.5^d for degree d >= 5 (external axiom)
 SEARCH_DEGREES = (2, 3, 4)
-
-
-def class_number_bound(degree: int, disc: int, precision_bits: int = 160) -> RationalInterval:
-    """Rigorous upper enclosure of 16 (pi/12)^degree * disc."""
-    if degree < 2 or disc < 1:
-        raise SearchError("invalid class-number-bound arguments")
-    pi_iv = pi_enclosure(bits=precision_bits)
-    return pi_iv.scale(Fraction(1, 12)).pow_int(degree).scale(16 * disc)
+BOUNDS_PRECISION_BITS = 160  # working precision of C(r) and pi in the bounds passes and the exclusion
 
 
 def _largest_int_with_power_at_most(bound: Fraction, exponent: int) -> int:
@@ -85,7 +78,7 @@ class BoundsPass(NamedTuple):
     enclosure_decisive: bool  # both endpoints of the enclosure give the same cutoff
 
 
-def compute_bounds_pass(r: int, degree: int, mode: BoundsMode, precision_bits: int = 160) -> BoundsPass:
+def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
     """The largest admissible |D| at this rank/degree under the chosen
     class-number assumption.
 
@@ -97,8 +90,8 @@ def compute_bounds_pass(r: int, degree: int, mode: BoundsMode, precision_bits: i
     """
     if r < 2 or degree < 2:
         raise SearchError("bounds require rank >= 2 and degree >= 2")
-    c = C_of_r(r, precision_bits).interval
-    pi_iv = pi_enclosure(bits=precision_bits)
+    c = C_of_r(r, BOUNDS_PRECISION_BITS).interval
+    pi_iv = pi_enclosure(bits=BOUNDS_PRECISION_BITS)
     if mode is BoundsMode.CLASS_NUMBER_BOUNDED:
         threshold = (pi_iv / c.scale(6)).pow_int(degree).scale(8)
         doubled_exponent = 2 * r * r + r - 2
@@ -158,9 +151,7 @@ def _low_degree_rows(passes: Iterable[BoundsPass], table: FieldTable) -> tuple[L
     return tuple(rows)
 
 
-def high_degree_exclusion(
-    r: int, table: FieldTable | None = None, precision_bits: int = 160
-) -> HighDegreeExclusion:
+def high_degree_exclusion(r: int, table: FieldTable | None = None) -> HighDegreeExclusion:
     """Certify that degrees d >= 5 are impossible at rank r: plugging the
     floor |D| > 6.5^d into the first-pass inequality already exceeds 1 at
     d = 5, and the per-degree growth factor exceeds 1, so every higher
@@ -170,12 +161,12 @@ def high_degree_exclusion(
     against the smallest totally real discriminant of each degree (the
     bound-only exclusion recorded for ranks >= 6).
     """
-    c = C_of_r(r, precision_bits).interval
-    pi_iv = pi_enclosure(bits=precision_bits)
+    c = C_of_r(r, BOUNDS_PRECISION_BITS).interval
+    pi_iv = pi_enclosure(bits=BOUNDS_PRECISION_BITS)
     doubled = 2 * r * r + r - 2
     growth_sq = c.scale(6).pow_int(2) / pi_iv.pow_int(2)
     growth_sq = growth_sq * RationalInterval.exact(DISCRIMINANT_FLOOR_BASE**doubled)
-    growth = growth_sq.sqrt(precision_bits)
+    growth = growth_sq.sqrt(BOUNDS_PRECISION_BITS)
     at_five = growth.pow_int(5).scale(Fraction(1, 8))
     if not growth.strictly_greater_than(1):
         raise HighDegreeCheckError(f"r={r}: per-degree growth factor does not exceed 1")
@@ -200,9 +191,12 @@ def regime(r: int) -> str:
     Ranks 3..5 (``field-verdicts``) re-filter the candidates with the
     class-number-one pass and record both passes and the candidate list.
     From rank 6 on (``bound-exclusion``) the section records the
-    first-pass cutoffs against the smallest discriminant of each degree.
-    Pass two is skipped there: on the bundled table it removes no further
-    field, and its enclosures cost seconds per rank at r = 13..15.
+    first-pass cutoffs against the smallest discriminant of each degree,
+    and pass two is not run: on the bundled table it removes no further
+    field.  The split is a certificate-format decision, not a cost one
+    (pass two takes about a millisecond per rank at r = 13..15): each
+    section's ``kind`` and recorded keys are pinned by the expected
+    benchmark certificates and the golden-byte tests.
     """
     return FIELD_VERDICTS if r <= 5 else BOUND_EXCLUSION
 
@@ -338,8 +332,8 @@ def certify_section(
     enumeration = enumerate_candidates(r, table)
     candidates = enumeration.records
     if kind == BOUND_EXCLUSION:
-        # Only the rows are kept: the exact pass-one enclosures run to a
-        # megabyte per rank at r = 13..15.
+        # The section records the pass-one cutoffs as rows against the
+        # smallest discriminants, not the enumeration (see ``regime``).
         high = high._replace(low_degree=_low_degree_rows((a.pass_one for a in enumeration.audits), table))
         enumeration = None
     verdicts = tuple(field_verdict(rec, r, precision_bits, dual_path) for rec in candidates)

@@ -15,7 +15,7 @@ from hypeuler.certificate import (
 )
 from hypeuler.cli import main
 from hypeuler.exact_arith import format_rational, parse_rational
-from hypeuler.field_tables import load_table
+from hypeuler.field_tables import bundled_table_path, load_table
 
 
 @pytest.fixture(scope="module")
@@ -468,15 +468,29 @@ class TestCliProcess:
         monkeypatch.chdir(tmp_path)
         assert main(["--verify", "nope.json"]) == 1
 
-    @pytest.mark.parametrize("flag", ["--n", "--r"])
+    CERTIFY_ONLY = {
+        "--n": "6", "--r": "3", "--max-r": "5", "--precision": "128", "--out": "x.json", "--report": "x.txt"
+    }
+
+    @pytest.mark.parametrize("flag", CERTIFY_ONLY)
     def test_verify_with_rank_usage_error(self, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["--r", "13", "--out", "c.json", "--report", "r.txt"]) == 0
         capsys.readouterr()
-        assert main(["--verify", "c.json", flag, "6" if flag == "--n" else "3"]) == 1
+        assert main(["--verify", "c.json", flag, self.CERTIFY_ONLY[flag]]) == 1
         captured = capsys.readouterr()
-        assert "error: --verify cannot be combined with --n or --r" in captured.err
+        assert (
+            "error: --verify cannot be combined with --n, --r, --max-r, --precision, --out or --report"
+            in captured.err
+        )
         assert "verified" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "r.txt"]
+
+    def test_verify_with_fields(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", "13", "--out", "c.json", "--report", "r.txt"]) == 0
+        assert main(["--verify", "c.json", "--fields", str(bundled_table_path())]) == 0
+        assert "certificate verified" in capsys.readouterr().out
 
     def test_unwritable_out_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

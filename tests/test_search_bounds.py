@@ -5,7 +5,6 @@ from mpmath import mp
 
 from hypeuler import search_bounds
 from hypeuler.euler_char import C_of_r
-from hypeuler.exact_arith import pi_enclosure
 from hypeuler.field_tables import load_table, parse_table_text
 from hypeuler.search_bounds import (
     VERDICT_CERTIFIED,
@@ -13,7 +12,6 @@ from hypeuler.search_bounds import (
     BoundsMode,
     PassOneClassNumberError,
     certify_section,
-    class_number_bound,
     compute_bounds_pass,
     disc_upper_bound,
     enumerate_candidates,
@@ -40,32 +38,6 @@ def bound_oracle(r, d, mode):
         rhs = mp.mpf(1) / 2 * (2 / C) ** d
         e = mp.mpf(r * r) + mp.mpf(r) / 2
     return int(mp.floor(mp.exp(mp.log(rhs) / e)))
-
-
-class TestClassNumberBound:
-    def test_d2_disc5(self):
-        iv = class_number_bound(2, 5)
-        assert iv.lo > F(547, 100) and iv.hi < F(549, 100)
-        assert iv.hi.__floor__() == 5  # h <= 5 for Q(sqrt 5)
-
-    def test_scaling_in_disc(self):
-        # rounding at the working precision replaces exact proportionality:
-        # both enclose 7 * 16 (pi/12)^2 and agree to that precision
-        unit = class_number_bound(2, 1)
-        scaled = class_number_bound(2, 7)
-        fine = pi_enclosure(bits=512)
-        true_lo, true_hi = (7 * 16 * (x / 12) ** 2 for x in (fine.lo, fine.hi))
-        assert scaled.lo <= true_lo and true_hi <= scaled.hi
-        assert unit.lo * 7 <= true_lo and true_hi <= unit.hi * 7
-        tolerance = scaled.hi / 2 ** (scaled.prec - 4)
-        assert abs(scaled.lo - unit.lo * 7) <= tolerance and abs(scaled.hi - unit.hi * 7) <= tolerance
-
-    def test_d3_disc49(self):
-        iv = class_number_bound(3, 49).outward_round(120)
-        mp.dps = 40
-        true = 16 * (mp.pi / 12) ** 3 * 49
-        assert mp.mpf(iv.lo.numerator) / iv.lo.denominator <= true
-        assert mp.mpf(iv.hi.numerator) / iv.hi.denominator >= true
 
 
 class TestDiscUpperBounds:
