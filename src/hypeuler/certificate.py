@@ -42,6 +42,10 @@ MIN_PRECISION_BITS = 64
 # The keys of a complete certificate (a failed one adds "error") and of its parameters.
 _CERTIFICATE_KEYS = {"format", "tool", "dataset", "axioms", "parameters", "sections", "overall", "status"}
 _PARAMETER_KEYS = {"precision_bits", "requested_r"}
+# The keys of a field verdict and of its "euler" and "dual_path" records.
+_VERDICT_KEYS = set("label degree disc h zeta_values product odd_numerator witness conclusion euler dual_path".split())
+_EULER_KEYS = {"chi_lambda", "index_divisor", "chi_gamma_lower", "two_exponent"}
+_DUAL_PATH_KEYS = {"enclosure", "contains_exact", "relative_width"}
 
 
 class CertificateError(Exception):
@@ -216,7 +220,7 @@ def serialize_certificate(cert: dict) -> str:
 def read_certificate(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer past the digit limit
         raise CertificateError(f"cannot read certificate {path}: {exc}") from exc
 
 
@@ -278,6 +282,11 @@ class _Divergence(Exception):
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError)
 
 
+def _same(a, b) -> bool:
+    """Equality of JSON values that also tells 5, 5.0 and true apart."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 class _Checks:
     """Counts the checks made and raises the first divergence."""
 
@@ -288,6 +297,11 @@ class _Checks:
         self.count += 1
         if not ok:
             raise _Divergence(divergence)
+
+    def keys(self, node: dict, known, what: str) -> None:
+        """Check that ``node`` has exactly the keys ``known``, naming the others after ``what``."""
+        missing, extra = sorted(known - node.keys()), sorted(node.keys() - known)
+        self(not missing and not extra, f"{what} missing {missing}, unexpected {extra}")
 
 
 def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None) -> VerificationOutcome:
@@ -302,15 +316,18 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
 
     The sections must be exactly the requested ranks.  Each section's
     recorded evidence (kind, bound audits, candidates, high-degree rows,
-    local factors, field list and verdict) must equal what the
-    certification driver recomputes for that rank, without the dual path.
-    Each field verdict's zeta row, reduced product, witness and Euler data
-    are also re-derived here on their own.  The dataset and the axioms
-    must be those of the table in use.  Every field verdict at rank >= 3
-    must carry a dual-path enclosure (rank 2 has none), which must
+    local factors, field list and verdict) must equal what the certification
+    driver recomputes for that rank, without the dual path.  Each field
+    verdict's zeta row, reduced product, witness and Euler data are also
+    re-derived here on their own; its keys and those of its ``euler`` and
+    ``dual_path`` records must be those ``section_to_json`` writes, its
+    integers ints and its rationals reduced ``num/den`` strings.  The
+    dataset and the axioms must be those of the table in use.  These
+    comparisons tell 5, 5.0 and true apart.  Every field verdict at
+    rank >= 3 must carry a dual-path enclosure (rank 2 has none), which must
     contain the exact value and have a relative width of at most
-    2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, which must be
-    at least ``MIN_PRECISION_BITS`` (so the bound is at most 2^-56;
+    2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, which must be at least
+    ``MIN_PRECISION_BITS`` (so the bound is at most 2^-56;
     ``_dual_path_width_bound`` derives it from the 128-bit serialization),
     and the recorded ``relative_width`` must be a positive rational no
     larger than the recorded enclosure's relative width rounded up to 32
@@ -318,8 +335,10 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     divergence, never raised.
 
     Unpinned slack, changing no verdict: the lower side of
-    ``relative_width`` (2^-400 verifies), and ``parameters.precision_bits``
-    at ranks with no dual-path record (any integer >= the floor).
+    ``relative_width`` (2^-400 verifies), ``parameters.precision_bits``
+    at ranks with no dual-path record (any integer >= the floor), and a
+    dual-path enclosure widened but still valid and within the width bound
+    (+2 on the numerator of its upper end verifies).
     """
     if isinstance(cert, (str, Path)):
         cert = read_certificate(cert)
@@ -335,16 +354,15 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     try:
         fmt = cert.get("format")
         check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {fmt!r}")
-        missing, extra = sorted(_CERTIFICATE_KEYS - cert.keys()), sorted(cert.keys() - _CERTIFICATE_KEYS)
-        check(not missing and not extra, f"certificate keys: missing {missing}, unexpected {extra}")
+        check.keys(cert, _CERTIFICATE_KEYS, "certificate keys:")
         tool = cert["tool"]
         check(tool.keys() == {"name", "version"} and tool["name"] == "hypeuler", f"tool {tool!r} is not hypeuler")
         check(type(tool["version"]) is str, f"tool.version {tool['version']!r} is not a string")
         dataset, known = cert["dataset"], _dataset_json(table)
         for key, value in known.items():
-            check(dataset[key] == value, f"dataset {key} does not match the table in use")
+            check(_same(dataset[key], value), f"dataset {key} does not match the table in use")
         check(dataset.keys() == known.keys(), f"dataset has unexpected keys {sorted(dataset.keys() - known.keys())}")
-        check(cert["axioms"] == axioms(table.checksum), "axioms differ from those of the table in use")
+        check(_same(cert["axioms"], axioms(table.checksum)), "axioms differ from those of the table in use")
         check(cert["status"] == "complete", f"certificate status is {cert['status']!r}")
         parameters = cert["parameters"]
         check(parameters.keys() == _PARAMETER_KEYS, f"parameters has keys {sorted(parameters)}")
@@ -379,8 +397,7 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
 def _verify_section(
     sec: dict, expected: dict, table: FieldTable, check: _Checks, tag: str, width_bound: Fraction
 ) -> None:
-    missing, extra = sorted(expected.keys() - sec.keys()), sorted(sec.keys() - expected.keys())
-    check(not missing and not extra, f"{tag}: evidence missing {missing}, unexpected {extra}")
+    check.keys(sec, expected.keys(), f"{tag}: evidence")
     for claimed, known in zip(sec.get("bounds", []), expected.get("bounds", [])):
         for key in ("pass_one", "pass_two"):
             check(
@@ -396,7 +413,7 @@ def _verify_section(
             f"{tag}: polynomial mismatch for type {e['type']}",
         )
     for key in sorted(expected.keys() - {"verdicts"}):
-        check(sec[key] == expected[key], f"{tag}: {key} differs from the recomputed evidence")
+        check(_same(sec[key], expected[key]), f"{tag}: {key} differs from the recomputed evidence")
     fields = [(v["label"], v["conclusion"]) for v in sec["verdicts"]]
     known_fields = [(v["label"], v["conclusion"]) for v in expected["verdicts"]]
     check(fields == known_fields, f"{tag}: field verdicts {fields} differ from the recomputed {known_fields}")
@@ -423,12 +440,23 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
     Euler data, and the recorded dual-path enclosure's containment and
     width."""
     label = v["label"]
+
+    def rational(text: str, name: str) -> Fraction:
+        x = parse_rational(text) if type(text) is str else None
+        check(x is not None and format_rational(x) == text, f"{tag}: {label}: {name} {text!r} is not a reduced num/den")
+        return x
+
+    euler = v["euler"]
+    check.keys(v, _VERDICT_KEYS, f"{tag}: malformed verdict {label}: keys")
+    check.keys(euler, _EULER_KEYS, f"{tag}: malformed verdict {label}: euler keys")
+    for node, key in ((v, "degree"), (v, "disc"), (v, "h"), (euler, "index_divisor")):
+        check(type(node[key]) is int, f"{tag}: {label}: {key} {node[key]!r} is not an integer")
     rec = table.by_disc(v["degree"], v["disc"])
     check(
         rec is not None and rec.label == label and rec.h == v["h"],
         f"{tag}: field {label} not found in dataset as recorded",
     )
-    zetas = [parse_rational(z) for z in v["zeta_values"]]
+    zetas = [rational(z, "zeta value") for z in v["zeta_values"]]
     check(len(zetas) == r, f"{tag}: {label}: expected {r} zeta values")
     for j, claimed in enumerate(zetas, start=1):
         recomputed = zeta_k_special(rec, j)
@@ -440,7 +468,7 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
     product = Fraction(1)
     for z in zetas:
         product *= abs(z)
-    check(product == parse_rational(v["product"]), f"{tag}: {label}: reduced zeta product mismatch")
+    check(product == rational(v["product"], "product"), f"{tag}: {label}: reduced zeta product mismatch")
     num = product.numerator
     odd = num >> ((num & -num).bit_length() - 1)
     check(str(odd) == v["odd_numerator"], f"{tag}: {label}: odd numerator mismatch")
@@ -466,13 +494,12 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
             smaller is None,
             f"{tag}: {label}: witness {witness} is not the smallest prime factor of {odd}: {smaller} divides it",
         )
-    euler = v["euler"]
     chi = chi_principal_from_values(r, v["degree"], [abs(z) for z in zetas], [])
-    check(chi == parse_rational(euler["chi_lambda"]), f"{tag}: {label}: chi(Lambda) mismatch")
+    check(chi == rational(euler["chi_lambda"], "chi_lambda"), f"{tag}: {label}: chi(Lambda) mismatch")
     divisor = euler["index_divisor"]
     check(divisor == index_divisor(v["h"], v["degree"], 0), f"{tag}: {label}: index divisor mismatch")
     check(
-        chi / divisor == parse_rational(euler["chi_gamma_lower"]),
+        chi / divisor == rational(euler["chi_gamma_lower"], "chi_gamma_lower"),
         f"{tag}: {label}: chi(Gamma) lower bound mismatch",
     )
     two_exponent = -two_adic_valuation(chi / divisor)
@@ -488,7 +515,8 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
         f"{tag}: {label}: dual-path record is {'missing' if dual is None else 'unexpected at rank 2'}",
     )
     if dual is not None:
-        lo, hi = (parse_rational(s) for s in dual["enclosure"])
+        check.keys(dual, _DUAL_PATH_KEYS, f"{tag}: malformed verdict {label}: dual_path keys")
+        lo, hi = (rational(s, "enclosure end") for s in dual["enclosure"])
         check(lo <= chi <= hi, f"{tag}: {label}: recorded enclosure misses the exact value")
         check(dual["contains_exact"] is True, f"{tag}: {label}: contains_exact is not true")
         check(
@@ -498,7 +526,7 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
         # The recorded enclosure contains the working one and rounding up is
         # monotone, so an honest relative_width is at most this cap (<= width_bound).
         cap = dyadic_round_up((hi - lo) / chi, 32)
-        relative_width = parse_rational(dual["relative_width"])
+        relative_width = rational(dual["relative_width"], "relative_width")
         check(
             0 < relative_width <= cap,
             f"{tag}: {label}: relative_width {dual['relative_width']!r} is not a positive rational "

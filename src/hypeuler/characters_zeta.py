@@ -5,10 +5,11 @@ positive integers used as an independent cross-check.
 Exact path: decompose zeta_k as a product of Dirichlet L-functions over
 the field's character group and evaluate L(1-n, chi) = -B_{n,chi}/n with
 generalized Bernoulli numbers.  The fields are real quadratic or cyclic
-cubic, so every character has order 1, 2 or 3 and every L-value lies in
-Q(zeta3); the product is taken there, and the code raises unless it
-collapses to a nonzero rational (a cubic character's L-value times its
-conjugate's is a norm from Q(zeta3), hence rational).
+cubic, so zeta_k has two factors: zeta(s) for the trivial character, and
+either L(s, chi) for the real character or L(s, chi) L(s, chibar) for a
+cubic character chi and chibar = chi^2.  The latter at 1-n is the norm
+from Q(zeta3) of L(1-n, chi), as B_{n,chibar} is the image of B_{n,chi}
+under zeta3 -> zeta3^2: each factor is a rational, from one character.
 
 Numeric path: L(s, chi) = f^{-s} sum_a chi(a) zeta_H(s, a/f) with the
 Hurwitz zeta enclosed by an Euler-Maclaurin tail whose remainder is
@@ -45,7 +46,7 @@ class UnsupportedFieldError(CharacterError):
 
 
 class InternalConsistencyError(Exception):
-    """A value that must be rational failed to collapse to one."""
+    """A zeta special value that cannot vanish came out zero."""
 
 
 class PrecisionError(Exception):
@@ -62,23 +63,18 @@ class PrecisionError(Exception):
 
 
 class DirichletCharacter(Value):
-    """Character mod f with values chi(a) = zeta_order^{exponents[a]} on
-    residues coprime to f, and 0 elsewhere."""
+    """Character mod f with values chi(a) = zeta_order^{exponents[a mod f]}
+    on residues coprime to f, and 0 elsewhere, where the exponent is None."""
 
-    __slots__ = ("modulus", "order", "exponents", "_map")
-    _compared = ("modulus", "order", "exponents")
+    __slots__ = ("modulus", "order", "exponents")
+    _compared = __slots__
 
-    def __init__(self, modulus: int, order: int, exponents: tuple[tuple[int, int], ...]) -> None:
-        self.modulus, self.order = modulus, order
-        self.exponents = exponents  # sorted (residue, exponent) pairs
-        self._map = dict(exponents)
+    def __init__(self, modulus: int, order: int, exponents: tuple[int | None, ...]) -> None:
+        self.modulus, self.order, self.exponents = modulus, order, exponents
 
     def exponent_of(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta_order^e, or None when gcd(a, f) > 1."""
-        if self.modulus == 1:
-            return 0
-        a %= self.modulus
-        return self._map.get(a)
+        return self.exponents[a % self.modulus]
 
     def value(self, a: int) -> Zeta3Number:
         e = self.exponent_of(a)
@@ -90,19 +86,11 @@ class DirichletCharacter(Value):
         return self.order == 1
 
     def is_even(self) -> bool:
-        e = self.exponent_of(self.modulus - 1 if self.modulus > 1 else 1)
-        return e is not None and e % self.order == 0
-
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            modulus=self.modulus,
-            order=self.order,
-            exponents=tuple(sorted((a, -e % self.order) for a, e in self.exponents)),
-        )
+        return self.exponent_of(-1) == 0
 
 
 def trivial_character() -> DirichletCharacter:
-    return DirichletCharacter(modulus=1, order=1, exponents=((0, 0),))
+    return DirichletCharacter(modulus=1, order=1, exponents=(0,))
 
 
 def _kronecker_at_two(D: int) -> int:
@@ -148,39 +136,33 @@ def kronecker_character(D: int) -> DirichletCharacter:
     D > 1 of a real quadratic field."""
     if not is_fundamental_discriminant(D):
         raise NonFundamentalDiscriminantError(f"{D} is not a fundamental discriminant > 1")
-    exps = []
-    for a in range(1, D + 1):
-        if math.gcd(a, D) != 1:
-            continue
-        s = kronecker_symbol(D, a)
-        exps.append((a % D, 0 if s == 1 else 1))
-    return DirichletCharacter(modulus=D, order=2, exponents=tuple(sorted(exps)))
+    exps = tuple(None if math.gcd(a, D) > 1 else (0 if kronecker_symbol(D, a) == 1 else 1) for a in range(D))
+    return DirichletCharacter(modulus=D, order=2, exponents=exps)
 
 
 def character_from_generator(modulus: int, generator: int, image_exponent: int, order: int) -> DirichletCharacter:
     """Character on a cyclic (Z/f)^* determined by chi(generator) =
     zeta_order^image_exponent."""
-    coprime = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
-    exps: dict[int, int] = {}
-    cur, t = 1, 0
-    while True:
-        exps[cur] = (t * image_exponent) % order
-        cur = (cur * generator) % modulus
-        t += 1
-        if cur == 1:
-            break
-    if len(exps) != len(coprime):
+    # the generator's first phi(f) powers must be phi(f) distinct units,
+    # the next one 1 again
+    units = sum(math.gcd(a, modulus) == 1 for a in range(modulus))
+    exps: list[int | None] = [None] * modulus
+    cur = 1
+    for t in range(units):
+        exps[cur] = t * image_exponent % order
+        cur = cur * generator % modulus
+    if cur != 1 or exps.count(None) != modulus - units:
         raise UnsupportedFieldError(
             f"{generator} does not generate the units mod {modulus}; character data invalid"
         )
-    return DirichletCharacter(modulus=modulus, order=order, exponents=tuple(sorted(exps.items())))
+    return DirichletCharacter(modulus=modulus, order=order, exponents=tuple(exps))
 
 
 def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
-    """The full character group of an abelian totally real field (size =
-    degree): the trivial character first, then the real character of a
-    quadratic field or the cubic character of a cyclic cubic field followed
-    by its conjugate."""
+    """One character per factor of zeta_k for an abelian totally real
+    field: the trivial character first, then the real character of a
+    quadratic field or one cubic character chi of a cyclic cubic field,
+    which stands for the pair chi, chibar."""
     if not rec.abelian:
         raise UnsupportedFieldError(f"{rec.label}: field is not abelian, no character decomposition")
     if rec.degree == 2:
@@ -192,7 +174,7 @@ def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
         chi = character_from_generator(rec.conductor, g, e, order)
         if not chi.is_even():
             raise UnsupportedFieldError(f"{rec.label}: character is odd, field cannot be totally real")
-        return [trivial_character(), chi, chi.conjugate()]
+        return [trivial_character(), chi]
     raise UnsupportedFieldError(f"{rec.label}: abelian fields of degree {rec.degree} are not supported")
 
 
@@ -254,21 +236,21 @@ def _l_value_at_negative(n: int, chi: DirichletCharacter) -> Zeta3Number:
 def zeta_k_special(rec: NumberFieldRecord, j: int) -> Fraction:
     """The signed rational zeta_k(1-2j) for a totally real abelian field.
 
-    Product of L(1-2j, chi) over the character group in Q(zeta3), which
-    must collapse to a nonzero rational or the computation aborts.
+    Product over ``characters_for_field`` of L(1-2j, chi), a rational for
+    the trivial and a real character, and of its norm N(L(1-2j, chi)) =
+    L(1-2j, chi) L(1-2j, chibar) for a cubic one; a zero product aborts.
     Memoized: a field's row is needed by its obstruction verdict, its
     Euler characteristic and every higher rank, and is computed once.
     """
     if j < 1:
         raise CharacterError("j must be a positive integer")
-    value = Zeta3Number(Fraction(1))
+    value = Fraction(1)
     for chi in characters_for_field(rec):
-        value = value * _l_value_at_negative(2 * j, chi)
-    if not value.is_rational():
-        raise InternalConsistencyError(f"{rec.label}, j={j}: L-value product in Q(zeta3) did not collapse to Q")
-    if value.is_zero():
+        L = _l_value_at_negative(2 * j, chi)
+        value *= L.norm() if chi.order == 3 else L.as_rational()
+    if not value:
         raise InternalConsistencyError(f"{rec.label}, j={j}: zeta special value vanished")
-    return value.as_rational()
+    return value
 
 
 def zeta_row(rec: NumberFieldRecord, r: int) -> list[Fraction]:
@@ -354,18 +336,15 @@ def _sqrt3_enclosure(bits: int) -> RationalInterval:
 
 
 @cache
-def _l_factor_enclosure(
-    chars: tuple[DirichletCharacter, ...], s: int, terms: int, corrections: int, bits: int
-) -> RationalInterval:
-    """Enclosure of the product of L(s, chi) over ``chars``, where chars is
-    either (chi,) with chi real or a conjugate pair (chi, chibar) of cubic
-    characters (handled jointly through |L|^2 = A^2 + B^2).
+def _l_factor_enclosure(chi: DirichletCharacter, s: int, terms: int, corrections: int, bits: int) -> RationalInterval:
+    """Enclosure of chi's factor of zeta_k(s): L(s, chi) for a character of
+    order 1 or 2, and L(s, chi) L(s, chibar) = |L(s, chi)|^2 = A^2 + B^2
+    for a cubic one.
 
     Memoized: zeta(s) is a factor of every field's zeta_k(s), and a field's
     L(s, chi) is needed again at every higher rank, so each is computed
     once per run.
     """
-    chi = chars[0]
     f = chi.modulus
     hz: dict[int, RationalInterval] = {
         a: hurwitz_zeta_enclosure(s, Fraction(a, f), terms, corrections, bits)
@@ -379,7 +358,7 @@ def _l_factor_enclosure(
             e = chi.exponent_of(a)
             acc = acc + (enc if e == 0 else -enc)
         return acc.scale(scale)
-    # a conjugate pair of cubic characters: the real part uses Re zeta_3^e
+    # a cubic character with chibar: the real part uses Re zeta_3^e
     # in {1, -1/2}; the imaginary part is (sqrt(3)/2) * (S1 - S2) over the
     # exponent-1 and exponent-2 classes
     re_acc = RationalInterval.exact(0)
@@ -401,14 +380,6 @@ def _l_factor_enclosure(
     return mod_sq.scale(scale * scale)
 
 
-def _character_groups(rec: NumberFieldRecord) -> list[tuple[DirichletCharacter, ...]]:
-    """The field's characters as factors of zeta_k: the trivial character,
-    then the real character or the conjugate pair that
-    ``characters_for_field`` lists after it."""
-    trivial, *rest = characters_for_field(rec)
-    return [(trivial,), tuple(rest)]
-
-
 def _round_width_floor(s: int, terms: int, corrections: int, degree: int) -> Fraction:
     """B = |c_(m+1)| / (terms+1)^(s+2m+1) * 2^-(degree-1) for m corrections:
     a lower bound on the width of zeta_k_numeric's enclosure in the round
@@ -427,7 +398,7 @@ def zeta_k_numeric(
     2^-precision_bits (relative to magnitude ~1).
 
     The enclosure is the product of the L-factor enclosures of
-    ``_character_groups``.  They are computed on a ladder of rounds
+    ``characters_for_field``.  They are computed on a ladder of rounds
     (terms, m): 32 series terms and m = 14 Euler-Maclaurin corrections,
     then the terms doubled and m raised by 6 (at most 40) per round, until
     the width is at most 2^-precision_bits.
@@ -440,13 +411,13 @@ def zeta_k_numeric(
     width(X) * max|Y|, and max|Y| is at least the true |value| that Y
     encloses.  By the Euler product, |L(s, chi)| >= zeta(2s)/zeta(s)
     > 6/pi^2 > 1/2 for every character at even s >= 2, so a real
-    character's factor is above 1/2 and a conjugate pair's |L(s, chi)|^2
+    character's factor is above 1/2 and a cubic one's |L(s, chi)|^2
     above 1/4.  The factors other than zeta(s) thus multiply to more than
     2^-(degree-1), and the round's width is at least B.  The round at
     ``max_terms`` is never skipped, so a PrecisionError still carries that
     round's enclosure as ``best``.
 
-    Each L-factor enclosure is memoized per (characters, s, round,
+    Each L-factor enclosure is memoized per (character, s, round,
     precision), so zeta(s) is shared across fields and L(s, chi) across
     ranks.
 
@@ -455,14 +426,14 @@ def zeta_k_numeric(
     """
     if s < 2 or s % 2 != 0:
         raise CharacterError("numeric evaluation is defined for even s >= 2")
-    groups = _character_groups(rec)
+    chars = characters_for_field(rec)
     target = Fraction(1, 2**precision_bits)
     terms, corrections = 32, 14
     while True:
         if terms >= max_terms or _round_width_floor(s, terms, corrections, rec.degree) <= target:
             acc = RationalInterval.exact(1)
-            for group in groups:
-                acc = acc * _l_factor_enclosure(group, s, terms, corrections, precision_bits + 16)
+            for chi in chars:
+                acc = acc * _l_factor_enclosure(chi, s, terms, corrections, precision_bits + 16)
             if acc.width <= target:
                 return acc
             if terms >= max_terms:

@@ -263,7 +263,8 @@ class Zeta3Number(Value):
     """The element a + b*zeta3 of Q(zeta3), where zeta3^2 = -1 - zeta3.
 
     Every Dirichlet character the engine meets has order 1, 2 or 3, so
-    its values and every rational combination of them lie here."""
+    its values and every rational combination of them lie here.  Only
+    sums, rational multiples and the norm to Q are ever needed."""
 
     __slots__ = ("a", "b")
     _compared = __slots__
@@ -274,22 +275,19 @@ class Zeta3Number(Value):
     def __add__(self, other: "Zeta3Number") -> "Zeta3Number":
         return Zeta3Number(self.a + other.a, self.b + other.b)
 
-    def __mul__(self, other: "Zeta3Number") -> "Zeta3Number":
-        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2, with z^2 = -1 - z
-        bd = self.b * other.b
-        return Zeta3Number(self.a * other.a - bd, self.a * other.b + self.b * other.a - bd)
-
     def scale(self, c: int | Fraction) -> "Zeta3Number":
         return Zeta3Number(self.a * c, self.b * c)
+
+    def norm(self) -> Fraction:
+        """(a + b z)(a + b z^2) = a^2 - ab + b^2: the product with the
+        Galois image (a - b) - b z under z -> z^2 = -1 - z."""
+        return self.a * self.a - self.a * self.b + self.b * self.b
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def as_rational(self) -> Fraction:
-        if not self.is_rational():
+        if self.b:
             raise ExactArithError(f"{self.a} + {self.b}*zeta3 is not rational")
         return self.a
 
@@ -330,11 +328,6 @@ def _int_nthroot(n: int, k: int) -> int:
     while (x + 1) ** k <= n:
         x += 1
     return x
-
-
-def _scaled_root(x: Fraction, n: int, bits: int) -> int:
-    """floor(x^(1/n) * 2^bits) for x >= 0."""
-    return _int_nthroot((x.numerator << (bits * n)) // x.denominator, n)
 
 
 def _join(p: int | None, q: int | None) -> int | None:
@@ -387,7 +380,7 @@ class RationalInterval(Value):
     outward to dyadic endpoints at the larger working precision of its
     operands, so endpoint sizes stay bounded while every result still
     encloses the exact one; an exact interval stays exact until it meets a
-    rounded one.  Precision enters through ``outward_round``, ``nth_root``
+    rounded one.  Precision enters through ``outward_round``, ``sqrt``
     and the enclosures of transcendental quantities (pi, Hurwitz zeta),
     each at the precision its caller asks for.  Equality and hashing
     compare the endpoints only, not ``prec``.
@@ -465,26 +458,14 @@ class RationalInterval(Value):
         # even power of an interval straddling zero
         return RationalInterval(Fraction(0), max(_pow_rounded(lo, k, p, True), _pow_rounded(hi, k, p, True)), p)
 
-    def nth_root(self, n: int, bits: int = 64) -> "RationalInterval":
-        """Enclosure of the n-th root (requires lo >= 0).
-
-        Endpoints come from scaled integer roots: the returned bounds
-        satisfy lo'^n <= lo and hi'^n >= hi, and are dyadic with
-        denominator 2^bits, so |hi'-lo'| is controlled by ``bits`` binary
-        digits.  The result carries working precision ``bits`` or the
-        operand's, whichever is larger.
-        """
-        if self.lo < 0:
-            raise ExactArithError("n-th root of an interval with negative lower end")
-        scale = 1 << bits
-        return RationalInterval(
-            Fraction(_scaled_root(self.lo, n, bits), scale),
-            Fraction(_scaled_root(self.hi, n, bits) + 1, scale),
-            _join(self.prec, bits),
-        )
-
     def sqrt(self, bits: int = 64) -> "RationalInterval":
-        return self.nth_root(2, bits)
+        """Enclosure of the square root (requires lo >= 0): dyadic ends
+        isqrt(x 4^bits) / 2^bits at x = lo and one unit more at x = hi, at
+        working precision ``bits`` or the operand's, whichever is larger."""
+        if self.lo < 0:
+            raise ExactArithError("square root of an interval with negative lower end")
+        lo, hi = (math.isqrt((x.numerator << 2 * bits) // x.denominator) for x in (self.lo, self.hi))
+        return RationalInterval(Fraction(lo, 1 << bits), Fraction(hi + 1, 1 << bits), _join(self.prec, bits))
 
     def outward_round(self, sig_bits: int = 128) -> "RationalInterval":
         """Widen to dyadic endpoints with about ``sig_bits`` significant

@@ -7,6 +7,7 @@ import pytest
 
 from hypeuler.certificate import (
     MIN_PRECISION_BITS,
+    CertificateError,
     read_certificate,
     render_report,
     run_certification,
@@ -324,6 +325,84 @@ class TestTopLevelKeys:
         assert serialize_certificate(cert) == serialize_certificate(rank_three_cert)
 
 
+def first_verdict(cert):
+    return cert["sections"][0]["verdicts"][0]
+
+
+def edit_upper_numerator(cert, k):
+    """Add k to the numerator text of the first dual-path enclosure's upper end."""
+    enclosure = first_verdict(cert)["dual_path"]["enclosure"]
+    num, den = enclosure[1].split("/")
+    enclosure[1] = f"{int(num) + k}/{den}"
+
+
+class TestVerdictShape:
+    """A field verdict's keys, integers and rationals are pinned to what
+    ``section_to_json`` writes, and recomputed evidence compares by type."""
+
+    @pytest.mark.parametrize(
+        ("mutate", "named"),
+        [
+            (
+                lambda c: first_verdict(c).update(note=1),
+                "section r=3: malformed verdict 2.2.5.1: keys missing [], unexpected ['note']",
+            ),
+            (
+                lambda c: first_verdict(c)["euler"].update(note=1),
+                "section r=3: malformed verdict 2.2.5.1: euler keys missing [], unexpected ['note']",
+            ),
+            (
+                lambda c: first_verdict(c)["dual_path"].pop("contains_exact"),
+                "section r=3: malformed verdict 2.2.5.1: dual_path keys missing ['contains_exact'], unexpected []",
+            ),
+            (lambda c: first_verdict(c).update(h=1.0), "section r=3: 2.2.5.1: h 1.0 is not an integer"),
+            (lambda c: first_verdict(c).update(disc=5.0), "section r=3: 2.2.5.1: disc 5.0 is not an integer"),
+            (lambda c: first_verdict(c)["euler"].update(index_divisor=4.0), "index_divisor 4.0 is not an integer"),
+            (lambda c: first_verdict(c)["zeta_values"].__setitem__(0, " 1/30 "), "zeta value ' 1/30 ' is not"),
+            (lambda c: first_verdict(c)["zeta_values"].__setitem__(0, "2/60"), "zeta value '2/60' is not"),
+            (lambda c: first_verdict(c)["dual_path"].update(relative_width="1e-60"), "relative_width '1e-60' is not"),
+            (lambda c: edit_upper_numerator(c, 1), "enclosure end"),
+            (
+                lambda c: c["sections"][0]["candidates"][0].update(disc=5.0),
+                "section r=3: candidates differs from the recomputed evidence",
+            ),
+            (lambda c: c["sections"][0].update(r=3.0), "section r=3: r differs from the recomputed evidence"),
+            (lambda c: c["dataset"]["completeness"].update({"2": 1000.0}), "dataset completeness"),
+        ],
+        ids=[
+            "verdict-key", "euler-key", "dual-path-key", "float-h", "float-disc", "float-index-divisor",
+            "padded-rational", "unreduced-rational", "float-text-rational", "unreduced-enclosure-end",
+            "float-candidate-disc", "float-rank", "float-completeness",
+        ],
+    )
+    def test_mutation_is_named_divergence(self, rank_three_cert, table, mutate, named):
+        bad = clone(rank_three_cert)
+        mutate(bad)
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and named in outcome.divergence
+
+    def test_widened_reduced_enclosure_is_unpinned(self, rank_three_cert, table):
+        # a reduced dyadic end has an odd numerator: +2 keeps it reduced and the enclosure valid
+        cert = clone(rank_three_cert)
+        edit_upper_numerator(cert, 2)
+        assert verify_certificate(cert, table).ok
+
+
+def oversized_precision_certificate(cert, path):
+    """``cert`` written with a 5,000-digit precision_bits, past the JSON
+    reader's integer-digit limit."""
+    text = serialize_certificate(cert)
+    assert '"precision_bits": 192' in text
+    path.write_text(text.replace('"precision_bits": 192', '"precision_bits": 1' + "0" * 4999), encoding="utf-8")
+    return path
+
+
+def test_oversized_integer_is_certificate_error(rank_three_cert, table, tmp_path):
+    path = oversized_precision_certificate(rank_three_cert, tmp_path / "c.json")
+    with pytest.raises(CertificateError, match="cannot read certificate"):
+        verify_certificate(path, table)
+
+
 class TestDualPathWidth:
     """``relative_width`` is capped by the recorded enclosure's own width;
     its lower side and the precision at ranks without a dual path are the
@@ -463,6 +542,12 @@ class TestCliProcess:
         Path("c.json").write_text(json.dumps(bad), encoding="utf-8")
         assert main(["--verify", "c.json"]) == 1
         assert "section r=4: malformed" in capsys.readouterr().err
+
+    def test_verify_oversized_integer_exits_one(self, rank_three_cert, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        oversized_precision_certificate(rank_three_cert, tmp_path / "c.json")
+        assert main(["--verify", "c.json"]) == 1
+        assert "cannot read certificate c.json" in capsys.readouterr().err
 
     def test_verify_missing_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -19,8 +19,8 @@ from hypeuler.characters_zeta import (
     zeta_k_special,
     zeta_row,
 )
-from hypeuler.characters_zeta import _character_groups, _l_factor_enclosure, _round_width_floor
-from hypeuler.exact_arith import RationalInterval, pi_enclosure, rational_power_half
+from hypeuler.characters_zeta import _l_factor_enclosure, _l_value_at_negative, _round_width_floor
+from hypeuler.exact_arith import RationalInterval, Zeta3Number, pi_enclosure, rational_power_half
 from hypeuler.field_tables import load_table
 
 
@@ -98,12 +98,13 @@ class TestCharactersForField:
 
     def test_cubic_49(self, table):
         chars = characters_for_field(rec_c(table, 49))
-        assert len(chars) == 3
+        assert len(chars) == 2  # the cubic character stands for its conjugate pair
         chi = chars[1]
         assert chi.modulus == 7 and chi.order == 3
         assert chi.exponent_of(3) == 1  # chi(3) = zeta_3
         assert chi.is_even()
-        assert chars[2] == chi.conjugate()
+        chibar = character_from_generator(7, 3, 2, 3)
+        assert chibar.exponents == tuple(None if e is None else -e % 3 for e in chi.exponents)
 
     def test_cubic_81(self, table):
         chars = characters_for_field(rec_c(table, 81))
@@ -118,11 +119,17 @@ class TestCharactersForField:
     def test_bad_generator_rejected(self):
         with pytest.raises(UnsupportedFieldError):
             character_from_generator(7, 2, 1, 3)  # 2 has order 3 mod 7, not a generator
+        with pytest.raises(UnsupportedFieldError):
+            character_from_generator(9, 3, 1, 3)  # 3 is not a unit mod 9
 
     def test_conjugate_pairing(self, table):
-        chars = characters_for_field(rec_c(table, 49))
-        pair_product = chars[1].value(3) * chars[2].value(3)
-        assert pair_product.as_rational() == 1
+        # chibar(a) is the Galois conjugate of chi(a), so chi(a) chibar(a) = N(chi(a)) = 1
+        chi = characters_for_field(rec_c(table, 49))[1]
+        chibar = character_from_generator(7, 3, 2, 3)
+        for a in range(1, 7):
+            x = chi.value(a)
+            assert chibar.value(a) == Zeta3Number(x.a - x.b, -x.b)
+            assert x.norm() == 1
 
 
 class TestGeneralizedBernoulli:
@@ -147,6 +154,20 @@ class TestGeneralizedBernoulli:
         for n in (2, 4, 6, 8):
             assert generalized_bernoulli(n, trivial_character()).as_rational() == bernoulli_number(n)
 
+    @pytest.mark.parametrize("D", [49, 81, 169, 361, 961])
+    def test_conjugate_character_gives_conjugate_value(self, table, D):
+        # B_{n,chibar} is the Galois conjugate (a - b) - b zeta3 of
+        # B_{n,chi} = a + b zeta3: the fact that lets zeta_k_special take a
+        # cubic pair as the norm of one L-value
+        rec = rec_c(table, D)
+        chi = characters_for_field(rec)[1]
+        g, e, order = rec.char_gen
+        assert (e, order) == (1, 3)
+        chibar = character_from_generator(rec.conductor, g, 2, 3)
+        for n in range(2, 13, 2):
+            b = generalized_bernoulli(n, chi)
+            assert generalized_bernoulli(n, chibar) == Zeta3Number(b.a - b.b, -b.b), (D, n)
+
 
 class TestSpecialValues:
     def test_golden_table(self, table):
@@ -168,12 +189,9 @@ class TestSpecialValues:
                 assert (v > 0) == ((-1) ** (j * d) > 0), f"sign law fails d={d} D={D} j={j}"
 
     def test_conjugate_collapse_value(self, table):
-        # L(-1, chi) L(-1, chibar) for conductor 7 equals (-1/21)/(-1/12) = 4/7
-        from hypeuler.characters_zeta import _l_value_at_negative
-
-        chars = characters_for_field(rec_c(table, 49))
-        prod = _l_value_at_negative(2, chars[1]) * _l_value_at_negative(2, chars[2])
-        assert prod.is_rational() and prod.as_rational() == F(4, 7)
+        # L(-1, chi) L(-1, chibar) = N(L(-1, chi)) for conductor 7 equals (-1/21)/(-1/12) = 4/7
+        chi = characters_for_field(rec_c(table, 49))[1]
+        assert _l_value_at_negative(2, chi).norm() == F(4, 7)
 
     def test_invalid_j(self, table):
         with pytest.raises(CharacterError):
@@ -262,8 +280,8 @@ def full_ladder(rec, s, precision_bits, max_terms=4096):
     rounds = []
     while True:
         acc = RationalInterval.exact(1)
-        for group in _character_groups(rec):
-            acc = acc * _l_factor_enclosure(group, s, terms, corrections, precision_bits + 16)
+        for chi in characters_for_field(rec):
+            acc = acc * _l_factor_enclosure(chi, s, terms, corrections, precision_bits + 16)
         rounds.append((terms, corrections, acc.width))
         if acc.width <= target or terms >= max_terms:
             return acc, rounds

@@ -9,6 +9,7 @@ from hypeuler.field_tables import (
     CompletenessError,
     TableFormatError,
     TableInvariantError,
+    bundled_table_path,
     checksum_of_text,
     is_fundamental_discriminant,
     load_table,
@@ -183,6 +184,13 @@ class TestClassNumberOracle:
     def test_non_fundamental_discriminant_raises(self, D):
         with pytest.raises(TableInvariantError, match="not a fundamental discriminant"):
             quadratic_class_number(D)
+
+    def test_builder_regenerates_bundled_records(self):
+        # the builder's record lines, without main(), which writes the files
+        text = bundled_table_path().read_text(encoding="utf-8")
+        bundled = [ln for ln in text.splitlines()[1:] if not ln.startswith("#")]
+        built = _builder.quadratic_records() + _builder.cubic_records() + _builder.quartic_records()
+        assert len(built) == 330 and built == bundled
 
     def test_oracle_agrees_with_bundle(self, table):
         quadratic = [rec for rec in table.records if rec.degree == 2]

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypeuler.characters_zeta import UnsupportedFieldError, characters_for_field, generalized_bernoulli
+from hypeuler.characters_zeta import (
+    UnsupportedFieldError,
+    character_from_generator,
+    characters_for_field,
+    generalized_bernoulli,
+)
 from hypeuler.exact_arith import (
     RatPolynomial,
     Zeta3Number,
@@ -122,7 +127,7 @@ def per_residue_bernoulli(n, chi):
 
 def test_generalized_bernoulli_matches_definition():
     """Every character of every bundled field of conductor at most 120,
-    for n = 1..8."""
+    the conjugate of each cubic one included, for n = 1..8."""
     checked = 0
     for rec in load_table().records:
         try:
@@ -131,6 +136,8 @@ def test_generalized_bernoulli_matches_definition():
             continue
         if max(chi.modulus for chi in chars) > 120:
             continue
+        if rec.degree == 3:
+            chars.append(character_from_generator(rec.conductor, rec.char_gen[0], 2, 3))
         for chi in chars:
             for n in range(1, 9):
                 assert generalized_bernoulli(n, chi) == per_residue_bernoulli(n, chi), (rec.label, chi, n)

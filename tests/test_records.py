@@ -22,7 +22,7 @@ QSQRT5 = dict(label="2.2.5.1", degree=2, disc=5, h=1, totally_real=True, abelian
         lambda: NumberFieldRecord(**QSQRT5),  # zeta_k_special
         lambda: ParahoricType("split", Kind.CHAIN_D, 2),  # _quotient
         lambda: kronecker_character(5),  # _l_factor_enclosure
-        lambda: character_from_generator(7, 3, 1, 3).conjugate(),
+        lambda: character_from_generator(7, 3, 2, 3),
     ],
 )
 def test_equal_cache_keys_hash_equal(make):
@@ -34,8 +34,9 @@ def test_equal_cache_keys_hash_equal(make):
 
 def test_unequal_characters():
     assert kronecker_character(5) != kronecker_character(8)
-    chi = character_from_generator(7, 3, 1, 3)
-    assert chi != chi.conjugate() and chi == chi.conjugate().conjugate()
+    chi, chibar = character_from_generator(7, 3, 1, 3), character_from_generator(7, 3, 2, 3)
+    # 5 = 3^-1 mod 7, so chi(5) = zeta3^2: the same character from either generator
+    assert chi != chibar and chi == character_from_generator(7, 5, 2, 3)
 
 
 def test_interval_equality_ignores_precision():

@@ -18,6 +18,7 @@ Run from the repository root:  python3 tools/build_field_table.py
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -67,7 +68,7 @@ def quadratic_records() -> list[str]:
 def cubic_records() -> list[str]:
     lines = []
     for D in CUBIC_DISCS:
-        root = round(D**0.5)
+        root = math.isqrt(D)
         if root * root == D and root in CYCLIC_CUBIC_GENERATORS:
             g = CYCLIC_CUBIC_GENERATORS[root]
             lines.append(f"3.3.{D}.1|3|{D}|1|1|1|{root}|{g}:1:3")
