@@ -31,9 +31,7 @@ from .characters_zeta import (
 )
 from .local_factors import (
     ParahoricType,
-    LocalFactor,
     enumerate_maximal_types,
-    local_factor_value,
     local_factor_polynomial,
     minimum_proof,
 )

@@ -34,8 +34,10 @@ from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_sectio
 
 CERTIFICATE_FORMAT = "hypeuler-certificate v1"
 
-# The least working precision a certificate may be made or verified at; it
-# keeps the dual-path width bound at or below 2^-56.
+# The working precision of the dual path when none is given, and the least
+# one a certificate may be made or verified at (which keeps the dual-path
+# width bound at or below 2^-56).
+DEFAULT_PRECISION_BITS = 192
 MIN_PRECISION_BITS = 64
 
 
@@ -227,7 +229,7 @@ def read_certificate(path: str | Path) -> dict:
 def run_certification(
     requested_r: list[int],
     table: FieldTable,
-    precision_bits: int = 192,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> tuple[dict, int]:
     """Certify every requested rank; returns (certificate, exit code).
 
@@ -331,8 +333,9 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     ``_dual_path_width_bound`` derives it from the 128-bit serialization),
     and the recorded ``relative_width`` must be a positive rational no
     larger than the recorded enclosure's relative width rounded up to 32
-    significant bits.  A missing key or malformed value is reported as a
-    divergence, never raised.
+    significant bits.  A missing key or malformed value, and a rank whose
+    evidence the certifier cannot recompute, are reported as divergences,
+    never raised.
 
     Unpinned slack, changing no verdict: the lower side of
     ``relative_width`` (2^-400 verifies), ``parameters.precision_bits``
@@ -386,7 +389,10 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     check(set(overall) == set(dims), f"overall verdicts cover dimensions {list(overall)}, requested {dims}")
     for sec, r in zip(sections, ranks):
         tag = f"section r={r}"
-        expected = section_to_json(certify_section(r, table, dual_path=False))
+        try:  # any error of the certifier itself, such as the digit limit at rank 28
+            expected = section_to_json(certify_section(r, table, None))
+        except Exception as exc:
+            raise _Divergence(f"{tag}: cannot recompute the evidence ({type(exc).__name__}: {exc})") from None
         try:
             _verify_section(sec, expected, table, check, tag, width_bound)
             check(overall[str(2 * r)] == sec["verdict"], f"{tag}: overall map disagrees with section verdict")
@@ -494,10 +500,10 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
             smaller is None,
             f"{tag}: {label}: witness {witness} is not the smallest prime factor of {odd}: {smaller} divides it",
         )
-    chi = chi_principal_from_values(r, v["degree"], [abs(z) for z in zetas], [])
+    chi = chi_principal_from_values(r, v["degree"], [abs(z) for z in zetas])
     check(chi == rational(euler["chi_lambda"], "chi_lambda"), f"{tag}: {label}: chi(Lambda) mismatch")
     divisor = euler["index_divisor"]
-    check(divisor == index_divisor(v["h"], v["degree"], 0), f"{tag}: {label}: index divisor mismatch")
+    check(divisor == index_divisor(v["h"], v["degree"]), f"{tag}: {label}: index divisor mismatch")
     check(
         chi / divisor == rational(euler["chi_gamma_lower"], "chi_gamma_lower"),
         f"{tag}: {label}: chi(Gamma) lower bound mismatch",

@@ -276,9 +276,7 @@ def _euler_maclaurin_coefficient(s: int, i: int) -> Fraction:
     return bernoulli_number(2 * i) / math.factorial(2 * i) * _pochhammer(s, 2 * i - 1)
 
 
-def hurwitz_zeta_enclosure(
-    s: int, q: Fraction, terms: int, corrections: int, precision_bits: int = 192
-) -> RationalInterval:
+def hurwitz_zeta_enclosure(s: int, q: Fraction, terms: int, corrections: int, precision_bits: int) -> RationalInterval:
     """Enclosure of zeta_H(s, q) = sum_{k>=0} (k+q)^{-s} for integer s >= 2
     and rational q in (0, 1].
 
@@ -388,12 +386,10 @@ def _round_width_floor(s: int, terms: int, corrections: int, degree: int) -> Fra
     return abs(c) / ((terms + 1) ** (s + 2 * corrections + 1) * 2 ** (degree - 1))
 
 
-def zeta_k_numeric(
-    rec: NumberFieldRecord,
-    s: int,
-    precision_bits: int = 192,
-    max_terms: int = 4096,
-) -> RationalInterval:
+MAX_TERMS = 4096  # series terms of the last round of ``zeta_k_numeric``'s ladder
+
+
+def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> RationalInterval:
     """Rigorous enclosure of zeta_k(s) for even s >= 2, with target width
     2^-precision_bits (relative to magnitude ~1).
 
@@ -414,7 +410,7 @@ def zeta_k_numeric(
     character's factor is above 1/2 and a cubic one's |L(s, chi)|^2
     above 1/4.  The factors other than zeta(s) thus multiply to more than
     2^-(degree-1), and the round's width is at least B.  The round at
-    ``max_terms`` is never skipped, so a PrecisionError still carries that
+    ``MAX_TERMS`` is never skipped, so a PrecisionError still carries that
     round's enclosure as ``best``.
 
     Each L-factor enclosure is memoized per (character, s, round,
@@ -422,7 +418,7 @@ def zeta_k_numeric(
     ranks.
 
     Raises PrecisionError carrying the best enclosure if the target width
-    is not reached within ``max_terms`` series terms.
+    is not reached within ``MAX_TERMS`` series terms (about 800 bits).
     """
     if s < 2 or s % 2 != 0:
         raise CharacterError("numeric evaluation is defined for even s >= 2")
@@ -430,13 +426,13 @@ def zeta_k_numeric(
     target = Fraction(1, 2**precision_bits)
     terms, corrections = 32, 14
     while True:
-        if terms >= max_terms or _round_width_floor(s, terms, corrections, rec.degree) <= target:
+        if terms >= MAX_TERMS or _round_width_floor(s, terms, corrections, rec.degree) <= target:
             acc = RationalInterval.exact(1)
             for chi in chars:
                 acc = acc * _l_factor_enclosure(chi, s, terms, corrections, precision_bits + 16)
             if acc.width <= target:
                 return acc
-            if terms >= max_terms:
+            if terms >= MAX_TERMS:
                 raise PrecisionError(
                     f"width {float(acc.width):.3e} above target 2^-{precision_bits} "
                     f"after {terms} terms",

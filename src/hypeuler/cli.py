@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .certificate import (
+    DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
     read_certificate,
     render_report,
@@ -26,7 +27,9 @@ from .field_tables import TableError, load_table
 # The flags that only certification reads parse to None when absent, so one
 # rule rejects them all in verifier mode; certification then fills in these
 # defaults (--n and --r have none).
-_CERTIFY_DEFAULTS = dict(max_r=12, precision=192, out="hypeuler_certificate.json", report="hypeuler_report.txt")
+_CERTIFY_DEFAULTS = dict(
+    max_r=12, precision=DEFAULT_PRECISION_BITS, out="hypeuler_certificate.json", report="hypeuler_report.txt"
+)
 _CERTIFY_ONLY = ("n", "r", *_CERTIFY_DEFAULTS)
 
 
@@ -54,14 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fields", default=None, metavar="PATH",
                    help="field table file (default: bundled dataset)")
     p.add_argument("--out", default=None, metavar="PATH",
-                   help="certificate output path")
+                   help=f"certificate output path (default {_CERTIFY_DEFAULTS['out']})")
     p.add_argument("--report", default=None, metavar="PATH",
-                   help="report output path")
+                   help=f"report output path (default {_CERTIFY_DEFAULTS['report']})")
     p.add_argument("--precision", type=int, default=None, metavar="BITS",
                    help=f"target bits for the transcendental cross-check enclosures "
-                   f"(at least {MIN_PRECISION_BITS})")
+                   f"(default {DEFAULT_PRECISION_BITS}, at least {MIN_PRECISION_BITS})")
     p.add_argument("--max-r", type=int, default=None, metavar="R",
-                   help="largest rank in the default sweep (used when neither --n nor --r is given)")
+                   help=f"largest rank in the default sweep (default {_CERTIFY_DEFAULTS['max_r']}; "
+                   "only without --n or --r)")
     p.add_argument("--verify", default=None, metavar="PATH",
                    help="verify a previously emitted certificate instead of certifying")
     return p
@@ -110,8 +114,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"certificate verification FAILED: {outcome.divergence}", file=sys.stderr)
         return 1
 
-    vars(args).update({k: v for k, v in _CERTIFY_DEFAULTS.items() if getattr(args, k) is None})
     try:
+        if args.max_r is not None and (args.n or args.r):
+            parser.error("--max-r cannot be combined with --n or --r")
+        vars(args).update({k: v for k, v in _CERTIFY_DEFAULTS.items() if getattr(args, k) is None})
         ranks = _requested_ranks(args, parser)
         if args.precision < MIN_PRECISION_BITS:
             parser.error(f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}")

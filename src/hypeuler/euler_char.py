@@ -1,18 +1,21 @@
 """Euler characteristics of principal arithmetic subgroups and the
 reciprocal-integer obstruction.
 
-Two independent evaluation paths are provided and must agree:
+Lambda is the principal arithmetic subgroup with no bad places (every
+parahoric hyperspecial).  Two independent evaluation paths are provided
+and must agree:
 
-* the exact closed form |chi(Lambda)| = 2^(1-r d) * prod(local factors)
-  * prod_j |zeta_k(1-2j)|, obtained from the covolume formula by the
-  functional equation (the discriminant power cancels exactly), and
+* the exact closed form |chi(Lambda)| = 2^(1-r d) * prod_j |zeta_k(1-2j)|,
+  obtained from the covolume formula by the functional equation (the
+  discriminant power cancels exactly), and
 * a rigorous transcendental enclosure of the covolume formula itself,
-  2 |D|^(r^2 + r/2) C(r)^d prod_j zeta_k(2j) prod(local factors).
+  2 |D|^(r^2 + r/2) C(r)^d prod_j zeta_k(2j).
 
 The obstruction: with class number one the Euler characteristic of a
-maximal arithmetic subgroup is, up to a power of 2, an integer multiple
-of the zeta product, so an odd prime in the numerator of that product
-rules out a reciprocal-integer value.
+maximal arithmetic subgroup is, up to a power of 2, chi(Lambda) times an
+integer (one local factor per bad place, each an integer above 4 by
+``local_factors.minimum_proof``), so an odd prime in the numerator of
+the zeta product rules out a reciprocal-integer value.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .exact_arith import (
 )
 from .characters_zeta import zeta_k_numeric, zeta_row
 from .field_tables import NumberFieldRecord
-from .local_factors import LocalFactor
 
 
 class EulerCharError(Exception):
@@ -45,19 +47,19 @@ class ClassNumberPreconditionError(EulerCharError):
 
 
 class ArithmeticDatum(Value):
-    """A field, a rank, and the local factors over the bad places."""
+    """A field and a rank."""
 
-    __slots__ = ("field", "r", "local_factors")
+    __slots__ = ("field", "r")
     _compared = __slots__
 
-    def __init__(self, field: NumberFieldRecord, r: int, local_factors: tuple[LocalFactor, ...] = ()) -> None:
+    def __init__(self, field: NumberFieldRecord, r: int) -> None:
         if r < 2:
             raise EulerCharError("rank must be at least 2")
         if not field.totally_real:
             raise EulerCharError(f"{field.label}: field must be totally real")
         if field.degree < 2:
             raise EulerCharError("the rationals cannot define a cocompact lattice here")
-        self.field, self.r, self.local_factors = field, r, local_factors
+        self.field, self.r = field, r
 
     @property
     def degree(self) -> int:
@@ -76,7 +78,7 @@ class CrConstant(NamedTuple):
 
 
 @cache
-def C_of_r(r: int, precision_bits: int = 160) -> CrConstant:
+def C_of_r(r: int, precision_bits: int) -> CrConstant:
     """C(r) = prod_{j=1}^{r} (2j-1)! / (2 pi)^(2j), enclosed rigorously.
 
     Memoized: every bounds pass and exclusion check of a rank uses it.
@@ -92,19 +94,15 @@ def C_of_r(r: int, precision_bits: int = 160) -> CrConstant:
     return CrConstant(r=r, factorial_product=fact, two_pi_exponent=power, interval=interval)
 
 
-def chi_principal_from_values(
-    r: int, degree: int, zeta_magnitudes: list[Fraction], local_values: list[int]
-) -> Fraction:
-    """|chi(Lambda)| from the zeta magnitudes and local factors alone.
+def chi_principal_from_values(r: int, degree: int, zeta_magnitudes: list[Fraction]) -> Fraction:
+    """|chi(Lambda)| from the zeta magnitudes alone.
 
     Structurally independent of the discriminant: the closed form is
-    2^(1 - r*degree) * prod(local) * prod(zeta magnitudes).
+    2^(1 - r*degree) * prod(zeta magnitudes).
     """
     if len(zeta_magnitudes) != r:
         raise EulerCharError(f"need exactly r={r} zeta magnitudes, got {len(zeta_magnitudes)}")
     out = Fraction(2) ** (1 - r * degree)
-    for v in local_values:
-        out *= v
     for z in zeta_magnitudes:
         if z <= 0:
             raise EulerCharError("zeta magnitudes must be positive")
@@ -115,29 +113,28 @@ def chi_principal_from_values(
 def chi_principal_exact(datum: ArithmeticDatum) -> Fraction:
     """|chi(Lambda)| as an exact rational."""
     zetas = [abs(z) for z in zeta_row(datum.field, datum.r)]
-    return chi_principal_from_values(
-        datum.r, datum.degree, zetas, [lf.value for lf in datum.local_factors]
-    )
+    return chi_principal_from_values(datum.r, datum.degree, zetas)
 
 
-def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int = 192) -> RationalInterval:
+def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> RationalInterval:
     """Rigorous enclosure of |chi(Lambda)| along the transcendental path."""
     r, d, D = datum.r, datum.degree, datum.field.disc
     acc = rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16).scale(2)
     acc = acc * C_of_r(r, precision_bits).interval.pow_int(d)
     for j in range(1, r + 1):
         acc = acc * zeta_k_numeric(datum.field, 2 * j, precision_bits)
-    for lf in datum.local_factors:
-        acc = acc.scale(lf.value)
     return acc
 
 
-def index_divisor(h: int, degree: int, bad_place_count: int) -> int:
-    """Upper bound h * 2^degree * 4^(bad places) for the index of a
-    principal subgroup in its normalizer."""
-    if h < 1 or degree < 1 or bad_place_count < 0:
+def index_divisor(h: int, degree: int) -> int:
+    """Upper bound h * 2^degree for the index of Lambda in its normalizer.
+
+    With b bad places the bound is h * 2^degree * 4^b, a power of 2 when
+    h = 1, so it moves no odd prime of a witness.
+    """
+    if h < 1 or degree < 1:
         raise EulerCharError("invalid index-divisor arguments")
-    return h * 2**degree * 4**bad_place_count
+    return h * 2**degree
 
 
 class EulerChar(NamedTuple):
@@ -149,7 +146,7 @@ class EulerChar(NamedTuple):
 
 def build_euler_char(datum: ArithmeticDatum) -> EulerChar:
     chi = chi_principal_exact(datum)
-    divisor = index_divisor(datum.field.h, datum.degree, len(datum.local_factors))
+    divisor = index_divisor(datum.field.h, datum.degree)
     lower = chi / divisor
     return EulerChar(
         chi_lambda=chi,
@@ -160,8 +157,6 @@ def build_euler_char(datum: ArithmeticDatum) -> EulerChar:
 
 
 class ObstructionVerdict(NamedTuple):
-    field_label: str
-    r: int
     zeta_values: tuple[Fraction, ...]  # signed
     product: Fraction  # product of magnitudes, reduced
     odd_numerator: int
@@ -198,8 +193,6 @@ def reciprocal_integer_obstruction(datum: ArithmeticDatum) -> ObstructionVerdict
         product *= abs(z)
     odd = odd_part_of_numerator(product)
     return ObstructionVerdict(
-        field_label=datum.field.label,
-        r=datum.r,
         zeta_values=signed,
         product=product,
         odd_numerator=odd,

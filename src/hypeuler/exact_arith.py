@@ -458,7 +458,7 @@ class RationalInterval(Value):
         # even power of an interval straddling zero
         return RationalInterval(Fraction(0), max(_pow_rounded(lo, k, p, True), _pow_rounded(hi, k, p, True)), p)
 
-    def sqrt(self, bits: int = 64) -> "RationalInterval":
+    def sqrt(self, bits: int) -> "RationalInterval":
         """Enclosure of the square root (requires lo >= 0): dyadic ends
         isqrt(x 4^bits) / 2^bits at x = lo and one unit more at x = hi, at
         working precision ``bits`` or the operand's, whichever is larger."""
@@ -467,7 +467,7 @@ class RationalInterval(Value):
         lo, hi = (math.isqrt((x.numerator << 2 * bits) // x.denominator) for x in (self.lo, self.hi))
         return RationalInterval(Fraction(lo, 1 << bits), Fraction(hi + 1, 1 << bits), _join(self.prec, bits))
 
-    def outward_round(self, sig_bits: int = 128) -> "RationalInterval":
+    def outward_round(self, sig_bits: int) -> "RationalInterval":
         """Widen to dyadic endpoints with about ``sig_bits`` significant
         bits; the result still encloses the original interval and carries
         ``sig_bits`` as its working precision."""
@@ -482,7 +482,7 @@ def _dyadic_shift(x: Fraction, sig_bits: int) -> int:
     return sig_bits - exponent
 
 
-def dyadic_round_down(x: Fraction, sig_bits: int = 128) -> Fraction:
+def dyadic_round_down(x: Fraction, sig_bits: int) -> Fraction:
     """Largest dyadic rational with ~sig_bits significant bits that is <= x."""
     x = as_rational(x)
     n, d = x.numerator, x.denominator
@@ -492,7 +492,7 @@ def dyadic_round_down(x: Fraction, sig_bits: int = 128) -> Fraction:
     return Fraction((n // (d << -shift)) << -shift)
 
 
-def dyadic_round_up(x: Fraction, sig_bits: int = 128) -> Fraction:
+def dyadic_round_up(x: Fraction, sig_bits: int) -> Fraction:
     """Smallest dyadic rational with ~sig_bits significant bits that is >= x."""
     x = as_rational(x)
     n, d = x.numerator, x.denominator
@@ -502,7 +502,7 @@ def dyadic_round_up(x: Fraction, sig_bits: int = 128) -> Fraction:
     return Fraction(-((-n) // (d << -shift)) << -shift)
 
 
-def rational_power_half(x: int | Fraction, twice_exponent: int, bits: int = 96) -> RationalInterval:
+def rational_power_half(x: int | Fraction, twice_exponent: int, bits: int) -> RationalInterval:
     """Enclosure of x^(twice_exponent/2) for x > 0.
 
     Integer exponents stay exact; genuine half-integer powers go through a
@@ -545,7 +545,7 @@ def _pi_enclosure_bits(bits: int) -> RationalInterval:
     return (a5.scale(16) - a239.scale(4)).outward_round(bits + 32)
 
 
-def pi_enclosure(bits: int = 160) -> RationalInterval:
+def pi_enclosure(bits: int) -> RationalInterval:
     """Rigorous enclosure of pi of width below 2^-(bits-4), bits rounded
     up to a multiple of 32.  The enclosure is cached per precision tier
     and carries working precision bits + 32, so every interval computed

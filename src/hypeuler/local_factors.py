@@ -2,11 +2,15 @@
 parahoric subgroups, for groups of type B_r (r >= 3).
 
 Each maximal type carries a closed-form factor, a rational function of
-the residue-field size q.  This module enumerates the types, evaluates
-the factors exactly, proves that each one is an integer-coefficient
-polynomial in q that is nondecreasing for q >= 2 with value above 4, and
-cross-checks every closed form against an independent reconstruction
-from the order formulas of the finite reductive groups involved.
+the residue-field size q.  This module enumerates the types, proves that
+each factor is an integer-coefficient polynomial in q that is
+nondecreasing for q >= 2 with value above 4, and cross-checks every
+closed form against an independent reconstruction from the order
+formulas of the finite reductive groups involved.  The proof holds at
+every q, so no factor is evaluated at a particular place: together with
+the power-of-2 index bound (``euler_char.index_divisor``) it carries each
+witness, found on the lattice with no bad places, to every maximal
+lattice.
 """
 
 from __future__ import annotations
@@ -85,13 +89,6 @@ class ParahoricType(_ParahoricFields):  # checks in __new__, which a NamedTuple 
     def slug(self) -> str:
         base = f"{self.splitness}.{self.kind.value}"
         return base if self.i is None else f"{base}.i{self.i}"
-
-    @classmethod
-    def from_slug(cls, slug: str) -> "ParahoricType":
-        parts = slug.split(".")
-        splitness, kind_slug = parts[0], parts[1]
-        i = int(parts[2][1:]) if len(parts) > 2 else None
-        return cls(splitness, Kind(kind_slug), i)
 
     def describe(self, r: int) -> str:
         if self.kind is Kind.CHAIN_D:
@@ -199,12 +196,6 @@ def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
         return integer_exact_divide(num, den)
     except IntegralityError as exc:
         raise IntegralityError(f"{t.slug()} at rank {r}: {exc}") from exc
-
-
-def local_factor_value(t: ParahoricType, r: int, q: int) -> Fraction:
-    """Exact value of the factor for type t at residue size q."""
-    _check_q(q)
-    return Fraction(horner(_quotient(t, r), q))
 
 
 def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
@@ -366,25 +357,6 @@ def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dic
             raise CalibrationError(f"{t.slug()} at rank {r}: calibration {c} is not a power of 2")
         constants[t.slug()] = c
     return constants
-
-
-class LocalFactor(NamedTuple):
-    """A maximal type instantiated at a residue size, with its verified
-    integer value."""
-
-    type: ParahoricType
-    r: int
-    q: int
-    value: int
-
-    @classmethod
-    def at(cls, t: ParahoricType, r: int, q: int) -> "LocalFactor":
-        v = local_factor_value(t, r, q)
-        if v.denominator != 1:
-            raise IntegralityError(f"{t.slug()} at q={q}: value {v} is not an integer")
-        if v <= 4:
-            raise LocalFactorError(f"{t.slug()} at q={q}: value {v} does not exceed 4")
-        return cls(type=t, r=r, q=q, value=int(v))
 
 
 def table_fingerprint(ranks: tuple[int, ...] = (3, 4, 5)) -> str:

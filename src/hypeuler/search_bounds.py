@@ -271,14 +271,19 @@ class FieldVerdict(NamedTuple):
         return "obstructed" if self.obstruction.obstructed else "unobstructed"
 
 
-def field_verdict(
-    rec: NumberFieldRecord, r: int, precision_bits: int = 192, dual_path: bool = True
-) -> FieldVerdict:
+def field_verdict(rec: NumberFieldRecord, r: int, precision_bits: int | None) -> FieldVerdict:
+    """The obstruction verdict and Euler data of one field at rank r.
+
+    With ``precision_bits`` set, also enclose |chi(Lambda)| along the
+    transcendental path at that precision (the dual path) and raise
+    SearchError unless the enclosure contains the exact value; with None
+    the dual path is skipped and ``dual_path`` is None.
+    """
     datum = ArithmeticDatum(field=rec, r=r)
     obstruction = reciprocal_integer_obstruction(datum)
     euler = build_euler_char(datum)
     dp = None
-    if dual_path:
+    if precision_bits is not None:
         enclosure = chi_principal_numeric(datum, precision_bits)
         exact = euler.chi_lambda
         dp = DualPathCheck(
@@ -311,9 +316,7 @@ class CertificateSection(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def certify_section(
-    r: int, table: FieldTable, precision_bits: int = 192, dual_path: bool = True
-) -> CertificateSection:
+def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> CertificateSection:
     """Run the whole argument for one rank and package the result.
 
     Every rank >= 3 takes one path: bound the discriminant at degrees 2..4
@@ -321,6 +324,7 @@ def certify_section(
     field an obstruction verdict, attach the local-factor integrality
     proof when any field survives, and certify when every survivor is
     obstructed.  ``regime(r)`` only decides which evidence is recorded.
+    ``precision_bits`` is that of each field's dual path, None to skip it.
     Rank 2 is never certified (see ``_scan_rank_two``).
     """
     if r < 2:
@@ -336,7 +340,7 @@ def certify_section(
         # smallest discriminants, not the enumeration (see ``regime``).
         high = high._replace(low_degree=_low_degree_rows((a.pass_one for a in enumeration.audits), table))
         enumeration = None
-    verdicts = tuple(field_verdict(rec, r, precision_bits, dual_path) for rec in candidates)
+    verdicts = tuple(field_verdict(rec, r, precision_bits) for rec in candidates)
     certified = all(v.obstruction.obstructed for v in verdicts)
     return CertificateSection(
         r=r,
@@ -369,7 +373,7 @@ def _scan_rank_two(table: FieldTable) -> CertificateSection:
     verdicts: list[FieldVerdict] = []
     notes = ("no local-factor integrality proof exists below rank 3",)
     for rec in h_one_fields():
-        v = field_verdict(rec, 2, dual_path=False)
+        v = field_verdict(rec, 2, None)
         verdicts.append(v)
         if not v.obstruction.obstructed:
             notes = (

@@ -1,22 +1,28 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hypeuler.certificate import (
+    DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
     CertificateError,
+    _dataset_json,
+    axioms,
     read_certificate,
     render_report,
     run_certification,
     serialize_certificate,
     verify_certificate,
 )
-from hypeuler.cli import main
+from hypeuler.cli import build_parser, main
 from hypeuler.exact_arith import format_rational, parse_rational
-from hypeuler.field_tables import bundled_table_path, load_table
+from hypeuler.field_tables import bundled_table_path, load_table, parse_table_text
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +409,40 @@ def test_oversized_integer_is_certificate_error(rank_three_cert, table, tmp_path
         verify_certificate(path, table)
 
 
+def rank_28_certificate(cert):
+    """``cert`` (one rank-3 section) relabelled as rank 28, whose evidence
+    the certifier cannot serialize: value_at_degree_five passes the
+    int-to-str digit limit."""
+    bad = clone(cert)
+    bad["parameters"]["requested_r"] = [28]
+    bad["sections"][0].update(r=28, n=56)
+    bad["overall"] = {"56": bad["sections"][0]["verdict"]}
+    return bad
+
+
+class TestUnrecomputableRank:
+    def test_digit_limit_is_named_divergence(self, rank_three_cert, table):
+        outcome = verify_certificate(rank_28_certificate(rank_three_cert), table)
+        assert not outcome.ok
+        assert outcome.divergence.startswith("section r=28: cannot recompute the evidence (ValueError: ")
+
+    def test_certifier_guard_is_named_divergence(self, rank_three_cert):
+        # a --fields table whose only rank-3 survivor has h = 2: the
+        # certifier's pass-one guard raises while the verifier recomputes
+        doctored = parse_table_text(
+            "hypeuler-fields v1\n# completeness: 2 1000\n# completeness: 3 1000\n"
+            "# completeness: 4 1000\n2.2.5.1|2|5|2|1|1|5|-\n"
+        )
+        cert = clone(rank_three_cert)
+        cert["dataset"], cert["axioms"] = _dataset_json(doctored), axioms(doctored.checksum)
+        outcome = verify_certificate(cert, doctored)
+        assert not outcome.ok
+        assert outcome.divergence == (
+            "section r=3: cannot recompute the evidence (PassOneClassNumberError: "
+            "r=3, degree 2: pass-one survivors with h > 1: 2.2.5.1 (h=2))"
+        )
+
+
 class TestDualPathWidth:
     """``relative_width`` is capped by the recorded enclosure's own width;
     its lower side and the precision at ranks without a dual path are the
@@ -548,6 +588,32 @@ class TestCliProcess:
         oversized_precision_certificate(rank_three_cert, tmp_path / "c.json")
         assert main(["--verify", "c.json"]) == 1
         assert "cannot read certificate c.json" in capsys.readouterr().err
+
+    def test_verify_unrecomputable_rank_exits_one(self, rank_three_cert, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(serialize_certificate(rank_28_certificate(rank_three_cert)), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "hypeuler", "--verify", str(path)], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert "FAILED: section r=28: cannot recompute the evidence (ValueError: " in run.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--n", "6"), ("--r", "3")])
+    def test_max_r_with_explicit_ranks_usage_error(self, flag, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([flag, value, "--max-r", "20"]) == 1
+        assert "error: --max-r cannot be combined with --n or --r" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_shows_defaults(self):
+        text = " ".join(build_parser().format_help().split())
+        assert f"(default {DEFAULT_PRECISION_BITS}, at least {MIN_PRECISION_BITS})" in text
+        assert "(default 12; only without --n or --r)" in text
+        assert "certificate output path (default hypeuler_certificate.json)" in text
+        assert "report output path (default hypeuler_report.txt)" in text
 
     def test_verify_missing_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 from hypeuler.characters_zeta import (
+    MAX_TERMS,
     CharacterError,
     NonFundamentalDiscriminantError,
     PrecisionError,
@@ -204,7 +205,7 @@ class TestHurwitzEnclosure:
         [(2, F(1), 16, 6), (2, F(1, 5), 24, 8), (4, F(3, 7), 16, 6), (10, F(2, 9), 12, 8)],
     )
     def test_against_mpmath(self, s, q, terms, corr):
-        enc = hurwitz_zeta_enclosure(s, q, terms, corr)
+        enc = hurwitz_zeta_enclosure(s, q, terms, corr, 192)
         mp.dps = 50
         true = mp.zeta(s, mp.mpf(q.numerator) / q.denominator)
         lo = mp.mpf(enc.lo.numerator) / enc.lo.denominator
@@ -213,8 +214,8 @@ class TestHurwitzEnclosure:
         assert enc.width < F(1, 10**12)
 
     def test_nested_refinement(self):
-        coarse = hurwitz_zeta_enclosure(2, F(1, 3), 8, 4)
-        fine = hurwitz_zeta_enclosure(2, F(1, 3), 64, 12)
+        coarse = hurwitz_zeta_enclosure(2, F(1, 3), 8, 4, 192)
+        fine = hurwitz_zeta_enclosure(2, F(1, 3), 64, 12, 192)
         assert coarse.contains_interval(fine)
 
     def test_coarse_truncation_encloses(self):
@@ -222,7 +223,7 @@ class TestHurwitzEnclosure:
         s, q, N = 2, F(2, 5), 400
         partial = sum(F(1) / (k + q) ** s for k in range(N))
         crude = RationalInterval(partial, partial + (N + q) ** (1 - s) / (s - 1) + (N + q) ** -s)
-        fine = hurwitz_zeta_enclosure(s, q, 32, 10)
+        fine = hurwitz_zeta_enclosure(s, q, 32, 10, 192)
         assert crude.lo <= fine.lo and fine.hi <= crude.hi + F(1, 10**6)
 
 
@@ -249,7 +250,7 @@ class TestNumericZeta:
 
     def test_d8_s4_below_zeta4_squared(self, table):
         enc = zeta_k_numeric(rec_q(table, 8), 4, precision_bits=96)
-        zeta4 = hurwitz_zeta_enclosure(4, F(1), 64, 10)
+        zeta4 = hurwitz_zeta_enclosure(4, F(1), 64, 10, 192)
         assert enc.hi < (zeta4 * zeta4).hi
 
     def test_cubic_numeric(self, table):
@@ -257,21 +258,16 @@ class TestNumericZeta:
         assert enc.lo > 1
         assert enc.width < F(1, 2**128)
 
-    def test_precision_error_carries_best(self, table):
-        with pytest.raises(PrecisionError) as err:
-            zeta_k_numeric(rec_q(table, 5), 2, precision_bits=600, max_terms=32)
-        assert err.value.best.lo > 1
-
     def test_odd_s_rejected(self, table):
         with pytest.raises(CharacterError):
-            zeta_k_numeric(rec_q(table, 5), 3)
+            zeta_k_numeric(rec_q(table, 5), 3, 192)
 
 
 # The bundled candidate fields, as (degree, discriminant).
 CANDIDATE_FIELDS = [(2, 5), (2, 8), (2, 12), (2, 13), (2, 17), (3, 49), (3, 81)]
 
 
-def full_ladder(rec, s, precision_bits, max_terms=4096):
+def full_ladder(rec, s, precision_bits):
     """zeta_k_numeric's ladder with every round computed from 32 terms and
     14 corrections, none skipped: the first enclosure within
     2^-precision_bits, and (terms, corrections, width) of each round."""
@@ -283,7 +279,7 @@ def full_ladder(rec, s, precision_bits, max_terms=4096):
         for chi in characters_for_field(rec):
             acc = acc * _l_factor_enclosure(chi, s, terms, corrections, precision_bits + 16)
         rounds.append((terms, corrections, acc.width))
-        if acc.width <= target or terms >= max_terms:
+        if acc.width <= target or terms >= MAX_TERMS:
             return acc, rounds
         terms *= 2
         corrections = min(corrections + 6, 40)

@@ -19,7 +19,7 @@ from hypeuler.euler_char import (
 )
 from hypeuler.exact_arith import two_adic_valuation
 from hypeuler.field_tables import load_table
-from hypeuler.local_factors import Kind, LocalFactor, ParahoricType, enumerate_maximal_types
+from hypeuler.local_factors import enumerate_maximal_types, local_factor_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -27,24 +27,24 @@ def table():
     return load_table()
 
 
-def datum(table, D, r, degree=2, factors=()):
-    return ArithmeticDatum(field=table.by_disc(degree, D), r=r, local_factors=tuple(factors))
+def datum(table, D, r, degree=2):
+    return ArithmeticDatum(field=table.by_disc(degree, D), r=r)
 
 
 class TestRankConstant:
     def test_symbolic_pairs(self):
-        c1 = C_of_r(1)
+        c1 = C_of_r(1, 160)
         assert (c1.factorial_product, c1.two_pi_exponent) == (1, 2)
-        c2 = C_of_r(2)
+        c2 = C_of_r(2, 160)
         assert (c2.factorial_product, c2.two_pi_exponent) == (6, 6)
-        c3 = C_of_r(3)
+        c3 = C_of_r(3, 160)
         assert (c3.factorial_product, c3.two_pi_exponent) == (720, 12)
 
     def test_enclosure_against_mpmath(self):
         mp.dps = 50
         for r in range(1, 9):
             # round outward to short dyadics so the mpf conversion is exact
-            iv = C_of_r(r).interval.outward_round(120)
+            iv = C_of_r(r, 160).interval.outward_round(120)
             true = mp.mpf(1)
             for j in range(1, r + 1):
                 true *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
@@ -54,7 +54,7 @@ class TestRankConstant:
 
     def test_r1_is_inverse_four_pi_squared(self):
         # 1/(4 pi^2) = 0.0253302...
-        c = C_of_r(1)
+        c = C_of_r(1, 160)
         assert c.interval.lo > F(2533, 100000) and c.interval.hi < F(2534, 100000)
 
 
@@ -65,25 +65,8 @@ class TestChiExact:
     def test_rank_three_value(self, table):
         assert chi_principal_exact(datum(table, 5, 3)) == F(67, 36288000)
 
-    def test_local_factor_multiplicativity(self, table):
-        lf = LocalFactor.at(ParahoricType("split", Kind.TOP_D), 3, 2)  # value 9
-        base = chi_principal_exact(datum(table, 5, 3))
-        assert chi_principal_exact(datum(table, 5, 3, factors=[lf])) == 9 * base
-
-    def test_multiplicativity_random(self, table):
-        rng = random.Random(5)
-        base = chi_principal_exact(datum(table, 8, 3))
-        types = enumerate_maximal_types(3)
-        for _ in range(10):
-            chosen = rng.sample(types, rng.randint(1, 3))
-            lfs = [LocalFactor.at(t, 3, rng.choice([2, 3, 4, 5])) for t in chosen]
-            expect = base
-            for lf in lfs:
-                expect *= lf.value
-            assert chi_principal_exact(datum(table, 8, 3, factors=lfs)) == expect
-
     def test_closed_form_takes_no_discriminant(self):
-        # structural: the exact path is a function of (r, degree, zetas, lambdas) only
+        # structural: the exact path is a function of (r, degree, zetas) only
         import inspect
 
         params = inspect.signature(chi_principal_from_values).parameters
@@ -91,7 +74,7 @@ class TestChiExact:
 
     def test_wrong_zeta_count_rejected(self):
         with pytest.raises(EulerCharError):
-            chi_principal_from_values(3, 2, [F(1, 30)], [])
+            chi_principal_from_values(3, 2, [F(1, 30)])
 
 
 class TestChiNumeric:
@@ -115,13 +98,13 @@ class TestChiNumeric:
 
 class TestIndexDivisor:
     def test_examples(self):
-        assert index_divisor(1, 2, 0) == 4
-        assert index_divisor(1, 3, 2) == 128
-        assert index_divisor(3, 2, 1) == 48
+        assert index_divisor(1, 2) == 4
+        assert index_divisor(1, 3) == 8
+        assert index_divisor(3, 2) == 12
 
     def test_invalid(self):
         with pytest.raises(EulerCharError):
-            index_divisor(0, 2, 0)
+            index_divisor(0, 2)
 
 
 class TestEulerCharRecord:
@@ -163,21 +146,24 @@ class TestObstruction:
         assert smallest_odd_prime_factor(67 * 19 * 19) == 19
 
     def test_obstruction_soundness_property(self, table):
-        """If a field is obstructed with witness p, then chi(Lambda)/m has
-        numerator divisible by p for every local-factor multiset and every
-        divisor m of the index bound."""
+        """If a field is obstructed with witness p, then chi(Lambda) times
+        the local factors of any set of bad places, divided by any divisor m
+        of the index bound h 2^d 4^(bad places), has numerator divisible
+        by p."""
         rng = random.Random(17)
         v = reciprocal_integer_obstruction(datum(table, 5, 3))
         p = v.witness
         types = enumerate_maximal_types(3)
+        base = chi_principal_exact(datum(table, 5, 3))
         for _ in range(60):
-            lfs = [
-                LocalFactor.at(t, 3, rng.choice([2, 3, 4, 5, 7, 8, 9]))
+            values = [
+                local_factor_polynomial(t, 3).evaluate(rng.choice([2, 3, 4, 5, 7, 8, 9]))
                 for t in rng.sample(types, rng.randint(0, 3))
             ]
-            d = datum(table, 5, 3, factors=lfs)
-            chi = chi_principal_exact(d)
-            bound = index_divisor(1, 2, len(lfs))
+            chi = base
+            for value in values:
+                chi *= value
+            bound = index_divisor(1, 2) * 4 ** len(values)
             divisors = [m for m in range(1, bound + 1) if bound % m == 0]
             m = rng.choice(divisors)
             assert (chi / m).numerator % p == 0

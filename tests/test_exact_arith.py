@@ -345,7 +345,7 @@ class TestRoundedIntervals:
 
 class TestPiAndRoots:
     def test_pi_enclosure_default_width(self):
-        enc = pi_enclosure()
+        enc = pi_enclosure(160)
         assert enc.width < F(1, 10**40)
         assert enc.lo > F(31415926535, 10**10)
         assert enc.hi < F(31415926536, 10**10)
@@ -358,12 +358,12 @@ class TestPiAndRoots:
         # the width post-condition must hold under python -O as well
         monkeypatch.setattr(exact_arith, "_pi_enclosure_bits", lambda bits: RationalInterval(F(3), F(4)))
         with pytest.raises(ExactArithError, match="pi enclosure"):
-            pi_enclosure()
+            pi_enclosure(160)
 
     def test_half_integer_power(self):
-        iv = rational_power_half(5, 21)  # 5^(21/2)
+        iv = rational_power_half(5, 21, 96)  # 5^(21/2)
         assert iv.lo ** 2 <= F(5) ** 21 <= iv.hi ** 2
-        assert rational_power_half(5, 4) == RationalInterval.exact(25)
+        assert rational_power_half(5, 4, 96) == RationalInterval.exact(25)
 
     def test_dyadic_rounding_brackets(self):
         for x in (F(3, 7), F(-22, 7), F(10**60, 3), F(1, 10**45)):

@@ -8,7 +8,6 @@ from hypeuler.exact_arith import RatPolynomial
 from hypeuler.local_factors import (
     IntegralityError,
     Kind,
-    LocalFactor,
     LocalFactorError,
     MonotonicityError,
     ParahoricType,
@@ -16,7 +15,6 @@ from hypeuler.local_factors import (
     enumerate_maximal_types,
     is_prime_power,
     local_factor_polynomial,
-    local_factor_value,
     minimum_proof,
     order_formula_value,
     table_fingerprint,
@@ -70,36 +68,31 @@ class TestEnumeration:
         with pytest.raises(LocalFactorError):
             ParahoricType("nonsplit", Kind.TOP_D)  # wrong block
 
-    def test_slug_round_trip(self):
-        for r in (3, 4, 5):
-            for t in enumerate_maximal_types(r):
-                assert ParahoricType.from_slug(t.slug()) == t
-
 
 class TestValues:
     def test_published_substitutions(self):
-        assert local_factor_value(t_top_d(), 3, 2) == 9  # q^r + 1
-        assert local_factor_value(t_top_2d(), 3, 2) == 7  # q^r - 1
-        assert local_factor_value(t_split_gl1(), 3, 2) == 63  # (q^2r - 1)/(q - 1)
+        assert local_factor_polynomial(t_top_d(), 3).evaluate(2) == 9  # q^r + 1
+        assert local_factor_polynomial(t_top_2d(), 3).evaluate(2) == 7  # q^r - 1
+        assert local_factor_polynomial(t_split_gl1(), 3).evaluate(2) == 63  # (q^2r - 1)/(q - 1)
 
     def test_chain_value(self):
         t = ParahoricType("split", Kind.CHAIN_D, 2)
-        assert local_factor_value(t, 3, 2) == 105  # (q^2+1)(q^6-1)/(q^2-1) at q=2
+        assert local_factor_polynomial(t, 3).evaluate(2) == 105  # (q^2+1)(q^6-1)/(q^2-1) at q=2
 
     def test_invalid_rank_combination(self):
         with pytest.raises(LocalFactorError):
-            local_factor_value(ParahoricType("split", Kind.CHAIN_D, 5), 4, 2)
+            local_factor_polynomial(ParahoricType("split", Kind.CHAIN_D, 5), 4)
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(LocalFactorError):
-            local_factor_value(t_top_d(), 3, 6)
+            order_formula_value(t_top_d(), 3, 6)
         assert not is_prime_power(12) and is_prime_power(27)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_integrality_and_bound_up_to_64(self, r):
         for t in enumerate_maximal_types(r):
             for q in PRIME_POWERS_64:
-                v = local_factor_value(t, r, q)
+                v = local_factor_polynomial(t, r).evaluate(q)
                 assert v.denominator == 1, f"{t.slug()} at q={q} not integral"
                 assert v > 4
 
@@ -127,7 +120,7 @@ class TestPolynomials:
             poly = local_factor_polynomial(t, r)
             assert poly.has_integer_coeffs()
             for q in qs:
-                assert poly.evaluate(q) == local_factor_value(t, r, q)
+                assert poly.evaluate(q) == order_formula_value(t, r, q)
 
     @pytest.mark.parametrize("r", [3, 4, 5, 6])
     def test_shifted_coefficients_nonnegative(self, r):
@@ -180,7 +173,7 @@ class TestOrderFormulaOracle:
         assert order_formula_value(t_top_d(), 3, 2) == 9
 
     def test_split_gl1_r3_q3(self):
-        assert order_formula_value(t_split_gl1(), 3, 3) == local_factor_value(t_split_gl1(), 3, 3) == 364
+        assert order_formula_value(t_split_gl1(), 3, 3) == local_factor_polynomial(t_split_gl1(), 3).evaluate(3) == 364
 
     def test_top_2d_r4_q2(self):
         assert order_formula_value(t_top_2d(), 4, 2) == 15
@@ -217,10 +210,6 @@ class TestOrderFormulaOracle:
 
 
 class TestLocalFactorRecord:
-    def test_construction_validates(self):
-        lf = LocalFactor.at(t_top_d(), 3, 2)
-        assert lf.value == 9
-
     def test_fingerprint_stable(self):
         assert table_fingerprint() == table_fingerprint((3, 4, 5))
         assert table_fingerprint() != table_fingerprint((3, 4))

@@ -1,0 +1,61 @@
+"""Guard for the proof path's parameters: every precision is one a caller
+sets, the default precision is stated once (``DEFAULT_PRECISION_BITS``,
+read by ``run_certification`` and the CLI), the arithmetic datum has no
+bad places, and the dual path is switched by its precision alone."""
+
+import importlib
+import inspect
+import pkgutil
+
+import hypeuler
+from hypeuler.certificate import DEFAULT_PRECISION_BITS, run_certification
+from hypeuler.cli import _CERTIFY_DEFAULTS
+from hypeuler.euler_char import ArithmeticDatum
+from hypeuler.search_bounds import certify_section, field_verdict
+
+PRECISION_NAMES = {"precision_bits", "bits", "sig_bits"}
+
+
+def hypeuler_functions():
+    """(qualified name, function) for every function and method defined in a
+    hypeuler module."""
+    for info in pkgutil.iter_modules(hypeuler.__path__):
+        module = importlib.import_module(f"hypeuler.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                    if callable(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_precision_parameters_have_no_default():
+    defaults = {}
+    for qualname, fn in hypeuler_functions():
+        try:
+            params = inspect.signature(fn).parameters.values()
+        except (TypeError, ValueError):
+            continue
+        for p in params:
+            if p.name in PRECISION_NAMES and p.default is not inspect.Parameter.empty:
+                defaults[f"{qualname}({p.name})"] = p.default
+    assert defaults == {"hypeuler.certificate.run_certification(precision_bits)": DEFAULT_PRECISION_BITS}
+    default = inspect.signature(run_certification).parameters["precision_bits"].default
+    assert default is DEFAULT_PRECISION_BITS
+
+
+def test_cli_default_is_the_library_default():
+    assert _CERTIFY_DEFAULTS["precision"] is DEFAULT_PRECISION_BITS
+
+
+def test_datum_has_no_bad_places():
+    assert ArithmeticDatum.__slots__ == ("field", "r")
+
+
+def test_dual_path_is_switched_by_precision():
+    for fn in (field_verdict, certify_section):
+        assert "dual_path" not in inspect.signature(fn).parameters

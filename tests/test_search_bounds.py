@@ -94,7 +94,7 @@ class TestEndpointSizes:
     for these thresholds)."""
 
     def test_rank30_constant(self):
-        iv = C_of_r(30).interval
+        iv = C_of_r(30, 160).interval
         assert endpoint_bits(iv) < 2000
         assert max(mantissa_bits(iv.lo), mantissa_bits(iv.hi)) <= iv.prec + 1
 
@@ -191,7 +191,8 @@ class TestFieldVerdicts:
 
     def test_witness_divides_odd_numerator(self, table):
         for D in (8, 12, 13, 17):
-            v = field_verdict(table.by_disc(2, D), 3, dual_path=False)
+            v = field_verdict(table.by_disc(2, D), 3, None)
+            assert v.dual_path is None
             assert v.obstruction.odd_numerator % v.obstruction.witness == 0
 
 
@@ -221,7 +222,7 @@ class TestCertifySections:
 # completeness: 4 10000
 2.2.8.1|2|8|1|1|1|8|-
 """
-        s = certify_section(2, parse_table_text(only_d8))
+        s = certify_section(2, parse_table_text(only_d8), 128)
         assert [v.record.label for v in s.verdicts] == ["2.2.8.1"]
         assert s.verdicts[0].obstruction.obstructed
         assert s.verdict == VERDICT_INCONCLUSIVE
@@ -237,7 +238,7 @@ class TestCertifySections:
             return compute_bounds_pass(*args, **kwargs)
 
         monkeypatch.setattr(search_bounds, "compute_bounds_pass", counting)
-        certify_section(r, table, dual_path=False)
+        certify_section(r, table, None)
         assert len(calls) == passes
 
     def test_rank2_failure_demo(self, table):
