@@ -7,7 +7,8 @@ point number appears anywhere.  Given the bundled dataset, the verifier
 recomputes every arithmetic claim (zeta special values, local factor
 polynomials and minima, bound cutoffs, reduced products, and that each
 witness is the smallest prime factor of its numerator) from scratch and
-reports the first divergence.
+reports the first divergence.  Both refuse a rank above
+``MAX_SERIALIZABLE_RANK`` before computing any of its evidence.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 from . import __version__
 from .exact_arith import (
     RationalInterval,
-    dyadic_round_up,
+    dyadic_round,
     format_rational,
     parse_rational,
     two_adic_valuation,
@@ -40,6 +41,10 @@ CERTIFICATE_FORMAT = "hypeuler-certificate v1"
 DEFAULT_PRECISION_BITS = 192
 MIN_PRECISION_BITS = 64
 
+INTERVAL_SIG_BITS = 128  # significant bits of each serialized enclosure end
+RELATIVE_WIDTH_SIG_BITS = 32  # significant bits of a dual path's relative_width, rounded up
+MAX_SERIALIZABLE_RANK = 27  # from rank 28 on, value_at_degree_five passes the int-to-str digit limit
+
 
 # The keys of a complete certificate (a failed one adds "error") and of its parameters.
 _CERTIFICATE_KEYS = {"format", "tool", "dataset", "axioms", "parameters", "sections", "overall", "status"}
@@ -56,8 +61,8 @@ class CertificateError(Exception):
 
 def _interval_json(iv: RationalInterval) -> list[str]:
     # A certificate needs fewer bits than the working precision; store an
-    # outward-rounded enclosure (still rigorous) at 128 significant bits.
-    rounded = iv.outward_round(sig_bits=128)
+    # outward-rounded enclosure (still rigorous).
+    rounded = iv.outward_round(sig_bits=INTERVAL_SIG_BITS)
     return [format_rational(rounded.lo), format_rational(rounded.hi)]
 
 
@@ -74,7 +79,7 @@ def _bounds_pass_json(p) -> dict:
 def section_to_json(section: CertificateSection) -> dict:
     out: dict = {
         "r": section.r,
-        "n": section.n,
+        "n": 2 * section.r,
         "kind": section.kind,
         "verdict": section.verdict,
         "notes": list(section.notes),
@@ -86,10 +91,10 @@ def section_to_json(section: CertificateSection) -> dict:
             "entries": [
                 {
                     "type": e.type.slug(),
-                    "description": e.type.describe(proof.r),
+                    "description": e.type.describe(section.r),
                     "polynomial": [str(c) for c in e.polynomial],
                     "value_at_q2": format_rational(e.value_at_two),
-                    "shifted_nonnegative": e.shifted_nonnegative,
+                    "shifted_nonnegative": True,  # minimum_proof raises otherwise
                 }
                 for e in proof.entries
             ],
@@ -146,9 +151,9 @@ def section_to_json(section: CertificateSection) -> dict:
             if v.dual_path is None
             else {
                 "enclosure": _interval_json(v.dual_path.enclosure),
-                "contains_exact": v.dual_path.contains,
+                "contains_exact": True,  # field_verdict raises otherwise
                 "relative_width": format_rational(
-                    dyadic_round_up(v.dual_path.relative_width, 32)
+                    dyadic_round(v.dual_path.relative_width, RELATIVE_WIDTH_SIG_BITS, up=True)
                 ),
             },
         }
@@ -226,6 +231,13 @@ def read_certificate(path: str | Path) -> dict:
         raise CertificateError(f"cannot read certificate {path}: {exc}") from exc
 
 
+def _section(r: int, table: FieldTable, precision_bits: int | None) -> dict:
+    """The serialized section of rank r; ValueError above ``MAX_SERIALIZABLE_RANK``, before any work."""
+    if r > MAX_SERIALIZABLE_RANK:
+        raise ValueError(f"rank {r} is above {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes")
+    return section_to_json(certify_section(r, table, precision_bits))
+
+
 def run_certification(
     requested_r: list[int],
     table: FieldTable,
@@ -250,7 +262,7 @@ def run_certification(
     sections: list[dict] = []
     for r in sorted(set(requested_r)):
         try:
-            sections.append(section_to_json(certify_section(r, table, precision_bits)))
+            sections.append(_section(r, table, precision_bits))
         except Exception as exc:  # embed the failure, per the exit-code contract
             cert = build_certificate(
                 sections, table, precision_bits, requested_r, status="failed",
@@ -328,18 +340,20 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     comparisons tell 5, 5.0 and true apart.  Every field verdict at
     rank >= 3 must carry a dual-path enclosure (rank 2 has none), which must
     contain the exact value and have a relative width of at most
-    2^(8 - min(P, 128)) for ``parameters.precision_bits`` P, which must be at least
-    ``MIN_PRECISION_BITS`` (so the bound is at most 2^-56;
-    ``_dual_path_width_bound`` derives it from the 128-bit serialization),
-    and the recorded ``relative_width`` must be a positive rational no
-    larger than the recorded enclosure's relative width rounded up to 32
-    significant bits.  A missing key or malformed value, and a rank whose
-    evidence the certifier cannot recompute, are reported as divergences,
-    never raised.
+    2^(8 - min(P, INTERVAL_SIG_BITS)) for ``parameters.precision_bits`` P,
+    which must be at least ``MIN_PRECISION_BITS`` (so the bound is at most
+    2^-56; see ``_dual_path_width_bound``), and the recorded
+    ``relative_width`` must lie in (0, cap], cap the recorded enclosure's
+    relative width rounded up to ``RELATIVE_WIDTH_SIG_BITS``.  A missing key
+    or malformed value, and a rank whose evidence the certifier cannot
+    recompute (any rank above ``MAX_SERIALIZABLE_RANK``), are reported as
+    divergences, never raised.
 
-    Unpinned slack, changing no verdict: the lower side of
-    ``relative_width`` (2^-400 verifies), ``parameters.precision_bits``
-    at ranks with no dual-path record (any integer >= the floor), and a
+    Unpinned slack, changing no verdict: ``relative_width`` anywhere in
+    (0, cap] (2^-400 verifies, and so does +2 on the numerator of an honest
+    one); ``parameters.precision_bits``, any integer at or above the floor
+    at every rank, since the bound uses min(P, INTERVAL_SIG_BITS) and an
+    honest serialized enclosure is about 2^-127 relative wide; and a
     dual-path enclosure widened but still valid and within the width bound
     (+2 on the numerator of its upper end verifies).
     """
@@ -389,8 +403,8 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     check(set(overall) == set(dims), f"overall verdicts cover dimensions {list(overall)}, requested {dims}")
     for sec, r in zip(sections, ranks):
         tag = f"section r={r}"
-        try:  # any error of the certifier itself, such as the digit limit at rank 28
-            expected = section_to_json(certify_section(r, table, None))
+        try:  # any error of the certifier itself, such as a rank above MAX_SERIALIZABLE_RANK
+            expected = _section(r, table, None)
         except Exception as exc:
             raise _Divergence(f"{tag}: cannot recompute the evidence ({type(exc).__name__}: {exc})") from None
         try:
@@ -429,16 +443,17 @@ def _verify_section(
 
 def _dual_path_width_bound(precision_bits: int) -> Fraction:
     """The largest relative width accepted for a dual-path enclosure at
-    working precision ``precision_bits``: 2^(8 - min(precision_bits, 128)).
+    working precision ``precision_bits``: 2^(8 - min(precision_bits, S)),
+    S = ``INTERVAL_SIG_BITS`` = 128.
 
     Each zeta factor is enclosed to width 2^-precision_bits, and the
-    serialization at 128 significant bits widens each end by under 2^-127
+    serialization at S significant bits widens each end by under 2^(1 - S)
     relative, so an honest enclosure stays below
-    2^(1 - min(precision_bits, 128)) on every rank in use; the bound
+    2^(1 - min(precision_bits, S)) on every rank in use; the bound
     leaves 7 bits of room and still rejects any enclosure that says
     nothing, such as [0, 10^100].
     """
-    return Fraction(2) ** (8 - min(precision_bits, 128))
+    return Fraction(2) ** (8 - min(precision_bits, INTERVAL_SIG_BITS))
 
 
 def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, width_bound: Fraction) -> None:
@@ -531,7 +546,7 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
         )
         # The recorded enclosure contains the working one and rounding up is
         # monotone, so an honest relative_width is at most this cap (<= width_bound).
-        cap = dyadic_round_up((hi - lo) / chi, 32)
+        cap = dyadic_round((hi - lo) / chi, RELATIVE_WIDTH_SIG_BITS, up=True)
         relative_width = rational(dual["relative_width"], "relative_width")
         check(
             0 < relative_width <= cap,

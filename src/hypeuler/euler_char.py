@@ -9,7 +9,8 @@ and must agree:
   obtained from the covolume formula by the functional equation (the
   discriminant power cancels exactly), and
 * a rigorous transcendental enclosure of the covolume formula itself,
-  2 |D|^(r^2 + r/2) C(r)^d prod_j zeta_k(2j).
+  2 |D|^(r^2 + r/2) C(r)^d prod_j zeta_k(2j), where the rank constant
+  C(r) is only ever its enclosure (``C_of_r``).
 
 The obstruction: with class number one the Euler characteristic of a
 maximal arithmetic subgroup is, up to a power of 2, chi(Lambda) times an
@@ -66,32 +67,17 @@ class ArithmeticDatum(Value):
         return self.field.degree
 
 
-class CrConstant(NamedTuple):
-    """The rank constant of the covolume formula: the exact symbolic pair
-    (product of odd factorials, power of 2*pi) and a rigorous enclosure of
-    their ratio."""
-
-    r: int
-    factorial_product: int
-    two_pi_exponent: int
-    interval: RationalInterval
-
-
 @cache
-def C_of_r(r: int, precision_bits: int) -> CrConstant:
+def C_of_r(r: int, precision_bits: int) -> RationalInterval:
     """C(r) = prod_{j=1}^{r} (2j-1)! / (2 pi)^(2j), enclosed rigorously.
 
     Memoized: every bounds pass and exclusion check of a rank uses it.
     """
     if r < 1:
         raise EulerCharError("rank constant needs r >= 1")
-    fact = 1
-    for j in range(1, r + 1):
-        fact *= math.factorial(2 * j - 1)
-    power = r * (r + 1)
+    fact = math.prod(math.factorial(2 * j - 1) for j in range(1, r + 1))
     two_pi = pi_enclosure(bits=precision_bits + 16).scale(2)
-    interval = RationalInterval.exact(fact) / two_pi.pow_int(power)
-    return CrConstant(r=r, factorial_product=fact, two_pi_exponent=power, interval=interval)
+    return RationalInterval.exact(fact) / two_pi.pow_int(r * (r + 1))
 
 
 def chi_principal_from_values(r: int, degree: int, zeta_magnitudes: list[Fraction]) -> Fraction:
@@ -120,7 +106,7 @@ def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> Ration
     """Rigorous enclosure of |chi(Lambda)| along the transcendental path."""
     r, d, D = datum.r, datum.degree, datum.field.disc
     acc = rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16).scale(2)
-    acc = acc * C_of_r(r, precision_bits).interval.pow_int(d)
+    acc = acc * C_of_r(r, precision_bits).pow_int(d)
     for j in range(1, r + 1):
         acc = acc * zeta_k_numeric(datum.field, 2 * j, precision_bits)
     return acc

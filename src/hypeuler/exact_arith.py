@@ -7,8 +7,9 @@ exact.  Intervals are pairs of rationals that provably enclose the real
 number they stand for; an interval built from rationals stays exact,
 while the enclosures of transcendental quantities carry a working
 precision and every result computed from them is rounded outward to
-dyadic endpoints at that precision (see `RationalInterval`).  No floating
-point enters any computation.
+dyadic endpoints at that precision (see `RationalInterval`; one
+`dyadic_round` takes either direction).  No floating point enters any
+computation.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to use concurrently.  The Bernoulli cache only
@@ -345,7 +346,7 @@ def _rounded(lo: Fraction, hi: Fraction, prec: int | None) -> "RationalInterval"
     ``prec`` is None)."""
     if prec is None:
         return RationalInterval(lo, hi)
-    return RationalInterval(dyadic_round_down(lo, prec), dyadic_round_up(hi, prec), prec)
+    return RationalInterval(dyadic_round(lo, prec, up=False), dyadic_round(hi, prec, up=True), prec)
 
 
 def _pow_rounded(x: Fraction, k: int, prec: int | None, up: bool) -> Fraction:
@@ -358,15 +359,15 @@ def _pow_rounded(x: Fraction, k: int, prec: int | None, up: bool) -> Fraction:
     if prec is None:
         return x**k
     negative = x < 0 and k % 2 == 1
-    rnd = dyadic_round_up if up != negative else dyadic_round_down
+    up = up != negative
     base, acc = abs(x), Fraction(1)
     while True:
         if k & 1:
-            acc = rnd(acc * base, prec)
+            acc = dyadic_round(acc * base, prec, up)
         k >>= 1
         if not k:
             break
-        base = rnd(base * base, prec)
+        base = dyadic_round(base * base, prec, up)
     return -acc if negative else acc
 
 
@@ -474,32 +475,15 @@ class RationalInterval(Value):
         return _rounded(self.lo, self.hi, sig_bits)
 
 
-def _dyadic_shift(x: Fraction, sig_bits: int) -> int:
-    if x == 0:
-        return 0
-    magnitude = abs(x)
-    exponent = magnitude.numerator.bit_length() - magnitude.denominator.bit_length()
-    return sig_bits - exponent
-
-
-def dyadic_round_down(x: Fraction, sig_bits: int) -> Fraction:
-    """Largest dyadic rational with ~sig_bits significant bits that is <= x."""
+def dyadic_round(x: Fraction, sig_bits: int, up: bool) -> Fraction:
+    """The dyadic rational with ~sig_bits significant bits nearest to x
+    from above (``up``) or below: the floor of x, or minus the floor of
+    -x, at the dyadic scale that leaves sig_bits bits."""
     x = as_rational(x)
-    n, d = x.numerator, x.denominator
-    shift = _dyadic_shift(x, sig_bits)
-    if shift >= 0:
-        return Fraction((n << shift) // d, 1 << shift)
-    return Fraction((n // (d << -shift)) << -shift)
-
-
-def dyadic_round_up(x: Fraction, sig_bits: int) -> Fraction:
-    """Smallest dyadic rational with ~sig_bits significant bits that is >= x."""
-    x = as_rational(x)
-    n, d = x.numerator, x.denominator
-    shift = _dyadic_shift(x, sig_bits)
-    if shift >= 0:
-        return Fraction(-((-n << shift) // d), 1 << shift)
-    return Fraction(-((-n) // (d << -shift)) << -shift)
+    n, d = (-x.numerator if up else x.numerator), x.denominator
+    shift = sig_bits - (abs(n).bit_length() - d.bit_length())
+    floor = Fraction((n << shift) // d, 1 << shift) if shift >= 0 else Fraction((n // (d << -shift)) << -shift)
+    return -floor if up else floor
 
 
 def rational_power_half(x: int | Fraction, twice_exponent: int, bits: int) -> RationalInterval:

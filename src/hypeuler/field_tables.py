@@ -244,20 +244,28 @@ def bundled_table_path() -> Path:
     return Path(__file__).parent / "data" / "fields_v1.txt"
 
 
+def _read_text(p: Path) -> str:
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+        raise TableFormatError(f"cannot read {p}: {exc}") from exc
+
+
 def load_table(path: str | Path | None = None) -> FieldTable:
     """Load and fully validate a field table; default is the bundled one.
 
     The detached checksum file ``<path>.sha256`` must be present and match.
+    Every failure, a file that cannot be read included, is a TableError.
     """
     p = Path(path) if path is not None else bundled_table_path()
-    if not p.exists():
-        raise TableFormatError(f"field table not found: {p}")
-    text = p.read_text(encoding="utf-8")
+    text = _read_text(p)
     digest = checksum_of_text(text)
     sha_path = p.with_name(p.name + ".sha256")
     if not sha_path.exists():
         raise ChecksumError(f"missing checksum file {sha_path}")
-    recorded = sha_path.read_text(encoding="utf-8").split()[0]
+    recorded = next(iter(_read_text(sha_path).split()), None)
+    if recorded is None:
+        raise ChecksumError(f"empty checksum file {sha_path}")
     if recorded != digest:
         raise ChecksumError(f"checksum mismatch for {p}: recorded {recorded}, computed {digest}")
     return parse_table_text(text, checksum=digest)

@@ -2,7 +2,9 @@
 parahoric subgroups, for groups of type B_r (r >= 3).
 
 Each maximal type carries a closed-form factor, a rational function of
-the residue-field size q.  This module enumerates the types, proves that
+the residue-field size q.  A type is valid at rank r exactly when
+``enumerate_maximal_types(r)`` lists it, which every closed form and order
+formula checks first.  This module enumerates the types, proves that
 each factor is an integer-coefficient polynomial in q that is
 nondecreasing for q >= 2 with value above 4, and cross-checks every
 closed form against an independent reconstruction from the order
@@ -56,35 +58,12 @@ class Kind(enum.Enum):
     TOP_2D = "top-2d"  # 2D(r)
 
 
-class _ParahoricFields(NamedTuple):
+class ParahoricType(NamedTuple):
+    """A maximal type, valid at rank r exactly when ``enumerate_maximal_types(r)`` lists it."""
+
     splitness: str  # "split" | "nonsplit"
     kind: Kind
     i: int | None = None
-
-
-class ParahoricType(_ParahoricFields):  # checks in __new__, which a NamedTuple body cannot define
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "ParahoricType":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.splitness not in ("split", "nonsplit"):
-            raise LocalFactorError(f"invalid splitness {self.splitness!r}")
-        needs_i = self.kind in (Kind.CHAIN_D, Kind.CHAIN_2D)
-        if needs_i != (self.i is not None):
-            raise LocalFactorError(f"parameter i must be present exactly for chain kinds ({self.kind})")
-        if self.kind in (Kind.CHAIN_D, Kind.TOP_D) and self.splitness != "split":
-            raise LocalFactorError(f"{self.kind} occurs only in the split block")
-        if self.kind in (Kind.CHAIN_2D, Kind.TOP_2D) and self.splitness != "nonsplit":
-            raise LocalFactorError(f"{self.kind} occurs only in the nonsplit block")
-        return self
-
-    def validate_for_rank(self, r: int) -> None:
-        if r < 3:
-            raise LocalFactorError("rank must be at least 3")
-        if self.kind is Kind.CHAIN_D and not 2 <= self.i <= r - 1:
-            raise LocalFactorError(f"chain parameter i={self.i} outside 2..{r - 1}")
-        if self.kind is Kind.CHAIN_2D and not 1 <= self.i <= r - 2:
-            raise LocalFactorError(f"chain parameter i={self.i} outside 1..{r - 2}")
 
     def slug(self) -> str:
         base = f"{self.splitness}.{self.kind.value}"
@@ -103,21 +82,29 @@ class ParahoricType(_ParahoricFields):  # checks in __new__, which a NamedTuple 
         return f"B({r - 1}) x {torus}"
 
 
-def enumerate_maximal_types(r: int) -> list[ParahoricType]:
+@cache
+def enumerate_maximal_types(r: int) -> tuple[ParahoricType, ...]:
     """All 2(r+1) maximal types for rank r: per block, the two torus
-    flavors, the chain family, and the top type."""
+    flavors, the chain family, and the top type.  The D kinds occur only
+    in the split block, the 2D kinds only in the nonsplit one, and only
+    the chain kinds carry ``i``."""
     if r < 3:
         raise LocalFactorError(f"rank must be at least 3, got {r}")
-    out: list[ParahoricType] = []
-    out.append(ParahoricType("split", Kind.TORUS_SPLIT))
-    out.append(ParahoricType("split", Kind.TORUS_NONSPLIT))
-    out.extend(ParahoricType("split", Kind.CHAIN_D, i) for i in range(2, r))
-    out.append(ParahoricType("split", Kind.TOP_D))
-    out.append(ParahoricType("nonsplit", Kind.TORUS_SPLIT))
-    out.append(ParahoricType("nonsplit", Kind.TORUS_NONSPLIT))
-    out.extend(ParahoricType("nonsplit", Kind.CHAIN_2D, i) for i in range(1, r - 1))
-    out.append(ParahoricType("nonsplit", Kind.TOP_2D))
-    return out
+    return (
+        ParahoricType("split", Kind.TORUS_SPLIT),
+        ParahoricType("split", Kind.TORUS_NONSPLIT),
+        *(ParahoricType("split", Kind.CHAIN_D, i) for i in range(2, r)),
+        ParahoricType("split", Kind.TOP_D),
+        ParahoricType("nonsplit", Kind.TORUS_SPLIT),
+        ParahoricType("nonsplit", Kind.TORUS_NONSPLIT),
+        *(ParahoricType("nonsplit", Kind.CHAIN_2D, i) for i in range(1, r - 1)),
+        ParahoricType("nonsplit", Kind.TOP_2D),
+    )
+
+
+def _check_type(t: ParahoricType, r: int) -> None:
+    if t not in enumerate_maximal_types(r):
+        raise LocalFactorError(f"{t} is not a maximal type at rank {r}")
 
 
 def is_prime_power(q: int) -> bool:
@@ -151,7 +138,7 @@ def _binomial_product(factors: list[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def _closed_form(t: ParahoricType, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    t.validate_for_rank(r)
+    _check_type(t, r)
     if t.kind is Kind.TORUS_SPLIT:
         num, den = [(2 * r, -1)], [(1, -1)]
     elif t.kind is Kind.TORUS_NONSPLIT:
@@ -212,11 +199,9 @@ class TypeMinimum(NamedTuple):
     type: ParahoricType
     polynomial: tuple[int, ...]  # integer coefficients, lowest degree first
     value_at_two: Fraction
-    shifted_nonnegative: bool
 
 
 class MinimumProof(NamedTuple):
-    r: int
     entries: tuple[TypeMinimum, ...]
     minimum: Fraction
 
@@ -231,19 +216,19 @@ def minimum_proof(r: int) -> MinimumProof:
     """For every maximal type at rank r: certify that the factor is a
     polynomial with integer coefficients, that substituting q = 2 + u
     yields nonnegative coefficients (so the factor is nondecreasing for
-    q >= 2), and that its value at q = 2 exceeds 4."""
+    q >= 2), and that its value at q = 2 exceeds 4; raises
+    MonotonicityError when either check fails."""
     entries = []
     for t in enumerate_maximal_types(r):
         coeffs = _quotient(t, r)
         shifted = taylor_shift(coeffs, 2)
-        nonneg = all(c >= 0 for c in shifted)
-        if not nonneg:
+        if any(c < 0 for c in shifted):
             raise MonotonicityError(f"{t.slug()} at rank {r}: shifted coefficients go negative")
         at2 = Fraction(shifted[0] if shifted else 0)  # p(2 + u) at u = 0
         if at2 <= 4:
             raise MonotonicityError(f"{t.slug()} at rank {r}: value {at2} at q=2 does not exceed 4")
-        entries.append(TypeMinimum(t, coeffs, at2, nonneg))
-    return MinimumProof(r=r, entries=tuple(entries), minimum=min(e.value_at_two for e in entries))
+        entries.append(TypeMinimum(t, coeffs, at2))
+    return MinimumProof(entries=tuple(entries), minimum=min(e.value_at_two for e in entries))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +291,7 @@ def _order_formula_terms(t: ParahoricType, r: int, q: int) -> tuple[int, int]:
     """``order_formula_value`` as an integer numerator and denominator: the
     B_r group order, and the quotient-type order times q to half the
     dimension gap."""
-    t.validate_for_rank(r)
+    _check_type(t, r)
     _check_q(q)
     factors = _quotient_factors(t, r)
     order_m = 1

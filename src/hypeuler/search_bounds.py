@@ -8,7 +8,8 @@ h <= 16 (pi/12)^d |D| and zeta(2j) > 1 (first pass), and then again with
 class number pinned to 1 (second pass).  Degrees d >= 5 die against the
 discriminant floor |D| > 6.5^d.  All transcendental quantities flow
 through rational interval enclosures; all cutoff integers come from
-exact integer comparisons.
+exact integer comparisons.  Only a section states its rank, and no
+record holds a flag that a raise already guarantees.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _largest_int_with_power_at_most(bound: Fraction, exponent: int) -> int:
 
 
 class BoundsPass(NamedTuple):
-    r: int
     degree: int
     mode: BoundsMode
     disc_upper: int
@@ -90,7 +90,7 @@ def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
     """
     if r < 2 or degree < 2:
         raise SearchError("bounds require rank >= 2 and degree >= 2")
-    c = C_of_r(r, BOUNDS_PRECISION_BITS).interval
+    c = C_of_r(r, BOUNDS_PRECISION_BITS)
     pi_iv = pi_enclosure(bits=BOUNDS_PRECISION_BITS)
     if mode is BoundsMode.CLASS_NUMBER_BOUNDED:
         threshold = (pi_iv / c.scale(6)).pow_int(degree).scale(8)
@@ -104,7 +104,6 @@ def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
     disc_upper = _largest_int_with_power_at_most(t_sq.hi, doubled_exponent)
     lo_cut = _largest_int_with_power_at_most(t_sq.lo, doubled_exponent)
     return BoundsPass(
-        r=r,
         degree=degree,
         mode=mode,
         disc_upper=disc_upper,
@@ -126,7 +125,6 @@ class LowDegreeRow(NamedTuple):
 
 
 class HighDegreeExclusion(NamedTuple):
-    r: int
     growth_factor: RationalInterval  # (6 C(r)/pi) * 6.5^(r^2 + r/2 - 1), must exceed 1
     value_at_degree_five: RationalInterval  # (1/8) * growth^5, must exceed 1
     low_degree: tuple[LowDegreeRow, ...]  # informational for the r >= 6 sections
@@ -161,7 +159,7 @@ def high_degree_exclusion(r: int, table: FieldTable | None = None) -> HighDegree
     against the smallest totally real discriminant of each degree (the
     bound-only exclusion recorded for ranks >= 6).
     """
-    c = C_of_r(r, BOUNDS_PRECISION_BITS).interval
+    c = C_of_r(r, BOUNDS_PRECISION_BITS)
     pi_iv = pi_enclosure(bits=BOUNDS_PRECISION_BITS)
     doubled = 2 * r * r + r - 2
     growth_sq = c.scale(6).pow_int(2) / pi_iv.pow_int(2)
@@ -176,9 +174,7 @@ def high_degree_exclusion(r: int, table: FieldTable | None = None) -> HighDegree
     if table is not None:
         passes = (compute_bounds_pass(r, d, BoundsMode.CLASS_NUMBER_BOUNDED) for d in SEARCH_DEGREES)
         rows = _low_degree_rows(passes, table)
-    return HighDegreeExclusion(
-        r=r, growth_factor=growth, value_at_degree_five=at_five, low_degree=rows
-    )
+    return HighDegreeExclusion(growth_factor=growth, value_at_degree_five=at_five, low_degree=rows)
 
 
 FIELD_VERDICTS = "field-verdicts"
@@ -210,7 +206,6 @@ class DegreeAudit(NamedTuple):
 
 
 class CandidateEnumeration(NamedTuple):
-    r: int
     audits: tuple[DegreeAudit, ...]
     records: tuple[NumberFieldRecord, ...]  # final candidates, sorted
 
@@ -245,7 +240,7 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
         audits.append(audit)
         final.extend(fields)
     final.sort(key=lambda f: (f.degree, f.disc))
-    return CandidateEnumeration(r=r, audits=tuple(audits), records=tuple(final))
+    return CandidateEnumeration(audits=tuple(audits), records=tuple(final))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +249,12 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
 
 
 class DualPathCheck(NamedTuple):
-    enclosure: RationalInterval
-    contains: bool
+    enclosure: RationalInterval  # contains the exact value: ``field_verdict`` raises otherwise
     relative_width: Fraction
 
 
 class FieldVerdict(NamedTuple):
     record: NumberFieldRecord
-    r: int
     obstruction: ObstructionVerdict
     euler: EulerChar
     dual_path: DualPathCheck | None
@@ -286,16 +279,10 @@ def field_verdict(rec: NumberFieldRecord, r: int, precision_bits: int | None) ->
     if precision_bits is not None:
         enclosure = chi_principal_numeric(datum, precision_bits)
         exact = euler.chi_lambda
-        dp = DualPathCheck(
-            enclosure=enclosure,
-            contains=exact in enclosure,
-            relative_width=enclosure.width / exact,
-        )
-        if not dp.contains:
-            raise SearchError(
-                f"{rec.label}, r={r}: transcendental enclosure does not contain the exact value"
-            )
-    return FieldVerdict(record=rec, r=r, obstruction=obstruction, euler=euler, dual_path=dp)
+        if exact not in enclosure:
+            raise SearchError(f"{rec.label}, r={r}: transcendental enclosure does not contain the exact value")
+        dp = DualPathCheck(enclosure=enclosure, relative_width=enclosure.width / exact)
+    return FieldVerdict(record=rec, obstruction=obstruction, euler=euler, dual_path=dp)
 
 
 VERDICT_CERTIFIED = "nonexistence certified"
@@ -304,8 +291,7 @@ SURVIVOR_NOTE = "bound-only exclusion left survivors; their zeta-numerator obstr
 
 
 class CertificateSection(NamedTuple):
-    r: int
-    n: int
+    r: int  # the dimension n is 2r
     kind: str  # regime(r) for r >= 3, "failure-demo" for r = 2
     verdict: str
     verdicts: tuple[FieldVerdict, ...]
@@ -344,7 +330,6 @@ def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> Ce
     certified = all(v.obstruction.obstructed for v in verdicts)
     return CertificateSection(
         r=r,
-        n=2 * r,
         kind=kind,
         verdict=VERDICT_CERTIFIED if certified else VERDICT_INCONCLUSIVE,
         verdicts=verdicts,
@@ -382,5 +367,5 @@ def _scan_rank_two(table: FieldTable) -> CertificateSection:
             )
             break
     return CertificateSection(
-        r=2, n=4, kind="failure-demo", verdict=VERDICT_INCONCLUSIVE, verdicts=tuple(verdicts), notes=notes
+        r=2, kind="failure-demo", verdict=VERDICT_INCONCLUSIVE, verdicts=tuple(verdicts), notes=notes
     )

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from hypeuler.certificate import (
     DEFAULT_PRECISION_BITS,
+    MAX_SERIALIZABLE_RANK,
     MIN_PRECISION_BITS,
     CertificateError,
     _dataset_json,
@@ -17,12 +19,14 @@ from hypeuler.certificate import (
     read_certificate,
     render_report,
     run_certification,
+    section_to_json,
     serialize_certificate,
     verify_certificate,
 )
 from hypeuler.cli import build_parser, main
 from hypeuler.exact_arith import format_rational, parse_rational
 from hypeuler.field_tables import bundled_table_path, load_table, parse_table_text
+from hypeuler.search_bounds import certify_section
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,13 @@ def theorem_cert(table):
 
 def clone(cert):
     return json.loads(json.dumps(cert))
+
+
+def run_hypeuler(*args):
+    """``python -m hypeuler`` in a fresh process on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hypeuler", *args], env=env, capture_output=True, text=True)
 
 
 class TestRunCertification:
@@ -409,15 +420,19 @@ def test_oversized_integer_is_certificate_error(rank_three_cert, table, tmp_path
         verify_certificate(path, table)
 
 
-def rank_28_certificate(cert):
-    """``cert`` (one rank-3 section) relabelled as rank 28, whose evidence
-    the certifier cannot serialize: value_at_degree_five passes the
-    int-to-str digit limit."""
+def relabelled_certificate(cert, r):
+    """``cert`` (one rank-3 section) relabelled as rank r."""
     bad = clone(cert)
-    bad["parameters"]["requested_r"] = [28]
-    bad["sections"][0].update(r=28, n=56)
-    bad["overall"] = {"56": bad["sections"][0]["verdict"]}
+    bad["parameters"]["requested_r"] = [r]
+    bad["sections"][0].update(r=r, n=2 * r)
+    bad["overall"] = {str(2 * r): bad["sections"][0]["verdict"]}
     return bad
+
+
+def rank_28_certificate(cert):
+    """A certificate of rank 28, whose evidence the certifier cannot
+    serialize: value_at_degree_five passes the int-to-str digit limit."""
+    return relabelled_certificate(cert, 28)
 
 
 class TestUnrecomputableRank:
@@ -441,6 +456,36 @@ class TestUnrecomputableRank:
             "section r=3: cannot recompute the evidence (PassOneClassNumberError: "
             "r=3, degree 2: pass-one survivors with h > 1: 2.2.5.1 (h=2))"
         )
+
+
+class TestSerializableRankLimit:
+    """Ranks above ``MAX_SERIALIZABLE_RANK`` are refused before any of their
+    evidence is computed, which would take time growing without bound in r."""
+
+    def test_limit_is_the_digit_limit(self, table):
+        assert MAX_SERIALIZABLE_RANK == 27
+        assert section_to_json(certify_section(27, table, None))["r"] == 27
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            section_to_json(certify_section(28, table, None))
+
+    @pytest.mark.parametrize("r", [300, 10**6, 10**100], ids=["300", "1e6", "1e100"])
+    def test_relabelled_rank_fails_fast(self, rank_three_cert, table, r):
+        bad = relabelled_certificate(rank_three_cert, r)
+        start = time.perf_counter()
+        outcome = verify_certificate(bad, table)
+        assert time.perf_counter() - start < 0.1
+        assert not outcome.ok
+        assert outcome.divergence == (
+            f"section r={r}: cannot recompute the evidence "
+            f"(ValueError: rank {r} is above 27, the largest rank whose section serializes)"
+        )
+
+    def test_certifying_above_limit_fails_fast(self, table):
+        start = time.perf_counter()
+        cert, code = run_certification([1000], table)
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
+        assert cert["error"] == "r=1000: ValueError: rank 1000 is above 27, the largest rank whose section serializes"
 
 
 class TestDualPathWidth:
@@ -471,9 +516,10 @@ class TestDualPathWidth:
 
 
 class TestGoldenBytes:
-    """The certificate and report bytes of the headline ranks and of rank 2
-    at the default precision, as the CLI writes them for ``--n 6 --n 8
-    --n 10`` and ``--n 4``.  A deliberate change of the certificate or
+    """The certificate and report bytes of the headline ranks, of rank 2, of
+    the default sweep and of ranks 13 to 15 at the default precision, as
+    the CLI writes them for ``--n 6 --n 8 --n 10``, ``--n 4``, no flags and
+    ``--r 13 --r 14 --r 15``.  A deliberate change of the certificate or
     report format updates these hashes together with a CHANGES.md entry."""
 
     @pytest.mark.parametrize(
@@ -488,6 +534,16 @@ class TestGoldenBytes:
                 [2],
                 "ae37be327be1514ab9ee95d82b1a88687c466516d0f34027d7d2bed311dbb487",
                 "159cf5e4ae2716243cd8f8aab98ca90d369b070416ac1a696fe2a644137c9333",
+            ),
+            (
+                list(range(3, 13)),
+                "1928a46950d106008d0e86ca2141e6884ffc10956c04736dbea2e64213d38cf9",
+                "1cd2bf2fab2f5f32458763e8eb9932b5830000ee6950da284f0435d66bab7f46",
+            ),
+            (
+                [13, 14, 15],
+                "ee1c01f57a7ee042b6e33f643bedf986e4a1e23dcb14ba4bbb77ee8e82c72f82",
+                "58ea92e988fd03d1499707ba8b9bcf78809469d7e90429385845f4faa43c3353",
             ),
         ],
     )
@@ -592,11 +648,7 @@ class TestCliProcess:
     def test_verify_unrecomputable_rank_exits_one(self, rank_three_cert, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(serialize_certificate(rank_28_certificate(rank_three_cert)), encoding="utf-8")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run(
-            [sys.executable, "-m", "hypeuler", "--verify", str(path)], env=env, capture_output=True, text=True
-        )
+        run = run_hypeuler("--verify", str(path))
         assert run.returncode == 1
         assert "Traceback" not in run.stderr
         assert "FAILED: section r=28: cannot recompute the evidence (ValueError: " in run.stderr
@@ -689,3 +741,17 @@ class TestCliProcess:
     def test_bad_fields_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--r", "3", "--fields", "missing.txt"]) == 1
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf8", "empty-checksum"])
+    def test_unreadable_fields_exits_one(self, case, tmp_path):
+        fields = tmp_path / "fields.txt"
+        if case == "directory":
+            fields.mkdir()
+        else:
+            fields.write_bytes(b"\xff\xfe\n" if case == "not-utf8" else bundled_table_path().read_bytes())
+            (tmp_path / "fields.txt.sha256").write_text("" if case == "empty-checksum" else "0" * 64 + "\n")
+        run = run_hypeuler("--r", "3", "--fields", str(fields), "--out", str(tmp_path / "c.json"),
+                           "--report", str(tmp_path / "r.txt"))
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        assert not (tmp_path / "c.json").exists()

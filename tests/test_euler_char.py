@@ -32,19 +32,11 @@ def datum(table, D, r, degree=2):
 
 
 class TestRankConstant:
-    def test_symbolic_pairs(self):
-        c1 = C_of_r(1, 160)
-        assert (c1.factorial_product, c1.two_pi_exponent) == (1, 2)
-        c2 = C_of_r(2, 160)
-        assert (c2.factorial_product, c2.two_pi_exponent) == (6, 6)
-        c3 = C_of_r(3, 160)
-        assert (c3.factorial_product, c3.two_pi_exponent) == (720, 12)
-
     def test_enclosure_against_mpmath(self):
         mp.dps = 50
         for r in range(1, 9):
             # round outward to short dyadics so the mpf conversion is exact
-            iv = C_of_r(r, 160).interval.outward_round(120)
+            iv = C_of_r(r, 160).outward_round(120)
             true = mp.mpf(1)
             for j in range(1, r + 1):
                 true *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
@@ -55,7 +47,7 @@ class TestRankConstant:
     def test_r1_is_inverse_four_pi_squared(self):
         # 1/(4 pi^2) = 0.0253302...
         c = C_of_r(1, 160)
-        assert c.interval.lo > F(2533, 100000) and c.interval.hi < F(2534, 100000)
+        assert c.lo > F(2533, 100000) and c.hi < F(2534, 100000)
 
 
 class TestChiExact:

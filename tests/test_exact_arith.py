@@ -16,8 +16,7 @@ from hypeuler.exact_arith import (
     Zeta3Number,
     bernoulli_number,
     bernoulli_polynomial_eval,
-    dyadic_round_down,
-    dyadic_round_up,
+    dyadic_round,
     odd_part_of_numerator,
     pi_enclosure,
     poly_exact_divide,
@@ -367,7 +366,7 @@ class TestPiAndRoots:
 
     def test_dyadic_rounding_brackets(self):
         for x in (F(3, 7), F(-22, 7), F(10**60, 3), F(1, 10**45)):
-            assert dyadic_round_down(x, 64) <= x <= dyadic_round_up(x, 64)
+            assert dyadic_round(x, 64, False) <= x <= dyadic_round(x, 64, True)
 
     def test_outward_round_contains(self):
         iv = RationalInterval(F(1, 3), F(22, 7))

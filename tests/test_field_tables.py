@@ -97,6 +97,23 @@ class TestLoading:
         with pytest.raises(ChecksumError, match="missing"):
             load_table(p)
 
+    def test_directory_is_format_error(self, tmp_path):
+        with pytest.raises(TableFormatError, match="cannot read"):
+            load_table(tmp_path)
+
+    def test_non_utf8_table_is_format_error(self, tmp_path):
+        p = tmp_path / "fields.txt"
+        p.write_bytes(HEADER.encode() + b"\n\xff\xfe\n")
+        (tmp_path / "fields.txt.sha256").write_text("0" * 64 + "\n", encoding="utf-8")
+        with pytest.raises(TableFormatError, match="cannot read .*fields.txt: 'utf-8' codec"):
+            load_table(p)
+
+    def test_empty_checksum_file(self, tmp_path):
+        p = write_with_checksum(tmp_path, MINI_TABLE)
+        (tmp_path / "fields.txt.sha256").write_text("", encoding="utf-8")
+        with pytest.raises(ChecksumError, match="empty checksum file"):
+            load_table(p)
+
     def test_round_trip_via_file(self, tmp_path):
         p = write_with_checksum(tmp_path, MINI_TABLE)
         t = load_table(p)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from hypeuler import local_factors
-from hypeuler.exact_arith import RatPolynomial
+from hypeuler.exact_arith import RatPolynomial, taylor_shift
 from hypeuler.local_factors import (
     IntegralityError,
     Kind,
@@ -61,12 +61,16 @@ class TestEnumeration:
         assert chain_2d == [1, 2, 3]
 
     def test_parameter_presence_invariant(self):
-        with pytest.raises(LocalFactorError):
-            ParahoricType("split", Kind.CHAIN_D)  # missing i
-        with pytest.raises(LocalFactorError):
-            ParahoricType("split", Kind.TOP_D, 2)  # spurious i
-        with pytest.raises(LocalFactorError):
-            ParahoricType("nonsplit", Kind.TOP_D)  # wrong block
+        # a type is checked at first use, before any closed form or order formula is built
+        for t in (
+            ParahoricType("split", Kind.CHAIN_D),  # missing i
+            ParahoricType("split", Kind.TOP_D, 2),  # spurious i
+            ParahoricType("nonsplit", Kind.TOP_D),  # wrong block
+        ):
+            with pytest.raises(LocalFactorError, match="is not a maximal type at rank 3"):
+                local_factor_polynomial(t, 3)
+            with pytest.raises(LocalFactorError, match="is not a maximal type at rank 3"):
+                order_formula_value(t, 3, 2)
 
 
 class TestValues:
@@ -140,7 +144,7 @@ class TestMinimumProof:
     def test_higher_ranks_exceed_four(self, r):
         proof = minimum_proof(r)
         assert proof.minimum > 4
-        assert all(e.shifted_nonnegative for e in proof.entries)
+        assert all(c >= 0 for e in proof.entries for c in taylor_shift(e.polynomial, 2))
 
     def test_r4_r5_minima(self):
         assert minimum_proof(4).minimum == 15  # 2^4 - 1

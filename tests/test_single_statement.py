@@ -1,0 +1,73 @@
+"""Each proof fact is stated once: records hold no rank their container
+already holds and no flag that a raise already guarantees, C(r) is its
+enclosure, there is one outward rounding, and a maximal type is valid at
+rank r exactly when ``enumerate_maximal_types(r)`` lists it."""
+
+import itertools
+
+import pytest
+
+from hypeuler import exact_arith
+from hypeuler.euler_char import C_of_r
+from hypeuler.exact_arith import RationalInterval
+from hypeuler.local_factors import (
+    Kind,
+    LocalFactorError,
+    MinimumProof,
+    ParahoricType,
+    TypeMinimum,
+    enumerate_maximal_types,
+    local_factor_polynomial,
+    order_formula_value,
+)
+from hypeuler.search_bounds import (
+    BoundsPass,
+    CandidateEnumeration,
+    CertificateSection,
+    DualPathCheck,
+    FieldVerdict,
+    HighDegreeExclusion,
+)
+
+
+RECORD_FIELDS = {
+    BoundsPass: ("degree", "mode", "disc_upper", "threshold_squared", "doubled_exponent", "enclosure_decisive"),
+    HighDegreeExclusion: ("growth_factor", "value_at_degree_five", "low_degree"),
+    CandidateEnumeration: ("audits", "records"),
+    FieldVerdict: ("record", "obstruction", "euler", "dual_path"),
+    MinimumProof: ("entries", "minimum"),
+    TypeMinimum: ("type", "polynomial", "value_at_two"),
+    DualPathCheck: ("enclosure", "relative_width"),
+    CertificateSection: ("r", "kind", "verdict", "verdicts", "local_factor_proof", "calibration", "enumeration",
+                         "high_degree", "notes"),
+}
+
+
+@pytest.mark.parametrize("record", RECORD_FIELDS, ids=lambda record: record.__name__)
+def test_record_fields(record):
+    assert record._fields == RECORD_FIELDS[record]
+
+
+def test_parahoric_type_is_a_plain_named_tuple():
+    assert ParahoricType.__bases__ == (tuple,)
+
+
+def test_rank_constant_is_its_enclosure():
+    assert isinstance(C_of_r(3, 160), RationalInterval)
+
+
+def test_one_outward_rounding():
+    assert [name for name in vars(exact_arith) if name.startswith("dyadic_round")] == ["dyadic_round"]
+
+
+@pytest.mark.parametrize("r", range(3, 8))
+def test_type_valid_exactly_when_enumerated(r):
+    members = set(enumerate_maximal_types(r))
+    for splitness, kind, i in itertools.product(("split", "nonsplit"), Kind, (None, *range(r + 1))):
+        t = ParahoricType(splitness, kind, i)
+        for build in (lambda: local_factor_polynomial(t, r), lambda: order_formula_value(t, r, 2)):
+            if t in members:
+                build()
+            else:
+                with pytest.raises(LocalFactorError, match=f"is not a maximal type at rank {r}"):
+                    build()

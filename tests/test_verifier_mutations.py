@@ -1,0 +1,141 @@
+"""Single-leaf mutations of fresh certificates: the verifier never raises,
+and it accepts a mutation only inside the slack that ``verify_certificate``
+documents.
+
+Each mutation applies one operator to one node of a certificate of rank
+2, 3, 6 or 13: delete, null, flip, +1, -1, negate, to-string, to-list,
++1 or +2 on the numerator of a rational string, or duplicate a list
+element.  Mutations that leave the certificate unchanged are left out.
+"""
+
+import copy
+import json
+import re
+from fractions import Fraction
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypeuler.certificate import MIN_PRECISION_BITS, run_certification, verify_certificate
+from hypeuler.field_tables import load_table
+
+RANKS = (2, 3, 6, 13)
+
+
+@cache
+def table():
+    return load_table()
+
+
+@cache
+def certificate(r):
+    cert, _ = run_certification([r], table())
+    return cert
+
+
+def paths(node, prefix=()):
+    """The path of every node below the root, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def is_int(value):
+    return type(value) is int
+
+
+def is_rational(value):
+    """A ``num/den`` or integer text, as the certifier writes rationals."""
+    return isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value) is not None
+
+
+def numerator_plus(value, k):
+    num, _, den = value.partition("/")
+    return f"{int(num) + k}/{den}" if den else str(int(num) + k)
+
+
+def negate(value):
+    if is_int(value):
+        return -value
+    return value[1:] if value.startswith("-") else "-" + value
+
+
+# name -> (applies to the value, mutated value)
+OPERATORS = {
+    "null": (lambda v: True, lambda v: None),
+    "flip": (lambda v: isinstance(v, bool), lambda v: not v),
+    "+1": (is_int, lambda v: v + 1),
+    "-1": (is_int, lambda v: v - 1),
+    "negate": (lambda v: is_int(v) or is_rational(v), negate),
+    "to-string": (lambda v: not isinstance(v, (str, dict, list)), json.dumps),
+    "to-list": (lambda v: True, lambda v: [v]),
+    "numerator+1": (is_rational, lambda v: numerator_plus(v, 1)),
+    "numerator+2": (is_rational, lambda v: numerator_plus(v, 2)),
+}
+
+
+def node(cert, path):
+    for key in path:
+        cert = cert[key]
+    return cert
+
+
+@cache
+def mutations():
+    """Every (rank, path, operator) whose mutation changes the certificate."""
+    out = []
+    for r in RANKS:
+        cert = certificate(r)
+        for path in paths(cert):
+            value = node(cert, path)
+            out.append((r, path, "delete"))
+            if isinstance(value, list) and value:
+                out.append((r, path, "duplicate"))
+            for name, (applies, apply) in OPERATORS.items():
+                if applies(value) and json.dumps(apply(value)) != json.dumps(value):
+                    out.append((r, path, name))
+    return out
+
+
+def mutate(cert, path, operator):
+    bad = copy.deepcopy(cert)
+    parent = node(bad, path[:-1])
+    key = path[-1]
+    if operator == "delete":
+        del parent[key]
+    elif operator == "duplicate":
+        parent[key].insert(0, copy.deepcopy(parent[key][0]))
+    else:
+        parent[key] = OPERATORS[operator][1](parent[key])
+    return bad
+
+
+def is_slack(path, old, new):
+    """The documented slack of ``verify_certificate``: the tool's version
+    string, any precision_bits at or above the floor, a dual-path
+    enclosure widened at its upper end, and a relative_width in
+    (0, cap]."""
+    if path == ("tool", "version"):
+        return isinstance(new, str)
+    if path == ("parameters", "precision_bits"):
+        return is_int(new) and new >= MIN_PRECISION_BITS
+    if path[-3:-1] == ("dual_path", "enclosure") and path[-1] == 1:
+        return Fraction(new) >= Fraction(old)
+    if path[-2:] == ("dual_path", "relative_width"):
+        return Fraction(new) > 0
+    return False
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutation_is_named_divergence_or_documented_slack(data):
+    r, path, operator = data.draw(st.sampled_from(mutations()), label="mutation")
+    cert = certificate(r)
+    bad = mutate(cert, path, operator)
+    outcome = verify_certificate(bad, table())
+    if outcome.ok:
+        assert operator in OPERATORS and is_slack(path, node(cert, path), node(bad, path)), (path, operator)
+    else:
+        assert outcome.divergence, (path, operator)
