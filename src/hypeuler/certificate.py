@@ -27,7 +27,7 @@ from .exact_arith import (
     parse_rational,
     two_adic_valuation,
 )
-from .euler_char import chi_principal_from_values, index_divisor
+from .euler_char import chi_lambda_from_product, index_divisor
 from .field_tables import FieldTable, load_table
 from .local_factors import table_fingerprint
 from .characters_zeta import zeta_k_special
@@ -515,7 +515,7 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
             smaller is None,
             f"{tag}: {label}: witness {witness} is not the smallest prime factor of {odd}: {smaller} divides it",
         )
-    chi = chi_principal_from_values(r, v["degree"], [abs(z) for z in zetas])
+    chi = chi_lambda_from_product(product, r, v["degree"])
     check(chi == rational(euler["chi_lambda"], "chi_lambda"), f"{tag}: {label}: chi(Lambda) mismatch")
     divisor = euler["index_divisor"]
     check(divisor == index_divisor(v["h"], v["degree"]), f"{tag}: {label}: index divisor mismatch")

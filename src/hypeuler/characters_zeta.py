@@ -52,7 +52,7 @@ class InternalConsistencyError(Exception):
 class PrecisionError(Exception):
     """Requested enclosure width was not reached within the term budget."""
 
-    def __init__(self, message: str, best: RationalInterval):
+    def __init__(self, message: str, best: RationalInterval | None):
         super().__init__(message)
         self.best = best
 
@@ -410,15 +410,17 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
     character's factor is above 1/2 and a cubic one's |L(s, chi)|^2
     above 1/4.  The factors other than zeta(s) thus multiply to more than
     2^-(degree-1), and the round's width is at least B.  The round at
-    ``MAX_TERMS`` is never skipped, so a PrecisionError still carries that
-    round's enclosure as ``best``.
+    ``MAX_TERMS`` is skipped by the same test, so a precision past the
+    ladder's reach (at s = 2, any above 805 bits) fails before any
+    enclosure is built at it.
 
     Each L-factor enclosure is memoized per (character, s, round,
     precision), so zeta(s) is shared across fields and L(s, chi) across
     ranks.
 
-    Raises PrecisionError carrying the best enclosure if the target width
-    is not reached within ``MAX_TERMS`` series terms (about 800 bits).
+    Raises PrecisionError if the target width is not reached within
+    ``MAX_TERMS`` series terms (about 800 bits), carrying that round's
+    enclosure as ``best``, or None when its floor already ruled it out.
     """
     if s < 2 or s % 2 != 0:
         raise CharacterError("numeric evaluation is defined for even s >= 2")
@@ -426,17 +428,16 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
     target = Fraction(1, 2**precision_bits)
     terms, corrections = 32, 14
     while True:
-        if terms >= MAX_TERMS or _round_width_floor(s, terms, corrections, rec.degree) <= target:
+        floor = _round_width_floor(s, terms, corrections, rec.degree)
+        acc = None
+        if floor <= target:
             acc = RationalInterval.exact(1)
             for chi in chars:
                 acc = acc * _l_factor_enclosure(chi, s, terms, corrections, precision_bits + 16)
             if acc.width <= target:
                 return acc
-            if terms >= MAX_TERMS:
-                raise PrecisionError(
-                    f"width {float(acc.width):.3e} above target 2^-{precision_bits} "
-                    f"after {terms} terms",
-                    acc,
-                )
+        if terms >= MAX_TERMS:
+            width = f"width floor {float(floor):.3e}" if acc is None else f"width {float(acc.width):.3e}"
+            raise PrecisionError(f"{width} above target 2^-{precision_bits} after {terms} terms", acc)
         terms *= 2
         corrections = min(corrections + 6, 40)

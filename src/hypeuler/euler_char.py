@@ -5,7 +5,8 @@ Lambda is the principal arithmetic subgroup with no bad places (every
 parahoric hyperspecial).  Two independent evaluation paths are provided
 and must agree:
 
-* the exact closed form |chi(Lambda)| = 2^(1-r d) * prod_j |zeta_k(1-2j)|,
+* the exact closed form |chi(Lambda)| = P / 2^(r d - 1) in the zeta
+  product P = prod_j |zeta_k(1-2j)| (``chi_lambda_from_product``),
   obtained from the covolume formula by the functional equation (the
   discriminant power cancels exactly), and
 * a rigorous transcendental enclosure of the covolume formula itself,
@@ -16,7 +17,9 @@ The obstruction: with class number one the Euler characteristic of a
 maximal arithmetic subgroup is, up to a power of 2, chi(Lambda) times an
 integer (one local factor per bad place, each an integer above 4 by
 ``local_factors.minimum_proof``), so an odd prime in the numerator of
-the zeta product rules out a reciprocal-integer value.
+the zeta product rules out a reciprocal-integer value.  The obstruction
+computes P once per field and rank, and ``build_euler_char`` takes
+chi(Lambda) from it.
 """
 
 from __future__ import annotations
@@ -80,35 +83,34 @@ def C_of_r(r: int, precision_bits: int) -> RationalInterval:
     return RationalInterval.exact(fact) / two_pi.pow_int(r * (r + 1))
 
 
-def chi_principal_from_values(r: int, degree: int, zeta_magnitudes: list[Fraction]) -> Fraction:
-    """|chi(Lambda)| from the zeta magnitudes alone.
+def chi_lambda_from_product(product: Fraction, r: int, degree: int) -> Fraction:
+    """|chi(Lambda)| = P / 2^(r degree - 1) for the zeta product P.
 
-    Structurally independent of the discriminant: the closed form is
-    2^(1 - r*degree) * prod(zeta magnitudes).
+    Structurally independent of the discriminant: its power in the
+    covolume formula cancels against the functional equation.
     """
-    if len(zeta_magnitudes) != r:
-        raise EulerCharError(f"need exactly r={r} zeta magnitudes, got {len(zeta_magnitudes)}")
-    out = Fraction(2) ** (1 - r * degree)
-    for z in zeta_magnitudes:
-        if z <= 0:
-            raise EulerCharError("zeta magnitudes must be positive")
-        out *= z
-    return out
+    return product / 2 ** (r * degree - 1)
 
 
 def chi_principal_exact(datum: ArithmeticDatum) -> Fraction:
     """|chi(Lambda)| as an exact rational."""
-    zetas = [abs(z) for z in zeta_row(datum.field, datum.r)]
-    return chi_principal_from_values(datum.r, datum.degree, zetas)
+    product = math.prod(map(abs, zeta_row(datum.field, datum.r)))
+    return chi_lambda_from_product(product, datum.r, datum.degree)
 
 
 def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> RationalInterval:
-    """Rigorous enclosure of |chi(Lambda)| along the transcendental path."""
+    """Rigorous enclosure of |chi(Lambda)| along the transcendental path.
+
+    The zeta factors come first: past the reach of their ladder (about
+    800 bits) ``zeta_k_numeric`` raises PrecisionError before pi is
+    enclosed at the precision asked for.
+    """
     r, d, D = datum.r, datum.degree, datum.field.disc
+    zetas = [zeta_k_numeric(datum.field, 2 * j, precision_bits) for j in range(1, r + 1)]
     acc = rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16).scale(2)
     acc = acc * C_of_r(r, precision_bits).pow_int(d)
-    for j in range(1, r + 1):
-        acc = acc * zeta_k_numeric(datum.field, 2 * j, precision_bits)
+    for z in zetas:
+        acc = acc * z
     return acc
 
 
@@ -130,8 +132,9 @@ class EulerChar(NamedTuple):
     two_exponent: int
 
 
-def build_euler_char(datum: ArithmeticDatum) -> EulerChar:
-    chi = chi_principal_exact(datum)
+def build_euler_char(datum: ArithmeticDatum, product: Fraction) -> EulerChar:
+    """The Euler data of the field and rank, from their zeta product P."""
+    chi = chi_lambda_from_product(product, datum.r, datum.degree)
     divisor = index_divisor(datum.field.h, datum.degree)
     lower = chi / divisor
     return EulerChar(
@@ -174,9 +177,7 @@ def reciprocal_integer_obstruction(datum: ArithmeticDatum) -> ObstructionVerdict
             f"{datum.field.label}: class number {datum.field.h} != 1, decomposition unavailable"
         )
     signed = tuple(zeta_row(datum.field, datum.r))
-    product = Fraction(1)
-    for z in signed:
-        product *= abs(z)
+    product = math.prod(map(abs, signed))
     odd = odd_part_of_numerator(product)
     return ObstructionVerdict(
         zeta_values=signed,

@@ -350,7 +350,7 @@ def _rounded(lo: Fraction, hi: Fraction, prec: int | None) -> "RationalInterval"
 
 
 def _pow_rounded(x: Fraction, k: int, prec: int | None, up: bool) -> Fraction:
-    """A bound on x**k (k >= 1) from above (``up``) or below.
+    """A bound on x**k (k >= 0) from above (``up``) or below.
 
     Square-and-multiply on |x|: every intermediate product of nonnegative
     numbers is rounded in one direction to ``prec`` significant bits, which
@@ -447,10 +447,9 @@ class RationalInterval(Value):
         return self * other.reciprocal()
 
     def pow_int(self, k: int) -> "RationalInterval":
+        """Enclosure of the k-th power, k >= 0."""
         if k < 0:
-            return self.reciprocal().pow_int(-k)
-        if k == 0:
-            return RationalInterval.exact(1)
+            raise ExactArithError(f"negative interval exponent {k}")
         lo, hi, p = self.lo, self.hi, self.prec
         if k % 2 == 1 or lo >= 0:
             return RationalInterval(_pow_rounded(lo, k, p, False), _pow_rounded(hi, k, p, True), p)

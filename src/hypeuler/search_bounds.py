@@ -57,16 +57,10 @@ BOUNDS_PRECISION_BITS = 160  # working precision of C(r) and pi in the bounds pa
 
 
 def _largest_int_with_power_at_most(bound: Fraction, exponent: int) -> int:
-    """Largest X >= 0 with X^exponent <= bound (exact integer arithmetic)."""
-    if bound < 1:
-        return 0
-    floor_bound = bound.numerator // bound.denominator
-    x = _int_nthroot(floor_bound, exponent)
-    while Fraction(x + 1) ** exponent <= bound:
-        x += 1
-    while x > 0 and Fraction(x) ** exponent > bound:
-        x -= 1
-    return x
+    """Largest X >= 0 with X^exponent <= bound, for bound >= 0: an integer
+    power is at most bound exactly when it is at most floor(bound), so X is
+    the exact integer root of floor(bound)."""
+    return _int_nthroot(bound.numerator // bound.denominator, exponent)
 
 
 class BoundsPass(NamedTuple):
@@ -98,8 +92,6 @@ def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
     else:
         threshold = c.reciprocal().scale(2).pow_int(degree).scale(Fraction(1, 2))
         doubled_exponent = 2 * r * r + r
-    if doubled_exponent <= 0:
-        raise SearchError("nonpositive exponent in discriminant bound")
     t_sq = threshold.pow_int(2)
     disc_upper = _largest_int_with_power_at_most(t_sq.hi, doubled_exponent)
     lo_cut = _largest_int_with_power_at_most(t_sq.lo, doubled_exponent)
@@ -128,10 +120,6 @@ class HighDegreeExclusion(NamedTuple):
     growth_factor: RationalInterval  # (6 C(r)/pi) * 6.5^(r^2 + r/2 - 1), must exceed 1
     value_at_degree_five: RationalInterval  # (1/8) * growth^5, must exceed 1
     low_degree: tuple[LowDegreeRow, ...]  # informational for the r >= 6 sections
-
-    @property
-    def low_degrees_excluded(self) -> bool:
-        return all(row.excluded for row in self.low_degree)
 
 
 def _low_degree_rows(passes: Iterable[BoundsPass], table: FieldTable) -> tuple[LowDegreeRow, ...]:
@@ -274,7 +262,7 @@ def field_verdict(rec: NumberFieldRecord, r: int, precision_bits: int | None) ->
     """
     datum = ArithmeticDatum(field=rec, r=r)
     obstruction = reciprocal_integer_obstruction(datum)
-    euler = build_euler_char(datum)
+    euler = build_euler_char(datum, obstruction.product)
     dp = None
     if precision_bits is not None:
         enclosure = chi_principal_numeric(datum, precision_bits)

@@ -738,6 +738,23 @@ class TestCliProcess:
         assert cert["error"].startswith("r=3: PrecisionError")
         assert "error: r=3: PrecisionError" in capsys.readouterr().err
 
+    def test_precision_far_past_enclosure_range_fails_fast(self, tmp_path):
+        # the zeta ladder rules out every round before pi or any Hurwitz
+        # enclosure is built at 65536 bits
+        t0 = time.perf_counter()
+        run = run_hypeuler("--r", "3", "--precision", "65536", "--out", str(tmp_path / "c.json"),
+                           "--report", str(tmp_path / "r.txt"))
+        took = time.perf_counter() - t0
+        assert run.returncode == 1
+        assert "error: r=3: PrecisionError" in run.stderr and "Traceback" not in run.stderr
+        assert read_certificate(tmp_path / "c.json")["status"] == "failed"
+        assert took < 2.0, f"failing at 65536 bits took {took:.2f} s"
+
+    def test_high_precision_without_dual_path_certifies(self, table):
+        # rank 13 has no field verdict, so no enclosure is built at that precision
+        cert, code = run_certification([13], table, precision_bits=100000)
+        assert code == 0 and cert["status"] == "complete"
+
     def test_bad_fields_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--r", "3", "--fields", "missing.txt"]) == 1

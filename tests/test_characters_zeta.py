@@ -326,3 +326,17 @@ class TestPrecisionRange:
             zeta_k_numeric(rec_q(table, 5), 2, precision_bits=805)
         assert "after 4096 terms" in str(err.value)
         assert err.value.best.lo > 1
+
+    def test_806_bits_fail_before_any_enclosure(self, table, monkeypatch):
+        # the 4096-term round's floor at s = 2 is 2^-805.9: from 806 bits on
+        # every round is ruled out by its floor and none is computed
+        assert _round_width_floor(2, MAX_TERMS, 40, 2) > F(1, 2**806)
+
+        def refuse(*args):
+            raise AssertionError("no Hurwitz enclosure may be built past the ladder's reach")
+
+        monkeypatch.setattr("hypeuler.characters_zeta.hurwitz_zeta_enclosure", refuse)
+        for bits in (806, 65536):
+            with pytest.raises(PrecisionError, match=f"above target 2\\^-{bits} after 4096 terms") as err:
+                zeta_k_numeric(rec_q(table, 5), 2, precision_bits=bits)
+            assert err.value.best is None

@@ -10,8 +10,8 @@ from hypeuler.euler_char import (
     ClassNumberPreconditionError,
     EulerCharError,
     build_euler_char,
+    chi_lambda_from_product,
     chi_principal_exact,
-    chi_principal_from_values,
     chi_principal_numeric,
     index_divisor,
     reciprocal_integer_obstruction,
@@ -20,6 +20,7 @@ from hypeuler.euler_char import (
 from hypeuler.exact_arith import two_adic_valuation
 from hypeuler.field_tables import load_table
 from hypeuler.local_factors import enumerate_maximal_types, local_factor_polynomial
+from hypeuler.search_bounds import certify_section
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +59,22 @@ class TestChiExact:
         assert chi_principal_exact(datum(table, 5, 3)) == F(67, 36288000)
 
     def test_closed_form_takes_no_discriminant(self):
-        # structural: the exact path is a function of (r, degree, zetas) only
+        # structural: the exact path is a function of (zeta product, r, degree) only
         import inspect
 
-        params = inspect.signature(chi_principal_from_values).parameters
-        assert "disc" not in params and "field" not in params
+        params = inspect.signature(chi_lambda_from_product).parameters
+        assert list(params) == ["product", "r", "degree"]
 
-    def test_wrong_zeta_count_rejected(self):
-        with pytest.raises(EulerCharError):
-            chi_principal_from_values(3, 2, [F(1, 30)])
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_verdicts_take_chi_from_their_zeta_product(self, r, table):
+        # chi(Lambda) of every field verdict is the closed form of the
+        # obstruction's product, and agrees with the standalone exact path
+        verdicts = certify_section(r, table, None).verdicts
+        assert verdicts
+        for v in verdicts:
+            chi = v.euler.chi_lambda
+            assert chi == chi_principal_exact(ArithmeticDatum(v.record, r))
+            assert chi == v.obstruction.product / 2 ** (r * v.record.degree - 1)
 
 
 class TestChiNumeric:
@@ -101,7 +109,8 @@ class TestIndexDivisor:
 
 class TestEulerCharRecord:
     def test_two_exponent(self, table):
-        e = build_euler_char(datum(table, 5, 3))
+        d = datum(table, 5, 3)
+        e = build_euler_char(d, reciprocal_integer_obstruction(d).product)
         assert e.chi_lambda == F(67, 36288000)
         assert e.index_divisor == 4
         assert e.chi_gamma_lower == F(67, 145152000)

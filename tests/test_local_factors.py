@@ -195,25 +195,21 @@ class TestOrderFormulaOracle:
         assert set(constants) == {t.slug() for t in enumerate_maximal_types(r)}
         assert set(constants.values()) == {F(1)}
 
-    def test_calibration_varying_with_q_named(self, monkeypatch):
-        # an order formula off by a factor q: the ratios 1/q differ across q
+    def test_calibration_off_at_one_q_named(self, monkeypatch):
+        # an order formula off by a factor 2 at q = 7 only: the first type
+        # fails there, and the error names the type, the rank and that q
         terms = local_factors._order_formula_terms
         monkeypatch.setattr(
-            local_factors, "_order_formula_terms", lambda t, r, q: (terms(t, r, q)[0] * q, terms(t, r, q)[1])
+            local_factors,
+            "_order_formula_terms",
+            lambda t, r, q: (terms(t, r, q)[0] * (2 if q == 7 else 1), terms(t, r, q)[1]),
         )
-        with pytest.raises(local_factors.CalibrationError, match=r"at rank 3: calibration varies with q: \[Fraction\(1, 9\)"):
-            calibrate_oracle(3, qs=(2, 9))
-
-    def test_calibration_not_power_of_two_named(self, monkeypatch):
-        terms = local_factors._order_formula_terms
-        monkeypatch.setattr(
-            local_factors, "_order_formula_terms", lambda t, r, q: (terms(t, r, q)[0] * 3, terms(t, r, q)[1])
-        )
-        with pytest.raises(local_factors.CalibrationError, match="at rank 3: calibration 1/3 is not a power of 2"):
+        first = enumerate_maximal_types(3)[0].slug()
+        with pytest.raises(local_factors.CalibrationError, match=rf"^{first} at rank 3: .* at q=7$"):
             calibrate_oracle(3)
 
 
 class TestLocalFactorRecord:
     def test_fingerprint_stable(self):
-        assert table_fingerprint() == table_fingerprint((3, 4, 5))
-        assert table_fingerprint() != table_fingerprint((3, 4))
+        assert local_factors.FINGERPRINT_RANKS == (3, 4, 5)
+        assert table_fingerprint() == "302957a52fe19a1fab5b19708fcec09b77770e4a3ebb6837bd1450b7b0cc4931"

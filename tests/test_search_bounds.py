@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hypeuler import search_bounds
@@ -76,6 +78,41 @@ class TestDiscUpperBounds:
             assert p.enclosure_decisive
 
 
+# 2e = 2r^2 + r - 2 at rank 27 is 1,483, and 2r^2 + r is 1,485
+cutoff_exponents = st.integers(min_value=1, max_value=1485)
+
+
+@st.composite
+def near_perfect_powers(draw):
+    """(b, k) with b a perfect k-th power, one off it, or between the two
+    plus a proper fraction."""
+    k = draw(cutoff_exponents)
+    x = draw(st.integers(min_value=0, max_value=2 ** max(1, 3000 // k)))
+    b = F(x**k + draw(st.sampled_from((-1, 0, 1))))
+    b += draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda t: t < 1))
+    return max(b, F(0)), k
+
+
+class TestCutoffRoot:
+    """``_largest_int_with_power_at_most`` is the exact floor root of the
+    floor of its bound; nothing after the root corrects it."""
+
+    @staticmethod
+    def assert_largest(b, k):
+        x = search_bounds._largest_int_with_power_at_most(b, k)
+        assert x >= 0 and F(x) ** k <= b < F(x + 1) ** k
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=0, max_value=10**60), cutoff_exponents)
+    def test_random_bounds(self, b, k):
+        self.assert_largest(b, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_perfect_powers())
+    def test_perfect_powers_and_neighbours(self, case):
+        self.assert_largest(*case)
+
+
 def endpoint_bits(iv):
     return max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in (iv.lo, iv.hi))
 
@@ -130,11 +167,11 @@ class TestHighDegreeExclusion:
         rows = {row.degree: row for row in hd.low_degree}
         assert rows[2].disc_upper == 5 and rows[2].minimal_disc == 5 and not rows[2].excluded
         assert rows[3].excluded and rows[4].excluded
-        assert not hd.low_degrees_excluded
+        assert not all(row.excluded for row in hd.low_degree)
 
     @pytest.mark.parametrize("r", range(7, 13))
     def test_rank7_and_up_fully_excluded(self, r, table):
-        assert high_degree_exclusion(r, table=table).low_degrees_excluded
+        assert all(row.excluded for row in high_degree_exclusion(r, table=table).low_degree)
 
 
 class TestEnumeration:
@@ -253,7 +290,7 @@ class TestCertifySections:
         s = certify_section(6, table, precision_bits=128)
         assert s.kind == "bound-exclusion"
         assert s.verdict == VERDICT_CERTIFIED
-        assert not s.high_degree.low_degrees_excluded  # D = 5 survives the bounds
+        assert not all(row.excluded for row in s.high_degree.low_degree)  # D = 5 survives the bounds
         got = {v.record.disc: v.obstruction.witness for v in s.verdicts}
         assert got == {5: 19}
         assert s.local_factor_proof is not None  # integrality re-proved at rank 6
@@ -264,4 +301,4 @@ class TestCertifySections:
         assert s.kind == "bound-exclusion"
         assert s.verdict == VERDICT_CERTIFIED
         assert s.verdicts == ()
-        assert s.high_degree.low_degrees_excluded
+        assert all(row.excluded for row in s.high_degree.low_degree)
