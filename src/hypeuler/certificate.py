@@ -20,39 +20,31 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .exact_arith import (
-    RationalInterval,
-    dyadic_round,
-    format_rational,
-    parse_rational,
-    two_adic_valuation,
-)
+from .exact_arith import RationalInterval, format_rational, parse_rational, two_adic_valuation
 from .euler_char import chi_lambda_from_product, index_divisor
 from .field_tables import FieldTable, load_table
 from .local_factors import table_fingerprint
 from .characters_zeta import zeta_k_special
 from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section
 
-CERTIFICATE_FORMAT = "hypeuler-certificate v1"
+CERTIFICATE_FORMAT = "hypeuler-certificate v2"
 
-# The working precision of the dual path when none is given, and the least
-# one a certificate may be made or verified at (which keeps the dual-path
-# width bound at or below 2^-56).
+# The working precision of the dual-path self-check when none is given, and
+# the least one a certificate may be made at (which keeps the self-check's
+# width bound 2^(8 - P) at or below 2^-56).
 DEFAULT_PRECISION_BITS = 192
 MIN_PRECISION_BITS = 64
 
 INTERVAL_SIG_BITS = 128  # significant bits of each serialized enclosure end
-RELATIVE_WIDTH_SIG_BITS = 32  # significant bits of a dual path's relative_width, rounded up
 MAX_SERIALIZABLE_RANK = 27  # from rank 28 on, value_at_degree_five passes the int-to-str digit limit
 
 
 # The keys of a complete certificate (a failed one adds "error") and of its parameters.
 _CERTIFICATE_KEYS = {"format", "tool", "dataset", "axioms", "parameters", "sections", "overall", "status"}
-_PARAMETER_KEYS = {"precision_bits", "requested_r"}
-# The keys of a field verdict and of its "euler" and "dual_path" records.
-_VERDICT_KEYS = set("label degree disc h zeta_values product odd_numerator witness conclusion euler dual_path".split())
+_PARAMETER_KEYS = {"requested_r"}
+# The keys of a field verdict and of its "euler" record.
+_VERDICT_KEYS = set("label degree disc h zeta_values product odd_numerator witness conclusion euler".split())
 _EULER_KEYS = {"chi_lambda", "index_divisor", "chi_gamma_lower", "two_exponent"}
-_DUAL_PATH_KEYS = {"enclosure", "contains_exact", "relative_width"}
 
 
 class CertificateError(Exception):
@@ -147,15 +139,6 @@ def section_to_json(section: CertificateSection) -> dict:
                 "chi_gamma_lower": format_rational(v.euler.chi_gamma_lower),
                 "two_exponent": v.euler.two_exponent,
             },
-            "dual_path": None
-            if v.dual_path is None
-            else {
-                "enclosure": _interval_json(v.dual_path.enclosure),
-                "contains_exact": True,  # field_verdict raises otherwise
-                "relative_width": format_rational(
-                    dyadic_round(v.dual_path.relative_width, RELATIVE_WIDTH_SIG_BITS, up=True)
-                ),
-            },
         }
         for v in section.verdicts
     ]
@@ -195,7 +178,6 @@ def _dataset_json(table: FieldTable) -> dict:
 def build_certificate(
     sections: list[dict],
     table: FieldTable,
-    precision_bits: int,
     requested: list[int],
     status: str = "complete",
     error: str | None = None,
@@ -207,10 +189,7 @@ def build_certificate(
         "tool": {"name": "hypeuler", "version": __version__},
         "dataset": _dataset_json(table),
         "axioms": axioms(table.checksum),
-        "parameters": {
-            "precision_bits": precision_bits,
-            "requested_r": sorted(set(requested)),
-        },
+        "parameters": {"requested_r": sorted(set(requested))},
         "sections": sections,
         "overall": {str(s["n"]): s["verdict"] for s in sections},
         "status": status,
@@ -250,9 +229,10 @@ def run_certification(
     Each rank is certified and serialized inside its own failure envelope,
     so an error at either step names the rank.
 
-    Raises ValueError, before any rank runs, when ``precision_bits`` is not
-    an integer of at least ``MIN_PRECISION_BITS``: the verifier rejects a
-    certificate made below that floor.
+    ``precision_bits`` is that of each field's dual-path self-check (see
+    ``field_verdict``); no byte of the certificate depends on it.  Raises
+    ValueError, before any rank runs, when it is not an integer of at least
+    ``MIN_PRECISION_BITS``.
     """
     if type(precision_bits) is not int or precision_bits < MIN_PRECISION_BITS:
         raise ValueError(
@@ -265,11 +245,10 @@ def run_certification(
             sections.append(_section(r, table, precision_bits))
         except Exception as exc:  # embed the failure, per the exit-code contract
             cert = build_certificate(
-                sections, table, precision_bits, requested_r, status="failed",
-                error=f"r={r}: {type(exc).__name__}: {exc}",
+                sections, table, requested_r, status="failed", error=f"r={r}: {type(exc).__name__}: {exc}"
             )
             return cert, 1
-    cert = build_certificate(sections, table, precision_bits, requested_r)
+    cert = build_certificate(sections, table, requested_r)
     code = 0 if all(s["verdict"] == VERDICT_CERTIFIED for s in sections) else 2
     return cert, code
 
@@ -331,31 +310,18 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     The sections must be exactly the requested ranks.  Each section's
     recorded evidence (kind, bound audits, candidates, high-degree rows,
     local factors, field list and verdict) must equal what the certification
-    driver recomputes for that rank, without the dual path.  Each field
-    verdict's zeta row, reduced product, witness and Euler data are also
-    re-derived here on their own; its keys and those of its ``euler`` and
-    ``dual_path`` records must be those ``section_to_json`` writes, its
-    integers ints and its rationals reduced ``num/den`` strings.  The
-    dataset and the axioms must be those of the table in use.  These
-    comparisons tell 5, 5.0 and true apart.  Every field verdict at
-    rank >= 3 must carry a dual-path enclosure (rank 2 has none), which must
-    contain the exact value and have a relative width of at most
-    2^(8 - min(P, INTERVAL_SIG_BITS)) for ``parameters.precision_bits`` P,
-    which must be at least ``MIN_PRECISION_BITS`` (so the bound is at most
-    2^-56; see ``_dual_path_width_bound``), and the recorded
-    ``relative_width`` must lie in (0, cap], cap the recorded enclosure's
-    relative width rounded up to ``RELATIVE_WIDTH_SIG_BITS``.  A missing key
-    or malformed value, and a rank whose evidence the certifier cannot
-    recompute (any rank above ``MAX_SERIALIZABLE_RANK``), are reported as
-    divergences, never raised.
-
-    Unpinned slack, changing no verdict: ``relative_width`` anywhere in
-    (0, cap] (2^-400 verifies, and so does +2 on the numerator of an honest
-    one); ``parameters.precision_bits``, any integer at or above the floor
-    at every rank, since the bound uses min(P, INTERVAL_SIG_BITS) and an
-    honest serialized enclosure is about 2^-127 relative wide; and a
-    dual-path enclosure widened but still valid and within the width bound
-    (+2 on the numerator of its upper end verifies).
+    driver recomputes for that rank.  Each field verdict's zeta row,
+    reduced product, witness and Euler data are also re-derived here on
+    their own; its keys and those of its ``euler`` record must be those
+    ``section_to_json`` writes, its integers ints and its rationals reduced
+    ``num/den`` strings.  The dataset and the axioms must be those of the
+    table in use.  These comparisons tell 5, 5.0 and true apart.  The
+    certificate records no dual-path enclosure: the exact zeta-numerator
+    obstruction is the proof, and the dual path is a certify-time self-check
+    only (see ``field_verdict``), so the verifier runs the driver without it.
+    A missing key or malformed value, and a rank whose evidence the
+    certifier cannot recompute (any rank above ``MAX_SERIALIZABLE_RANK``),
+    are reported as divergences, never raised.
     """
     if isinstance(cert, (str, Path)):
         cert = read_certificate(cert)
@@ -383,13 +349,6 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
         check(cert["status"] == "complete", f"certificate status is {cert['status']!r}")
         parameters = cert["parameters"]
         check(parameters.keys() == _PARAMETER_KEYS, f"parameters has keys {sorted(parameters)}")
-        precision = parameters["precision_bits"]
-        check(type(precision) is int, f"parameters.precision_bits {precision!r} is not an integer")
-        check(
-            precision >= MIN_PRECISION_BITS,
-            f"parameters.precision_bits {precision} is below the floor of {MIN_PRECISION_BITS} bits",
-        )
-        width_bound = _dual_path_width_bound(precision)
         ranks = list(parameters["requested_r"])
         sections = list(cert["sections"])
         section_ranks = [sec["r"] for sec in sections]
@@ -408,15 +367,13 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
         except Exception as exc:
             raise _Divergence(f"{tag}: cannot recompute the evidence ({type(exc).__name__}: {exc})") from None
         try:
-            _verify_section(sec, expected, table, check, tag, width_bound)
+            _verify_section(sec, expected, table, check, tag)
             check(overall[str(2 * r)] == sec["verdict"], f"{tag}: overall map disagrees with section verdict")
         except _MALFORMED as exc:
             raise _Divergence(f"{tag}: malformed entry ({type(exc).__name__}: {exc})") from None
 
 
-def _verify_section(
-    sec: dict, expected: dict, table: FieldTable, check: _Checks, tag: str, width_bound: Fraction
-) -> None:
+def _verify_section(sec: dict, expected: dict, table: FieldTable, check: _Checks, tag: str) -> None:
     check.keys(sec, expected.keys(), f"{tag}: evidence")
     for claimed, known in zip(sec.get("bounds", []), expected.get("bounds", [])):
         for key in ("pass_one", "pass_two"):
@@ -438,28 +395,12 @@ def _verify_section(
     known_fields = [(v["label"], v["conclusion"]) for v in expected["verdicts"]]
     check(fields == known_fields, f"{tag}: field verdicts {fields} differ from the recomputed {known_fields}")
     for v in sec["verdicts"]:
-        _verify_field(v, expected["r"], table, check, tag, width_bound)
+        _verify_field(v, expected["r"], table, check, tag)
 
 
-def _dual_path_width_bound(precision_bits: int) -> Fraction:
-    """The largest relative width accepted for a dual-path enclosure at
-    working precision ``precision_bits``: 2^(8 - min(precision_bits, S)),
-    S = ``INTERVAL_SIG_BITS`` = 128.
-
-    Each zeta factor is enclosed to width 2^-precision_bits, and the
-    serialization at S significant bits widens each end by under 2^(1 - S)
-    relative, so an honest enclosure stays below
-    2^(1 - min(precision_bits, S)) on every rank in use; the bound
-    leaves 7 bits of room and still rejects any enclosure that says
-    nothing, such as [0, 10^100].
-    """
-    return Fraction(2) ** (8 - min(precision_bits, INTERVAL_SIG_BITS))
-
-
-def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, width_bound: Fraction) -> None:
+def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str) -> None:
     """Re-derive one field verdict: zeta row, reduced product, witness and
-    Euler data, and the recorded dual-path enclosure's containment and
-    width."""
+    Euler data."""
     label = v["label"]
 
     def rational(text: str, name: str) -> Fraction:
@@ -528,31 +469,6 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str, 
         type(euler["two_exponent"]) is int and euler["two_exponent"] == two_exponent,
         f"{tag}: {label}: two_exponent {euler['two_exponent']!r} != recomputed {two_exponent}",
     )
-    dual = v["dual_path"]
-    # The certifier records a dual-path check for every field at rank >= 3
-    # and none at rank 2.
-    check(
-        (dual is not None) == (r >= 3),
-        f"{tag}: {label}: dual-path record is {'missing' if dual is None else 'unexpected at rank 2'}",
-    )
-    if dual is not None:
-        check.keys(dual, _DUAL_PATH_KEYS, f"{tag}: malformed verdict {label}: dual_path keys")
-        lo, hi = (rational(s, "enclosure end") for s in dual["enclosure"])
-        check(lo <= chi <= hi, f"{tag}: {label}: recorded enclosure misses the exact value")
-        check(dual["contains_exact"] is True, f"{tag}: {label}: contains_exact is not true")
-        check(
-            (hi - lo) / chi <= width_bound,
-            f"{tag}: {label}: recorded enclosure's relative width exceeds {format_rational(width_bound)}",
-        )
-        # The recorded enclosure contains the working one and rounding up is
-        # monotone, so an honest relative_width is at most this cap (<= width_bound).
-        cap = dyadic_round((hi - lo) / chi, RELATIVE_WIDTH_SIG_BITS, up=True)
-        relative_width = rational(dual["relative_width"], "relative_width")
-        check(
-            0 < relative_width <= cap,
-            f"{tag}: {label}: relative_width {dual['relative_width']!r} is not a positive rational "
-            f"at most the recorded enclosure's rounded relative width {format_rational(cap)}",
-        )
 
 
 # ---------------------------------------------------------------------------

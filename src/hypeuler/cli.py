@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, metavar="PATH",
                    help=f"report output path (default {_CERTIFY_DEFAULTS['report']})")
     p.add_argument("--precision", type=int, default=None, metavar="BITS",
-                   help=f"target bits for the transcendental cross-check enclosures "
+                   help=f"working bits P of the certify-time dual-path self-check, which "
+                   f"checks that each enclosure contains the exact value and is at most 2^(8-P) "
+                   f"relative wide; changes no certificate byte "
                    f"(default {DEFAULT_PRECISION_BITS}, at least {MIN_PRECISION_BITS})")
     p.add_argument("--max-r", type=int, default=None, metavar="R",
                    help=f"largest rank in the default sweep (default {_CERTIFY_DEFAULTS['max_r']}; "

@@ -309,7 +309,16 @@ def root_of_unity(order: int, e: int) -> Zeta3Number:
 
 
 def _int_nthroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0, k >= 1, by Newton iteration on integers."""
+    """floor(n^(1/k)) for n >= 0, k >= 1, by Newton iteration on integers.
+
+    The loop exits exactly at the floor root m = floor(n^(1/k)).  The start
+    value 1 << ceil(bits/k) is at least n^(1/k), so it is >= m.  For
+    x >= 1, the step y = floor(((k-1)x + floor(n/x^(k-1)))/k) equals
+    floor(((k-1)x + n/x^(k-1))/k), and by AM-GM that mean of k - 1 copies
+    of x and one of n/x^(k-1) is at least n^(1/k), so y >= m: no iterate
+    falls below m.  For x > m, x^k > n, so n/x^(k-1) < x and y < x: the
+    loop steps on.  Hence it stops at the first x with y >= x, which is m.
+    """
     if n < 0:
         raise ExactArithError("integer root of a negative number")
     if n == 0:
@@ -324,10 +333,6 @@ def _int_nthroot(n: int, k: int) -> int:
         if y >= x:
             break
         x = y
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
     return x
 
 

@@ -236,16 +236,10 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
 # ---------------------------------------------------------------------------
 
 
-class DualPathCheck(NamedTuple):
-    enclosure: RationalInterval  # contains the exact value: ``field_verdict`` raises otherwise
-    relative_width: Fraction
-
-
 class FieldVerdict(NamedTuple):
     record: NumberFieldRecord
     obstruction: ObstructionVerdict
     euler: EulerChar
-    dual_path: DualPathCheck | None
 
     @property
     def conclusion(self) -> str:
@@ -255,22 +249,25 @@ class FieldVerdict(NamedTuple):
 def field_verdict(rec: NumberFieldRecord, r: int, precision_bits: int | None) -> FieldVerdict:
     """The obstruction verdict and Euler data of one field at rank r.
 
-    With ``precision_bits`` set, also enclose |chi(Lambda)| along the
-    transcendental path at that precision (the dual path) and raise
-    SearchError unless the enclosure contains the exact value; with None
-    the dual path is skipped and ``dual_path`` is None.
+    With ``precision_bits`` P set, also enclose |chi(Lambda)| along the
+    transcendental path at that precision (the dual path) as a self-check:
+    raise SearchError unless the enclosure contains the exact value and its
+    relative width is at most 2^(8 - P).  Nothing of the check is recorded.
+    With None the dual path is skipped.
     """
     datum = ArithmeticDatum(field=rec, r=r)
     obstruction = reciprocal_integer_obstruction(datum)
     euler = build_euler_char(datum, obstruction.product)
-    dp = None
     if precision_bits is not None:
         enclosure = chi_principal_numeric(datum, precision_bits)
         exact = euler.chi_lambda
         if exact not in enclosure:
             raise SearchError(f"{rec.label}, r={r}: transcendental enclosure does not contain the exact value")
-        dp = DualPathCheck(enclosure=enclosure, relative_width=enclosure.width / exact)
-    return FieldVerdict(record=rec, obstruction=obstruction, euler=euler, dual_path=dp)
+        if enclosure.width > exact * Fraction(2) ** (8 - precision_bits):
+            raise SearchError(
+                f"{rec.label}, r={r}: transcendental enclosure is wider than 2^(8 - {precision_bits}) relative"
+            )
+    return FieldVerdict(record=rec, obstruction=obstruction, euler=euler)
 
 
 VERDICT_CERTIFIED = "nonexistence certified"

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +82,13 @@ class TestRunCertification:
         again, _ = run_certification([3, 4, 5], table, precision_bits=128)
         assert serialize_certificate(theorem_cert) == serialize_certificate(again)
 
+    def test_precision_changes_no_byte(self, table):
+        # the dual path is a certify-time self-check: nothing of it is recorded
+        low, _ = run_certification([3, 4, 5], table, precision_bits=64)
+        high, _ = run_certification([3, 4, 5], table, precision_bits=192)
+        assert serialize_certificate(low) == serialize_certificate(high)
+        assert low["parameters"] == {"requested_r": [3, 4, 5]}
+
     def test_internal_error_yields_partial_failed_cert(self, table):
         cert, code = run_certification([1], table)  # rank 1 is out of contract
         assert code == 1
@@ -143,22 +149,6 @@ class TestVerifier:
         outcome = verify_certificate(bad, table)
         assert not outcome.ok and named in outcome.divergence
 
-    def test_stripped_dual_path_rejected(self, theorem_cert, table):
-        bad = clone(theorem_cert)
-        for sec in bad["sections"]:
-            for v in sec["verdicts"]:
-                v["dual_path"] = None
-        outcome = verify_certificate(bad, table)
-        assert not outcome.ok
-        assert outcome.divergence == "section r=3: 2.2.5.1: dual-path record is missing"
-
-    def test_rank_two_dual_path_rejected(self, theorem_cert, table):
-        cert, _ = run_certification([2], table, precision_bits=128)
-        assert verify_certificate(cert, table).ok
-        cert["sections"][0]["verdicts"][0]["dual_path"] = theorem_cert["sections"][0]["verdicts"][0]["dual_path"]
-        outcome = verify_certificate(cert, table)
-        assert not outcome.ok and "dual-path record is unexpected at rank 2" in outcome.divergence
-
     def test_verdict_flip_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
         bad["sections"][0]["verdicts"][0]["witness"] = None
@@ -201,12 +191,6 @@ class TestVerifier:
             (("dataset", "completeness"), None, "dataset completeness"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), 1, "two_exponent"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), "11", "two_exponent"),
-            (("sections", 0, "verdicts", 0, "dual_path", "enclosure"), ["0", "1" + "0" * 100], "relative width"),
-            (("sections", 0, "verdicts", 0, "dual_path", "relative_width"), "1", "relative_width"),
-            (("sections", 0, "verdicts", 0, "dual_path", "relative_width"), "0", "relative_width"),
-            (("sections", 0, "verdicts", 0, "dual_path", "relative_width"), "-1/2", "relative_width"),
-            (("sections", 0, "verdicts", 0, "dual_path", "contains_exact"), False, "contains_exact"),
-            (("parameters", "precision_bits"), "128", "precision_bits"),
         ],
     )
     def test_replaced_claim_named(self, theorem_cert, table, path, value, named):
@@ -281,23 +265,6 @@ class TestPrecisionFloor:
         assert code == 0 and cert["status"] == "complete"
         assert verify_certificate(cert, table).ok
 
-    def test_below_floor_precision_rejected(self, rank_three_cert, table):
-        # the width bound would grow to 2^7 and accept relative widths of 1/2
-        bad = clone(rank_three_cert)
-        bad["parameters"]["precision_bits"] = 1
-        for v in bad["sections"][0]["verdicts"]:
-            v["dual_path"]["relative_width"] = "1/2"
-        outcome = verify_certificate(bad, table)
-        assert not outcome.ok
-        assert outcome.divergence == "parameters.precision_bits 1 is below the floor of 64 bits"
-
-    def test_floor_precision_verifies(self, rank_three_cert, table):
-        cert = clone(rank_three_cert)
-        cert["parameters"]["precision_bits"] = MIN_PRECISION_BITS
-        assert verify_certificate(cert, table).ok
-        cert["parameters"]["precision_bits"] = MIN_PRECISION_BITS - 1
-        assert "below the floor" in verify_certificate(cert, table).divergence
-
 
 class TestTopLevelKeys:
     """The certificate's own keys, its tool and its parameters are pinned;
@@ -306,14 +273,19 @@ class TestTopLevelKeys:
     @pytest.mark.parametrize(
         ("mutate", "named"),
         [
+            (
+                lambda c: c.update(format="hypeuler-certificate v1"),
+                "unknown certificate format 'hypeuler-certificate v1'",
+            ),
             (lambda c: c["tool"].update(version=2), "tool.version 2 is not a string"),
             (lambda c: c["tool"].update(name="other"), "is not hypeuler"),
             (lambda c: c.pop("tool"), "certificate keys: missing ['tool'], unexpected []"),
             (lambda c: c.update(note="extra"), "certificate keys: missing [], unexpected ['note']"),
             (lambda c: c.update(error="r=3: none"), "certificate keys: missing [], unexpected ['error']"),
+            (lambda c: c["parameters"].update(seed=1), "parameters has keys ['requested_r', 'seed']"),
             (
-                lambda c: c["parameters"].update(seed=1),
-                "parameters has keys ['precision_bits', 'requested_r', 'seed']",
+                lambda c: c["parameters"].update(precision_bits=192),
+                "parameters has keys ['precision_bits', 'requested_r']",
             ),
             (
                 lambda c: c["parameters"].update(requested_r=[3, 3]),
@@ -321,8 +293,8 @@ class TestTopLevelKeys:
             ),
         ],
         ids=[
-            "changed-version", "changed-name", "deleted-tool", "extra-key", "error-key", "extra-parameter",
-            "duplicate-rank",
+            "v1-format", "changed-version", "changed-name", "deleted-tool", "extra-key", "error-key",
+            "extra-parameter", "precision-parameter", "duplicate-rank",
         ],
     )
     def test_mutation_is_named_divergence(self, rank_three_cert, table, mutate, named):
@@ -346,13 +318,6 @@ def first_verdict(cert):
     return cert["sections"][0]["verdicts"][0]
 
 
-def edit_upper_numerator(cert, k):
-    """Add k to the numerator text of the first dual-path enclosure's upper end."""
-    enclosure = first_verdict(cert)["dual_path"]["enclosure"]
-    num, den = enclosure[1].split("/")
-    enclosure[1] = f"{int(num) + k}/{den}"
-
-
 class TestVerdictShape:
     """A field verdict's keys, integers and rationals are pinned to what
     ``section_to_json`` writes, and recomputed evidence compares by type."""
@@ -369,16 +334,15 @@ class TestVerdictShape:
                 "section r=3: malformed verdict 2.2.5.1: euler keys missing [], unexpected ['note']",
             ),
             (
-                lambda c: first_verdict(c)["dual_path"].pop("contains_exact"),
-                "section r=3: malformed verdict 2.2.5.1: dual_path keys missing ['contains_exact'], unexpected []",
+                lambda c: first_verdict(c).update(dual_path=None),
+                "section r=3: malformed verdict 2.2.5.1: keys missing [], unexpected ['dual_path']",
             ),
             (lambda c: first_verdict(c).update(h=1.0), "section r=3: 2.2.5.1: h 1.0 is not an integer"),
             (lambda c: first_verdict(c).update(disc=5.0), "section r=3: 2.2.5.1: disc 5.0 is not an integer"),
             (lambda c: first_verdict(c)["euler"].update(index_divisor=4.0), "index_divisor 4.0 is not an integer"),
             (lambda c: first_verdict(c)["zeta_values"].__setitem__(0, " 1/30 "), "zeta value ' 1/30 ' is not"),
             (lambda c: first_verdict(c)["zeta_values"].__setitem__(0, "2/60"), "zeta value '2/60' is not"),
-            (lambda c: first_verdict(c)["dual_path"].update(relative_width="1e-60"), "relative_width '1e-60' is not"),
-            (lambda c: edit_upper_numerator(c, 1), "enclosure end"),
+            (lambda c: first_verdict(c)["euler"].update(chi_lambda="1e-60"), "chi_lambda '1e-60' is not"),
             (
                 lambda c: c["sections"][0]["candidates"][0].update(disc=5.0),
                 "section r=3: candidates differs from the recomputed evidence",
@@ -388,8 +352,8 @@ class TestVerdictShape:
         ],
         ids=[
             "verdict-key", "euler-key", "dual-path-key", "float-h", "float-disc", "float-index-divisor",
-            "padded-rational", "unreduced-rational", "float-text-rational", "unreduced-enclosure-end",
-            "float-candidate-disc", "float-rank", "float-completeness",
+            "padded-rational", "unreduced-rational", "float-text-rational", "float-candidate-disc", "float-rank",
+            "float-completeness",
         ],
     )
     def test_mutation_is_named_divergence(self, rank_three_cert, table, mutate, named):
@@ -398,24 +362,19 @@ class TestVerdictShape:
         outcome = verify_certificate(bad, table)
         assert not outcome.ok and named in outcome.divergence
 
-    def test_widened_reduced_enclosure_is_unpinned(self, rank_three_cert, table):
-        # a reduced dyadic end has an odd numerator: +2 keeps it reduced and the enclosure valid
-        cert = clone(rank_three_cert)
-        edit_upper_numerator(cert, 2)
-        assert verify_certificate(cert, table).ok
 
-
-def oversized_precision_certificate(cert, path):
-    """``cert`` written with a 5,000-digit precision_bits, past the JSON
-    reader's integer-digit limit."""
-    text = serialize_certificate(cert)
-    assert '"precision_bits": 192' in text
-    path.write_text(text.replace('"precision_bits": 192', '"precision_bits": 1' + "0" * 4999), encoding="utf-8")
+def oversized_integer_certificate(cert, path):
+    """``cert`` written with a 5,000-digit first verdict ``disc``, past the
+    JSON reader's integer-digit limit."""
+    bad = clone(cert)
+    first_verdict(bad)["disc"] = "oversized"
+    text = serialize_certificate(bad).replace('"disc": "oversized"', '"disc": 1' + "0" * 4999)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
 def test_oversized_integer_is_certificate_error(rank_three_cert, table, tmp_path):
-    path = oversized_precision_certificate(rank_three_cert, tmp_path / "c.json")
+    path = oversized_integer_certificate(rank_three_cert, tmp_path / "c.json")
     with pytest.raises(CertificateError, match="cannot read certificate"):
         verify_certificate(path, table)
 
@@ -488,33 +447,6 @@ class TestSerializableRankLimit:
         assert cert["error"] == "r=1000: ValueError: rank 1000 is above 27, the largest rank whose section serializes"
 
 
-class TestDualPathWidth:
-    """``relative_width`` is capped by the recorded enclosure's own width;
-    its lower side and the precision at ranks without a dual path are the
-    documented unpinned slack."""
-
-    def test_width_above_recorded_enclosure_rejected(self, rank_three_cert, table):
-        # honest value about 2^-200; the cap of the recorded enclosure is about 2^-128
-        bad = clone(rank_three_cert)
-        bad["sections"][0]["verdicts"][0]["dual_path"]["relative_width"] = format_rational(Fraction(1, 2**120))
-        outcome = verify_certificate(bad, table)
-        assert not outcome.ok
-        assert outcome.divergence.startswith(
-            "section r=3: 2.2.5.1: relative_width '1/1329227995784915872903807060280344576' is not a "
-            "positive rational at most the recorded enclosure's rounded relative width"
-        )
-
-    def test_width_below_recorded_enclosure_is_unpinned(self, rank_three_cert, table):
-        cert = clone(rank_three_cert)
-        cert["sections"][0]["verdicts"][0]["dual_path"]["relative_width"] = format_rational(Fraction(1, 2**400))
-        assert verify_certificate(cert, table).ok
-
-    def test_precision_without_dual_path_is_unpinned(self, table):
-        cert, code = run_certification([13], table, precision_bits=100000)
-        assert code == 0 and cert["parameters"]["precision_bits"] == 100000
-        assert verify_certificate(cert, table).ok
-
-
 class TestGoldenBytes:
     """The certificate and report bytes of the headline ranks, of rank 2, of
     the default sweep and of ranks 13 to 15 at the default precision, as
@@ -527,22 +459,22 @@ class TestGoldenBytes:
         [
             (
                 [3, 4, 5],
-                "73854746393c4550cfb7e7d4ac1b9cc6060894d1721e5796d16e752184cb959f",
+                "8e812e452366043f1fa03ad71e1f98f1538b00dc70f9384ebabaadbefb8ccd30",
                 "9c46600b8410af4cca40b96f697e1b7df083fa41bcdd17e359cce4f5e425fcbc",
             ),
             (
                 [2],
-                "ae37be327be1514ab9ee95d82b1a88687c466516d0f34027d7d2bed311dbb487",
+                "52770e2fe2590afb831ecaf67f4b89f69de26c20116738bb85d12bb68562c620",
                 "159cf5e4ae2716243cd8f8aab98ca90d369b070416ac1a696fe2a644137c9333",
             ),
             (
                 list(range(3, 13)),
-                "1928a46950d106008d0e86ca2141e6884ffc10956c04736dbea2e64213d38cf9",
+                "b6d06bf15612a03b3a390cae79a914e78d792ee87a027a6d80ae02928bf5cf22",
                 "1cd2bf2fab2f5f32458763e8eb9932b5830000ee6950da284f0435d66bab7f46",
             ),
             (
                 [13, 14, 15],
-                "ee1c01f57a7ee042b6e33f643bedf986e4a1e23dcb14ba4bbb77ee8e82c72f82",
+                "3eddc37247fd3998a8a8e8a524095a48cc821e6da8d9fd676fd8ecb31f029d85",
                 "58ea92e988fd03d1499707ba8b9bcf78809469d7e90429385845f4faa43c3353",
             ),
         ],
@@ -641,7 +573,7 @@ class TestCliProcess:
 
     def test_verify_oversized_integer_exits_one(self, rank_three_cert, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        oversized_precision_certificate(rank_three_cert, tmp_path / "c.json")
+        oversized_integer_certificate(rank_three_cert, tmp_path / "c.json")
         assert main(["--verify", "c.json"]) == 1
         assert "cannot read certificate c.json" in capsys.readouterr().err
 

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hypeuler import search_bounds
-from hypeuler.euler_char import C_of_r
+from hypeuler.euler_char import ArithmeticDatum, C_of_r, chi_principal_numeric
+from hypeuler.exact_arith import RationalInterval
 from hypeuler.field_tables import load_table, parse_table_text
 from hypeuler.search_bounds import (
     VERDICT_CERTIFIED,
     VERDICT_INCONCLUSIVE,
     BoundsMode,
     PassOneClassNumberError,
+    SearchError,
     certify_section,
     compute_bounds_pass,
     disc_upper_bound,
@@ -216,20 +218,29 @@ class TestFieldVerdicts:
         v = field_verdict(table.by_disc(2, 5), 3, precision_bits=128)
         assert v.conclusion == "obstructed"
         assert v.obstruction.witness == 67
-        assert v.euler.chi_lambda in v.dual_path.enclosure
 
     def test_precision_512_meets_target(self, table):
         # each zeta factor is enclosed to width 2^-512, so the whole
         # enclosure's relative width stays near 2^-512 as well
-        v = field_verdict(table.by_disc(2, 5), 3, precision_bits=512)
-        assert v.euler.chi_lambda in v.dual_path.enclosure
-        assert v.dual_path.relative_width < F(1, 2**505)
-        assert v.dual_path.enclosure.prec >= 512
+        rec = table.by_disc(2, 5)
+        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        enclosure = chi_principal_numeric(ArithmeticDatum(field=rec, r=3), precision_bits=512)
+        assert exact in enclosure
+        assert enclosure.width / exact < F(1, 2**505)
+        assert enclosure.prec >= 512
+
+    def test_too_wide_enclosure_raises(self, table, monkeypatch):
+        # contains the exact value, but is 2^(8 - 128) relative wide and a bit more
+        rec = table.by_disc(2, 5)
+        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        wide = RationalInterval(exact * (1 - F(1, 2**120)), exact * (1 + F(1, 2**121)))
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: wide)
+        with pytest.raises(SearchError, match=r"^2\.2\.5\.1, r=3: transcendental enclosure is wider than"):
+            field_verdict(rec, 3, precision_bits=128)
 
     def test_witness_divides_odd_numerator(self, table):
         for D in (8, 12, 13, 17):
             v = field_verdict(table.by_disc(2, D), 3, None)
-            assert v.dual_path is None
             assert v.obstruction.odd_numerator % v.obstruction.witness == 0
 
 

@@ -24,7 +24,6 @@ from hypeuler.search_bounds import (
     BoundsPass,
     CandidateEnumeration,
     CertificateSection,
-    DualPathCheck,
     FieldVerdict,
     HighDegreeExclusion,
 )
@@ -34,10 +33,9 @@ RECORD_FIELDS = {
     BoundsPass: ("degree", "mode", "disc_upper", "threshold_squared", "doubled_exponent", "enclosure_decisive"),
     HighDegreeExclusion: ("growth_factor", "value_at_degree_five", "low_degree"),
     CandidateEnumeration: ("audits", "records"),
-    FieldVerdict: ("record", "obstruction", "euler", "dual_path"),
+    FieldVerdict: ("record", "obstruction", "euler"),
     MinimumProof: ("entries", "minimum"),
     TypeMinimum: ("type", "polynomial", "value_at_two"),
-    DualPathCheck: ("enclosure", "relative_width"),
     CertificateSection: ("r", "kind", "verdict", "verdicts", "local_factor_proof", "calibration", "enumeration",
                          "high_degree", "notes"),
 }

@@ -11,13 +11,12 @@ element.  Mutations that leave the certificate unchanged are left out.
 import copy
 import json
 import re
-from fractions import Fraction
 from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypeuler.certificate import MIN_PRECISION_BITS, run_certification, verify_certificate
+from hypeuler.certificate import run_certification, verify_certificate
 from hypeuler.field_tables import load_table
 
 RANKS = (2, 3, 6, 13)
@@ -112,20 +111,10 @@ def mutate(cert, path, operator):
     return bad
 
 
-def is_slack(path, old, new):
-    """The documented slack of ``verify_certificate``: the tool's version
-    string, any precision_bits at or above the floor, a dual-path
-    enclosure widened at its upper end, and a relative_width in
-    (0, cap]."""
-    if path == ("tool", "version"):
-        return isinstance(new, str)
-    if path == ("parameters", "precision_bits"):
-        return is_int(new) and new >= MIN_PRECISION_BITS
-    if path[-3:-1] == ("dual_path", "enclosure") and path[-1] == 1:
-        return Fraction(new) >= Fraction(old)
-    if path[-2:] == ("dual_path", "relative_width"):
-        return Fraction(new) > 0
-    return False
+def is_slack(path, new):
+    """The documented slack of ``verify_certificate``: any string as the
+    tool's version, and nothing else."""
+    return path == ("tool", "version") and isinstance(new, str)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -136,6 +125,6 @@ def test_mutation_is_named_divergence_or_documented_slack(data):
     bad = mutate(cert, path, operator)
     outcome = verify_certificate(bad, table())
     if outcome.ok:
-        assert operator in OPERATORS and is_slack(path, node(cert, path), node(bad, path)), (path, operator)
+        assert operator in OPERATORS and is_slack(path, node(bad, path)), (path, operator)
     else:
         assert outcome.divergence, (path, operator)
