@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hypeuler import search_bounds
 from hypeuler.certificate import (
     DEFAULT_PRECISION_BITS,
     MAX_SERIALIZABLE_RANK,
@@ -23,9 +24,9 @@ from hypeuler.certificate import (
     verify_certificate,
 )
 from hypeuler.cli import build_parser, main
-from hypeuler.exact_arith import format_rational, parse_rational
+from hypeuler.exact_arith import RationalInterval, format_rational, parse_rational
 from hypeuler.field_tables import bundled_table_path, load_table, parse_table_text
-from hypeuler.search_bounds import certify_section
+from hypeuler.search_bounds import certify_section, field_verdict
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,25 @@ class TestRunCertification:
         assert cert["status"] == "failed"
         assert "r=1" in cert["error"]
 
+    @pytest.mark.parametrize(
+        ("enclose", "named"),
+        [
+            (lambda exact: RationalInterval(exact, 2 * exact), "is wider than 2^(8 - 128) relative"),
+            (lambda exact: RationalInterval(2 * exact, 2 * exact), "does not contain the exact value"),
+        ],
+        ids=["too-wide", "misses-exact"],
+    )
+    def test_failed_self_check_yields_failed_cert(self, table, monkeypatch, enclose, named):
+        # the dual path is checked when certifying, so a bad enclosure fails the run
+        def bad_enclosure(datum, precision_bits):
+            return enclose(field_verdict(datum.field, datum.r, None).euler.chi_lambda)
+
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", bad_enclosure)
+        cert, code = run_certification([4, 3], table, precision_bits=128)
+        assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
+        assert cert["error"].startswith("r=3: SearchError: 2.2.5.1, r=3: transcendental enclosure")
+        assert named in cert["error"]
+
 
 class TestVerifier:
     def test_fresh_certificate_verifies(self, theorem_cert, table):
@@ -149,6 +169,14 @@ class TestVerifier:
         outcome = verify_certificate(bad, table)
         assert not outcome.ok and named in outcome.divergence
 
+    def test_rank_two_dual_path_rejected(self, table):
+        # no verdict records a dual path, at rank 2 as at any other
+        cert, _ = run_certification([2], table, precision_bits=128)
+        cert["sections"][0]["verdicts"][0]["dual_path"] = {"enclosure": ["0", "1"], "relative_width": "1"}
+        outcome = verify_certificate(cert, table)
+        assert not outcome.ok
+        assert outcome.divergence == "section r=2: malformed verdict 2.2.5.1: keys missing [], unexpected ['dual_path']"
+
     def test_verdict_flip_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
         bad["sections"][0]["verdicts"][0]["witness"] = None
@@ -191,6 +219,9 @@ class TestVerifier:
             (("dataset", "completeness"), None, "dataset completeness"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), 1, "two_exponent"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), "11", "two_exponent"),
+            (("sections", 0, "verdicts", 0, "euler", "chi_lambda"), "1/2", "chi(Lambda) mismatch"),
+            (("sections", 0, "verdicts", 0, "euler", "chi_gamma_lower"), "1/2", "chi(Gamma) lower bound mismatch"),
+            (("sections", 0, "verdicts", 0, "euler", "index_divisor"), 8, "index divisor mismatch"),
         ],
     )
     def test_replaced_claim_named(self, theorem_cert, table, path, value, named):

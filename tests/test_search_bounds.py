@@ -238,6 +238,39 @@ class TestFieldVerdicts:
         with pytest.raises(SearchError, match=r"^2\.2\.5\.1, r=3: transcendental enclosure is wider than"):
             field_verdict(rec, 3, precision_bits=128)
 
+    @pytest.mark.parametrize("bits", [64, 128, 192])
+    def test_width_bound_is_inclusive(self, table, monkeypatch, bits):
+        # an enclosure exactly 2^(8 - P) relative wide passes the self-check
+        rec = table.by_disc(2, 5)
+        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        edge = RationalInterval(exact, exact * (1 + F(2) ** (8 - bits)))
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: edge)
+        assert field_verdict(rec, 3, precision_bits=bits).euler.chi_lambda == exact
+
+    def test_enclosure_missing_exact_raises(self, table, monkeypatch):
+        # narrow, but just above the exact value
+        rec = table.by_disc(2, 5)
+        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        above = RationalInterval(exact * (1 + F(1, 2**200)), exact * (1 + F(1, 2**199)))
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: above)
+        with pytest.raises(SearchError, match=r"^2\.2\.5\.1, r=3: transcendental enclosure does not contain"):
+            field_verdict(rec, 3, precision_bits=128)
+
+    @pytest.mark.parametrize("bits", [64, 128, 192, 256])
+    def test_honest_width_leaves_room(self, table, bits):
+        # every rank-3 candidate's enclosure is at least 9 bits inside the 2^(8 - P) bound
+        for v in certify_section(3, table, None).verdicts:
+            enclosure = chi_principal_numeric(ArithmeticDatum(field=v.record, r=3), precision_bits=bits)
+            assert v.euler.chi_lambda in enclosure
+            assert enclosure.width <= v.euler.chi_lambda * F(1, 2 ** (bits + 1)), v.record.label
+
+    def test_no_precision_skips_dual_path(self, table, monkeypatch):
+        def unreachable(datum, precision_bits):
+            raise AssertionError("dual path ran without a precision")
+
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", unreachable)
+        assert field_verdict(table.by_disc(2, 5), 3, None).obstruction.witness == 67
+
     def test_witness_divides_odd_numerator(self, table):
         for D in (8, 12, 13, 17):
             v = field_verdict(table.by_disc(2, D), 3, None)
