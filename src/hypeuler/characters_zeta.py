@@ -276,55 +276,54 @@ def _euler_maclaurin_coefficient(s: int, i: int) -> Fraction:
     return bernoulli_number(2 * i) / math.factorial(2 * i) * _pochhammer(s, 2 * i - 1)
 
 
-def hurwitz_zeta_enclosure(s: int, q: Fraction, terms: int, corrections: int, precision_bits: int) -> RationalInterval:
-    """Enclosure of zeta_H(s, q) = sum_{k>=0} (k+q)^{-s} for integer s >= 2
-    and rational q in (0, 1].
+def _hurwitz_units(s: int, qn: int, qd: int, terms: int, corrections: int, P: int) -> tuple[int, int]:
+    """Enclosure [lo, hi], in units of 2^-P, of zeta_H(s, q) = sum_{k>=0}
+    (k+q)^{-s} for integer s >= 2 and q = qn/qd in (0, 1].
 
     The tail past ``terms`` is summed by Euler-Maclaurin.  For
     f(x) = (x+q)^{-s} every even-order derivative is positive, so the
-    remainder after m correction terms lies between 0 and the first
-    omitted term; that term supplies the enclosure width.
-
-    Every term is a rational num/den, summed as integers in units of 2^-P:
-    floor(num 2^P / den) into the lower end and the ceiling into the upper
-    end, e.g. floor and ceil of qd^s 2^P / (k qd + qn)^s for the partial
-    sum.  P exceeds ``precision_bits`` by the bit length of the term count,
-    so the rounding costs below 2^-precision_bits in all; the result (at
-    least 1) carries working precision ``precision_bits``.
+    remainder after the kept corrections lies between 0 and the first
+    omitted one, which adds its negative part to ``lo`` and its positive
+    part to ``hi``.  Every other term is a rational num/den, e.g.
+    qd^s / (k qd + qn)^s: floor(num 2^P / den) goes into ``lo`` and the
+    ceiling into ``hi``.  Each of the terms + corrections + 3 roundings
+    moves an end outward by less than one unit, so together they cost
+    less than 2^((terms + corrections + 3).bit_length() - P) at each end.
     """
+    M = terms * qd + qn  # N = terms + q = M / qd
+    unit = qd**s << P
+    summed = [(unit, (k * qd + qn) ** s) for k in range(terms)]
+    summed += [(qd ** (s - 1) << P, (s - 1) * M ** (s - 1)), (unit, 2 * M**s)]
+    # the i-th correction c_i N^(1-s-2i) as num/den: running powers of
+    # qd^2 and M^2 from i = 1 through the omitted term i = corrections + 1
+    num_power, den_power = qd ** (s + 1) << P, M ** (s + 1)
+    square_qd, square_M = qd * qd, M * M
+    for i in range(1, corrections + 2):
+        c = _euler_maclaurin_coefficient(s, i)
+        summed.append((c.numerator * num_power, c.denominator * den_power))
+        num_power *= square_qd
+        den_power *= square_M
+    *kept, omitted = summed
+    lo = hi = 0
+    for num, den in kept:
+        quot, rem = divmod(num, den)
+        lo += quot
+        hi += quot + (rem > 0)
+    quot, rem = divmod(*omitted)
+    return lo + min(0, quot), hi + max(0, quot + (rem > 0))
+
+
+def hurwitz_zeta_enclosure(s: int, q: Fraction, terms: int, corrections: int, precision_bits: int) -> RationalInterval:
+    """Enclosure of zeta_H(s, q) for rational q in (0, 1]: ``_hurwitz_units``
+    at P = ``precision_bits`` + bit length of the term count, so rounding costs
+    below 2^-precision_bits; the result carries that working precision."""
     if s < 2:
         raise CharacterError("Hurwitz enclosure requires s >= 2")
     q = as_rational(q)
     if not 0 < q <= 1:
         raise CharacterError("Hurwitz parameter must lie in (0, 1]")
-    qn, qd = q.numerator, q.denominator
-    M = terms * qd + qn  # N = terms + q = M / qd
     P = precision_bits + (terms + corrections + 3).bit_length()
-
-    def bracket(num: int, den: int) -> tuple[int, int]:
-        """floor and ceiling of num/den in units of 2^-P."""
-        quot, rem = divmod(num << P, den)
-        return quot, quot + (rem > 0)
-
-    # the i-th correction c_i N^(1-s-2i) as num/den: running powers of
-    # qd^2 and M^2 from i = 1 through the omitted term i = corrections + 1
-    num_power, den_power = qd ** (s + 1), M ** (s + 1)
-    square_qd, square_M = qd * qd, M * M
-    tail = []
-    for i in range(1, corrections + 2):
-        c = _euler_maclaurin_coefficient(s, i)
-        tail.append((c.numerator * num_power, c.denominator * den_power))
-        num_power *= square_qd
-        den_power *= square_M
-    *kept, omitted = tail
-
-    summed = [(qd**s, (k * qd + qn) ** s) for k in range(terms)]
-    summed += [(qd ** (s - 1), (s - 1) * M ** (s - 1)), (qd**s, 2 * M**s)]
-    summed += kept
-    brackets = [bracket(num, den) for num, den in summed]
-    omitted_lo, omitted_hi = bracket(*omitted)
-    lo = sum(b[0] for b in brackets) + min(0, omitted_lo)
-    hi = sum(b[1] for b in brackets) + max(0, omitted_hi)
+    lo, hi = _hurwitz_units(s, q.numerator, q.denominator, terms, corrections, P)
     return RationalInterval(Fraction(lo, 1 << P), Fraction(hi, 1 << P)).outward_round(precision_bits)
 
 
@@ -342,42 +341,39 @@ def _l_factor_enclosure(chi: DirichletCharacter, s: int, terms: int, corrections
     Memoized: zeta(s) is a factor of every field's zeta_k(s), and a field's
     L(s, chi) is needed again at every higher rank, so each is computed
     once per run.
+
+    Each zeta_H(s, a/f) is one ``_hurwitz_units`` series at a shared scale
+    2^-P, and their ends are summed as integers per exponent class e into
+    S_e = [lo_e, hi_e].  The phi(f) < 2^(f.bit_length()) series each round
+    by under 2^((terms + corrections + 3).bit_length() - P) per end, so P's
+    guard bits keep each combination of the S_e below within 2^-(bits+1).
     """
     f = chi.modulus
-    hz: dict[int, RationalInterval] = {
-        a: hurwitz_zeta_enclosure(s, Fraction(a, f), terms, corrections, bits)
-        for a in range(1, f + 1)
-        if chi.exponent_of(a) is not None
-    }
-    scale = Fraction(1, f) ** s
-    if chi.order <= 2:
-        acc = RationalInterval.exact(0)
-        for a, enc in hz.items():
-            e = chi.exponent_of(a)
-            acc = acc + (enc if e == 0 else -enc)
-        return acc.scale(scale)
-    # a cubic character with chibar: the real part uses Re zeta_3^e
-    # in {1, -1/2}; the imaginary part is (sqrt(3)/2) * (S1 - S2) over the
-    # exponent-1 and exponent-2 classes
-    re_acc = RationalInterval.exact(0)
-    s1 = RationalInterval.exact(0)
-    s2 = RationalInterval.exact(0)
-    for a, enc in hz.items():
+    P = bits + (terms + corrections + 3).bit_length() + f.bit_length() + 1
+    lo, hi = [0, 0, 0], [0, 0, 0]
+    for a in range(1, f + 1):
         e = chi.exponent_of(a)
-        if e == 0:
-            re_acc = re_acc + enc
-        elif e == 1:
-            re_acc = re_acc - enc.scale(Fraction(1, 2))
-            s1 = s1 + enc
-        else:
-            re_acc = re_acc - enc.scale(Fraction(1, 2))
-            s2 = s2 + enc
-    half_sqrt3 = _sqrt3_enclosure(bits).scale(Fraction(1, 2))
-    im_acc = half_sqrt3 * (s1 - s2)
-    mod_sq = re_acc.pow_int(2) + im_acc.pow_int(2)
+        if e is not None:
+            series_lo, series_hi = _hurwitz_units(s, a, f, terms, corrections, P)
+            lo[e] += series_lo
+            hi[e] += series_hi
+    scale = Fraction(1, f**s)
+    if chi.order <= 2:
+        # S0 - S1 (S1 is empty for the trivial character)
+        return RationalInterval(Fraction(lo[0] - hi[1], 1 << P), Fraction(hi[0] - lo[1], 1 << P), bits).scale(scale)
+    # a cubic character with chibar: Re zeta_3^e is 1 or -1/2, so the real
+    # part is (2 S0 - S1 - S2) / 2, and the imaginary part is
+    # (sqrt(3)/2) * (S1 - S2)
+    re_part = RationalInterval(
+        Fraction(2 * lo[0] - hi[1] - hi[2], 2 << P), Fraction(2 * hi[0] - lo[1] - lo[2], 2 << P), bits
+    )
+    difference = RationalInterval(Fraction(lo[1] - hi[2], 1 << P), Fraction(hi[1] - lo[2], 1 << P), bits)
+    im_part = _sqrt3_enclosure(bits).scale(Fraction(1, 2)) * difference
+    mod_sq = re_part.pow_int(2) + im_part.pow_int(2)
     return mod_sq.scale(scale * scale)
 
 
+@cache
 def _round_width_floor(s: int, terms: int, corrections: int, degree: int) -> Fraction:
     """B = |c_(m+1)| / (terms+1)^(s+2m+1) * 2^-(degree-1) for m corrections:
     a lower bound on the width of zeta_k_numeric's enclosure in the round
@@ -401,9 +397,10 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
 
     A round whose floor B = ``_round_width_floor`` is above the target is
     skipped without being computed, since it must fail.  Proof: the
-    zeta(s) factor is one Hurwitz enclosure at q = 1, whose width is at
-    least its omitted correction |c_(m+1)| / (terms+1)^(s+2m+1), since
-    rounding only widens it.  An interval product has width at least
+    zeta(s) factor (f = 1) is one ``_hurwitz_units`` series at q = 1,
+    which adds its whole omitted correction |c_(m+1)| / (terms+1)^(s+2m+1)
+    to one end, so its width is at least that, since rounding only widens
+    it.  An interval product has width at least
     width(X) * max|Y|, and max|Y| is at least the true |value| that Y
     encloses.  By the Euler product, |L(s, chi)| >= zeta(2s)/zeta(s)
     > 6/pi^2 > 1/2 for every character at even s >= 2, so a real

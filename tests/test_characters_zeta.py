@@ -20,7 +20,12 @@ from hypeuler.characters_zeta import (
     zeta_k_special,
     zeta_row,
 )
-from hypeuler.characters_zeta import _l_factor_enclosure, _l_value_at_negative, _round_width_floor
+from hypeuler.characters_zeta import (
+    _hurwitz_units,
+    _l_factor_enclosure,
+    _l_value_at_negative,
+    _round_width_floor,
+)
 from hypeuler.exact_arith import RationalInterval, Zeta3Number, pi_enclosure, rational_power_half
 from hypeuler.field_tables import load_table
 
@@ -307,13 +312,78 @@ class TestRoundSkipping:
         assert _round_width_floor(2, 32, 14, 2) > F(1, 2**176)
         seen = []
 
-        def counting(s, q, terms, corrections, precision_bits):
+        def counting(s, qn, qd, terms, corrections, P):
             seen.append(terms)
-            return hurwitz_zeta_enclosure(s, q, terms, corrections, precision_bits)
+            return _hurwitz_units(s, qn, qd, terms, corrections, P)
 
-        monkeypatch.setattr("hypeuler.characters_zeta.hurwitz_zeta_enclosure", counting)
+        monkeypatch.setattr("hypeuler.characters_zeta._hurwitz_units", counting)
         zeta_k_numeric(rec_q(table, 5), 2, precision_bits=176)
         assert seen and set(seen) == {64}
+
+
+def per_residue_l_factor(chi, s, terms, corrections, bits):
+    """chi's factor of zeta_k(s) assembled from one rounded
+    ``hurwitz_zeta_enclosure`` per unit residue a mod f, added up one
+    interval at a time: the assembly that the integer accumulation of
+    ``_l_factor_enclosure`` replaces."""
+    f = chi.modulus
+    half = F(1, 2)
+    re_acc = s1 = s2 = RationalInterval.exact(0)
+    for a in range(1, f + 1):
+        e = chi.exponent_of(a)
+        if e is None:
+            continue
+        enc = hurwitz_zeta_enclosure(s, F(a, f), terms, corrections, bits)
+        if e == 0:
+            re_acc = re_acc + enc
+        elif chi.order == 2:
+            re_acc = re_acc - enc
+        elif e == 1:
+            re_acc, s1 = re_acc - enc.scale(half), s1 + enc
+        else:
+            re_acc, s2 = re_acc - enc.scale(half), s2 + enc
+    scale = F(1, f) ** s
+    if chi.order <= 2:
+        return re_acc.scale(scale)
+    im_acc = RationalInterval.exact(3).sqrt(bits).scale(half) * (s1 - s2)
+    return (re_acc.pow_int(2) + im_acc.pow_int(2)).scale(scale * scale)
+
+
+def mpmath_l_factor(chi, s):
+    """chi's factor of zeta_k(s) from mpmath's Hurwitz zeta at the current
+    working precision: L(s, chi), or |L(s, chi)|^2 for a cubic chi."""
+    f = chi.modulus
+    re_part = im_part = mp.mpf(0)
+    for a in range(1, f + 1):
+        e = chi.exponent_of(a)
+        if e is None:
+            continue
+        h = mp.zeta(s, mp.mpf(a) / f) / mp.mpf(f) ** s
+        if chi.order <= 2:
+            re_part += h if e == 0 else -h
+        else:
+            re_part += h if e == 0 else -h / 2
+            im_part += 0 if e == 0 else (1 if e == 1 else -1) * mp.sqrt(3) / 2 * h
+    return re_part if chi.order <= 2 else re_part**2 + im_part**2
+
+
+def to_mpf(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+class TestLFactorOracle:
+    @pytest.mark.parametrize("degree,disc", CANDIDATE_FIELDS)
+    def test_integer_accumulation_encloses_and_is_no_wider(self, table, degree, disc):
+        for chi in characters_for_field(table.by_disc(degree, disc)):
+            for s in range(2, 25, 2):
+                with mp.workdps(100):
+                    true = mpmath_l_factor(chi, s)
+                    for bits in (64, 192):
+                        for terms, corrections in ((32, 14), (64, 20)):
+                            enc = _l_factor_enclosure(chi, s, terms, corrections, bits)
+                            assert to_mpf(enc.lo) <= true <= to_mpf(enc.hi), (chi.modulus, s, bits, terms)
+                            old = per_residue_l_factor(chi, s, terms, corrections, bits)
+                            assert enc.width <= old.width, (chi.modulus, s, bits, terms)
 
 
 class TestPrecisionRange:
@@ -335,7 +405,7 @@ class TestPrecisionRange:
         def refuse(*args):
             raise AssertionError("no Hurwitz enclosure may be built past the ladder's reach")
 
-        monkeypatch.setattr("hypeuler.characters_zeta.hurwitz_zeta_enclosure", refuse)
+        monkeypatch.setattr("hypeuler.characters_zeta._hurwitz_units", refuse)
         for bits in (806, 65536):
             with pytest.raises(PrecisionError, match=f"above target 2\\^-{bits} after 4096 terms") as err:
                 zeta_k_numeric(rec_q(table, 5), 2, precision_bits=bits)
