@@ -27,7 +27,7 @@ from .local_factors import table_fingerprint
 from .characters_zeta import zeta_k_special
 from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section
 
-CERTIFICATE_FORMAT = "hypeuler-certificate v2"
+CERTIFICATE_FORMAT = "hypeuler-certificate v3"
 
 # The working precision of the dual-path self-check when none is given, and
 # the least one a certificate may be made at (which keeps the self-check's
@@ -86,11 +86,9 @@ def section_to_json(section: CertificateSection) -> dict:
                     "description": e.type.describe(section.r),
                     "polynomial": [str(c) for c in e.polynomial],
                     "value_at_q2": format_rational(e.value_at_two),
-                    "shifted_nonnegative": True,  # minimum_proof raises otherwise
                 }
                 for e in proof.entries
             ],
-            "calibration": {k: format_rational(v) for k, v in sorted((section.calibration or {}).items())},
         }
     if section.enumeration is not None:
         out["bounds"] = [
@@ -154,8 +152,13 @@ def axioms(dataset_checksum: str) -> list[dict]:
         },
         {
             "id": "maximal-type-table",
-            "statement": "closed-form local factors for the maximal parahoric types of rank-r "
-            "odd orthogonal groups, as fingerprinted polynomials in the residue size",
+            "statement": "the local factor of a maximal parahoric subgroup with reductive quotient M "
+            "of a rank-r odd orthogonal group G over a residue field of size q is "
+            "|G(F_q)| / (|M(F_q)| q^((dim G - dim M)/2)), and the reductive quotients of the "
+            "maximal parahoric types are those of the fingerprinted table",
+            "source": "G. Prasad, Volumes of S-arithmetic quotients of semi-simple groups, "
+            "Publ. Math. IHES 69 (1989), section 2 and Thm 3.7; J. Tits, Reductive groups over "
+            "local fields, Corvallis 1979 (Proc. Sympos. Pure Math. 33), sections 3-4",
             "fingerprint": table_fingerprint(),
         },
         {
@@ -310,15 +313,18 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
     The sections must be exactly the requested ranks.  Each section's
     recorded evidence (kind, bound audits, candidates, high-degree rows,
     local factors, field list and verdict) must equal what the certification
-    driver recomputes for that rank.  Each field verdict's zeta row,
-    reduced product, witness and Euler data are also re-derived here on
-    their own; its keys and those of its ``euler`` record must be those
-    ``section_to_json`` writes, its integers ints and its rationals reduced
-    ``num/den`` strings.  The dataset and the axioms must be those of the
-    table in use.  These comparisons tell 5, 5.0 and true apart.  The
-    certificate records no dual-path enclosure: the exact zeta-numerator
-    obstruction is the proof, and the dual path is a certify-time self-check
-    only (see ``field_verdict``), so the verifier runs the driver without it.
+    driver recomputes for that rank; for local factors that recomputation
+    re-proves, by ``calibrate_oracle``, that each closed form is Prasad's
+    order formula at every q, so no calibration constant is recorded.  Each
+    field verdict's zeta row, reduced product, witness and Euler data are
+    also re-derived here on their own; its keys and those of its ``euler``
+    record must be those ``section_to_json`` writes, its integers ints and
+    its rationals reduced ``num/den`` strings.  The dataset and the axioms
+    must be those of the table in use.  These comparisons tell 5, 5.0 and
+    true apart.  The certificate records no dual-path enclosure: the exact
+    zeta-numerator obstruction is the proof, and the dual path is a
+    certify-time self-check only (see ``field_verdict``), so the verifier
+    runs the driver without it.
     A missing key or malformed value, and a rank whose evidence the
     certifier cannot recompute (any rank above ``MAX_SERIALIZABLE_RANK``),
     are reported as divergences, never raised.

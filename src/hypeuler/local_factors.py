@@ -6,11 +6,13 @@ the residue-field size q.  A type is valid at rank r exactly when
 ``enumerate_maximal_types(r)`` lists it, which every closed form and order
 formula checks first.  This module enumerates the types, proves that
 each factor is an integer-coefficient polynomial in q that is
-nondecreasing for q >= 2 with value above 4, and checks that every
-closed form equals an independent reconstruction from the order formulas
-of the finite reductive groups involved.  The proof holds at
-every q, so no factor is evaluated at a particular place: together with
-the power-of-2 index bound (``euler_char.index_divisor``) it carries each
+nondecreasing for q >= 2 with value above 4, and proves that every
+closed form is Prasad's order formula for the type's reductive quotient
+as a rational function of q: both are powers of q times binomials
+q^e +- 1, and they agree exactly when their powers of q and their
+multisets of cyclotomic factors Phi_n(q) do.  The proofs hold at every
+q, so no factor is evaluated at a particular place: together with the
+power-of-2 index bound (``euler_char.index_divisor``) they carry each
 witness, found on the lattice with no bad places, to every maximal
 lattice.
 """
@@ -18,11 +20,13 @@ lattice.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import prod
 from typing import NamedTuple
 
-from .exact_arith import RatPolynomial, horner, long_division, smallest_prime_factor, taylor_shift
+from .exact_arith import RatPolynomial, long_division, smallest_prime_factor, taylor_shift
 
 
 class LocalFactorError(Exception):
@@ -38,7 +42,7 @@ class MonotonicityError(LocalFactorError):
 
 
 class CalibrationError(LocalFactorError):
-    """Order-formula oracle disagrees with the closed form."""
+    """A closed form is not Prasad's order formula as a rational function of q."""
 
 
 class Kind(enum.Enum):
@@ -120,12 +124,13 @@ def _check_q(q: int) -> None:
         raise LocalFactorError(f"q must be a prime power >= 2, got {q}")
 
 
-# Closed forms, as numerator/denominator pairs of integer coefficient
-# tuples in q (lowest degree first).  Every factor of either side is a
-# binomial q^e - 1 or q^e + 1, so every denominator is monic.
+# Both statements of each factor share one form: q to a power times
+# binomials q^e + s over binomials, each binomial an (e, s) pair with
+# e >= 1 and s = +-1.  Every denominator is therefore monic.
+Binomials = list[tuple[int, int]]
 
 
-def _binomial_product(factors: list[tuple[int, int]]) -> tuple[int, ...]:
+def _binomial_product(factors: Binomials) -> tuple[int, ...]:
     """Coefficients of the product of q^e + s over the (e, s) pairs."""
     out = [1]
     for e, s in factors:
@@ -136,23 +141,20 @@ def _binomial_product(factors: list[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _closed_form(t: ParahoricType, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _closed_form(t: ParahoricType, r: int) -> tuple[Binomials, Binomials]:
+    """The factor's numerator and denominator binomials (its power of q is 0)."""
     _check_type(t, r)
     if t.kind is Kind.TORUS_SPLIT:
-        num, den = [(2 * r, -1)], [(1, -1)]
-    elif t.kind is Kind.TORUS_NONSPLIT:
-        num, den = [(2 * r, -1)], [(1, 1)]
-    elif t.kind is Kind.TOP_D:
-        num, den = [(r, 1)], []
-    elif t.kind is Kind.TOP_2D:
-        num, den = [(r, -1)], []
-    elif t.kind is Kind.CHAIN_D:
-        num = [(t.i, 1)] + [(2 * k, -1) for k in range(t.i + 1, r + 1)]
-        den = [(2 * k, -1) for k in range(1, r - t.i + 1)]
-    else:
-        num = [(t.i + 1, -1)] + [(2 * k, -1) for k in range(t.i + 2, r + 1)]
-        den = [(2 * k, -1) for k in range(1, r - t.i)]
-    return _binomial_product(num), _binomial_product(den)
+        return [(2 * r, -1)], [(1, -1)]
+    if t.kind is Kind.TORUS_NONSPLIT:
+        return [(2 * r, -1)], [(1, 1)]
+    if t.kind is Kind.TOP_D:
+        return [(r, 1)], []
+    if t.kind is Kind.TOP_2D:
+        return [(r, -1)], []
+    if t.kind is Kind.CHAIN_D:
+        return [(t.i, 1)] + [(2 * k, -1) for k in range(t.i + 1, r + 1)], [(2 * k, -1) for k in range(1, r - t.i + 1)]
+    return [(t.i + 1, -1)] + [(2 * k, -1) for k in range(t.i + 2, r + 1)], [(2 * k, -1) for k in range(1, r - t.i)]
 
 
 def integer_exact_divide(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
@@ -179,7 +181,7 @@ def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
     by every value, proof and fingerprint of that type."""
     num, den = _closed_form(t, r)
     try:
-        return integer_exact_divide(num, den)
+        return integer_exact_divide(_binomial_product(num), _binomial_product(den))
     except IntegralityError as exc:
         raise IntegralityError(f"{t.slug()} at rank {r}: {exc}") from exc
 
@@ -231,33 +233,15 @@ def minimum_proof(r: int) -> MinimumProof:
 
 
 # ---------------------------------------------------------------------------
-# Independent reconstruction from finite-group order formulas
+# Prasad's order formula, and its identity with the closed forms
 # ---------------------------------------------------------------------------
 
 
-def _order_b(m: int, q: int) -> int:
-    out = q ** (m * m)
-    for k in range(1, m + 1):
-        out *= q ** (2 * k) - 1
-    return out
-
-
-def _order_d(m: int, q: int) -> int:
-    if m == 0:
-        return 1
-    out = q ** (m * (m - 1)) * (q**m - 1)
-    for k in range(1, m):
-        out *= q ** (2 * k) - 1
-    return out
-
-
-def _order_2d(m: int, q: int) -> int:
-    if m == 0:
-        return 1
-    out = q ** (m * (m - 1)) * (q**m + 1)
-    for k in range(1, m):
-        out *= q ** (2 * k) - 1
-    return out
+def _order(family: str, m: int) -> tuple[int, Binomials]:
+    """|B_m|, |D_m| or |2D_m| over F_q (m >= 1) as a power of q and binomials."""
+    if family == "B":
+        return m * m, [(2 * k, -1) for k in range(1, m + 1)]
+    return m * (m - 1), [(m, -1 if family == "D" else 1)] + [(2 * k, -1) for k in range(1, m)]
 
 
 def _dim_b(m: int) -> int:
@@ -269,6 +253,7 @@ def _dim_d(m: int) -> int:
 
 
 def _quotient_factors(t: ParahoricType, r: int) -> list[tuple[str, int]]:
+    """The reductive quotient of type t at rank r, as (family, rank) factors."""
     if t.kind is Kind.TORUS_SPLIT:
         return [("B", r - 1), ("D", 1)]  # D_1 is the split 1-torus
     if t.kind is Kind.TORUS_NONSPLIT:
@@ -282,50 +267,55 @@ def _quotient_factors(t: ParahoricType, r: int) -> list[tuple[str, int]]:
     return [("2D", r)]
 
 
-_ORDER = {"B": _order_b, "D": _order_d, "2D": _order_2d}
 _DIM = {"B": _dim_b, "D": _dim_d, "2D": _dim_d}
 
 
-def _order_formula_terms(t: ParahoricType, r: int, q: int) -> tuple[int, int]:
-    """``order_formula_value`` as an integer numerator and denominator: the
-    B_r group order, and the quotient-type order times q to half the
-    dimension gap."""
+def _order_formula(t: ParahoricType, r: int) -> tuple[int, Binomials, Binomials]:
+    """Prasad's factor |B_r| / (|M| q^((dim B_r - dim M)/2)) for the reductive
+    quotient M of type t, as q to a power (possibly negative) times num / den."""
     _check_type(t, r)
-    _check_q(q)
-    factors = _quotient_factors(t, r)
-    order_m = 1
-    dim_m = 0
-    for fam, m in factors:
-        order_m *= _ORDER[fam](m, q)
-        dim_m += _DIM[fam](m)
-    gap = _dim_b(r) - dim_m
+    power, num = _order("B", r)
+    den: Binomials = []
+    gap = _dim_b(r)
+    for fam, m in _quotient_factors(t, r):
+        a, binomials = _order(fam, m)
+        power -= a
+        den += binomials
+        gap -= _DIM[fam](m)
     if gap % 2 != 0:
         raise LocalFactorError(f"{t.slug()}: odd dimension gap {gap}")
-    return _order_b(r, q), order_m * q ** (gap // 2)
+    return power - gap // 2, num, den
 
 
 def order_formula_value(t: ParahoricType, r: int, q: int) -> Fraction:
-    """The factor reconstructed from first principles: the ratio of the
-    ambient B_r group order to the quotient-type order, divided by q to
-    half the dimension gap."""
-    return Fraction(*_order_formula_terms(t, r, q))
+    """Prasad's factor for type t at rank r, evaluated at the prime power q."""
+    power, num, den = _order_formula(t, r)
+    _check_q(q)
+    return Fraction(q) ** power * prod(q**e + s for e, s in num) / prod(q**e + s for e, s in den)
+
+
+def _cyclotomic(binomials: Binomials) -> Counter[int]:
+    """The multiset of n with Phi_n(q) dividing the product of the binomials, by
+    q^e - 1 = prod_{n | e} Phi_n(q) and q^e + 1 = prod_{n | 2e, n not | e} Phi_n(q)."""
+    return Counter(n for e, s in binomials for n in range(1, 2 * e + 1) if 2 * e % n == 0 and (e % n == 0) == (s < 0))
 
 
 def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dict[str, Fraction]:
-    """Per-type ratio closed-form / order-formula, required to be 1 at every
-    q in ``qs``.  Raises CalibrationError naming the type, the rank and the
-    first q where it is not.
+    """Prove that every closed form at rank r is Prasad's order formula as a
+    rational function of q; returns the ratio, 1, per type.
 
-    With v_q the integer closed-form value and num_q / den_q the order
-    formula (``_order_formula_terms``), the check is v_q den_q == num_q in
-    integers; every constant returned is 1."""
+    q and the Phi_n are distinct primes of Z[q], so the two agree at every q
+    exactly when their powers of q agree and, cross-multiplied, their
+    Phi_n multisets do.  Raises CalibrationError naming the type and the
+    rank otherwise.  Each q in ``qs`` must be a prime power; none is
+    evaluated at."""
+    for q in qs:
+        _check_q(q)
     for t in enumerate_maximal_types(r):
-        for q in qs:
-            num, den = _order_formula_terms(t, r, q)
-            if horner(_quotient(t, r), q) * den != num:
-                raise CalibrationError(
-                    f"{t.slug()} at rank {r}: closed form differs from the order formula at q={q}"
-                )
+        power, num, den = _order_formula(t, r)
+        closed_num, closed_den = _closed_form(t, r)
+        if power != 0 or _cyclotomic(closed_num + den) != _cyclotomic(num + closed_den):
+            raise CalibrationError(f"{t.slug()} at rank {r}: closed form differs from Prasad's order formula")
     return {t.slug(): Fraction(1) for t in enumerate_maximal_types(r)}
 
 
@@ -333,13 +323,14 @@ FINGERPRINT_RANKS = (3, 4, 5)  # the ranks whose type table the certificate's ax
 
 
 def table_fingerprint() -> str:
-    """SHA-256 fingerprint of the canonical polynomial presentation of the
-    whole type table over ``FINGERPRINT_RANKS``."""
+    """SHA-256 fingerprint of the table of reductive quotients
+    (``_quotient_factors``) over ``FINGERPRINT_RANKS``: with Prasad's order
+    formula, that table is all the certificate assumes of the factors."""
     import hashlib
 
     lines = []
     for r in FINGERPRINT_RANKS:
         for t in enumerate_maximal_types(r):
-            coeffs = ",".join(str(c) for c in _quotient(t, r))
-            lines.append(f"r={r} {t.slug()} [{coeffs}]")
+            quotient = " x ".join(f"{fam}({m})" for fam, m in _quotient_factors(t, r))
+            lines.append(f"r={r} {t.slug()} {quotient}")
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

@@ -281,7 +281,6 @@ class CertificateSection(NamedTuple):
     verdict: str
     verdicts: tuple[FieldVerdict, ...]
     local_factor_proof: MinimumProof | None = None
-    calibration: dict[str, Fraction] | None = None
     enumeration: CandidateEnumeration | None = None  # recorded in the field-verdicts regime only
     high_degree: HighDegreeExclusion | None = None
     notes: tuple[str, ...] = ()
@@ -293,7 +292,8 @@ def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> Ce
     Every rank >= 3 takes one path: bound the discriminant at degrees 2..4
     (degrees >= 5 die against the discriminant floor), give each surviving
     field an obstruction verdict, attach the local-factor integrality
-    proof when any field survives, and certify when every survivor is
+    proof when any field survives (after ``calibrate_oracle`` proves each
+    closed form is Prasad's factor), and certify when every survivor is
     obstructed.  ``regime(r)`` only decides which evidence is recorded.
     ``precision_bits`` is that of each field's dual path, None to skip it.
     Rank 2 is never certified (see ``_scan_rank_two``).
@@ -312,6 +312,8 @@ def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> Ce
         high = high._replace(low_degree=_low_degree_rows((a.pass_one for a in enumeration.audits), table))
         enumeration = None
     verdicts = tuple(field_verdict(rec, r, precision_bits) for rec in candidates)
+    if verdicts:
+        calibrate_oracle(r)  # raises CalibrationError unless each closed form is Prasad's factor
     certified = all(v.obstruction.obstructed for v in verdicts)
     return CertificateSection(
         r=r,
@@ -319,7 +321,6 @@ def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> Ce
         verdict=VERDICT_CERTIFIED if certified else VERDICT_INCONCLUSIVE,
         verdicts=verdicts,
         local_factor_proof=minimum_proof(r) if verdicts else None,
-        calibration=calibrate_oracle(r) if verdicts else None,
         enumeration=enumeration,
         high_degree=high,
         notes=(SURVIVOR_NOTE,) if verdicts and kind == BOUND_EXCLUSION else (),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypeuler import search_bounds
+from hypeuler import local_factors, search_bounds
 from hypeuler.certificate import (
     DEFAULT_PRECISION_BITS,
     MAX_SERIALIZABLE_RANK,
@@ -24,7 +24,7 @@ from hypeuler.certificate import (
     verify_certificate,
 )
 from hypeuler.cli import build_parser, main
-from hypeuler.exact_arith import RationalInterval, format_rational, parse_rational
+from hypeuler.exact_arith import RationalInterval
 from hypeuler.field_tables import bundled_table_path, load_table, parse_table_text
 from hypeuler.search_bounds import certify_section, field_verdict
 
@@ -266,22 +266,16 @@ def local_factor_mutations(cert):
     """One perturbed copy of the certificate per leaf of the rank-3
     local-factor block, with the leaf's path."""
     lf = cert["sections"][0]["local_factors"]
-    paths = [("minimum_at_q2",)] + [("calibration", slug) for slug in lf["calibration"]]
+    paths = [("minimum_at_q2",)]
     for k, e in enumerate(lf["entries"]):
         paths += [("entries", k, "polynomial", i) for i in range(len(e["polynomial"]))]
-        paths += [("entries", k, "value_at_q2"), ("entries", k, "shifted_nonnegative")]
+        paths.append(("entries", k, "value_at_q2"))
     for path in paths:
         bad = clone(cert)
         node = bad["sections"][0]["local_factors"]
         for key in path[:-1]:
             node = node[key]
-        old = node[path[-1]]
-        if isinstance(old, bool):
-            node[path[-1]] = not old
-        elif path[0] == "calibration":
-            node[path[-1]] = format_rational(2 * parse_rational(old))
-        else:
-            node[path[-1]] = str(int(old) + 1)
+        node[path[-1]] = str(int(node[path[-1]]) + 1)
         yield path, bad
 
 
@@ -308,6 +302,10 @@ class TestTopLevelKeys:
                 lambda c: c.update(format="hypeuler-certificate v1"),
                 "unknown certificate format 'hypeuler-certificate v1'",
             ),
+            (
+                lambda c: c.update(format="hypeuler-certificate v2"),
+                "unknown certificate format 'hypeuler-certificate v2'",
+            ),
             (lambda c: c["tool"].update(version=2), "tool.version 2 is not a string"),
             (lambda c: c["tool"].update(name="other"), "is not hypeuler"),
             (lambda c: c.pop("tool"), "certificate keys: missing ['tool'], unexpected []"),
@@ -324,7 +322,7 @@ class TestTopLevelKeys:
             ),
         ],
         ids=[
-            "v1-format", "changed-version", "changed-name", "deleted-tool", "extra-key", "error-key",
+            "v1-format", "v2-format", "changed-version", "changed-name", "deleted-tool", "extra-key", "error-key",
             "extra-parameter", "precision-parameter", "duplicate-rank",
         ],
     )
@@ -490,22 +488,22 @@ class TestGoldenBytes:
         [
             (
                 [3, 4, 5],
-                "8e812e452366043f1fa03ad71e1f98f1538b00dc70f9384ebabaadbefb8ccd30",
+                "c082ba1337cdeec9929cc5c9268abb4504bf8ca956b06c4adf198f66718b66ed",
                 "9c46600b8410af4cca40b96f697e1b7df083fa41bcdd17e359cce4f5e425fcbc",
             ),
             (
                 [2],
-                "52770e2fe2590afb831ecaf67f4b89f69de26c20116738bb85d12bb68562c620",
+                "f4983e76b8b7fb0f38d7592f8554493c2bb94ca099a1080a5fb01bd874fcbb40",
                 "159cf5e4ae2716243cd8f8aab98ca90d369b070416ac1a696fe2a644137c9333",
             ),
             (
                 list(range(3, 13)),
-                "b6d06bf15612a03b3a390cae79a914e78d792ee87a027a6d80ae02928bf5cf22",
+                "0cd72c48128fa1e0d286de7ec728dcc4949ca1d2b1436742f17ad6a2d281fa3f",
                 "1cd2bf2fab2f5f32458763e8eb9932b5830000ee6950da284f0435d66bab7f46",
             ),
             (
                 [13, 14, 15],
-                "3eddc37247fd3998a8a8e8a524095a48cc821e6da8d9fd676fd8ecb31f029d85",
+                "92a4d1a3f2f0eda41c1defde148e730c629f17f7e261a98540946e1fcad4a3f8",
                 "58ea92e988fd03d1499707ba8b9bcf78809469d7e90429385845f4faa43c3353",
             ),
         ],
@@ -526,8 +524,20 @@ class TestLocalFactorMutations:
             assert outcome.divergence.startswith("section r=3: "), (path, outcome.divergence)
             assert "local_factors" in outcome.divergence or "polynomial mismatch" in outcome.divergence, path
             mutated += 1
-        # 8 types: 46 coefficients, 8 values, 8 flags, 8 calibrations, 1 minimum
-        assert mutated == 71
+        # 8 types: 46 coefficients, 8 values, 1 minimum
+        assert mutated == 55
+
+    def test_closed_form_off_prasad_is_named(self, rank_three_cert, table, monkeypatch):
+        # the verifier re-proves each closed form through certify_section
+        closed = local_factors._closed_form
+        target = local_factors.enumerate_maximal_types(3)[-1]  # q^3 - 1, now written q^3 + 1
+        monkeypatch.setattr(local_factors, "_closed_form", lambda t, r: ([(3, 1)], []) if t == target else closed(t, r))
+        outcome = verify_certificate(rank_three_cert, table)
+        assert not outcome.ok
+        assert outcome.divergence == (
+            f"section r=3: cannot recompute the evidence (CalibrationError: {target.slug()} at rank 3: "
+            "closed form differs from Prasad's order formula)"
+        )
 
 
 class TestReport:

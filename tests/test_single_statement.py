@@ -36,8 +36,8 @@ RECORD_FIELDS = {
     FieldVerdict: ("record", "obstruction", "euler"),
     MinimumProof: ("entries", "minimum"),
     TypeMinimum: ("type", "polynomial", "value_at_two"),
-    CertificateSection: ("r", "kind", "verdict", "verdicts", "local_factor_proof", "calibration", "enumeration",
-                         "high_degree", "notes"),
+    CertificateSection: ("r", "kind", "verdict", "verdicts", "local_factor_proof", "enumeration", "high_degree",
+                         "notes"),
 }
 
 
