@@ -4,10 +4,11 @@ and independent re-verification.
 A certificate is a plain JSON tree in which every rational is an exact
 ``num/den`` string and every interval a pair of such strings; no floating
 point number appears anywhere.  Given the bundled dataset, the verifier
-recomputes every arithmetic claim (zeta special values, local factor
-polynomials and minima, bound cutoffs, reduced products, and that each
-witness is the smallest prime factor of its numerator) from scratch and
-reports the first divergence.  Both refuse a rank above
+rebuilds the certificate with the writer itself and compares the two JSON
+trees leaf by leaf, so the format is stated once, here in the writer; it
+re-derives each field verdict (zeta row, reduced product, that the witness
+is the smallest prime factor of its numerator, Euler data) on its own, and
+reports the first divergence by its path.  Both refuse a rank above
 ``MAX_SERIALIZABLE_RANK`` before computing any of its evidence.
 """
 
@@ -37,14 +38,6 @@ MIN_PRECISION_BITS = 64
 
 INTERVAL_SIG_BITS = 128  # significant bits of each serialized enclosure end
 MAX_SERIALIZABLE_RANK = 27  # from rank 28 on, value_at_degree_five passes the int-to-str digit limit
-
-
-# The keys of a complete certificate (a failed one adds "error") and of its parameters.
-_CERTIFICATE_KEYS = {"format", "tool", "dataset", "axioms", "parameters", "sections", "overall", "status"}
-_PARAMETER_KEYS = {"requested_r"}
-# The keys of a field verdict and of its "euler" record.
-_VERDICT_KEYS = set("label degree disc h zeta_values product odd_numerator witness conclusion euler".split())
-_EULER_KEYS = {"chi_lambda", "index_divisor", "chi_gamma_lower", "two_exponent"}
 
 
 class CertificateError(Exception):
@@ -278,11 +271,6 @@ class _Divergence(Exception):
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError)
 
 
-def _same(a, b) -> bool:
-    """Equality of JSON values that also tells 5, 5.0 and true apart."""
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
 class _Checks:
     """Counts the checks made and raises the first divergence."""
 
@@ -301,30 +289,31 @@ class _Checks:
 
 
 def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None) -> VerificationOutcome:
-    """Recompute every arithmetic claim of a certificate from scratch.
+    """Check a certificate by rebuilding it with the writer and comparing.
 
-    The top-level keys and the ``parameters`` keys must be exactly those
-    that ``build_certificate`` writes for a complete certificate (so no
-    ``error``), the tool must be named ``hypeuler``, and
-    ``parameters.requested_r`` must be strictly increasing.  The tool's
-    ``version`` must be a string but is otherwise unpinned: a certificate
-    made by another version verifies if its evidence does.
+    First, guards that must hold before anything is recomputed: the
+    ``format`` is this one, ``tool.version`` is a string,
+    ``parameters.requested_r`` is a strictly increasing list of integers
+    >= 2 and the sections are exactly those ranks.  Then the expected
+    certificate is rebuilt from the table in use: each rank's section by
+    the certification driver (without the dual path, which the certificate
+    does not record; for local factors the driver re-proves, by
+    ``calibrate_oracle``, that each closed form is Prasad's order formula
+    at every q), then ``build_certificate``, with the claimed
+    ``tool.version`` copied in, the one unpinned value.  The two JSON trees
+    are compared leaf by leaf, each leaf one check, and the first
+    difference is named by its path: a missing or unexpected key, a list of
+    another length, or a leaf of another JSON type or value (so 5, 5.0 and
+    true differ).  So any block the writer emits is checked with no
+    verifier code of its own.
 
-    The sections must be exactly the requested ranks.  Each section's
-    recorded evidence (kind, bound audits, candidates, high-degree rows,
-    local factors, field list and verdict) must equal what the certification
-    driver recomputes for that rank; for local factors that recomputation
-    re-proves, by ``calibrate_oracle``, that each closed form is Prasad's
-    order formula at every q, so no calibration constant is recorded.  Each
-    field verdict's zeta row, reduced product, witness and Euler data are
-    also re-derived here on their own; its keys and those of its ``euler``
-    record must be those ``section_to_json`` writes, its integers ints and
-    its rationals reduced ``num/den`` strings.  The dataset and the axioms
-    must be those of the table in use.  These comparisons tell 5, 5.0 and
-    true apart.  The certificate records no dual-path enclosure: the exact
-    zeta-numerator obstruction is the proof, and the dual path is a
-    certify-time self-check only (see ``field_verdict``), so the verifier
-    runs the driver without it.
+    Only each section's ``verdicts`` list is left out of that comparison:
+    its field list with each conclusion must equal the recomputed one, and
+    each verdict's zeta row, reduced product, witness and Euler data are
+    re-derived here on their own; its keys and those of its ``euler``
+    record must be the recomputed ones, its integers ints and its
+    rationals reduced ``num/den`` strings.
+
     A missing key or malformed value, and a rank whose evidence the
     certifier cannot recompute (any rank above ``MAX_SERIALIZABLE_RANK``),
     are reported as divergences, never raised.
@@ -343,70 +332,70 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     try:
         fmt = cert.get("format")
         check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {fmt!r}")
-        check.keys(cert, _CERTIFICATE_KEYS, "certificate keys:")
-        tool = cert["tool"]
-        check(tool.keys() == {"name", "version"} and tool["name"] == "hypeuler", f"tool {tool!r} is not hypeuler")
-        check(type(tool["version"]) is str, f"tool.version {tool['version']!r} is not a string")
-        dataset, known = cert["dataset"], _dataset_json(table)
-        for key, value in known.items():
-            check(_same(dataset[key], value), f"dataset {key} does not match the table in use")
-        check(dataset.keys() == known.keys(), f"dataset has unexpected keys {sorted(dataset.keys() - known.keys())}")
-        check(_same(cert["axioms"], axioms(table.checksum)), "axioms differ from those of the table in use")
-        check(cert["status"] == "complete", f"certificate status is {cert['status']!r}")
-        parameters = cert["parameters"]
-        check(parameters.keys() == _PARAMETER_KEYS, f"parameters has keys {sorted(parameters)}")
-        ranks = list(parameters["requested_r"])
-        sections = list(cert["sections"])
-        section_ranks = [sec["r"] for sec in sections]
-        overall = dict(cert["overall"])
+        version = cert["tool"]["version"]
+        check(type(version) is str, f"tool.version {version!r} is not a string")
+        ranks = list(cert["parameters"]["requested_r"])
+        section_ranks = [sec["r"] for sec in cert["sections"]]
     except _MALFORMED as exc:
         raise _Divergence(f"malformed certificate ({type(exc).__name__}: {exc})") from None
     check(all(type(r) is int and r >= 2 for r in ranks), f"requested ranks {ranks} are not all integers >= 2")
     check(all(a < b for a, b in zip(ranks, ranks[1:])), f"requested ranks {ranks} are not strictly increasing")
     check(section_ranks == ranks, f"sections cover ranks {section_ranks}, requested ranks are {ranks}")
-    dims = [str(2 * r) for r in ranks]
-    check(set(overall) == set(dims), f"overall verdicts cover dimensions {list(overall)}, requested {dims}")
-    for sec, r in zip(sections, ranks):
-        tag = f"section r={r}"
+    sections = []
+    for r in ranks:
         try:  # any error of the certifier itself, such as a rank above MAX_SERIALIZABLE_RANK
-            expected = _section(r, table, None)
+            sections.append(_section(r, table, None))
         except Exception as exc:
-            raise _Divergence(f"{tag}: cannot recompute the evidence ({type(exc).__name__}: {exc})") from None
+            raise _Divergence(f"section r={r}: cannot recompute the evidence ({type(exc).__name__}: {exc})") from None
+    expected = build_certificate(sections, table, ranks)
+    expected["tool"]["version"] = version
+    try:
+        _compare(cert, expected, "", frozenset(f"sections[{i}].verdicts" for i in range(len(ranks))), check)
+    except _MALFORMED as exc:  # only a value no JSON text holds, such as a set or a non-string key
+        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {exc})") from None
+    for sec, known in zip(cert["sections"], sections):
+        tag = f"section r={known['r']}"
         try:
-            _verify_section(sec, expected, table, check, tag)
-            check(overall[str(2 * r)] == sec["verdict"], f"{tag}: overall map disagrees with section verdict")
+            fields = [(v["label"], v["conclusion"]) for v in sec["verdicts"]]
+            known_fields = [(v["label"], v["conclusion"]) for v in known["verdicts"]]
+            check(fields == known_fields, f"{tag}: field verdicts {fields} differ from the recomputed {known_fields}")
+            for v, known_v in zip(sec["verdicts"], known["verdicts"]):
+                _verify_field(v, known_v, known["r"], table, check, tag)
         except _MALFORMED as exc:
             raise _Divergence(f"{tag}: malformed entry ({type(exc).__name__}: {exc})") from None
 
 
-def _verify_section(sec: dict, expected: dict, table: FieldTable, check: _Checks, tag: str) -> None:
-    check.keys(sec, expected.keys(), f"{tag}: evidence")
-    for claimed, known in zip(sec.get("bounds", []), expected.get("bounds", [])):
-        for key in ("pass_one", "pass_two"):
-            check(
-                claimed[key]["disc_upper"] == known[key]["disc_upper"],
-                f"{tag}: degree {known['degree']} {key} cutoff "
-                f"{claimed[key]['disc_upper']} != recomputed {known[key]['disc_upper']}",
-            )
-    known_entries = expected.get("local_factors", {}).get("entries", [])
-    known_polynomials = {e["type"]: e["polynomial"] for e in known_entries}
-    for e in sec.get("local_factors", {}).get("entries", []):
-        check(
-            known_polynomials.get(e["type"]) == e["polynomial"],
-            f"{tag}: polynomial mismatch for type {e['type']}",
-        )
-    for key in sorted(expected.keys() - {"verdicts"}):
-        check(_same(sec[key], expected[key]), f"{tag}: {key} differs from the recomputed evidence")
-    fields = [(v["label"], v["conclusion"]) for v in sec["verdicts"]]
-    known_fields = [(v["label"], v["conclusion"]) for v in expected["verdicts"]]
-    check(fields == known_fields, f"{tag}: field verdicts {fields} differ from the recomputed {known_fields}")
-    for v in sec["verdicts"]:
-        _verify_field(v, expected["r"], table, check, tag)
+def _show(value) -> str:
+    """A leaf as JSON text, a container by its JSON type."""
+    return "an object" if type(value) is dict else "a list" if type(value) is list else json.dumps(value)
 
 
-def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str) -> None:
+def _compare(claimed, expected, where: str, skip: frozenset, check: _Checks) -> None:
+    """Compare the claimed JSON value at path ``where`` with the expected one,
+    in the expected key order, leaving out the paths in ``skip``."""
+    if type(expected) is dict and type(claimed) is dict:
+        missing, extra = sorted(expected.keys() - claimed.keys()), sorted(claimed.keys() - expected.keys())
+        if missing or extra:
+            raise _Divergence(f"{where or 'certificate'} keys: missing {missing}, unexpected {extra}")
+        for key, value in expected.items():
+            path = f"{where}.{key}" if where else key
+            if path not in skip:
+                _compare(claimed[key], value, path, skip, check)
+    elif type(expected) is list and type(claimed) is list:
+        if len(claimed) != len(expected):
+            raise _Divergence(f"{where} has {len(claimed)} entries, recomputed {len(expected)}")
+        for i, (a, b) in enumerate(zip(claimed, expected)):
+            _compare(a, b, f"{where}[{i}]", skip, check)
+    else:
+        check.count += 1  # the message is built only for a divergence
+        if type(claimed) is not type(expected) or claimed != expected:
+            raise _Divergence(f"{where} is {_show(claimed)}, recomputed {_show(expected)}")
+
+
+def _verify_field(v: dict, known: dict, r: int, table: FieldTable, check: _Checks, tag: str) -> None:
     """Re-derive one field verdict: zeta row, reduced product, witness and
-    Euler data."""
+    Euler data; its keys and those of its ``euler`` record are those of the
+    recomputed verdict ``known``."""
     label = v["label"]
 
     def rational(text: str, name: str) -> Fraction:
@@ -415,8 +404,8 @@ def _verify_field(v: dict, r: int, table: FieldTable, check: _Checks, tag: str) 
         return x
 
     euler = v["euler"]
-    check.keys(v, _VERDICT_KEYS, f"{tag}: malformed verdict {label}: keys")
-    check.keys(euler, _EULER_KEYS, f"{tag}: malformed verdict {label}: euler keys")
+    check.keys(v, known.keys(), f"{tag}: malformed verdict {label}: keys")
+    check.keys(euler, known["euler"].keys(), f"{tag}: malformed verdict {label}: euler keys")
     for node, key in ((v, "degree"), (v, "disc"), (v, "h"), (euler, "index_divisor")):
         check(type(node[key]) is int, f"{tag}: {label}: {key} {node[key]!r} is not an integer")
     rec = table.by_disc(v["degree"], v["disc"])

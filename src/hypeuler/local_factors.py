@@ -158,27 +158,25 @@ def _closed_form(t: ParahoricType, r: int) -> tuple[Binomials, Binomials]:
 
 
 def integer_exact_divide(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient num/den in Z[q] by ``long_division``, for coefficient
-    tuples lowest degree first with no trailing zero (den nonzero).
+    """Quotient num/den in Z[q] by ``long_division``, for integer
+    coefficient tuples lowest degree first with no trailing zero and a
+    monic den, so every step stays in Z.
 
-    Raises IntegralityError when the leading coefficient of den does not
-    divide a step (the quotient would leave Z[q]) or when the remainder is
+    Raises IntegralityError when den is not monic or when the remainder is
     nonzero (the division is inexact).
     """
+    if den[-1] != 1:
+        raise IntegralityError(f"leading coefficient {den[-1]} of the divisor is not 1")
     quot, rem = long_division(num, den)
-    lead = den[-1]
-    for c in reversed(quot):
-        if c.denominator != 1:
-            raise IntegralityError(f"leading coefficient {lead} does not divide {c * lead}")
     if any(rem):
         raise IntegralityError(f"nonzero remainder [{', '.join(map(str, rem))}] in exact division")
-    return tuple(map(int, quot))
+    return tuple(quot)
 
 
 @cache
 def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
     """The factor for type t at rank r as integer coefficients in q, shared
-    by every value, proof and fingerprint of that type."""
+    by every value and proof of that type."""
     num, den = _closed_form(t, r)
     try:
         return integer_exact_divide(_binomial_product(num), _binomial_product(den))
@@ -189,9 +187,9 @@ def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
 def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
     """The factor as a polynomial in q with integer coefficients.
 
-    Raises IntegralityError when the division is inexact or a coefficient
-    is non-integral (either would break the divisibility argument the
-    certificates rely on).
+    Raises IntegralityError when the division is inexact (which would
+    break the divisibility argument the certificates rely on); the
+    denominator is monic, so an exact quotient is integral.
     """
     return RatPolynomial.from_seq(_quotient(t, r))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypeuler import local_factors, search_bounds
+from hypeuler import certificate, local_factors, search_bounds
 from hypeuler.certificate import (
     DEFAULT_PRECISION_BITS,
     MAX_SERIALIZABLE_RANK,
@@ -145,7 +145,8 @@ class TestVerifier:
         bad = clone(theorem_cert)
         bad["sections"][0]["bounds"][0]["pass_one"]["disc_upper"] = 29
         outcome = verify_certificate(bad, table)
-        assert not outcome.ok and "cutoff" in outcome.divergence
+        assert not outcome.ok
+        assert outcome.divergence == "sections[0].bounds[0].pass_one.disc_upper is 29, recomputed 28"
 
     @pytest.mark.parametrize(
         ("verdict", "witness", "named"),
@@ -200,7 +201,9 @@ class TestVerifier:
         sec["verdicts"] = sec["verdicts"][:1]
         outcome = verify_certificate(bad, table)
         assert not outcome.ok
-        assert outcome.divergence.startswith("section r=3: evidence missing")
+        assert outcome.divergence == (
+            "sections[0] keys: missing ['bounds', 'candidates', 'high_degree', 'local_factors'], unexpected []"
+        )
 
     def test_missing_key_is_named_divergence(self, theorem_cert, table):
         bad = clone(theorem_cert)
@@ -214,9 +217,9 @@ class TestVerifier:
         [
             (("axioms", 0, "statement"), "every field is small", "axioms"),
             (("axioms",), [], "axioms"),
-            (("dataset", "source"), "elsewhere", "dataset source"),
-            (("dataset", "completeness", "2"), 5000, "dataset completeness"),
-            (("dataset", "completeness"), None, "dataset completeness"),
+            (("dataset", "source"), "elsewhere", 'dataset.source is "elsewhere", recomputed "'),
+            (("dataset", "completeness", "2"), 5000, "dataset.completeness.2 is 5000, recomputed 1000"),
+            (("dataset", "completeness"), None, "dataset.completeness is null, recomputed an object"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), 1, "two_exponent"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), "11", "two_exponent"),
             (("sections", 0, "verdicts", 0, "euler", "chi_lambda"), "1/2", "chi(Lambda) mismatch"),
@@ -246,7 +249,7 @@ class TestVerifier:
         bad = clone(theorem_cert)
         bad["dataset"]["note"] = "extra"
         outcome = verify_certificate(bad, table)
-        assert not outcome.ok and "dataset has unexpected keys ['note']" in outcome.divergence
+        assert not outcome.ok and "dataset keys: missing [], unexpected ['note']" in outcome.divergence
 
     def test_local_factor_tamper_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
@@ -307,14 +310,14 @@ class TestTopLevelKeys:
                 "unknown certificate format 'hypeuler-certificate v2'",
             ),
             (lambda c: c["tool"].update(version=2), "tool.version 2 is not a string"),
-            (lambda c: c["tool"].update(name="other"), "is not hypeuler"),
-            (lambda c: c.pop("tool"), "certificate keys: missing ['tool'], unexpected []"),
+            (lambda c: c["tool"].update(name="other"), 'tool.name is "other", recomputed "hypeuler"'),
+            (lambda c: c.pop("tool"), "malformed certificate (KeyError: 'tool')"),
             (lambda c: c.update(note="extra"), "certificate keys: missing [], unexpected ['note']"),
             (lambda c: c.update(error="r=3: none"), "certificate keys: missing [], unexpected ['error']"),
-            (lambda c: c["parameters"].update(seed=1), "parameters has keys ['requested_r', 'seed']"),
+            (lambda c: c["parameters"].update(seed=1), "parameters keys: missing [], unexpected ['seed']"),
             (
                 lambda c: c["parameters"].update(precision_bits=192),
-                "parameters has keys ['precision_bits', 'requested_r']",
+                "parameters keys: missing [], unexpected ['precision_bits']",
             ),
             (
                 lambda c: c["parameters"].update(requested_r=[3, 3]),
@@ -341,6 +344,41 @@ class TestTopLevelKeys:
         cert, code = run_certification([3, 3], table)
         assert code == 0 and cert["parameters"]["requested_r"] == [3]
         assert serialize_certificate(cert) == serialize_certificate(rank_three_cert)
+
+
+class TestWriterBlock:
+    """A top-level block that ``build_certificate`` adds is checked by the
+    verifier with no code of its own."""
+
+    @pytest.fixture
+    def tailed_cert(self, table, monkeypatch):
+        build = certificate.build_certificate
+
+        def with_tail(*args, **kwargs):
+            return {**build(*args, **kwargs), "tail": {"from_r": 8}}
+
+        monkeypatch.setattr(certificate, "build_certificate", with_tail)
+        cert, code = run_certification([3], table)
+        assert code == 0 and cert["tail"] == {"from_r": 8}
+        return cert
+
+    def test_block_verifies(self, tailed_cert, table):
+        outcome = verify_certificate(clone(tailed_cert), table)
+        assert outcome.ok, outcome.divergence
+
+    @pytest.mark.parametrize(
+        ("mutate", "named"),
+        [
+            (lambda c: c.pop("tail"), "certificate keys: missing ['tail'], unexpected []"),
+            (lambda c: c["tail"].update(from_r=7), "tail.from_r is 7, recomputed 8"),
+        ],
+        ids=["deleted", "from-r-7"],
+    )
+    def test_altered_block_is_named(self, tailed_cert, table, mutate, named):
+        bad = clone(tailed_cert)
+        mutate(bad)
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and outcome.divergence == named
 
 
 def first_verdict(cert):
@@ -374,10 +412,13 @@ class TestVerdictShape:
             (lambda c: first_verdict(c)["euler"].update(chi_lambda="1e-60"), "chi_lambda '1e-60' is not"),
             (
                 lambda c: c["sections"][0]["candidates"][0].update(disc=5.0),
-                "section r=3: candidates differs from the recomputed evidence",
+                "sections[0].candidates[0].disc is 5.0, recomputed 5",
             ),
-            (lambda c: c["sections"][0].update(r=3.0), "section r=3: r differs from the recomputed evidence"),
-            (lambda c: c["dataset"]["completeness"].update({"2": 1000.0}), "dataset completeness"),
+            (lambda c: c["sections"][0].update(r=3.0), "sections[0].r is 3.0, recomputed 3"),
+            (
+                lambda c: c["dataset"]["completeness"].update({"2": 1000.0}),
+                "dataset.completeness.2 is 1000.0, recomputed 1000",
+            ),
         ],
         ids=[
             "verdict-key", "euler-key", "dual-path-key", "float-h", "float-disc", "float-index-divisor",
@@ -521,8 +562,8 @@ class TestLocalFactorMutations:
         for path, bad in local_factor_mutations(rank_three_cert):
             outcome = verify_certificate(bad, table)
             assert not outcome.ok, path
-            assert outcome.divergence.startswith("section r=3: "), (path, outcome.divergence)
-            assert "local_factors" in outcome.divergence or "polynomial mismatch" in outcome.divergence, path
+            where = "sections[0].local_factors" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+            assert outcome.divergence.startswith(f"{where} is "), (path, outcome.divergence)
             mutated += 1
         # 8 types: 46 coefficients, 8 values, 1 minimum
         assert mutated == 55

@@ -4,8 +4,10 @@ documents.
 
 Each mutation applies one operator to one node of a certificate of rank
 2, 3, 6 or 13: delete, null, flip, +1, -1, negate, to-string, to-list,
-+1 or +2 on the numerator of a rational string, or duplicate a list
-element.  Mutations that leave the certificate unchanged are left out.
++1 or +2 on the numerator of a rational string, duplicate a list
+element, or add a key ``"note": 1`` to an object.  The root is a node
+too, for every operator but delete and duplicate.  Mutations that leave
+the certificate unchanged are left out.
 """
 
 import copy
@@ -72,6 +74,7 @@ OPERATORS = {
     "to-list": (lambda v: True, lambda v: [v]),
     "numerator+1": (is_rational, lambda v: numerator_plus(v, 1)),
     "numerator+2": (is_rational, lambda v: numerator_plus(v, 2)),
+    "add-key": (lambda v: isinstance(v, dict), lambda v: {**v, "note": 1}),
 }
 
 
@@ -87,11 +90,12 @@ def mutations():
     out = []
     for r in RANKS:
         cert = certificate(r)
-        for path in paths(cert):
+        for path in [(), *paths(cert)]:
             value = node(cert, path)
-            out.append((r, path, "delete"))
-            if isinstance(value, list) and value:
-                out.append((r, path, "duplicate"))
+            if path:
+                out.append((r, path, "delete"))
+                if isinstance(value, list) and value:
+                    out.append((r, path, "duplicate"))
             for name, (applies, apply) in OPERATORS.items():
                 if applies(value) and json.dumps(apply(value)) != json.dumps(value):
                     out.append((r, path, name))
@@ -100,6 +104,8 @@ def mutations():
 
 def mutate(cert, path, operator):
     bad = copy.deepcopy(cert)
+    if not path:
+        return OPERATORS[operator][1](bad)
     parent = node(bad, path[:-1])
     key = path[-1]
     if operator == "delete":
@@ -128,3 +134,11 @@ def test_mutation_is_named_divergence_or_documented_slack(data):
         assert operator in OPERATORS and is_slack(path, node(bad, path)), (path, operator)
     else:
         assert outcome.divergence, (path, operator)
+
+
+def test_every_added_key_is_named():
+    added = [(r, path) for r, path, operator in mutations() if operator == "add-key"]
+    for r, path in added:
+        outcome = verify_certificate(mutate(certificate(r), path, "add-key"), table())
+        assert not outcome.ok and "unexpected ['note']" in outcome.divergence, (r, path, outcome.divergence)
+    assert len(added) == 107  # every object of the four certificates, the roots included
