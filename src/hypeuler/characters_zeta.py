@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from .exact_arith import (
     RationalInterval,
@@ -276,6 +276,16 @@ def _euler_maclaurin_coefficient(s: int, i: int) -> Fraction:
     return bernoulli_number(2 * i) / math.factorial(2 * i) * _pochhammer(s, 2 * i - 1)
 
 
+@cache
+def _tail_weights(s: int, corrections: int) -> tuple[tuple[int, ...], int, int]:
+    """The kept Euler-Maclaurin coefficients 1/(s-1), c_1, ..., c_m over one
+    common denominator L, as the integers L/(s-1), c_1 L, ..., c_m L, then
+    L/2 (the weight of the 1/2 term) and L."""
+    coefficients = [Fraction(1, s - 1)] + [_euler_maclaurin_coefficient(s, i) for i in range(1, corrections + 1)]
+    L = math.lcm(2, *(c.denominator for c in coefficients))
+    return tuple(c.numerator * (L // c.denominator) for c in coefficients), L // 2, L
+
+
 def _hurwitz_units(s: int, qn: int, qd: int, terms: int, corrections: int, P: int) -> tuple[int, int]:
     """Enclosure [lo, hi], in units of 2^-P, of zeta_H(s, q) = sum_{k>=0}
     (k+q)^{-s} for integer s >= 2 and q = qn/qd in (0, 1].
@@ -284,72 +294,75 @@ def _hurwitz_units(s: int, qn: int, qd: int, terms: int, corrections: int, P: in
     f(x) = (x+q)^{-s} every even-order derivative is positive, so the
     remainder after the kept corrections lies between 0 and the first
     omitted one, which adds its negative part to ``lo`` and its positive
-    part to ``hi``.  Every other term is a rational num/den, e.g.
-    qd^s / (k qd + qn)^s: floor(num 2^P / den) goes into ``lo`` and the
-    ceiling into ``hi``.  Each of the terms + corrections + 3 roundings
-    moves an end outward by less than one unit, so together they cost
-    less than 2^((terms + corrections + 3).bit_length() - P) at each end.
+    part to ``hi``.  Each head term qd^s / (k qd + qn)^s is floored into
+    ``lo``, and ``hi`` takes one unit more per term.  The kept tail
+    N^(1-s) (1/(s-1) + 1/(2N) + sum_i c_i N^-2i) at N = M/qd is one exact
+    rational, by Horner's rule over the integer ``_tail_weights``, floored
+    into ``lo`` and ceiled into ``hi``, and so is the omitted term.  Each of
+    these terms + 2 roundings moves an end outward by at most one unit, so
+    together they cost less than 2^((terms + 2).bit_length() - P) per end.
     """
     M = terms * qd + qn  # N = terms + q = M / qd
     unit = qd**s << P
-    summed = [(unit, (k * qd + qn) ** s) for k in range(terms)]
-    summed += [(qd ** (s - 1) << P, (s - 1) * M ** (s - 1)), (unit, 2 * M**s)]
-    # the i-th correction c_i N^(1-s-2i) as num/den: running powers of
-    # qd^2 and M^2 from i = 1 through the omitted term i = corrections + 1
-    num_power, den_power = qd ** (s + 1) << P, M ** (s + 1)
-    square_qd, square_M = qd * qd, M * M
-    for i in range(1, corrections + 2):
-        c = _euler_maclaurin_coefficient(s, i)
-        summed.append((c.numerator * num_power, c.denominator * den_power))
-        num_power *= square_qd
-        den_power *= square_M
-    *kept, omitted = summed
-    lo = hi = 0
-    for num, den in kept:
-        quot, rem = divmod(num, den)
-        lo += quot
-        hi += quot + (rem > 0)
-    quot, rem = divmod(*omitted)
-    return lo + min(0, quot), hi + max(0, quot + (rem > 0))
+    lo = sum([unit // a**s for a in range(qn, M, qd)])
+    weights, half, L = _tail_weights(s, corrections)
+    # Horner: total = sum_i w_i qd^2i M^(2m-2i), and the kept tail is
+    # qd^(s-1) (M total + half qd M^2m) / (L M^(s+2m))
+    total, qd_power, square_M = 0, 1, M * M
+    for w in weights:
+        total = total * square_M + w * qd_power
+        qd_power *= qd * qd
+    head, M_2m = qd ** (s - 1) << P, square_M**corrections
+    den = M**s * M_2m
+    tail, tail_rem = divmod(head * (M * total + half * qd * M_2m), L * den)
+    c = _euler_maclaurin_coefficient(s, corrections + 1)
+    quot, rem = divmod(c.numerator * head * qd_power, c.denominator * den * M)
+    return lo + tail + min(0, quot), lo + terms + tail + (tail_rem > 0) + max(0, quot + (rem > 0))
 
 
 def hurwitz_zeta_enclosure(s: int, q: Fraction, terms: int, corrections: int, precision_bits: int) -> RationalInterval:
     """Enclosure of zeta_H(s, q) for rational q in (0, 1]: ``_hurwitz_units``
-    at P = ``precision_bits`` + bit length of the term count, so rounding costs
-    below 2^-precision_bits; the result carries that working precision."""
+    at P = ``precision_bits`` + bit length of its rounding count terms + 2, so
+    rounding costs below 2^-precision_bits; the result carries that working
+    precision."""
     if s < 2:
         raise CharacterError("Hurwitz enclosure requires s >= 2")
     q = as_rational(q)
     if not 0 < q <= 1:
         raise CharacterError("Hurwitz parameter must lie in (0, 1]")
-    P = precision_bits + (terms + corrections + 3).bit_length()
+    P = precision_bits + (terms + 2).bit_length()
     lo, hi = _hurwitz_units(s, q.numerator, q.denominator, terms, corrections, P)
     return RationalInterval(Fraction(lo, 1 << P), Fraction(hi, 1 << P)).outward_round(precision_bits)
 
 
-@lru_cache(maxsize=64)
-def _sqrt3_enclosure(bits: int) -> RationalInterval:
-    return RationalInterval.exact(3).sqrt(bits)
+def _square(lo: int, hi: int) -> tuple[int, int]:
+    """The range of x^2 over lo <= x <= hi."""
+    return (0 if lo <= 0 <= hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
 
 
 @cache
-def _l_factor_enclosure(chi: DirichletCharacter, s: int, terms: int, corrections: int, bits: int) -> RationalInterval:
-    """Enclosure of chi's factor of zeta_k(s): L(s, chi) for a character of
-    order 1 or 2, and L(s, chi) L(s, chibar) = |L(s, chi)|^2 = A^2 + B^2
-    for a cubic one.
+def _l_factor_enclosure(chi: DirichletCharacter, s: int, terms: int, corrections: int, bits: int) -> tuple[int, int, int]:
+    """Enclosure [lo, hi] 2^-P of chi's factor of zeta_k(s), as (lo, hi, P):
+    L(s, chi) for a character of order 1 or 2, and L(s, chi) L(s, chibar)
+    = |L(s, chi)|^2 for a cubic one.
 
     Memoized: zeta(s) is a factor of every field's zeta_k(s), and a field's
     L(s, chi) is needed again at every higher rank, so each is computed
     once per run.
 
-    Each zeta_H(s, a/f) is one ``_hurwitz_units`` series at a shared scale
-    2^-P, and their ends are summed as integers per exponent class e into
-    S_e = [lo_e, hi_e].  The phi(f) < 2^(f.bit_length()) series each round
-    by under 2^((terms + corrections + 3).bit_length() - P) per end, so P's
-    guard bits keep each combination of the S_e below within 2^-(bits+1).
+    Each zeta_H(s, a/f) is one ``_hurwitz_units`` series at the scale 2^-P,
+    summed as integers per exponent class e into S_e = [lo_e, hi_e], so
+    f^s L(s, chi) = sum_e zeta_3^e S_e.  The phi(f) < 2^(f.bit_length())
+    series each round by under 2^((terms + 2).bit_length() - P) per end, so
+    P's guard bits keep S0 - S1 and (2 S0 - S1 - S2) / 2 within 2^-(bits+1)
+    of exact.  As Re zeta_3^e is 1 or -1/2 and Im zeta_3^e is 0 or
+    +-sqrt(3)/2, a cubic factor is the exact norm
+    ((2 S0 - S1 - S2)^2 + 3 (S1 - S2)^2) / (4 f^(2s)), with no square root.
+    The one rounding after the series divides by f^s, or 4 f^(2s) 2^P for
+    the norm: floored into lo, ceiled into hi.
     """
     f = chi.modulus
-    P = bits + (terms + corrections + 3).bit_length() + f.bit_length() + 1
+    P = bits + (terms + 2).bit_length() + f.bit_length() + 1
     lo, hi = [0, 0, 0], [0, 0, 0]
     for a in range(1, f + 1):
         e = chi.exponent_of(a)
@@ -357,20 +370,14 @@ def _l_factor_enclosure(chi: DirichletCharacter, s: int, terms: int, corrections
             series_lo, series_hi = _hurwitz_units(s, a, f, terms, corrections, P)
             lo[e] += series_lo
             hi[e] += series_hi
-    scale = Fraction(1, f**s)
     if chi.order <= 2:
         # S0 - S1 (S1 is empty for the trivial character)
-        return RationalInterval(Fraction(lo[0] - hi[1], 1 << P), Fraction(hi[0] - lo[1], 1 << P), bits).scale(scale)
-    # a cubic character with chibar: Re zeta_3^e is 1 or -1/2, so the real
-    # part is (2 S0 - S1 - S2) / 2, and the imaginary part is
-    # (sqrt(3)/2) * (S1 - S2)
-    re_part = RationalInterval(
-        Fraction(2 * lo[0] - hi[1] - hi[2], 2 << P), Fraction(2 * hi[0] - lo[1] - lo[2], 2 << P), bits
-    )
-    difference = RationalInterval(Fraction(lo[1] - hi[2], 1 << P), Fraction(hi[1] - lo[2], 1 << P), bits)
-    im_part = _sqrt3_enclosure(bits).scale(Fraction(1, 2)) * difference
-    mod_sq = re_part.pow_int(2) + im_part.pow_int(2)
-    return mod_sq.scale(scale * scale)
+        num_lo, num_hi, den = lo[0] - hi[1], hi[0] - lo[1], f**s
+    else:
+        re_lo, re_hi = _square(2 * lo[0] - hi[1] - hi[2], 2 * hi[0] - lo[1] - lo[2])
+        im_lo, im_hi = _square(lo[1] - hi[2], hi[1] - lo[2])
+        num_lo, num_hi, den = re_lo + 3 * im_lo, re_hi + 3 * im_hi, 4 * f ** (2 * s) << P
+    return num_lo // den, -(-num_hi // den), P
 
 
 @cache
@@ -390,24 +397,27 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
     2^-precision_bits (relative to magnitude ~1).
 
     The enclosure is the product of the L-factor enclosures of
-    ``characters_for_field``.  They are computed on a ladder of rounds
-    (terms, m): 32 series terms and m = 14 Euler-Maclaurin corrections,
-    then the terms doubled and m raised by 6 (at most 40) per round, until
-    the width is at most 2^-precision_bits.
+    ``characters_for_field``, taken in integers and rounded outward once to
+    units of 2^-(precision_bits+16).  They are computed on a ladder of
+    rounds (terms, m): 32 series terms and m = 14 Euler-Maclaurin
+    corrections, then the terms doubled and m raised by 6 (at most 40) per
+    round, until the width is at most 2^-precision_bits.
 
     A round whose floor B = ``_round_width_floor`` is above the target is
     skipped without being computed, since it must fail.  Proof: the
-    zeta(s) factor (f = 1) is one ``_hurwitz_units`` series at q = 1,
+    zeta(s) factor X (f = 1) is one ``_hurwitz_units`` series at q = 1,
     which adds its whole omitted correction |c_(m+1)| / (terms+1)^(s+2m+1)
-    to one end, so its width is at least that, since rounding only widens
-    it.  An interval product has width at least
-    width(X) * max|Y|, and max|Y| is at least the true |value| that Y
-    encloses.  By the Euler product, |L(s, chi)| >= zeta(2s)/zeta(s)
-    > 6/pi^2 > 1/2 for every character at even s >= 2, so a real
-    character's factor is above 1/2 and a cubic one's |L(s, chi)|^2
-    above 1/4.  The factors other than zeta(s) thus multiply to more than
-    2^-(degree-1), and the round's width is at least B.  The round at
-    ``MAX_TERMS`` is skipped by the same test, so a precision past the
+    to one end, so its width is at least that.  Every factor encloses a
+    positive value, so a negative lower end is clamped at 0, and lo(X) >= 1.
+    The product with the other factor Y is [lo(X) lo(Y), hi(X) hi(Y)], of
+    width at least width(X) hi(Y), which rounding outward only widens, and
+    hi(Y) is at least the true value Y encloses.  By the Euler product,
+    |L(s, chi)| >= zeta(2s)/zeta(s) > 6/pi^2 > 1/2 for every character at
+    even s >= 2, so a real character's factor is above 1/2 and a cubic
+    one's |L(s, chi)|^2 above 1/4: above 2^-(degree-1), and the round's
+    width is at least B.  B is compared with 2^-precision_bits by bit
+    lengths, so a huge precision costs no more than a small one.  The round
+    at ``MAX_TERMS`` is skipped by the same test, so a precision past the
     ladder's reach (at s = 2, any above 805 bits) fails before any
     enclosure is built at it.
 
@@ -422,16 +432,21 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
     if s < 2 or s % 2 != 0:
         raise CharacterError("numeric evaluation is defined for even s >= 2")
     chars = characters_for_field(rec)
-    target = Fraction(1, 2**precision_bits)
+    bits = precision_bits + 16  # the product's ends are in units of 2^-bits
     terms, corrections = 32, 14
     while True:
         floor = _round_width_floor(s, terms, corrections, rec.degree)
         acc = None
-        if floor <= target:
-            acc = RationalInterval.exact(1)
+        # floor = a/b <= 2^-precision_bits, by bit lengths unless they are equal
+        gap = floor.denominator.bit_length() - floor.numerator.bit_length() - precision_bits
+        if gap > 0 or gap == 0 and floor.numerator << precision_bits <= floor.denominator:
+            lo, hi, scale = 1, 1, 0
             for chi in chars:
-                acc = acc * _l_factor_enclosure(chi, s, terms, corrections, precision_bits + 16)
-            if acc.width <= target:
+                factor_lo, factor_hi, P = _l_factor_enclosure(chi, s, terms, corrections, bits)
+                lo, hi, scale = lo * max(factor_lo, 0), hi * factor_hi, scale + P
+            lo, hi = lo >> scale - bits, -(-hi >> scale - bits)
+            acc = RationalInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), bits)
+            if hi - lo <= 1 << bits - precision_bits:
                 return acc
         if terms >= MAX_TERMS:
             width = f"width floor {float(floor):.3e}" if acc is None else f"width {float(acc.width):.3e}"

@@ -104,14 +104,24 @@ def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> Ration
     The zeta factors come first: past the reach of their ladder (about
     800 bits) ``zeta_k_numeric`` raises PrecisionError before pi is
     enclosed at the precision asked for.
+
+    Every factor is positive with dyadic ends n / 2^k, so the product is
+    taken exactly in integers and rounded outward once, at the factors'
+    largest working precision.
     """
     r, d, D = datum.r, datum.degree, datum.field.disc
     zetas = [zeta_k_numeric(datum.field, 2 * j, precision_bits) for j in range(1, r + 1)]
-    acc = rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16).scale(2)
-    acc = acc * C_of_r(r, precision_bits).pow_int(d)
-    for z in zetas:
-        acc = acc * z
-    return acc
+    factors = [rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16), *[C_of_r(r, precision_bits)] * d, *zetas]
+    lo, hi, scale = 2, 2, 0
+    for x in factors:
+        k = max(x.lo.denominator, x.hi.denominator).bit_length() - 1
+        lo *= (x.lo.numerator << k) // x.lo.denominator
+        hi *= (x.hi.numerator << k) // x.hi.denominator
+        scale += k
+    prec = max(x.prec or 0 for x in factors)
+    shift = max(0, min(scale, hi.bit_length() - prec - 1))
+    scale -= shift
+    return RationalInterval(Fraction(lo >> shift, 1 << scale), Fraction(-(-hi >> shift), 1 << scale), prec)
 
 
 def index_divisor(h: int, degree: int) -> int:

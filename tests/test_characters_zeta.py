@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,10 +23,12 @@ from hypeuler.characters_zeta import (
     zeta_row,
 )
 from hypeuler.characters_zeta import (
+    _euler_maclaurin_coefficient,
     _hurwitz_units,
     _l_factor_enclosure,
     _l_value_at_negative,
     _round_width_floor,
+    _tail_weights,
 )
 from hypeuler.exact_arith import RationalInterval, Zeta3Number, pi_enclosure, rational_power_half
 from hypeuler.field_tables import load_table
@@ -232,6 +236,73 @@ class TestHurwitzEnclosure:
         assert crude.lo <= fine.lo and fine.hi <= crude.hi + F(1, 10**6)
 
 
+def per_term_units(s, qn, qd, terms, corrections, P):
+    """The per-term kernel that ``_hurwitz_units`` replaces: each head term,
+    the integral term, the 1/2 term and every kept correction floored into
+    lo and ceiled into hi on its own, the omitted correction as before."""
+    M = terms * qd + qn
+    unit = qd**s << P
+    summed = [(unit, (k * qd + qn) ** s) for k in range(terms)]
+    summed += [(qd ** (s - 1) << P, (s - 1) * M ** (s - 1)), (unit, 2 * M**s)]
+    num_power, den_power = qd ** (s + 1) << P, M ** (s + 1)
+    for i in range(1, corrections + 2):
+        c = _euler_maclaurin_coefficient(s, i)
+        summed.append((c.numerator * num_power, c.denominator * den_power))
+        num_power *= qd * qd
+        den_power *= M * M
+    *kept, omitted = summed
+    lo = hi = 0
+    for num, den in kept:
+        quot, rem = divmod(num, den)
+        lo += quot
+        hi += quot + (rem > 0)
+    quot, rem = divmod(*omitted)
+    return lo + min(0, quot), hi + max(0, quot + (rem > 0))
+
+
+# the conductors of the candidate fields' characters, and 1 for zeta(s)
+KERNEL_MODULI = (1, 5, 7, 8, 9, 12, 13, 17)
+
+
+class TestHurwitzKernel:
+    @pytest.mark.parametrize("f", KERNEL_MODULI)
+    def test_encloses_and_is_no_wider_than_per_term(self, f):
+        for a in (a for a in range(1, f + 1) if math.gcd(a, f) == 1):
+            for s in range(2, 25, 2):
+                with mp.workdps(100):
+                    true = mp.zeta(s, mp.mpf(a) / f)
+                    for terms, corrections in ((32, 14), (64, 20)):
+                        for P in (72, 200):
+                            lo, hi = _hurwitz_units(s, a, f, terms, corrections, P)
+                            assert lo <= true * mp.mpf(2) ** P <= hi, (a, f, s, terms, P)
+                            old_lo, old_hi = per_term_units(s, a, f, terms, corrections, P)
+                            assert hi - lo <= old_hi - old_lo, (a, f, s, terms, P)
+
+    @pytest.mark.parametrize("s", range(2, 25, 2))
+    def test_tail_weights_reproduce_the_coefficients(self, s):
+        for m in (14, 20, 40):
+            weights, half, L = _tail_weights(s, m)
+            assert F(half, L) == F(1, 2)
+            assert [F(w, L) for w in weights] == [F(1, s - 1)] + [
+                _euler_maclaurin_coefficient(s, i) for i in range(1, m + 1)
+            ]
+
+    @pytest.mark.parametrize("s", range(2, 25, 2))
+    def test_tail_is_rounded_once(self, s):
+        # with no head terms the kernel is the kept tail
+        # q^(1-s) (1/(s-1) + 1/(2q) + sum_i c_i q^-2i) and the omitted
+        # correction, each rounded once: compare with exact rationals
+        P = 96
+        for q in (F(1), F(1, 5), F(3, 7), F(16, 17)):
+            for m in (14, 20):
+                kept = sum(_euler_maclaurin_coefficient(s, i) / q ** (2 * i) for i in range(1, m + 1))
+                tail = (F(1, s - 1) + 1 / (2 * q) + kept) / q ** (s - 1) * 2**P
+                omitted = _euler_maclaurin_coefficient(s, m + 1) / q ** (s + 2 * m + 1) * 2**P
+                lo, hi = _hurwitz_units(s, q.numerator, q.denominator, 0, m, P)
+                assert lo == math.floor(tail) + min(0, math.floor(omitted)), (q, m)
+                assert hi == math.ceil(tail) + max(0, math.ceil(omitted)), (q, m)
+
+
 class TestNumericZeta:
     def test_quadratic_greater_than_one(self, table):
         enc = zeta_k_numeric(rec_q(table, 5), 2, precision_bits=128)
@@ -275,14 +346,19 @@ CANDIDATE_FIELDS = [(2, 5), (2, 8), (2, 12), (2, 13), (2, 17), (3, 49), (3, 81)]
 def full_ladder(rec, s, precision_bits):
     """zeta_k_numeric's ladder with every round computed from 32 terms and
     14 corrections, none skipped: the first enclosure within
-    2^-precision_bits, and (terms, corrections, width) of each round."""
+    2^-precision_bits, and (terms, corrections, width) of each round.  The
+    factors are multiplied as exact rationals, the lower ends clamped at 0,
+    and the product rounded outward to units of 2^-(precision_bits + 16)."""
     target = F(1, 2**precision_bits)
+    bits = precision_bits + 16
     terms, corrections = 32, 14
     rounds = []
     while True:
-        acc = RationalInterval.exact(1)
+        lo = hi = F(1)
         for chi in characters_for_field(rec):
-            acc = acc * _l_factor_enclosure(chi, s, terms, corrections, precision_bits + 16)
+            factor_lo, factor_hi, P = _l_factor_enclosure(chi, s, terms, corrections, bits)
+            lo, hi = lo * F(max(factor_lo, 0), 2**P), hi * F(factor_hi, 2**P)
+        acc = RationalInterval(F(math.floor(lo * 2**bits), 2**bits), F(math.ceil(hi * 2**bits), 2**bits), bits)
         rounds.append((terms, corrections, acc.width))
         if acc.width <= target or terms >= MAX_TERMS:
             return acc, rounds
@@ -319,6 +395,27 @@ class TestRoundSkipping:
         monkeypatch.setattr("hypeuler.characters_zeta._hurwitz_units", counting)
         zeta_k_numeric(rec_q(table, 5), 2, precision_bits=176)
         assert seen and set(seen) == {64}
+
+    @pytest.mark.parametrize("s", range(2, 25, 2))
+    def test_floor_decided_at_the_last_bit(self, table, monkeypatch, s):
+        # e is the largest precision whose target the 32-term round's floor
+        # meets: the round runs at e bits and is skipped at e + 1
+        floor = _round_width_floor(s, 32, 14, 2)
+        e = floor.denominator.bit_length() - floor.numerator.bit_length() + 1
+        while floor > F(1, 2**e):
+            e -= 1
+        assert floor > F(1, 2 ** (e + 1))
+        original = _l_factor_enclosure
+
+        def counting(chi, s, terms, corrections, bits):
+            seen.append(terms)
+            return original(chi, s, terms, corrections, bits)
+
+        monkeypatch.setattr("hypeuler.characters_zeta._l_factor_enclosure", counting)
+        for bits, runs in ((e, True), (e + 1, False)):
+            seen = []
+            zeta_k_numeric(rec_q(table, 5), s, precision_bits=bits)
+            assert (32 in seen) == runs, (s, bits)
 
 
 def per_residue_l_factor(chi, s, terms, corrections, bits):
@@ -380,10 +477,25 @@ class TestLFactorOracle:
                     true = mpmath_l_factor(chi, s)
                     for bits in (64, 192):
                         for terms, corrections in ((32, 14), (64, 20)):
-                            enc = _l_factor_enclosure(chi, s, terms, corrections, bits)
-                            assert to_mpf(enc.lo) <= true <= to_mpf(enc.hi), (chi.modulus, s, bits, terms)
+                            lo, hi, P = _l_factor_enclosure(chi, s, terms, corrections, bits)
+                            assert to_mpf(F(lo, 2**P)) <= true <= to_mpf(F(hi, 2**P)), (chi.modulus, s, bits, terms)
                             old = per_residue_l_factor(chi, s, terms, corrections, bits)
-                            assert enc.width <= old.width, (chi.modulus, s, bits, terms)
+                            assert F(hi - lo, 2**P) <= old.width, (chi.modulus, s, bits, terms)
+
+    @pytest.mark.parametrize("disc", [49, 81])
+    def test_cubic_norm_contains_complex_l_value(self, table, disc):
+        # |L(s, chi)|^2 from mpmath's Dirichlet L-series with the complex
+        # values zeta_3^e, against the exact norm computed without sqrt(3)
+        rec = rec_c(table, disc)
+        assert rec.label == f"3.3.{disc}.1"
+        chi = characters_for_field(rec)[1]
+        with mp.workdps(80):
+            values = [0 if e is None else mp.expjpi(mp.mpf(2 * e) / 3) for e in chi.exponents]
+            for s in range(2, 11):
+                true = abs(mp.dirichlet(s, values)) ** 2
+                lo, hi, P = _l_factor_enclosure(chi, s, 32, 14, 128)
+                assert lo <= true * mp.mpf(2) ** P <= hi, (disc, s)
+                assert hi - lo < 2 ** (P - 128), (disc, s)
 
 
 class TestPrecisionRange:
@@ -410,3 +522,11 @@ class TestPrecisionRange:
             with pytest.raises(PrecisionError, match=f"above target 2\\^-{bits} after 4096 terms") as err:
                 zeta_k_numeric(rec_q(table, 5), 2, precision_bits=bits)
             assert err.value.best is None
+
+    def test_huge_precision_fails_fast(self, table):
+        # the width floor is compared with 2^-P by bit lengths, so no
+        # P-bit number is built
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match=r"above target 2\^-1000000000 after 4096 terms"):
+            zeta_k_numeric(rec_q(table, 5), 2, 10**9)
+        assert time.perf_counter() - start < 0.5

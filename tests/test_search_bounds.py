@@ -258,11 +258,12 @@ class TestFieldVerdicts:
 
     @pytest.mark.parametrize("bits", [64, 128, 192, 256])
     def test_honest_width_leaves_room(self, table, bits):
-        # every rank-3 candidate's enclosure is at least 9 bits inside the 2^(8 - P) bound
-        for v in certify_section(3, table, None).verdicts:
-            enclosure = chi_principal_numeric(ArithmeticDatum(field=v.record, r=3), precision_bits=bits)
-            assert v.euler.chi_lambda in enclosure
-            assert enclosure.width <= v.euler.chi_lambda * F(1, 2 ** (bits + 1)), v.record.label
+        # every candidate's enclosure at r = 3..5 is at least 9 bits inside the 2^(8 - P) bound
+        for r in (3, 4, 5):
+            for v in certify_section(r, table, None).verdicts:
+                enclosure = chi_principal_numeric(ArithmeticDatum(field=v.record, r=r), precision_bits=bits)
+                assert v.euler.chi_lambda in enclosure
+                assert enclosure.width <= v.euler.chi_lambda * F(1, 2 ** (bits + 1)), (v.record.label, r)
 
     def test_no_precision_skips_dual_path(self, table, monkeypatch):
         def unreachable(datum, precision_bits):
