@@ -332,7 +332,7 @@ def hurwitz_zeta_enclosure(s: int, q: Fraction, terms: int, corrections: int, pr
         raise CharacterError("Hurwitz parameter must lie in (0, 1]")
     P = precision_bits + (terms + 2).bit_length()
     lo, hi = _hurwitz_units(s, q.numerator, q.denominator, terms, corrections, P)
-    return RationalInterval(Fraction(lo, 1 << P), Fraction(hi, 1 << P)).outward_round(precision_bits)
+    return RationalInterval(lo, hi, P, -P).outward_round(precision_bits)
 
 
 def _square(lo: int, hi: int) -> tuple[int, int]:
@@ -445,7 +445,7 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
                 factor_lo, factor_hi, P = _l_factor_enclosure(chi, s, terms, corrections, bits)
                 lo, hi, scale = lo * max(factor_lo, 0), hi * factor_hi, scale + P
             lo, hi = lo >> scale - bits, -(-hi >> scale - bits)
-            acc = RationalInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), bits)
+            acc = RationalInterval(lo, hi, bits, -bits)
             if hi - lo <= 1 << bits - precision_bits:
                 return acc
         if terms >= MAX_TERMS:

@@ -105,23 +105,20 @@ def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> Ration
     800 bits) ``zeta_k_numeric`` raises PrecisionError before pi is
     enclosed at the precision asked for.
 
-    Every factor is positive with dyadic ends n / 2^k, so the product is
-    taken exactly in integers and rounded outward once, at the factors'
-    largest working precision.
+    Every factor is positive with dyadic ends, integer mantissas at a scale
+    2^e, so the product is taken exactly in integers and rounded outward
+    once, at the factors' largest working precision.
     """
     r, d, D = datum.r, datum.degree, datum.field.disc
     zetas = [zeta_k_numeric(datum.field, 2 * j, precision_bits) for j in range(1, r + 1)]
     factors = [rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16), *[C_of_r(r, precision_bits)] * d, *zetas]
     lo, hi, scale = 2, 2, 0
     for x in factors:
-        k = max(x.lo.denominator, x.hi.denominator).bit_length() - 1
-        lo *= (x.lo.numerator << k) // x.lo.denominator
-        hi *= (x.hi.numerator << k) // x.hi.denominator
-        scale += k
+        x_lo, x_hi, e = x.dyadic_ends()
+        lo, hi, scale = lo * x_lo, hi * x_hi, scale - e
     prec = max(x.prec or 0 for x in factors)
     shift = max(0, min(scale, hi.bit_length() - prec - 1))
-    scale -= shift
-    return RationalInterval(Fraction(lo >> shift, 1 << scale), Fraction(-(-hi >> shift), 1 << scale), prec)
+    return RationalInterval(lo >> shift, -(-hi >> shift), prec, shift - scale)
 
 
 def index_divisor(h: int, degree: int) -> int:

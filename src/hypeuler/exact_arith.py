@@ -7,9 +7,9 @@ exact.  Intervals are pairs of rationals that provably enclose the real
 number they stand for; an interval built from rationals stays exact,
 while the enclosures of transcendental quantities carry a working
 precision and every result computed from them is rounded outward to
-dyadic endpoints at that precision (see `RationalInterval`; one
-`dyadic_round` takes either direction).  No floating point enters any
-computation.
+dyadic endpoints at that precision, integer mantissas at a power-of-two
+scale (see `RationalInterval`; one `dyadic_round` takes either direction
+and fixes the ends).  No floating point enters any computation.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to use concurrently.  The Bernoulli cache only
@@ -86,8 +86,8 @@ def smallest_prime_factor(n: int) -> int:
 
 class Value:
     """Base of the immutable slotted value types: equality and hashing
-    compare the attributes named in ``_compared``, and the repr lists the
-    public slots."""
+    compare the attributes named in ``_compared``, and the repr lists them
+    and the other public slots."""
 
     __slots__ = ()
     _compared: tuple[str, ...]  # set by every subclass
@@ -102,7 +102,8 @@ class Value:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if not name.startswith("_"))
+        names = dict.fromkeys((*self._compared, *self.__slots__))
+        fields = (f"{name}={getattr(self, name)!r}" for name in names if not name.startswith("_"))
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
@@ -336,44 +337,43 @@ def _int_nthroot(n: int, k: int) -> int:
     return x
 
 
-def _join(p: int | None, q: int | None) -> int | None:
-    """Working precision of a result: an exact operand (None) takes on the
-    other's precision, two rounded operands the larger one."""
-    if p is None:
-        return q
-    if q is None:
-        return p
-    return max(p, q)
+def _round_mantissa(m: int, e: int, sig_bits: int, up: bool) -> tuple[int, int]:
+    """``dyadic_round(m 2^e, sig_bits, up)`` as a mantissa and exponent: its
+    grid 2^(E - sig_bits), E = bitlen(num) - bitlen(den) of the reduced m 2^e,
+    is 2^(e + drop) with drop = bitlen(|m|) - sig_bits - 1, whatever power of
+    2 divides m.  m 2^e is on it when drop <= 0; else m >> drop floors it (to
+    at most m 2^e) and -(-m >> drop) ceils it (to at least m 2^e)."""
+    drop = m.bit_length() - sig_bits - 1
+    if drop <= 0:
+        return m, e
+    return (-(-m >> drop) if up else m >> drop), e + drop
 
 
-def _rounded(lo: Fraction, hi: Fraction, prec: int | None) -> "RationalInterval":
-    """[lo, hi] rounded outward to ``prec`` significant bits (kept exact when
-    ``prec`` is None)."""
-    if prec is None:
-        return RationalInterval(lo, hi)
-    return RationalInterval(dyadic_round(lo, prec, up=False), dyadic_round(hi, prec, up=True), prec)
-
-
-def _pow_rounded(x: Fraction, k: int, prec: int | None, up: bool) -> Fraction:
-    """A bound on x**k (k >= 0) from above (``up``) or below.
-
-    Square-and-multiply on |x|: every intermediate product of nonnegative
-    numbers is rounded in one direction to ``prec`` significant bits, which
-    bounds |x|**k from that side; an odd power of a negative x flips it.
-    """
-    if prec is None:
-        return x**k
-    negative = x < 0 and k % 2 == 1
+def _pow_mantissa(m: int, e: int, k: int, prec: int, up: bool) -> tuple[int, int]:
+    """A bound on (m 2^e)^k (k >= 0) from above (``up``) or below, as a
+    mantissa and exponent: square-and-multiply on |m|, every intermediate
+    product of nonnegative numbers rounded in that one direction to ``prec``
+    bits, which bounds |m 2^e|^k from that side; an odd power of a negative
+    m flips it."""
+    negative = m < 0 and k % 2 == 1
     up = up != negative
-    base, acc = abs(x), Fraction(1)
+    base, base_e, acc, acc_e = abs(m), e, 1, 0
     while True:
         if k & 1:
-            acc = dyadic_round(acc * base, prec, up)
+            acc, acc_e = _round_mantissa(acc * base, acc_e + base_e, prec, up)
         k >>= 1
         if not k:
             break
-        base = dyadic_round(base * base, prec, up)
-    return -acc if negative else acc
+        base, base_e = _round_mantissa(base * base, 2 * base_e, prec, up)
+    return (-acc if negative else acc), acc_e
+
+
+def _outward(lo: int, lo_e: int, hi: int, hi_e: int, prec: int) -> "RationalInterval":
+    """[lo 2^lo_e, hi 2^hi_e] rounded outward (lo down, hi up) to ``prec``
+    bits, so it encloses, at the finer scale (a zero end takes the other's)."""
+    (lo, lo_e), (hi, hi_e) = _round_mantissa(lo, lo_e, prec, False), _round_mantissa(hi, hi_e, prec, True)
+    e = min(lo_e if lo else hi_e, hi_e if hi else lo_e)
+    return RationalInterval(lo << lo_e - e if lo else 0, hi << hi_e - e if hi else 0, prec, e)
 
 
 class RationalInterval(Value):
@@ -388,30 +388,55 @@ class RationalInterval(Value):
     encloses the exact one; an exact interval stays exact until it meets a
     rounded one.  Precision enters through ``outward_round``, ``sqrt``
     and the enclosures of transcendental quantities (pi, Hurwitz zeta),
-    each at the precision its caller asks for.  Equality and hashing
-    compare the endpoints only, not ``prec``.
+    each at the precision its caller asks for.
+
+    Exact ends are ``Fraction``s.  Rounded ends are integer mantissas at one
+    power-of-two scale, lo 2^e and hi 2^e (``e`` given, or from dyadic
+    ``Fraction`` ends), so rounded arithmetic is integer multiplies, shifts
+    and ``isqrt`` landing on exactly the ends ``dyadic_round`` gives; ``lo``,
+    ``hi`` and ``width`` are ``Fraction``s built on demand.  Equality and
+    hashing compare the endpoint values only.
     """
 
-    __slots__ = ("lo", "hi", "prec")
+    __slots__ = ("_lo", "_hi", "prec", "_e")
     _compared = ("lo", "hi")
 
-    def __init__(self, lo: Fraction, hi: Fraction, prec: int | None = None) -> None:
+    def __init__(self, lo: int | Fraction, hi: int | Fraction, prec: int | None = None, e: int | None = None) -> None:
         if lo > hi:
             raise ExactArithError(f"interval endpoints out of order: {lo} > {hi}")
-        self.lo, self.hi, self.prec = lo, hi, prec
+        self._lo, self._hi, self.prec, self._e = lo, hi, prec, e
+        if e is None and prec is not None and (ends := self.dyadic_ends()) is not None:
+            self._lo, self._hi, self._e = ends
 
     @classmethod
     def exact(cls, x: int | Fraction) -> "RationalInterval":
         x = as_rational(x)
         return cls(x, x)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    def dyadic_ends(self, prec: int | None = None) -> tuple[int, int, int] | None:
+        """The ends as integer mantissas (lo, hi, e) at one scale 2^e.  An end
+        that is not dyadic is first rounded outward to ``prec`` bits by
+        ``dyadic_round``; with no ``prec``, such an interval gives None."""
+        if self._e is not None:
+            return self._lo, self._hi, self._e
+        lo, hi = self._lo, self._hi
+        if lo.denominator & (lo.denominator - 1) or hi.denominator & (hi.denominator - 1):
+            if prec is None:
+                return None
+            lo, hi = dyadic_round(lo, prec, False), dyadic_round(hi, prec, True)
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        return (lo.numerator << k) // lo.denominator, (hi.numerator << k) // hi.denominator, -k
+
+    def _value(self, m: int | Fraction) -> Fraction:
+        e = self._e
+        return m if e is None else Fraction(m << max(e, 0), 1 << max(-e, 0))
+
+    lo = property(lambda self: self._value(self._lo))
+    hi = property(lambda self: self._value(self._hi))
+    width = property(lambda self: self._value(self._hi - self._lo))
 
     def __contains__(self, x: int | Fraction) -> bool:
-        x = as_rational(x)
-        return self.lo <= x <= self.hi
+        return self.lo <= as_rational(x) <= self.hi
 
     def contains_interval(self, other: "RationalInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -419,64 +444,80 @@ class RationalInterval(Value):
     def strictly_greater_than(self, c: int | Fraction) -> bool:
         return self.lo > as_rational(c)
 
+    def _binary(self, other: "RationalInterval", ends, product: bool) -> "RationalInterval":
+        """[ends(self.lo, self.hi, other.lo, other.hi)]: exact for exact
+        operands, else taken on the mantissas at the product of the scales
+        (for a sum, the finer one), rounded outward at the larger precision."""
+        if self.prec is None and other.prec is None:
+            return RationalInterval(*ends(self._lo, self._hi, other._lo, other._hi))
+        prec = max(self.prec or 0, other.prec or 0)
+        (a_lo, a_hi, a_e), (b_lo, b_hi, b_e) = self.dyadic_ends(prec), other.dyadic_ends(prec)
+        e = a_e + b_e if product else min(a_e, b_e)
+        if not product:
+            a_lo, a_hi, b_lo, b_hi = a_lo << a_e - e, a_hi << a_e - e, b_lo << b_e - e, b_hi << b_e - e
+        lo, hi = ends(a_lo, a_hi, b_lo, b_hi)
+        return _outward(lo, e, hi, e, prec)
+
     def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return _rounded(self.lo + other.lo, self.hi + other.hi, _join(self.prec, other.prec))
+        return self._binary(other, lambda a, b, c, d: (a + c, b + d), product=False)
 
     def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return _rounded(self.lo - other.hi, self.hi - other.lo, _join(self.prec, other.prec))
+        return self._binary(other, lambda a, b, c, d: (a - d, b - c), product=False)
 
     def __neg__(self) -> "RationalInterval":
         return RationalInterval(-self.hi, -self.lo, self.prec)
 
     def __mul__(self, other: "RationalInterval") -> "RationalInterval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return _rounded(min(products), max(products), _join(self.prec, other.prec))
+        """Rounded: the least mantissa product floored, the largest ceiled."""
+        return self._binary(other, lambda a, b, c, d: (min(ps := (a * c, a * d, b * c, b * d)), max(ps)), product=True)
 
     def scale(self, c: int | Fraction) -> "RationalInterval":
-        c = as_rational(c)
-        if c >= 0:
-            return _rounded(self.lo * c, self.hi * c, self.prec)
-        return _rounded(self.hi * c, self.lo * c, self.prec)
+        return self * RationalInterval(c, c, self.prec)
 
     def reciprocal(self) -> "RationalInterval":
-        if self.lo <= 0 <= self.hi:
+        """Rounded: with k = prec - 1 + bitlen(|m|), 1/(m 2^e) lies on
+        ``dyadic_round``'s grid 2^(-e - k) (E = 1 - e - bitlen(|m|), as in
+        ``_round_mantissa``), so floor(2^k / m) from the upper end and
+        ceil(2^k / m) from the lower end enclose [1/hi, 1/lo]."""
+        if self._lo <= 0 <= self._hi:
             raise ExactArithError("reciprocal of an interval containing zero")
-        return _rounded(1 / self.hi, 1 / self.lo, self.prec)
+        if self.prec is None:
+            return RationalInterval(1 / self._hi, 1 / self._lo)
+        p, (lo, hi, e) = self.prec, self.dyadic_ends(self.prec)
+        k_lo, k_hi = p - 1 + hi.bit_length(), p - 1 + lo.bit_length()
+        return _outward((1 << k_lo) // hi, -e - k_lo, -(-(1 << k_hi) // lo), -e - k_hi, p)
 
     def __truediv__(self, other: "RationalInterval") -> "RationalInterval":
         return self * other.reciprocal()
 
     def pow_int(self, k: int) -> "RationalInterval":
-        """Enclosure of the k-th power, k >= 0."""
+        """Enclosure of the k-th power, k >= 0: the powers of the ends, or of
+        0 and the larger-sized end when an even power straddles zero; rounded,
+        by ``_pow_mantissa``, down at the lower end and up at the upper."""
         if k < 0:
             raise ExactArithError(f"negative interval exponent {k}")
-        lo, hi, p = self.lo, self.hi, self.prec
-        if k % 2 == 1 or lo >= 0:
-            return RationalInterval(_pow_rounded(lo, k, p, False), _pow_rounded(hi, k, p, True), p)
-        if hi <= 0:
-            return RationalInterval(_pow_rounded(hi, k, p, False), _pow_rounded(lo, k, p, True), p)
-        # even power of an interval straddling zero
-        return RationalInterval(Fraction(0), max(_pow_rounded(lo, k, p, True), _pow_rounded(hi, k, p, True)), p)
+        lo, hi, e = (self._lo, self._hi, None) if (p := self.prec) is None else self.dyadic_ends(p)
+        if k % 2 == 0 and lo < 0:
+            lo, hi = (hi, lo) if hi <= 0 else (0 * lo, max(-lo, hi))
+        if p is None:
+            return RationalInterval(lo**k, hi**k)
+        return _outward(*_pow_mantissa(lo, e, k, p, False), *_pow_mantissa(hi, e, k, p, True), p)
 
     def sqrt(self, bits: int) -> "RationalInterval":
-        """Enclosure of the square root (requires lo >= 0): dyadic ends
-        isqrt(x 4^bits) / 2^bits at x = lo and one unit more at x = hi, at
-        working precision ``bits`` or the operand's, whichever is larger."""
-        if self.lo < 0:
+        """Enclosure of the square root (requires lo >= 0): isqrt(floor(x 4^bits))
+        / 2^bits at x = lo, squaring to at most lo, and one unit more at x = hi,
+        squaring to above hi; at precision ``bits`` or the operand's if larger."""
+        if self._lo < 0:
             raise ExactArithError("square root of an interval with negative lower end")
         lo, hi = (math.isqrt((x.numerator << 2 * bits) // x.denominator) for x in (self.lo, self.hi))
-        return RationalInterval(Fraction(lo, 1 << bits), Fraction(hi + 1, 1 << bits), _join(self.prec, bits))
+        return RationalInterval(lo, hi + 1, max(self.prec or 0, bits), -bits)
 
     def outward_round(self, sig_bits: int) -> "RationalInterval":
-        """Widen to dyadic endpoints with about ``sig_bits`` significant
-        bits; the result still encloses the original interval and carries
-        ``sig_bits`` as its working precision."""
-        return _rounded(self.lo, self.hi, sig_bits)
+        """Widen to dyadic endpoints with about ``sig_bits`` significant bits,
+        the lower end rounded down and the upper one up, so the result still
+        encloses; it carries ``sig_bits`` as its working precision."""
+        lo, hi, e = self.dyadic_ends(sig_bits)
+        return _outward(lo, e, hi, e, sig_bits)
 
 
 def dyadic_round(x: Fraction, sig_bits: int, up: bool) -> Fraction:
@@ -511,15 +552,16 @@ def rational_power_half(x: int | Fraction, twice_exponent: int, bits: int) -> Ra
 
 def _arctan_inv_enclosure(x: int, terms: int) -> RationalInterval:
     """Enclosure of arctan(1/x) from the alternating series; consecutive
-    partial sums bracket the limit."""
-    s = Fraction(0)
-    prev = None
-    sign = 1
+    partial sums bracket the limit.  The sum to K = ``terms`` is one integer
+    numerator over x^(2K+1) lcm(1, 3, ..., 2K+1), by Horner's rule in x^2,
+    and the one before it differs by its last term."""
+    lcm = math.lcm(*range(1, 2 * terms + 2, 2))
+    total = 0
     for k in range(terms + 1):
-        prev = s
-        s += Fraction(sign, (2 * k + 1) * x ** (2 * k + 1))
-        sign = -sign
-    return RationalInterval(min(prev, s), max(prev, s))
+        total = total * x * x + (-1) ** k * (lcm // (2 * k + 1))
+    den = lcm * x ** (2 * terms + 1)
+    prev = total - (-1) ** terms * (lcm // (2 * terms + 1))
+    return RationalInterval(*sorted((Fraction(prev, den), Fraction(total, den))))
 
 
 @lru_cache(maxsize=8)
@@ -541,6 +583,7 @@ def pi_enclosure(bits: int) -> RationalInterval:
     """
     bits = ((bits + 31) // 32) * 32  # quantize for cache reuse
     enc = _pi_enclosure_bits(bits)
-    if enc.width >= Fraction(1, 2 ** (bits - 4)):
+    lo, hi, e = enc.dyadic_ends()
+    if hi - lo >= 1 << max(0, 4 - bits - e):  # width (hi - lo) 2^e >= 2^(4 - bits)
         raise ExactArithError(f"pi enclosure at {bits} bits is not narrower than 2^-{bits - 4}")
     return enc

@@ -215,11 +215,11 @@ class TestHurwitzEnclosure:
     )
     def test_against_mpmath(self, s, q, terms, corr):
         enc = hurwitz_zeta_enclosure(s, q, terms, corr, 192)
-        mp.dps = 50
-        true = mp.zeta(s, mp.mpf(q.numerator) / q.denominator)
-        lo = mp.mpf(enc.lo.numerator) / enc.lo.denominator
-        hi = mp.mpf(enc.hi.numerator) / enc.hi.denominator
-        assert lo <= true <= hi
+        with mp.workdps(50):
+            true = mp.zeta(s, mp.mpf(q.numerator) / q.denominator)
+            lo = mp.mpf(enc.lo.numerator) / enc.lo.denominator
+            hi = mp.mpf(enc.hi.numerator) / enc.hi.denominator
+            assert lo <= true <= hi
         assert enc.width < F(1, 10**12)
 
     def test_nested_refinement(self):

@@ -34,16 +34,16 @@ def datum(table, D, r, degree=2):
 
 class TestRankConstant:
     def test_enclosure_against_mpmath(self):
-        mp.dps = 50
         for r in range(1, 9):
             # round outward to short dyadics so the mpf conversion is exact
             iv = C_of_r(r, 160).outward_round(120)
-            true = mp.mpf(1)
-            for j in range(1, r + 1):
-                true *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
-            lo = mp.mpf(iv.lo.numerator) / iv.lo.denominator
-            hi = mp.mpf(iv.hi.numerator) / iv.hi.denominator
-            assert lo <= true <= hi
+            with mp.workdps(50):
+                true = mp.mpf(1)
+                for j in range(1, r + 1):
+                    true *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
+                lo = mp.mpf(iv.lo.numerator) / iv.lo.denominator
+                hi = mp.mpf(iv.hi.numerator) / iv.hi.denominator
+                assert lo <= true <= hi
 
     def test_r1_is_inverse_four_pi_squared(self):
         # 1/(4 pi^2) = 0.0253302...

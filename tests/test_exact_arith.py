@@ -341,6 +341,69 @@ class TestRoundedIntervals:
         assert acc.pow_int(3).contains_interval(RationalInterval(acc.lo**3, acc.hi**3))
 
 
+mantissas = st.one_of(st.just(0), st.integers(-(2**300), 2**300), st.integers(-64, 64))
+exponents = st.integers(min_value=-400, max_value=400)
+sig_bits = st.integers(min_value=2, max_value=256)
+
+
+def dyadic(m, e):
+    return F(m) * F(2) ** e
+
+
+class TestIntegerKernel:
+    """Rounded intervals keep integer mantissas at a power-of-two scale; the
+    integer kernels must land every end exactly where ``dyadic_round``
+    lands it, and an interval's value must not depend on how it is stored."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mantissas, exponents, sig_bits, st.booleans())
+    def test_round_mantissa_is_dyadic_round(self, m, e, sig, up):
+        rounded, rounded_e = exact_arith._round_mantissa(m, e, sig, up)
+        assert dyadic(rounded, rounded_e) == dyadic_round(dyadic(m, e), sig, up)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mantissas, mantissas, exponents, sig_bits)
+    def test_reciprocal_ends_are_dyadic_round(self, a, b, e, sig):
+        # 1/(m 2^e) is not dyadic unless |m| is a power of 2
+        lo, hi = min(a, b), max(a, b)
+        if lo <= 0 <= hi:
+            return
+        inverse = RationalInterval(lo, hi, sig, e).reciprocal()
+        assert inverse.lo == dyadic_round(1 / dyadic(hi, e), sig, False)
+        assert inverse.hi == dyadic_round(1 / dyadic(lo, e), sig, True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12),
+        st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12),
+        sig_bits,
+    )
+    def test_outward_round_is_dyadic_round(self, a, b, sig):
+        # dyadic and non-dyadic ends alike
+        for lo, hi in ((min(a, b), max(a, b)), (dyadic_round(min(a, b), 300, False), dyadic_round(max(a, b), 300, True))):
+            out = RationalInterval(lo, hi).outward_round(sig)
+            assert (out.lo, out.hi) == (dyadic_round(lo, sig, False), dyadic_round(hi, sig, True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mantissas, mantissas, exponents, st.integers(min_value=2, max_value=256))
+    def test_integer_and_fraction_ends_are_one_interval(self, a, b, e, prec):
+        lo, hi = min(a, b), max(a, b)
+        from_ints = RationalInterval(lo, hi, prec, e)
+        from_fractions = RationalInterval(dyadic(lo, e), dyadic(hi, e), prec)
+        exact = RationalInterval(dyadic(lo, e), dyadic(hi, e))
+        assert from_ints == from_fractions == exact
+        assert hash(from_ints) == hash(from_fractions) == hash(exact)
+        assert from_ints.width == exact.width
+        # shifting the mantissas to a finer scale changes no value
+        assert RationalInterval(lo << 5, hi << 5, prec, e - 5) == from_ints
+
+    def test_non_dyadic_rounded_ends_stay_rational(self):
+        third = RationalInterval(F(1, 3), F(1, 2), 64)
+        assert third == RationalInterval(F(1, 3), F(1, 2)) and third.dyadic_ends() is None
+        assert F(1, 9) in third.pow_int(2) and F(3) in third.reciprocal()
+        assert third.pow_int(2).dyadic_ends() is not None
+
+
 class TestPiAndRoots:
     def test_pi_enclosure_default_width(self):
         enc = pi_enclosure(160)

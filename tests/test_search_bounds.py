@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from mpmath import mp
 
 from hypeuler import search_bounds
 from hypeuler.euler_char import ArithmeticDatum, C_of_r, chi_principal_numeric
-from hypeuler.exact_arith import RationalInterval
+from hypeuler.exact_arith import RationalInterval, format_rational, pi_enclosure
 from hypeuler.field_tables import load_table, parse_table_text
 from hypeuler.search_bounds import (
     VERDICT_CERTIFIED,
@@ -31,17 +32,17 @@ def table():
 
 def bound_oracle(r, d, mode):
     """Independent high-precision oracle for the discriminant cutoffs."""
-    mp.dps = 60
-    C = mp.mpf(1)
-    for j in range(1, r + 1):
-        C *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
-    if mode is BoundsMode.CLASS_NUMBER_BOUNDED:
-        rhs = 8 * (mp.pi / (6 * C)) ** d
-        e = mp.mpf(r * r) + mp.mpf(r) / 2 - 1
-    else:
-        rhs = mp.mpf(1) / 2 * (2 / C) ** d
-        e = mp.mpf(r * r) + mp.mpf(r) / 2
-    return int(mp.floor(mp.exp(mp.log(rhs) / e)))
+    with mp.workdps(60):
+        C = mp.mpf(1)
+        for j in range(1, r + 1):
+            C *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
+        if mode is BoundsMode.CLASS_NUMBER_BOUNDED:
+            rhs = 8 * (mp.pi / (6 * C)) ** d
+            e = mp.mpf(r * r) + mp.mpf(r) / 2 - 1
+        else:
+            rhs = mp.mpf(1) / 2 * (2 / C) ** d
+            e = mp.mpf(r * r) + mp.mpf(r) / 2
+        return int(mp.floor(mp.exp(mp.log(rhs) / e)))
 
 
 class TestDiscUpperBounds:
@@ -155,14 +156,14 @@ class TestHighDegreeExclusion:
 
     def test_growth_factor_rank3_magnitude(self):
         hd = high_degree_exclusion(3)
-        mp.dps = 40
-        C3 = mp.mpf(1)
-        for j in (1, 2, 3):
-            C3 *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
-        true = (6 * C3 / mp.pi) * mp.mpf(6.5) ** mp.mpf(9.5)
-        lo = mp.mpf(hd.growth_factor.lo.numerator) / hd.growth_factor.lo.denominator
-        hi = mp.mpf(hd.growth_factor.hi.numerator) / hd.growth_factor.hi.denominator
-        assert lo <= true <= hi
+        with mp.workdps(40):
+            C3 = mp.mpf(1)
+            for j in (1, 2, 3):
+                C3 *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
+            true = (6 * C3 / mp.pi) * mp.mpf(6.5) ** mp.mpf(9.5)
+            lo = mp.mpf(hd.growth_factor.lo.numerator) / hd.growth_factor.lo.denominator
+            hi = mp.mpf(hd.growth_factor.hi.numerator) / hd.growth_factor.hi.denominator
+            assert lo <= true <= hi
 
     def test_rank6_low_degree_rows(self, table):
         hd = high_degree_exclusion(6, table=table)
@@ -347,3 +348,43 @@ class TestCertifySections:
         assert s.verdict == VERDICT_CERTIFIED
         assert s.verdicts == ()
         assert all(row.excluded for row in s.high_degree.low_degree)
+
+
+# The cutoffs of every bounds pass at r = 3..27, degrees 2, 3, 4 in order.
+PINNED_CUTOFFS = {
+    BoundsMode.CLASS_NUMBER_BOUNDED: [28, 134, 640, 13, 46, 158, 8, 21, 59, 5, 12, 27, 3, 7, 14, 3, 5, 8, 2, 3, 5]
+    + [1, 2, 3, 1, 1, 2]
+    + [1] * 6
+    + [0] * 42,
+    BoundsMode.CLASS_NUMBER_ONE: [20, 94, 442, 11, 39, 138, 7, 20, 56, 5, 11, 27, 3, 7, 14, 2, 5, 8, 2, 3, 5]
+    + [1, 2, 3, 1, 1, 2]
+    + [1] * 6
+    + [0] * 42,
+}
+# sha256 over the num/den strings of the working ends (see TestWorkingEnds)
+PINNED_ENDS_SHA256 = "33a29d7466ba23975e2309afa234ac2c639c7a354f796cd960c7b5b9a4d2e586"
+
+
+class TestWorkingEnds:
+    """Pin the working enclosures bit for bit, not only the 128-bit ends a
+    certificate stores: a change to the interval arithmetic that keeps
+    every enclosure sound but moves one rounded end shows here."""
+
+    @pytest.mark.parametrize("mode", list(BoundsMode))
+    def test_every_cutoff_and_decisive_flag(self, mode):
+        passes = [compute_bounds_pass(r, d, mode) for r in range(3, 28) for d in (2, 3, 4)]
+        assert [p.disc_upper for p in passes] == PINNED_CUTOFFS[mode]
+        assert all(p.enclosure_decisive for p in passes)
+
+    def test_working_ends_hash(self):
+        ivs = [compute_bounds_pass(r, d, mode).threshold_squared for mode in BoundsMode for r in range(3, 28) for d in (2, 3, 4)]
+        for r in range(3, 28):
+            hd = high_degree_exclusion(r)
+            ivs += [hd.growth_factor, hd.value_at_degree_five]
+        ivs += [C_of_r(r, bits) for r in range(3, 28) for bits in (160, 192)]
+        ivs += [pi_enclosure(bits) for bits in (160, 192, 224)]
+        digest = hashlib.sha256()
+        for iv in ivs:
+            for x in (iv.lo, iv.hi):
+                digest.update(format_rational(x).encode() + b";")
+        assert digest.hexdigest() == PINNED_ENDS_SHA256
