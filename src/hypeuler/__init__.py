@@ -5,7 +5,7 @@ absolute value 2.
 The engine evaluates Euler characteristics of principal arithmetic
 subgroups in exact rational arithmetic, runs a rigorous discriminant-bound
 search over bundled number-field tables, and emits a machine-checkable
-certificate together with an independent verifier.
+certificate together with a verifier that rebuilds and compares it.
 """
 
 __version__ = "1.0.0"

@@ -2,7 +2,7 @@
 
 Certification mode writes a deterministic JSON certificate and a plain
 text report; verifier mode re-checks a previously emitted certificate
-from scratch.  Exit codes: 0 all requested dimensions certified (or
+by rebuilding it.  Exit codes: 0 all requested dimensions certified (or
 verification passed), 2 at least one dimension inconclusive, 1 error
 (including usage errors).
 """

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -127,19 +128,19 @@ class TestVerifier:
         bad["sections"][0]["verdicts"][0]["zeta_values"][2] = "67/631"
         outcome = verify_certificate(bad, table)
         assert not outcome.ok
-        assert "j=3" in outcome.divergence and "2.2.5.1" in outcome.divergence
+        assert outcome.divergence == 'sections[0].verdicts[0].zeta_values[2] is "67/631", recomputed "67/630"'
 
     def test_nonprime_witness_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
         bad["sections"][0]["verdicts"][0]["witness"] = 9
         outcome = verify_certificate(bad, table)
-        assert not outcome.ok and "not an odd prime" in outcome.divergence
+        assert not outcome.ok and outcome.divergence == "sections[0].verdicts[0].witness is 9, recomputed 67"
 
     def test_wrong_witness_prime_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
         bad["sections"][0]["verdicts"][0]["witness"] = 71  # prime, but not a divisor
         outcome = verify_certificate(bad, table)
-        assert not outcome.ok and "divide" in outcome.divergence
+        assert not outcome.ok and outcome.divergence == "sections[0].verdicts[0].witness is 71, recomputed 67"
 
     def test_bound_tamper_named(self, theorem_cert, table):
         bad = clone(theorem_cert)
@@ -151,16 +152,16 @@ class TestVerifier:
     @pytest.mark.parametrize(
         ("verdict", "witness", "named"),
         [
-            (1, 361, "witness 361 is not the smallest prime factor of 3971: 11 divides it"),  # 19^2
-            (1, 209, "witness 209 is not the smallest prime factor"),  # 11 * 19
-            (1, 19, "witness 19 is not the smallest prime factor of 3971: 11 divides it"),
-            (4, 5791, "witness 5791 is not the smallest prime factor of 237431: 41 divides it"),
-            (1, 13, "witness 13 is not an odd prime factor of 3971: it does not divide it"),
-            (1, 1, "witness 1 is not an integer > 2"),
-            (1, -11, "witness -11 is not an integer > 2"),
-            (1, "11", "witness '11' is not an integer > 2"),
-            (1, True, "witness True is not an integer > 2"),
-            (1, 11.0, "witness 11.0 is not an integer > 2"),
+            (1, 361, "sections[0].verdicts[1].witness is 361, recomputed 11"),  # 19^2
+            (1, 209, "sections[0].verdicts[1].witness is 209, recomputed 11"),  # 11 * 19
+            (1, 19, "sections[0].verdicts[1].witness is 19, recomputed 11"),
+            (4, 5791, "sections[0].verdicts[4].witness is 5791, recomputed 41"),
+            (1, 13, "sections[0].verdicts[1].witness is 13, recomputed 11"),
+            (1, 1, "sections[0].verdicts[1].witness is 1, recomputed 11"),
+            (1, -11, "sections[0].verdicts[1].witness is -11, recomputed 11"),
+            (1, "11", 'sections[0].verdicts[1].witness is "11", recomputed 11'),
+            (1, True, "sections[0].verdicts[1].witness is true, recomputed 11"),
+            (1, 11.0, "sections[0].verdicts[1].witness is 11.0, recomputed 11"),
         ],
     )
     def test_wrong_witness_named(self, theorem_cert, table, verdict, witness, named):
@@ -168,7 +169,7 @@ class TestVerifier:
         bad = clone(theorem_cert)
         bad["sections"][0]["verdicts"][verdict]["witness"] = witness
         outcome = verify_certificate(bad, table)
-        assert not outcome.ok and named in outcome.divergence
+        assert not outcome.ok and outcome.divergence == named
 
     def test_rank_two_dual_path_rejected(self, table):
         # no verdict records a dual path, at rank 2 as at any other
@@ -176,7 +177,7 @@ class TestVerifier:
         cert["sections"][0]["verdicts"][0]["dual_path"] = {"enclosure": ["0", "1"], "relative_width": "1"}
         outcome = verify_certificate(cert, table)
         assert not outcome.ok
-        assert outcome.divergence == "section r=2: malformed verdict 2.2.5.1: keys missing [], unexpected ['dual_path']"
+        assert outcome.divergence == "sections[0].verdicts[0] keys: missing [], unexpected ['dual_path']"
 
     def test_verdict_flip_rejected(self, theorem_cert, table):
         bad = clone(theorem_cert)
@@ -210,7 +211,7 @@ class TestVerifier:
         del bad["sections"][0]["verdicts"][0]["euler"]
         outcome = verify_certificate(bad, table)
         assert not outcome.ok
-        assert outcome.divergence.startswith("section r=3: malformed")
+        assert outcome.divergence == "sections[0].verdicts[0] keys: missing ['euler'], unexpected []"
 
     @pytest.mark.parametrize(
         ("path", "value", "named"),
@@ -222,9 +223,21 @@ class TestVerifier:
             (("dataset", "completeness"), None, "dataset.completeness is null, recomputed an object"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), 1, "two_exponent"),
             (("sections", 0, "verdicts", 0, "euler", "two_exponent"), "11", "two_exponent"),
-            (("sections", 0, "verdicts", 0, "euler", "chi_lambda"), "1/2", "chi(Lambda) mismatch"),
-            (("sections", 0, "verdicts", 0, "euler", "chi_gamma_lower"), "1/2", "chi(Gamma) lower bound mismatch"),
-            (("sections", 0, "verdicts", 0, "euler", "index_divisor"), 8, "index divisor mismatch"),
+            (
+                ("sections", 0, "verdicts", 0, "euler", "chi_lambda"),
+                "1/2",
+                'sections[0].verdicts[0].euler.chi_lambda is "1/2", recomputed "67/36288000"',
+            ),
+            (
+                ("sections", 0, "verdicts", 0, "euler", "chi_gamma_lower"),
+                "1/2",
+                'sections[0].verdicts[0].euler.chi_gamma_lower is "1/2", recomputed "67/145152000"',
+            ),
+            (
+                ("sections", 0, "verdicts", 0, "euler", "index_divisor"),
+                8,
+                "sections[0].verdicts[0].euler.index_divisor is 8, recomputed 4",
+            ),
         ],
     )
     def test_replaced_claim_named(self, theorem_cert, table, path, value, named):
@@ -256,6 +269,27 @@ class TestVerifier:
         bad["sections"][0]["local_factors"]["entries"][0]["polynomial"][0] = "2"
         outcome = verify_certificate(bad, table)
         assert not outcome.ok and "polynomial" in outcome.divergence
+
+
+def json_leaves(node):
+    """The number of values in a JSON tree that are neither objects nor lists."""
+    if type(node) is dict:
+        return sum(json_leaves(v) for v in node.values())
+    if type(node) is list:
+        return sum(json_leaves(v) for v in node)
+    return 1
+
+
+@pytest.mark.parametrize(
+    "ranks", [[3, 4, 5], list(range(3, 13)), [13, 14, 15], [2]], ids=["headline", "sweep", "high-rank", "rank-2"]
+)
+def test_each_leaf_is_one_check(table, ranks):
+    # five guard checks (format, version, rank types, rank order, section
+    # ranks), then one per compared leaf, field verdicts included
+    cert, _ = run_certification(ranks, table)
+    outcome = verify_certificate(cert, table)
+    assert outcome.ok, outcome.divergence
+    assert outcome.checks == 5 + json_leaves(cert)
 
 
 @pytest.fixture(scope="module")
@@ -387,29 +421,42 @@ def first_verdict(cert):
 
 class TestVerdictShape:
     """A field verdict's keys, integers and rationals are pinned to what
-    ``section_to_json`` writes, and recomputed evidence compares by type."""
+    ``section_to_json`` writes, like every other leaf: evidence compares by
+    JSON type and value, so a float, a padded or an unreduced rational diverges."""
 
     @pytest.mark.parametrize(
         ("mutate", "named"),
         [
             (
                 lambda c: first_verdict(c).update(note=1),
-                "section r=3: malformed verdict 2.2.5.1: keys missing [], unexpected ['note']",
+                "sections[0].verdicts[0] keys: missing [], unexpected ['note']",
             ),
             (
                 lambda c: first_verdict(c)["euler"].update(note=1),
-                "section r=3: malformed verdict 2.2.5.1: euler keys missing [], unexpected ['note']",
+                "sections[0].verdicts[0].euler keys: missing [], unexpected ['note']",
             ),
             (
                 lambda c: first_verdict(c).update(dual_path=None),
-                "section r=3: malformed verdict 2.2.5.1: keys missing [], unexpected ['dual_path']",
+                "sections[0].verdicts[0] keys: missing [], unexpected ['dual_path']",
             ),
-            (lambda c: first_verdict(c).update(h=1.0), "section r=3: 2.2.5.1: h 1.0 is not an integer"),
-            (lambda c: first_verdict(c).update(disc=5.0), "section r=3: 2.2.5.1: disc 5.0 is not an integer"),
-            (lambda c: first_verdict(c)["euler"].update(index_divisor=4.0), "index_divisor 4.0 is not an integer"),
-            (lambda c: first_verdict(c)["zeta_values"].__setitem__(0, " 1/30 "), "zeta value ' 1/30 ' is not"),
-            (lambda c: first_verdict(c)["zeta_values"].__setitem__(0, "2/60"), "zeta value '2/60' is not"),
-            (lambda c: first_verdict(c)["euler"].update(chi_lambda="1e-60"), "chi_lambda '1e-60' is not"),
+            (lambda c: first_verdict(c).update(h=1.0), "sections[0].verdicts[0].h is 1.0, recomputed 1"),
+            (lambda c: first_verdict(c).update(disc=5.0), "sections[0].verdicts[0].disc is 5.0, recomputed 5"),
+            (
+                lambda c: first_verdict(c)["euler"].update(index_divisor=4.0),
+                "sections[0].verdicts[0].euler.index_divisor is 4.0, recomputed 4",
+            ),
+            (
+                lambda c: first_verdict(c)["zeta_values"].__setitem__(0, " 1/30 "),
+                'sections[0].verdicts[0].zeta_values[0] is " 1/30 ", recomputed "1/30"',
+            ),
+            (
+                lambda c: first_verdict(c)["zeta_values"].__setitem__(0, "2/60"),
+                'sections[0].verdicts[0].zeta_values[0] is "2/60", recomputed "1/30"',
+            ),
+            (
+                lambda c: first_verdict(c)["euler"].update(chi_lambda="1e-60"),
+                'sections[0].verdicts[0].euler.chi_lambda is "1e-60", recomputed "67/36288000"',
+            ),
             (
                 lambda c: c["sections"][0]["candidates"][0].update(disc=5.0),
                 "sections[0].candidates[0].disc is 5.0, recomputed 5",
@@ -430,7 +477,7 @@ class TestVerdictShape:
         bad = clone(rank_three_cert)
         mutate(bad)
         outcome = verify_certificate(bad, table)
-        assert not outcome.ok and named in outcome.divergence
+        assert not outcome.ok and outcome.divergence == named
 
 
 def oversized_integer_certificate(cert, path):
@@ -446,6 +493,18 @@ def oversized_integer_certificate(cert, path):
 def test_oversized_integer_is_certificate_error(rank_three_cert, table, tmp_path):
     path = oversized_integer_certificate(rank_three_cert, tmp_path / "c.json")
     with pytest.raises(CertificateError, match="cannot read certificate"):
+        verify_certificate(path, table)
+
+
+def deeply_nested_certificate(path):
+    """A file of 200,000 nested JSON lists, past the JSON reader's depth."""
+    path.write_text("[" * 200_000, encoding="utf-8")
+    return path
+
+
+def test_deeply_nested_file_is_certificate_error(table, tmp_path):
+    path = deeply_nested_certificate(tmp_path / "c.json")
+    with pytest.raises(CertificateError, match=re.escape(f"cannot read certificate {path}: maximum recursion depth")):
         verify_certificate(path, table)
 
 
@@ -651,13 +710,19 @@ class TestCliProcess:
         del bad["sections"][1]["verdicts"][0]["euler"]
         Path("c.json").write_text(json.dumps(bad), encoding="utf-8")
         assert main(["--verify", "c.json"]) == 1
-        assert "section r=4: malformed" in capsys.readouterr().err
+        assert "FAILED: sections[1].verdicts[0] keys: missing ['euler'], unexpected []" in capsys.readouterr().err
 
     def test_verify_oversized_integer_exits_one(self, rank_three_cert, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         oversized_integer_certificate(rank_three_cert, tmp_path / "c.json")
         assert main(["--verify", "c.json"]) == 1
         assert "cannot read certificate c.json" in capsys.readouterr().err
+
+    def test_verify_deeply_nested_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        deeply_nested_certificate(tmp_path / "c.json")
+        assert main(["--verify", "c.json"]) == 1
+        assert "error: cannot read certificate c.json: maximum recursion depth" in capsys.readouterr().err
 
     def test_verify_unrecomputable_rank_exits_one(self, rank_three_cert, tmp_path):
         path = tmp_path / "c.json"

@@ -142,3 +142,14 @@ def test_every_added_key_is_named():
         outcome = verify_certificate(mutate(certificate(r), path, "add-key"), table())
         assert not outcome.ok and "unexpected ['note']" in outcome.divergence, (r, path, outcome.divergence)
     assert len(added) == 107  # every object of the four certificates, the roots included
+
+
+def test_every_verdict_mutation_is_named_by_its_path():
+    # the field verdicts are compared leaf by leaf like the rest of the tree
+    verdict_mutations = [(r, path, operator) for r, path, operator in mutations() if "verdicts" in path]
+    for r, path, operator in verdict_mutations:
+        outcome = verify_certificate(mutate(certificate(r), path, operator), table())
+        deleted_list = path == ("sections", 0, "verdicts") and operator == "delete"
+        named = "sections[0] keys" if deleted_list else "sections[0].verdicts"
+        assert not outcome.ok and outcome.divergence.startswith(named), (r, path, operator, outcome.divergence)
+    assert len(verdict_mutations) == 941
