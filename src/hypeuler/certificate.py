@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .exact_arith import RationalInterval, format_rational
-from .field_tables import FieldTable, load_table
+from .field_tables import FieldTable
 from .local_factors import table_fingerprint
-from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section
+from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section, dual_path_check
 
 CERTIFICATE_FORMAT = "hypeuler-certificate v3"
 
@@ -204,11 +204,11 @@ def read_certificate(path: str | Path) -> dict:
         raise CertificateError(f"cannot read certificate {path}: {exc}") from exc
 
 
-def _section(r: int, table: FieldTable, precision_bits: int | None) -> dict:
-    """The serialized section of rank r; ValueError above ``MAX_SERIALIZABLE_RANK``, before any work."""
+def _section(r: int, table: FieldTable) -> CertificateSection:
+    """The section of rank r; ValueError above ``MAX_SERIALIZABLE_RANK``, before any work."""
     if r > MAX_SERIALIZABLE_RANK:
         raise ValueError(f"rank {r} is above {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes")
-    return section_to_json(certify_section(r, table, precision_bits))
+    return certify_section(r, table)
 
 
 def run_certification(
@@ -220,13 +220,11 @@ def run_certification(
 
     Exit codes: 0 all certified, 2 at least one rank inconclusive,
     1 internal error (the certificate is then partial, status failed).
-    Each rank is certified and serialized inside its own failure envelope,
-    so an error at either step names the rank.
-
-    ``precision_bits`` is that of each field's dual-path self-check (see
-    ``field_verdict``); no byte of the certificate depends on it.  Raises
-    ValueError, before any rank runs, when it is not an integer of at least
-    ``MIN_PRECISION_BITS``.
+    Each rank's section, the verifier's rebuild, is self-checked by
+    ``dual_path_check`` at ``precision_bits`` (no certificate byte depends on
+    it) and serialized inside the rank's own failure envelope, so an error
+    at any step names the rank.  Raises ValueError, before any rank runs,
+    when ``precision_bits`` is not an integer of at least ``MIN_PRECISION_BITS``.
     """
     if type(precision_bits) is not int or precision_bits < MIN_PRECISION_BITS:
         raise ValueError(
@@ -236,7 +234,9 @@ def run_certification(
     sections: list[dict] = []
     for r in sorted(set(requested_r)):
         try:
-            sections.append(_section(r, table, precision_bits))
+            section = _section(r, table)
+            dual_path_check(section, precision_bits)
+            sections.append(section_to_json(section))
         except Exception as exc:  # embed the failure, per the exit-code contract
             cert = build_certificate(
                 sections, table, requested_r, status="failed", error=f"r={r}: {type(exc).__name__}: {exc}"
@@ -281,37 +281,33 @@ class _Checks:
             raise _Divergence(divergence)
 
 
-def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None) -> VerificationOutcome:
+def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
     """Check a certificate by rebuilding it with the writer and comparing.
 
     First, guards that must hold before anything is recomputed: the
     ``format`` is this one, ``tool.version`` is a string,
     ``parameters.requested_r`` is a strictly increasing list of integers
     >= 2 and the sections are exactly those ranks.  Then the expected
-    certificate is rebuilt from the table in use: each rank's section by
-    the certification driver (without the dual path, which the certificate
-    does not record; for local factors the driver re-proves, by
-    ``calibrate_oracle``, that each closed form is Prasad's order formula
-    at every q), then ``build_certificate``, with the claimed
-    ``tool.version`` copied in, the one unpinned value.  The two JSON trees
-    are compared leaf by leaf, field verdicts included, each leaf one check,
-    and the first difference is named by its path: a missing or unexpected
-    key, a list of another length, or a leaf of another JSON type or value
-    (so 5, 5.0 and true differ, and a rational must be the reduced
-    ``num/den`` string the writer gives).  So any block the writer emits is
-    checked with no verifier code of its own.  The rebuild runs the
-    certifier's own code: a certificate that verifies is the one this code
-    writes, which proves no more than the code does.
+    certificate is rebuilt from ``table`` by the certifier's own calls,
+    ``certify_section`` per rank (which re-proves, by ``calibrate_oracle``,
+    that each local factor's closed form is Prasad's order formula) and
+    ``build_certificate``, with the claimed ``tool.version``, the one
+    unpinned value, copied in; certify adds only the unrecorded dual-path
+    self-check.  The two JSON trees are compared leaf by leaf, each leaf
+    one check, and the first difference is named by its path: a missing or
+    unexpected key, a list of another length, or a leaf of another JSON
+    type or value (so 5, 5.0 and true differ, and a rational must be the
+    reduced ``num/den`` string the writer gives), quoting at most 200
+    characters of any one value.  A certificate that verifies is the one
+    this code writes, which proves no more than the code does.
 
     A missing key or malformed value, and a rank whose evidence the
     certifier cannot recompute (any rank above ``MAX_SERIALIZABLE_RANK``),
     are reported as divergences, never raised.
     """
-    if isinstance(cert, (str, Path)):
-        cert = read_certificate(cert)
     check = _Checks()
     try:
-        _verify(cert, table if table is not None else load_table(), check)
+        _verify(cert, table, check)
     except _Divergence as exc:
         return VerificationOutcome(ok=False, checks=check.count, divergence=str(exc))
     return VerificationOutcome(ok=True, checks=check.count)
@@ -320,33 +316,40 @@ def verify_certificate(cert: dict | str | Path, table: FieldTable | None = None)
 def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     try:
         fmt = cert.get("format")
-        check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {fmt!r}")
+        check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {_excerpt(repr(fmt))}")
         version = cert["tool"]["version"]
-        check(type(version) is str, f"tool.version {version!r} is not a string")
+        check(type(version) is str, f"tool.version {_excerpt(repr(version))} is not a string")
         ranks = list(cert["parameters"]["requested_r"])
         section_ranks = [sec["r"] for sec in cert["sections"]]
     except _MALFORMED as exc:
-        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {exc})") from None
-    check(all(type(r) is int and r >= 2 for r in ranks), f"requested ranks {ranks} are not all integers >= 2")
-    check(all(a < b for a, b in zip(ranks, ranks[1:])), f"requested ranks {ranks} are not strictly increasing")
-    check(section_ranks == ranks, f"sections cover ranks {section_ranks}, requested ranks are {ranks}")
+        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {_excerpt(str(exc))})") from None
+    shown = _excerpt(str(ranks))
+    check(all(type(r) is int and r >= 2 for r in ranks), f"requested ranks {shown} are not all integers >= 2")
+    check(all(a < b for a, b in zip(ranks, ranks[1:])), f"requested ranks {shown} are not strictly increasing")
+    check(section_ranks == ranks, f"sections cover ranks {_excerpt(str(section_ranks))}, requested ranks are {shown}")
     sections = []
     for r in ranks:
         try:  # any error of the certifier itself, such as a rank above MAX_SERIALIZABLE_RANK
-            sections.append(_section(r, table, None))
+            sections.append(section_to_json(_section(r, table)))
         except Exception as exc:
-            raise _Divergence(f"section r={r}: cannot recompute the evidence ({type(exc).__name__}: {exc})") from None
+            failure = f"{type(exc).__name__}: {_excerpt(str(exc))}"
+            raise _Divergence(f"section r={_excerpt(str(r))}: cannot recompute the evidence ({failure})") from None
     expected = build_certificate(sections, table, ranks)
     expected["tool"]["version"] = version
     try:
         _compare(cert, expected, "", check)
     except _MALFORMED as exc:  # only a value no JSON text holds, such as a set or a non-string key
-        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {exc})") from None
+        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {_excerpt(str(exc))})") from None
+
+
+def _excerpt(text: str) -> str:
+    """``text`` cut to 200 characters and its length, so a divergence stays short whatever a claim holds."""
+    return text if len(text) <= 200 else f"{text[:200]}… ({len(text)} characters)"
 
 
 def _show(value) -> str:
     """A leaf as JSON text, a container by its JSON type."""
-    return "an object" if type(value) is dict else "a list" if type(value) is list else json.dumps(value)
+    return "an object" if type(value) is dict else "a list" if type(value) is list else _excerpt(json.dumps(value))
 
 
 def _compare(claimed, expected, where: str, check: _Checks) -> None:
@@ -355,6 +358,7 @@ def _compare(claimed, expected, where: str, check: _Checks) -> None:
     if type(expected) is dict and type(claimed) is dict:
         missing, extra = sorted(expected.keys() - claimed.keys()), sorted(claimed.keys() - expected.keys())
         if missing or extra:
+            missing, extra = _excerpt(str(missing)), _excerpt(str(extra))
             raise _Divergence(f"{where or 'certificate'} keys: missing {missing}, unexpected {extra}")
         for key, value in expected.items():
             _compare(claimed[key], value, f"{where}.{key}" if where else key, check)

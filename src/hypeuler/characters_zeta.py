@@ -52,10 +52,6 @@ class InternalConsistencyError(Exception):
 class PrecisionError(Exception):
     """Requested enclosure width was not reached within the term budget."""
 
-    def __init__(self, message: str, best: RationalInterval | None):
-        super().__init__(message)
-        self.best = best
-
 
 # ---------------------------------------------------------------------------
 # Dirichlet characters
@@ -426,8 +422,8 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
     ranks.
 
     Raises PrecisionError if the target width is not reached within
-    ``MAX_TERMS`` series terms (about 800 bits), carrying that round's
-    enclosure as ``best``, or None when its floor already ruled it out.
+    ``MAX_TERMS`` series terms (about 800 bits), stating that round's width,
+    or its floor when the floor already ruled it out.
     """
     if s < 2 or s % 2 != 0:
         raise CharacterError("numeric evaluation is defined for even s >= 2")
@@ -450,6 +446,6 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
                 return acc
         if terms >= MAX_TERMS:
             width = f"width floor {float(floor):.3e}" if acc is None else f"width {float(acc.width):.3e}"
-            raise PrecisionError(f"{width} above target 2^-{precision_bits} after {terms} terms", acc)
+            raise PrecisionError(f"{width} above target 2^-{precision_bits} after {terms} terms")
         terms *= 2
         corrections = min(corrections + 6, 40)

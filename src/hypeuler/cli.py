@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .certificate import (
     DEFAULT_PRECISION_BITS,
+    MAX_SERIALIZABLE_RANK,
     MIN_PRECISION_BITS,
     read_certificate,
     render_report,
@@ -88,8 +89,8 @@ def _requested_ranks(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             if r < 2:
                 parser.error(f"rank must be at least 2, got {r}")
         return list(args.r)
-    if args.max_r < 3:
-        parser.error("--max-r must be at least 3")
+    if not 3 <= args.max_r <= MAX_SERIALIZABLE_RANK:
+        parser.error(f"--max-r must be from 3 to {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes")
     return list(range(3, args.max_r + 1))
 
 

@@ -44,10 +44,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def two_adic_valuation(x: Fraction) -> int:
     """v_2 of a nonzero rational (negative when 2 divides the denominator)."""
     x = as_rational(x)

@@ -246,28 +246,28 @@ class FieldVerdict(NamedTuple):
         return "obstructed" if self.obstruction.obstructed else "unobstructed"
 
 
-def field_verdict(rec: NumberFieldRecord, r: int, precision_bits: int | None) -> FieldVerdict:
-    """The obstruction verdict and Euler data of one field at rank r.
-
-    With ``precision_bits`` P set, also enclose |chi(Lambda)| along the
-    transcendental path at that precision (the dual path) as a self-check:
-    raise SearchError unless the enclosure contains the exact value and its
-    relative width is at most 2^(8 - P).  Nothing of the check is recorded.
-    With None the dual path is skipped.
-    """
+def field_verdict(rec: NumberFieldRecord, r: int) -> FieldVerdict:
+    """The obstruction verdict and Euler data of one field at rank r, in exact arithmetic."""
     datum = ArithmeticDatum(field=rec, r=r)
     obstruction = reciprocal_integer_obstruction(datum)
-    euler = build_euler_char(datum, obstruction.product)
-    if precision_bits is not None:
-        enclosure = chi_principal_numeric(datum, precision_bits)
-        exact = euler.chi_lambda
+    return FieldVerdict(record=rec, obstruction=obstruction, euler=build_euler_char(datum, obstruction.product))
+
+
+def dual_path_check(section: CertificateSection, precision_bits: int) -> None:
+    """Self-check each verdict of a section, rank 2's included: enclose
+    |chi(Lambda)| along the transcendental path at ``precision_bits`` P and
+    raise SearchError unless the enclosure holds the exact value and is at
+    most 2^(8 - P) relative wide.  A cross-check of the code, never recorded."""
+    r = section.r
+    for v in section.verdicts:
+        label, exact = v.record.label, v.euler.chi_lambda
+        enclosure = chi_principal_numeric(ArithmeticDatum(field=v.record, r=r), precision_bits)
         if exact not in enclosure:
-            raise SearchError(f"{rec.label}, r={r}: transcendental enclosure does not contain the exact value")
+            raise SearchError(f"{label}, r={r}: transcendental enclosure does not contain the exact value")
         if enclosure.width > exact * Fraction(2) ** (8 - precision_bits):
             raise SearchError(
-                f"{rec.label}, r={r}: transcendental enclosure is wider than 2^(8 - {precision_bits}) relative"
+                f"{label}, r={r}: transcendental enclosure is wider than 2^(8 - {precision_bits}) relative"
             )
-    return FieldVerdict(record=rec, obstruction=obstruction, euler=euler)
 
 
 VERDICT_CERTIFIED = "nonexistence certified"
@@ -286,7 +286,7 @@ class CertificateSection(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> CertificateSection:
+def certify_section(r: int, table: FieldTable) -> CertificateSection:
     """Run the whole argument for one rank and package the result.
 
     Every rank >= 3 takes one path: bound the discriminant at degrees 2..4
@@ -295,8 +295,8 @@ def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> Ce
     proof when any field survives (after ``calibrate_oracle`` proves each
     closed form is Prasad's factor), and certify when every survivor is
     obstructed.  ``regime(r)`` only decides which evidence is recorded.
-    ``precision_bits`` is that of each field's dual path, None to skip it.
-    Rank 2 is never certified (see ``_scan_rank_two``).
+    The verifier rebuilds with this same call.  Rank 2 is never certified
+    (see ``_scan_rank_two``).
     """
     if r < 2:
         raise SearchError("rank must be at least 2")
@@ -311,7 +311,7 @@ def certify_section(r: int, table: FieldTable, precision_bits: int | None) -> Ce
         # smallest discriminants, not the enumeration (see ``regime``).
         high = high._replace(low_degree=_low_degree_rows((a.pass_one for a in enumeration.audits), table))
         enumeration = None
-    verdicts = tuple(field_verdict(rec, r, precision_bits) for rec in candidates)
+    verdicts = tuple(field_verdict(rec, r) for rec in candidates)
     if verdicts:
         calibrate_oracle(r)  # raises CalibrationError unless each closed form is Prasad's factor
     certified = all(v.obstruction.obstructed for v in verdicts)
@@ -344,7 +344,7 @@ def _scan_rank_two(table: FieldTable) -> CertificateSection:
     verdicts: list[FieldVerdict] = []
     notes = ("no local-factor integrality proof exists below rank 3",)
     for rec in h_one_fields():
-        v = field_verdict(rec, 2, None)
+        v = field_verdict(rec, 2)
         verdicts.append(v)
         if not v.obstruction.obstructed:
             notes = (

@@ -25,6 +25,7 @@ from hypeuler.certificate import (
     verify_certificate,
 )
 from hypeuler.cli import build_parser, main
+from hypeuler.euler_char import chi_principal_numeric
 from hypeuler.exact_arith import RationalInterval
 from hypeuler.field_tables import bundled_table_path, load_table, parse_table_text
 from hypeuler.search_bounds import certify_section, field_verdict
@@ -105,16 +106,45 @@ class TestRunCertification:
         ],
         ids=["too-wide", "misses-exact"],
     )
-    def test_failed_self_check_yields_failed_cert(self, table, monkeypatch, enclose, named):
-        # the dual path is checked when certifying, so a bad enclosure fails the run
+    @pytest.mark.parametrize("ranks", [[4, 3], [2]], ids=["rank-3", "rank-2"])
+    def test_failed_self_check_yields_failed_cert(self, table, monkeypatch, enclose, named, ranks):
+        # every recorded verdict, rank 2's included, is self-checked when
+        # certifying, so a bad enclosure fails the run
         def bad_enclosure(datum, precision_bits):
-            return enclose(field_verdict(datum.field, datum.r, None).euler.chi_lambda)
+            return enclose(field_verdict(datum.field, datum.r).euler.chi_lambda)
 
         monkeypatch.setattr(search_bounds, "chi_principal_numeric", bad_enclosure)
-        cert, code = run_certification([4, 3], table, precision_bits=128)
+        cert, code = run_certification(ranks, table, precision_bits=128)
+        r = min(ranks)
         assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
-        assert cert["error"].startswith("r=3: SearchError: 2.2.5.1, r=3: transcendental enclosure")
+        assert cert["error"].startswith(f"r={r}: SearchError: 2.2.5.1, r={r}: transcendental enclosure")
         assert named in cert["error"]
+
+    @pytest.mark.parametrize(("argv", "exit_code"), [(["--n", "6", "--n", "8", "--n", "10"], 0), (["--n", "4"], 2)])
+    def test_verify_rebuilds_by_the_certify_calls(self, argv, exit_code, tmp_path, monkeypatch, capsys):
+        # certify and --verify call the driver alike; only certify adds the
+        # dual-path self-check, once per recorded verdict, rank 2's included
+        calls, enclosed = [], []
+
+        def driver(r, table):
+            calls.append((r, table))
+            return certify_section(r, table)
+
+        def dual_path(datum, precision_bits):
+            enclosed.append((datum.field.label, datum.r))
+            return chi_principal_numeric(datum, precision_bits)
+
+        monkeypatch.setattr(certificate, "certify_section", driver)
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", dual_path)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--precision", "128", "--out", "c.json", "--report", "r.txt"]) == exit_code
+        certified = calls[:]
+        calls.clear()
+        recorded = [(v["label"], sec["r"]) for sec in read_certificate("c.json")["sections"] for v in sec["verdicts"]]
+        assert recorded and enclosed == recorded
+        enclosed.clear()
+        assert main(["--verify", "c.json"]) == 0
+        assert calls == certified and enclosed == []
 
 
 class TestVerifier:
@@ -380,6 +410,48 @@ class TestTopLevelKeys:
         assert serialize_certificate(cert) == serialize_certificate(rank_three_cert)
 
 
+@pytest.fixture(scope="module")
+def rank_thirteen_cert(table):
+    cert, code = run_certification([13], table)
+    assert code == 0
+    return cert
+
+
+class TestDivergenceLength:
+    """A divergence quotes an excerpt of a long claimed value or key list,
+    after the path or guard text that names it."""
+
+    @pytest.mark.parametrize(
+        ("mutate", "lead", "tail"),
+        [
+            (
+                lambda c: c["parameters"].update(requested_r=[13] * 100_000),
+                "requested ranks [13, 13, ",
+                "… (400000 characters) are not strictly increasing",
+            ),
+            (
+                lambda c: c.update(status="x" * 10**6),
+                'status is "xxx',
+                '… (1000002 characters), recomputed "complete"',
+            ),
+            (lambda c: c.update(format="y" * 10**6), "unknown certificate format 'yyy", "… (1000002 characters)"),
+            (
+                lambda c: c.update({"z" * 10**6: 1}),
+                "certificate keys: missing [], unexpected ['zzz",
+                "… (1000004 characters)",
+            ),
+        ],
+        ids=["requested-ranks", "status", "format", "key"],
+    )
+    def test_long_claim_is_excerpted(self, rank_thirteen_cert, table, mutate, lead, tail):
+        bad = clone(rank_thirteen_cert)
+        mutate(bad)
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok
+        assert len(outcome.divergence) < 500
+        assert outcome.divergence.startswith(lead) and outcome.divergence.endswith(tail)
+
+
 class TestWriterBlock:
     """A top-level block that ``build_certificate`` adds is checked by the
     verifier with no code of its own."""
@@ -490,10 +562,10 @@ def oversized_integer_certificate(cert, path):
     return path
 
 
-def test_oversized_integer_is_certificate_error(rank_three_cert, table, tmp_path):
+def test_oversized_integer_is_certificate_error(rank_three_cert, tmp_path):
     path = oversized_integer_certificate(rank_three_cert, tmp_path / "c.json")
     with pytest.raises(CertificateError, match="cannot read certificate"):
-        verify_certificate(path, table)
+        read_certificate(path)
 
 
 def deeply_nested_certificate(path):
@@ -502,10 +574,10 @@ def deeply_nested_certificate(path):
     return path
 
 
-def test_deeply_nested_file_is_certificate_error(table, tmp_path):
+def test_deeply_nested_file_is_certificate_error(tmp_path):
     path = deeply_nested_certificate(tmp_path / "c.json")
     with pytest.raises(CertificateError, match=re.escape(f"cannot read certificate {path}: maximum recursion depth")):
-        verify_certificate(path, table)
+        read_certificate(path)
 
 
 def relabelled_certificate(cert, r):
@@ -552,9 +624,9 @@ class TestSerializableRankLimit:
 
     def test_limit_is_the_digit_limit(self, table):
         assert MAX_SERIALIZABLE_RANK == 27
-        assert section_to_json(certify_section(27, table, None))["r"] == 27
+        assert section_to_json(certify_section(27, table))["r"] == 27
         with pytest.raises(ValueError, match="Exceeds the limit"):
-            section_to_json(certify_section(28, table, None))
+            section_to_json(certify_section(28, table))
 
     @pytest.mark.parametrize("r", [300, 10**6, 10**100], ids=["300", "1e6", "1e100"])
     def test_relabelled_rank_fails_fast(self, rank_three_cert, table, r):
@@ -737,6 +809,16 @@ class TestCliProcess:
         monkeypatch.chdir(tmp_path)
         assert main([flag, value, "--max-r", "20"]) == 1
         assert "error: --max-r cannot be combined with --n or --r" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["2", "28", "1000"])
+    def test_max_r_out_of_range_usage_error(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--max-r", value]) == 1
+        assert (
+            f"error: --max-r must be from 3 to {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes"
+            in capsys.readouterr().err
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_help_shows_defaults(self):

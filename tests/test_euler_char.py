@@ -69,7 +69,7 @@ class TestChiExact:
     def test_verdicts_take_chi_from_their_zeta_product(self, r, table):
         # chi(Lambda) of every field verdict is the closed form of the
         # obstruction's product, and agrees with the standalone exact path
-        verdicts = certify_section(r, table, None).verdicts
+        verdicts = certify_section(r, table).verdicts
         assert verdicts
         for v in verdicts:
             chi = v.euler.chi_lambda

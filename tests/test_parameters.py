@@ -1,7 +1,8 @@
 """Guard for the proof path's parameters: every precision is one a caller
 sets, the default precision is stated once (``DEFAULT_PRECISION_BITS``,
 read by ``run_certification`` and the CLI), the arithmetic datum has no
-bad places, and the dual path is switched by its precision alone."""
+bad places, and the proof driver takes no precision: the dual-path
+self-check is a step of ``run_certification``, not a mode of the driver."""
 
 import importlib
 import inspect
@@ -56,6 +57,6 @@ def test_datum_has_no_bad_places():
     assert ArithmeticDatum.__slots__ == ("field", "r")
 
 
-def test_dual_path_is_switched_by_precision():
+def test_proof_driver_takes_no_precision():
     for fn in (field_verdict, certify_section):
-        assert "dual_path" not in inspect.signature(fn).parameters
+        assert not PRECISION_NAMES & inspect.signature(fn).parameters.keys()

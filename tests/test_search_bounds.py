@@ -15,13 +15,16 @@ from hypeuler.search_bounds import (
     VERDICT_INCONCLUSIVE,
     BoundsMode,
     PassOneClassNumberError,
+    CertificateSection,
     SearchError,
     certify_section,
     compute_bounds_pass,
     disc_upper_bound,
+    dual_path_check,
     enumerate_candidates,
     field_verdict,
     high_degree_exclusion,
+    regime,
 )
 
 
@@ -214,9 +217,14 @@ class TestEnumeration:
             enumerate_candidates(3, t)
 
 
+def alone(rec, r):
+    """A section of rank r that holds rec's verdict alone."""
+    return CertificateSection(r=r, kind=regime(r), verdict=VERDICT_CERTIFIED, verdicts=(field_verdict(rec, r),))
+
+
 class TestFieldVerdicts:
     def test_rank3_field_verdict(self, table):
-        v = field_verdict(table.by_disc(2, 5), 3, precision_bits=128)
+        v = field_verdict(table.by_disc(2, 5), 3)
         assert v.conclusion == "obstructed"
         assert v.obstruction.witness == 67
 
@@ -224,7 +232,7 @@ class TestFieldVerdicts:
         # each zeta factor is enclosed to width 2^-512, so the whole
         # enclosure's relative width stays near 2^-512 as well
         rec = table.by_disc(2, 5)
-        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        exact = field_verdict(rec, 3).euler.chi_lambda
         enclosure = chi_principal_numeric(ArithmeticDatum(field=rec, r=3), precision_bits=512)
         assert exact in enclosure
         assert enclosure.width / exact < F(1, 2**505)
@@ -233,49 +241,53 @@ class TestFieldVerdicts:
     def test_too_wide_enclosure_raises(self, table, monkeypatch):
         # contains the exact value, but is 2^(8 - 128) relative wide and a bit more
         rec = table.by_disc(2, 5)
-        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        exact = field_verdict(rec, 3).euler.chi_lambda
         wide = RationalInterval(exact * (1 - F(1, 2**120)), exact * (1 + F(1, 2**121)))
         monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: wide)
         with pytest.raises(SearchError, match=r"^2\.2\.5\.1, r=3: transcendental enclosure is wider than"):
-            field_verdict(rec, 3, precision_bits=128)
+            dual_path_check(alone(rec, 3), 128)
 
     @pytest.mark.parametrize("bits", [64, 128, 192])
     def test_width_bound_is_inclusive(self, table, monkeypatch, bits):
         # an enclosure exactly 2^(8 - P) relative wide passes the self-check
         rec = table.by_disc(2, 5)
-        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        exact = field_verdict(rec, 3).euler.chi_lambda
         edge = RationalInterval(exact, exact * (1 + F(2) ** (8 - bits)))
         monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: edge)
-        assert field_verdict(rec, 3, precision_bits=bits).euler.chi_lambda == exact
+        dual_path_check(alone(rec, 3), bits)
 
     def test_enclosure_missing_exact_raises(self, table, monkeypatch):
         # narrow, but just above the exact value
         rec = table.by_disc(2, 5)
-        exact = field_verdict(rec, 3, None).euler.chi_lambda
+        exact = field_verdict(rec, 3).euler.chi_lambda
         above = RationalInterval(exact * (1 + F(1, 2**200)), exact * (1 + F(1, 2**199)))
         monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: above)
         with pytest.raises(SearchError, match=r"^2\.2\.5\.1, r=3: transcendental enclosure does not contain"):
-            field_verdict(rec, 3, precision_bits=128)
+            dual_path_check(alone(rec, 3), 128)
 
     @pytest.mark.parametrize("bits", [64, 128, 192, 256])
     def test_honest_width_leaves_room(self, table, bits):
-        # every candidate's enclosure at r = 3..5 is at least 9 bits inside the 2^(8 - P) bound
-        for r in (3, 4, 5):
-            for v in certify_section(r, table, None).verdicts:
+        # every recorded verdict's enclosure at r = 2..5 is at least 9 bits inside the 2^(8 - P) bound
+        for r in (2, 3, 4, 5):
+            section = certify_section(r, table)
+            dual_path_check(section, bits)
+            for v in section.verdicts:
                 enclosure = chi_principal_numeric(ArithmeticDatum(field=v.record, r=r), precision_bits=bits)
                 assert v.euler.chi_lambda in enclosure
                 assert enclosure.width <= v.euler.chi_lambda * F(1, 2 ** (bits + 1)), (v.record.label, r)
 
-    def test_no_precision_skips_dual_path(self, table, monkeypatch):
+    def test_proof_driver_never_runs_dual_path(self, table, monkeypatch):
         def unreachable(datum, precision_bits):
-            raise AssertionError("dual path ran without a precision")
+            raise AssertionError("the proof driver ran the dual path")
 
         monkeypatch.setattr(search_bounds, "chi_principal_numeric", unreachable)
-        assert field_verdict(table.by_disc(2, 5), 3, None).obstruction.witness == 67
+        assert field_verdict(table.by_disc(2, 5), 3).obstruction.witness == 67
+        for r in (2, 3, 6):
+            certify_section(r, table)
 
     def test_witness_divides_odd_numerator(self, table):
         for D in (8, 12, 13, 17):
-            v = field_verdict(table.by_disc(2, D), 3, None)
+            v = field_verdict(table.by_disc(2, D), 3)
             assert v.obstruction.odd_numerator % v.obstruction.witness == 0
 
 
@@ -289,7 +301,7 @@ EXPECTED_WITNESSES = {
 class TestCertifySections:
     @pytest.mark.parametrize("r", (3, 4, 5))
     def test_low_rank_sections(self, r, table):
-        s = certify_section(r, table, precision_bits=128)
+        s = certify_section(r, table)
         assert s.verdict == VERDICT_CERTIFIED
         assert s.kind == "field-verdicts"
         got = {v.record.disc: v.obstruction.witness for v in s.verdicts}
@@ -305,7 +317,7 @@ class TestCertifySections:
 # completeness: 4 10000
 2.2.8.1|2|8|1|1|1|8|-
 """
-        s = certify_section(2, parse_table_text(only_d8), 128)
+        s = certify_section(2, parse_table_text(only_d8))
         assert [v.record.label for v in s.verdicts] == ["2.2.8.1"]
         assert s.verdicts[0].obstruction.obstructed
         assert s.verdict == VERDICT_INCONCLUSIVE
@@ -321,11 +333,11 @@ class TestCertifySections:
             return compute_bounds_pass(*args, **kwargs)
 
         monkeypatch.setattr(search_bounds, "compute_bounds_pass", counting)
-        certify_section(r, table, None)
+        certify_section(r, table)
         assert len(calls) == passes
 
     def test_rank2_failure_demo(self, table):
-        s = certify_section(2, table, precision_bits=128)
+        s = certify_section(2, table)
         assert s.verdict == VERDICT_INCONCLUSIVE
         assert s.kind == "failure-demo"
         assert s.verdicts[-1].record.disc == 5
@@ -333,7 +345,7 @@ class TestCertifySections:
         assert any("trivial odd" in note for note in s.notes)
 
     def test_rank6_obstruction_fallback(self, table):
-        s = certify_section(6, table, precision_bits=128)
+        s = certify_section(6, table)
         assert s.kind == "bound-exclusion"
         assert s.verdict == VERDICT_CERTIFIED
         assert not all(row.excluded for row in s.high_degree.low_degree)  # D = 5 survives the bounds
@@ -343,7 +355,7 @@ class TestCertifySections:
 
     @pytest.mark.parametrize("r", (7, 9, 12))
     def test_high_rank_bound_only(self, r, table):
-        s = certify_section(r, table, precision_bits=128)
+        s = certify_section(r, table)
         assert s.kind == "bound-exclusion"
         assert s.verdict == VERDICT_CERTIFIED
         assert s.verdicts == ()
