@@ -275,10 +275,11 @@ class _Checks:
     def __init__(self) -> None:
         self.count = 0
 
-    def __call__(self, ok: bool, divergence: str) -> None:
+    def __call__(self, ok: bool, divergence: str, *claimed) -> None:
+        """Count one check; a failed one raises ``divergence`` with each claimed value ``_quote``d into its ``{}``."""
         self.count += 1
         if not ok:
-            raise _Divergence(divergence)
+            raise _Divergence(divergence.format(*map(_quote, claimed)))
 
 
 def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
@@ -298,8 +299,9 @@ def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
     unexpected key, a list of another length, or a leaf of another JSON
     type or value (so 5, 5.0 and true differ, and a rational must be the
     reduced ``num/den`` string the writer gives), quoting at most 200
-    characters of any one value.  A certificate that verifies is the one
-    this code writes, which proves no more than the code does.
+    characters of any one value (and an int too long to print by its bit
+    length).  A certificate that verifies is the one this code writes,
+    which proves no more than the code does.
 
     A missing key or malformed value, and a rank whose evidence the
     certifier cannot recompute (any rank above ``MAX_SERIALIZABLE_RANK``),
@@ -310,46 +312,53 @@ def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
         _verify(cert, table, check)
     except _Divergence as exc:
         return VerificationOutcome(ok=False, checks=check.count, divergence=str(exc))
+    except _MALFORMED as exc:  # a missing key, a value of the wrong shape, or dict keys that cannot be sorted
+        divergence = f"malformed certificate ({type(exc).__name__}: {_quote(exc, str)})"
+        return VerificationOutcome(ok=False, checks=check.count, divergence=divergence)
     return VerificationOutcome(ok=True, checks=check.count)
 
 
 def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
-    try:
-        fmt = cert.get("format")
-        check(fmt == CERTIFICATE_FORMAT, f"unknown certificate format {_excerpt(repr(fmt))}")
-        version = cert["tool"]["version"]
-        check(type(version) is str, f"tool.version {_excerpt(repr(version))} is not a string")
-        ranks = list(cert["parameters"]["requested_r"])
-        section_ranks = [sec["r"] for sec in cert["sections"]]
-    except _MALFORMED as exc:
-        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {_excerpt(str(exc))})") from None
-    shown = _excerpt(str(ranks))
-    check(all(type(r) is int and r >= 2 for r in ranks), f"requested ranks {shown} are not all integers >= 2")
-    check(all(a < b for a, b in zip(ranks, ranks[1:])), f"requested ranks {shown} are not strictly increasing")
-    check(section_ranks == ranks, f"sections cover ranks {_excerpt(str(section_ranks))}, requested ranks are {shown}")
+    fmt = cert.get("format")
+    check(fmt == CERTIFICATE_FORMAT, "unknown certificate format {}", fmt)
+    version = cert["tool"]["version"]
+    check(type(version) is str, "tool.version {} is not a string", version)
+    ranks = list(cert["parameters"]["requested_r"])
+    section_ranks = [sec["r"] for sec in cert["sections"]]
+    check(all(type(r) is int and r >= 2 for r in ranks), "requested ranks {} are not all integers >= 2", ranks)
+    check(all(a < b for a, b in zip(ranks, ranks[1:])), "requested ranks {} are not strictly increasing", ranks)
+    check(section_ranks == ranks, "sections cover ranks {}, requested ranks are {}", section_ranks, ranks)
     sections = []
     for r in ranks:
         try:  # any error of the certifier itself, such as a rank above MAX_SERIALIZABLE_RANK
             sections.append(section_to_json(_section(r, table)))
         except Exception as exc:
-            failure = f"{type(exc).__name__}: {_excerpt(str(exc))}"
-            raise _Divergence(f"section r={_excerpt(str(r))}: cannot recompute the evidence ({failure})") from None
+            failure = f"{type(exc).__name__}: {_quote(exc, str)}"
+            raise _Divergence(f"section r={_quote(r)}: cannot recompute the evidence ({failure})") from None
     expected = build_certificate(sections, table, ranks)
     expected["tool"]["version"] = version
+    _compare(cert, expected, "", check)
+
+
+def _quote(value, text=repr) -> str:
+    """``text(value)``, a list entry by entry, cut to 200 characters and its
+    length, so a divergence stays short whatever a claim holds.  Never raises."""
+    shown = f"[{', '.join(_render(v, text) for v in value)}]" if type(value) is list else _render(value, text)
+    return shown if len(shown) <= 200 else f"{shown[:200]}… ({len(shown)} characters)"
+
+
+def _render(value, text) -> str:
+    """``text(value)``; a value it cannot render (an int past the int-to-str
+    digit limit, a set, a list nested too deep) by its bit length or type."""
     try:
-        _compare(cert, expected, "", check)
-    except _MALFORMED as exc:  # only a value no JSON text holds, such as a set or a non-string key
-        raise _Divergence(f"malformed certificate ({type(exc).__name__}: {_excerpt(str(exc))})") from None
-
-
-def _excerpt(text: str) -> str:
-    """``text`` cut to 200 characters and its length, so a divergence stays short whatever a claim holds."""
-    return text if len(text) <= 200 else f"{text[:200]}… ({len(text)} characters)"
+        return text(value)
+    except Exception:  # whatever an in-process certificate holds, a divergence is returned, never raised
+        return f"an integer of {value.bit_length()} bits" if type(value) is int else f"a {type(value).__name__}"
 
 
 def _show(value) -> str:
     """A leaf as JSON text, a container by its JSON type."""
-    return "an object" if type(value) is dict else "a list" if type(value) is list else _excerpt(json.dumps(value))
+    return "an object" if type(value) is dict else "a list" if type(value) is list else _quote(value, json.dumps)
 
 
 def _compare(claimed, expected, where: str, check: _Checks) -> None:
@@ -358,8 +367,7 @@ def _compare(claimed, expected, where: str, check: _Checks) -> None:
     if type(expected) is dict and type(claimed) is dict:
         missing, extra = sorted(expected.keys() - claimed.keys()), sorted(claimed.keys() - expected.keys())
         if missing or extra:
-            missing, extra = _excerpt(str(missing)), _excerpt(str(extra))
-            raise _Divergence(f"{where or 'certificate'} keys: missing {missing}, unexpected {extra}")
+            raise _Divergence(f"{where or 'certificate'} keys: missing {_quote(missing)}, unexpected {_quote(extra)}")
         for key, value in expected.items():
             _compare(claimed[key], value, f"{where}.{key}" if where else key, check)
     elif type(expected) is list and type(claimed) is list:

@@ -173,10 +173,8 @@ def integer_exact_divide(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[in
     return tuple(quot)
 
 
-@cache
 def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
-    """The factor for type t at rank r as integer coefficients in q, shared
-    by every value and proof of that type."""
+    """The factor for type t at rank r as integer coefficients in q."""
     num, den = _closed_form(t, r)
     try:
         return integer_exact_divide(_binomial_product(num), _binomial_product(den))

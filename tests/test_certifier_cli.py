@@ -452,6 +452,41 @@ class TestDivergenceLength:
         assert outcome.divergence.startswith(lead) and outcome.divergence.endswith(tail)
 
 
+class TestOverLimitInt:
+    """An int past the int-to-str digit limit (only a certificate built in
+    process can hold one) is a divergence quoting it by its bit length,
+    never an exception."""
+
+    HUGE = 10**5000  # 16610 bits
+
+    @pytest.mark.parametrize(
+        ("rank", "mutate", "divergence"),
+        [
+            (
+                13,
+                lambda c: c["parameters"].update(requested_r=[TestOverLimitInt.HUGE]),
+                "sections cover ranks [13], requested ranks are [an integer of 16610 bits]",
+            ),
+            (
+                13,
+                lambda c: c["sections"][0].update(r=TestOverLimitInt.HUGE),
+                "sections cover ranks [an integer of 16610 bits], requested ranks are [13]",
+            ),
+            (
+                3,
+                lambda c: c["sections"][0]["verdicts"][0].update(witness=TestOverLimitInt.HUGE),
+                "sections[0].verdicts[0].witness is an integer of 16610 bits, recomputed 67",
+            ),
+        ],
+        ids=["requested-rank", "section-rank", "witness"],
+    )
+    def test_named_divergence(self, rank_three_cert, rank_thirteen_cert, table, rank, mutate, divergence):
+        bad = clone(rank_three_cert if rank == 3 else rank_thirteen_cert)
+        mutate(bad)
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok and outcome.divergence == divergence
+
+
 class TestWriterBlock:
     """A top-level block that ``build_certificate`` adds is checked by the
     verifier with no code of its own."""

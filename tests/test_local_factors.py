@@ -172,12 +172,8 @@ class TestMinimumProof:
     def test_inexact_closed_form_raises(self, monkeypatch):
         # (q^2 + 1) / (q - 1) leaves the remainder 2
         monkeypatch.setattr(local_factors, "_closed_form", lambda t, r: ([(2, 1)], [(1, -1)]))
-        local_factors._quotient.cache_clear()
-        try:
-            with pytest.raises(IntegralityError, match="split.torus-split at rank 3: nonzero remainder"):
-                local_factor_polynomial(t_split_gl1(), 3)
-        finally:
-            local_factors._quotient.cache_clear()
+        with pytest.raises(IntegralityError, match="split.torus-split at rank 3: nonzero remainder"):
+            local_factor_polynomial(t_split_gl1(), 3)
 
 
 class TestOrderFormulaOracle:

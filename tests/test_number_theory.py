@@ -98,7 +98,7 @@ def test_import_loads_neither_sympy_nor_mpmath():
         "import sys\n"
         "sys.modules['sympy'] = sys.modules['mpmath'] = None\n"
         "import hypeuler.cli\n"
-        "from hypeuler import load_table, validate_table\n"
+        "from hypeuler.field_tables import load_table, validate_table\n"
         "from hypeuler.certificate import run_certification, verify_certificate\n"
         "from hypeuler.exact_arith import smallest_prime_factor\n"
         "table = load_table()\n"

@@ -20,7 +20,7 @@ QSQRT5 = dict(label="2.2.5.1", degree=2, disc=5, h=1, totally_real=True, abelian
     "make",
     [
         lambda: NumberFieldRecord(**QSQRT5),  # zeta_k_special
-        lambda: ParahoricType("split", Kind.CHAIN_D, 2),  # _quotient
+        lambda: ParahoricType("split", Kind.CHAIN_D, 2),  # compared by membership in enumerate_maximal_types(r)
         lambda: kronecker_character(5),  # _l_factor_enclosure
         lambda: character_from_generator(7, 3, 2, 3),
     ],
