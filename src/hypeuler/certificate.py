@@ -205,9 +205,13 @@ def read_certificate(path: str | Path) -> dict:
 
 
 def _section(r: int, table: FieldTable) -> CertificateSection:
-    """The section of rank r; ValueError above ``MAX_SERIALIZABLE_RANK``, before any work."""
+    """The section of rank r; ValueError above ``MAX_SERIALIZABLE_RANK``,
+    before any work, naming the rank by ``_quote`` (one past the int-to-str
+    digit limit by its bit length)."""
     if r > MAX_SERIALIZABLE_RANK:
-        raise ValueError(f"rank {r} is above {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes")
+        raise ValueError(
+            f"rank {_quote(r)} is above {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes"
+        )
     return certify_section(r, table)
 
 
@@ -239,7 +243,7 @@ def run_certification(
             sections.append(section_to_json(section))
         except Exception as exc:  # embed the failure, per the exit-code contract
             cert = build_certificate(
-                sections, table, requested_r, status="failed", error=f"r={r}: {type(exc).__name__}: {exc}"
+                sections, table, requested_r, status="failed", error=f"r={_quote(r)}: {type(exc).__name__}: {exc}"
             )
             return cert, 1
     cert = build_certificate(sections, table, requested_r)

@@ -20,10 +20,20 @@ group is generated by the character sending the residue ``g`` to
 
 from __future__ import annotations
 
-import hashlib
 import math
 from pathlib import Path
 from typing import NamedTuple
+
+# SHA-256 from the builtin module, so that no process loads OpenSSL through
+# hashlib (its start-up cost is in README); the module is private, and is
+# named _sha2 from Python 3.12, hence the fallbacks.  local_factors imports
+# this name too.
+for _module in ("_sha256", "_sha2", "hashlib"):
+    try:
+        sha256 = __import__(_module).sha256
+        break
+    except ImportError:
+        pass
 
 HEADER = "hypeuler-fields v1"
 REQUIRED_COMPLETENESS = {2: 1000, 3: 1000, 4: 1000}
@@ -108,7 +118,7 @@ def canonicalize(text: str) -> str:
 
 
 def checksum_of_text(text: str) -> str:
-    return hashlib.sha256(canonicalize(text).encode("utf-8")).hexdigest()
+    return sha256(canonicalize(text).encode("utf-8")).hexdigest()
 
 
 def is_fundamental_discriminant(D: int) -> bool:

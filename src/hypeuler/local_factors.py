@@ -27,6 +27,7 @@ from math import prod
 from typing import NamedTuple
 
 from .exact_arith import RatPolynomial, long_division, smallest_prime_factor, taylor_shift
+from .field_tables import sha256
 
 
 class LocalFactorError(Exception):
@@ -322,11 +323,9 @@ def table_fingerprint() -> str:
     """SHA-256 fingerprint of the table of reductive quotients
     (``_quotient_factors``) over ``FINGERPRINT_RANKS``: with Prasad's order
     formula, that table is all the certificate assumes of the factors."""
-    import hashlib
-
     lines = []
     for r in FINGERPRINT_RANKS:
         for t in enumerate_maximal_types(r):
             quotient = " x ".join(f"{fam}({m})" for fam, m in _quotient_factors(t, r))
             lines.append(f"r={r} {t.slug()} {quotient}")
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return sha256("\n".join(lines).encode("utf-8")).hexdigest()

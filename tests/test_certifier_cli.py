@@ -682,6 +682,26 @@ class TestSerializableRankLimit:
         assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
         assert cert["error"] == "r=1000: ValueError: rank 1000 is above 27, the largest rank whose section serializes"
 
+    def test_certifying_past_digit_limit_fails(self, table):
+        # the rank cannot be printed, so both messages name it by its bit length
+        cert, code = run_certification([10**5000], table)
+        assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
+        assert cert["error"] == (
+            "r=an integer of 16610 bits: ValueError: rank an integer of 16610 bits is above 27, "
+            "the largest rank whose section serializes"
+        )
+
+    def test_verifying_past_digit_limit_names_the_ceiling(self, rank_three_cert, table):
+        bad = clone(rank_three_cert)  # not relabelled_certificate: n = 2r would have to be printed
+        bad["parameters"]["requested_r"] = [10**5000]
+        bad["sections"][0]["r"] = 10**5000
+        outcome = verify_certificate(bad, table)
+        assert not outcome.ok
+        assert outcome.divergence == (
+            "section r=an integer of 16610 bits: cannot recompute the evidence (ValueError: rank an "
+            "integer of 16610 bits is above 27, the largest rank whose section serializes)"
+        )
+
 
 class TestGoldenBytes:
     """The certificate and report bytes of the headline ranks, of rank 2, of

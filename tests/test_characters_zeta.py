@@ -30,7 +30,7 @@ from hypeuler.characters_zeta import (
     _round_width_floor,
     _tail_weights,
 )
-from hypeuler.exact_arith import RationalInterval, Zeta3Number, pi_enclosure, rational_power_half
+from hypeuler.exact_arith import ExactArithError, RationalInterval, Zeta3Number, pi_enclosure, rational_power_half
 from hypeuler.field_tables import load_table
 
 
@@ -177,6 +177,12 @@ class TestGeneralizedBernoulli:
         for n in range(2, 13, 2):
             b = generalized_bernoulli(n, chi)
             assert generalized_bernoulli(n, chibar) == Zeta3Number(b.a - b.b, -b.b), (D, n)
+
+    def test_order_outside_zeta3_raises(self):
+        # a quartic character mod 5 is a valid character whose values lie
+        # outside Q(zeta3), so its Bernoulli numbers cannot be represented
+        with pytest.raises(ExactArithError, match="order 4"):
+            generalized_bernoulli(2, character_from_generator(5, 2, 1, 4))
 
 
 class TestSpecialValues:

@@ -253,6 +253,14 @@ class TestIntervalSoundness:
         # a point root is enclosed far below the contract's < 1 width
         assert RationalInterval.exact(x).sqrt(bits=48).width <= F(1, 2**48)
 
+    def test_strictly_greater_reads_the_lower_end(self):
+        # an interval that straddles c, or whose lower end is c, does not
+        # prove a value above c, however far its upper end lies
+        assert not RationalInterval(F(1, 2), F(3)).strictly_greater_than(1)
+        assert not RationalInterval(F(1), F(3)).strictly_greater_than(1)
+        assert not RationalInterval(0, 3, 64, -1).strictly_greater_than(1)  # [0, 3/2] in units of 2^-1
+        assert RationalInterval(F(3, 2), F(3)).strictly_greater_than(1)
+
     def test_reduced_form_after_ops(self):
         rng = random.Random(3)
         for _ in range(200):
