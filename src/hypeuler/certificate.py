@@ -2,15 +2,15 @@
 and verification by rebuilding.
 
 A certificate is a plain JSON tree in which every rational is an exact
-``num/den`` string and every interval a pair of such strings; no floating
-point number appears anywhere.  Given the bundled dataset, the verifier
-rebuilds the certificate with the writer itself and compares the two JSON
-trees leaf by leaf, field verdicts included, so the format is stated once,
-here in the writer, and there is one verification path; it reports the
-first divergence by its path.  The rebuild runs the certifier's own code,
+``num/den`` string; it states each bound by its integer cutoff, not by the
+working enclosure behind it, and no floating point number appears anywhere.
+Given the bundled dataset, the verifier rebuilds the certificate with the
+writer itself and compares the two JSON trees leaf by leaf, field verdicts
+included, so the format is stated once, here in the writer, and there is
+one verification path; it reports the first divergence by its path.  The rebuild runs the certifier's own code,
 so it shows that a certificate is what this code writes, not that the code
-is right.  Both refuse a rank above ``MAX_SERIALIZABLE_RANK`` before
-computing any of its evidence.
+is right.  Both refuse a rank above ``MAX_RANK`` before computing any of
+its evidence.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .exact_arith import RationalInterval, format_rational
+from .exact_arith import format_rational
 from .field_tables import FieldTable
 from .local_factors import table_fingerprint
 from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section, dual_path_check
 
-CERTIFICATE_FORMAT = "hypeuler-certificate v3"
+CERTIFICATE_FORMAT = "hypeuler-certificate v4"
 
 # The working precision of the dual-path self-check when none is given, and
 # the least one a certificate may be made at (which keeps the self-check's
@@ -33,19 +33,13 @@ CERTIFICATE_FORMAT = "hypeuler-certificate v3"
 DEFAULT_PRECISION_BITS = 192
 MIN_PRECISION_BITS = 64
 
-INTERVAL_SIG_BITS = 128  # significant bits of each serialized enclosure end
-MAX_SERIALIZABLE_RANK = 27  # from rank 28 on, value_at_degree_five passes the int-to-str digit limit
+# The largest rank certified, a bound on cost (a section takes about 0.03 s
+# at r = 100, 0.35 s at 200 and 6 s at 400), so a huge rank fails at once.
+MAX_RANK = 100
 
 
 class CertificateError(Exception):
     pass
-
-
-def _interval_json(iv: RationalInterval) -> list[str]:
-    # A certificate needs fewer bits than the working precision; store an
-    # outward-rounded enclosure (still rigorous).
-    rounded = iv.outward_round(sig_bits=INTERVAL_SIG_BITS)
-    return [format_rational(rounded.lo), format_rational(rounded.hi)]
 
 
 def _bounds_pass_json(p) -> dict:
@@ -53,7 +47,6 @@ def _bounds_pass_json(p) -> dict:
         "mode": p.mode.value,
         "disc_upper": p.disc_upper,
         "doubled_exponent": p.doubled_exponent,
-        "threshold_squared": _interval_json(p.threshold_squared),
         "enclosure_decisive": p.enclosure_decisive,
     }
 
@@ -97,9 +90,7 @@ def section_to_json(section: CertificateSection) -> dict:
         ]
     if section.high_degree is not None:
         hd = section.high_degree
-        out["high_degree"] = {
-            "growth_factor": _interval_json(hd.growth_factor),
-            "value_at_degree_five": _interval_json(hd.value_at_degree_five),
+        out["high_degree"] = {  # the degree >= 5 checks raise unless they hold
             "low_degree": [
                 {
                     "degree": row.degree,
@@ -205,13 +196,11 @@ def read_certificate(path: str | Path) -> dict:
 
 
 def _section(r: int, table: FieldTable) -> CertificateSection:
-    """The section of rank r; ValueError above ``MAX_SERIALIZABLE_RANK``,
-    before any work, naming the rank by ``_quote`` (one past the int-to-str
-    digit limit by its bit length)."""
-    if r > MAX_SERIALIZABLE_RANK:
-        raise ValueError(
-            f"rank {_quote(r)} is above {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes"
-        )
+    """The section of rank r; ValueError above ``MAX_RANK``, before any
+    work, naming the rank by ``_quote`` (one past the int-to-str digit limit
+    by its bit length)."""
+    if r > MAX_RANK:
+        raise ValueError(f"rank {_quote(r)} is above {MAX_RANK}, the largest rank certified")
     return certify_section(r, table)
 
 
@@ -308,7 +297,7 @@ def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
     which proves no more than the code does.
 
     A missing key or malformed value, and a rank whose evidence the
-    certifier cannot recompute (any rank above ``MAX_SERIALIZABLE_RANK``),
+    certifier cannot recompute (any rank above ``MAX_RANK``),
     are reported as divergences, never raised.
     """
     check = _Checks()
@@ -334,7 +323,7 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     check(section_ranks == ranks, "sections cover ranks {}, requested ranks are {}", section_ranks, ranks)
     sections = []
     for r in ranks:
-        try:  # any error of the certifier itself, such as a rank above MAX_SERIALIZABLE_RANK
+        try:  # any error of the certifier itself, such as a rank above MAX_RANK
             sections.append(section_to_json(_section(r, table)))
         except Exception as exc:
             failure = f"{type(exc).__name__}: {_quote(exc, str)}"

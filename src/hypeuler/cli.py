@@ -14,9 +14,7 @@ import sys
 from pathlib import Path
 
 from .certificate import (
-    DEFAULT_PRECISION_BITS,
-    MAX_SERIALIZABLE_RANK,
-    MIN_PRECISION_BITS,
+    MAX_RANK,
     read_certificate,
     render_report,
     run_certification,
@@ -28,9 +26,7 @@ from .field_tables import TableError, load_table
 # The flags that only certification reads parse to None when absent, so one
 # rule rejects them all in verifier mode; certification then fills in these
 # defaults (--n and --r have none).
-_CERTIFY_DEFAULTS = dict(
-    max_r=12, precision=DEFAULT_PRECISION_BITS, out="hypeuler_certificate.json", report="hypeuler_report.txt"
-)
+_CERTIFY_DEFAULTS = dict(max_r=12, out="hypeuler_certificate.json", report="hypeuler_report.txt")
 _CERTIFY_ONLY = ("n", "r", *_CERTIFY_DEFAULTS)
 
 
@@ -61,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"certificate output path (default {_CERTIFY_DEFAULTS['out']})")
     p.add_argument("--report", default=None, metavar="PATH",
                    help=f"report output path (default {_CERTIFY_DEFAULTS['report']})")
-    p.add_argument("--precision", type=int, default=None, metavar="BITS",
-                   help=f"working bits P of the certify-time dual-path self-check, which "
-                   f"checks that each enclosure contains the exact value and is at most 2^(8-P) "
-                   f"relative wide; changes no certificate byte "
-                   f"(default {DEFAULT_PRECISION_BITS}, at least {MIN_PRECISION_BITS})")
     p.add_argument("--max-r", type=int, default=None, metavar="R",
                    help=f"largest rank in the default sweep (default {_CERTIFY_DEFAULTS['max_r']}; "
                    "only without --n or --r)")
@@ -89,8 +80,8 @@ def _requested_ranks(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             if r < 2:
                 parser.error(f"rank must be at least 2, got {r}")
         return list(args.r)
-    if not 3 <= args.max_r <= MAX_SERIALIZABLE_RANK:
-        parser.error(f"--max-r must be from 3 to {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes")
+    if not 3 <= args.max_r <= MAX_RANK:
+        parser.error(f"--max-r must be from 3 to {MAX_RANK}, the largest rank certified")
     return list(range(3, args.max_r + 1))
 
 
@@ -99,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.verify is not None and any(getattr(args, name) is not None for name in _CERTIFY_ONLY):
-            parser.error("--verify cannot be combined with --n, --r, --max-r, --precision, --out or --report")
+            parser.error("--verify cannot be combined with --n, --r, --max-r, --out or --report")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -122,8 +113,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--max-r cannot be combined with --n or --r")
         vars(args).update({k: v for k, v in _CERTIFY_DEFAULTS.items() if getattr(args, k) is None})
         ranks = _requested_ranks(args, parser)
-        if args.precision < MIN_PRECISION_BITS:
-            parser.error(f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -133,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    cert, code = run_certification(ranks, table, precision_bits=args.precision)
+    cert, code = run_certification(ranks, table)
     for path, text in ((args.out, serialize_certificate(cert)), (args.report, render_report(cert))):
         try:
             Path(path).write_text(text, encoding="utf-8")

@@ -181,7 +181,10 @@ def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
             degree, disc, h = int(deg_s), int(disc_s), int(h_s)
         except ValueError as exc:
             raise TableFormatError(f"line {idx}: non-integer numeric field") from exc
-        conductor = None if cond_s == "-" else int(cond_s)
+        try:
+            conductor = None if cond_s == "-" else int(cond_s)
+        except ValueError as exc:
+            raise TableFormatError(f"line {idx}: malformed conductor {cond_s!r}") from exc
         char_gen = None
         if cg_s != "-":
             try:

@@ -11,8 +11,7 @@ import pytest
 
 from hypeuler import certificate, local_factors, search_bounds
 from hypeuler.certificate import (
-    DEFAULT_PRECISION_BITS,
-    MAX_SERIALIZABLE_RANK,
+    MAX_RANK,
     MIN_PRECISION_BITS,
     CertificateError,
     _dataset_json,
@@ -27,7 +26,7 @@ from hypeuler.certificate import (
 from hypeuler.cli import build_parser, main
 from hypeuler.euler_char import chi_principal_numeric
 from hypeuler.exact_arith import RationalInterval
-from hypeuler.field_tables import bundled_table_path, load_table, parse_table_text
+from hypeuler.field_tables import bundled_table_path, checksum_of_text, load_table, parse_table_text
 from hypeuler.search_bounds import certify_section, field_verdict
 
 
@@ -92,6 +91,23 @@ class TestRunCertification:
         assert serialize_certificate(low) == serialize_certificate(high)
         assert low["parameters"] == {"requested_r": [3, 4, 5]}
 
+    def test_precision_past_enclosure_range_fails_inside_envelope(self, table):
+        # about 800 bits is the most the 4096-term Hurwitz round reaches;
+        # past it every shorter round is skipped and that round fails fast
+        cert, code = run_certification([3], table, precision_bits=1024)
+        assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
+        assert cert["error"].startswith("r=3: PrecisionError")
+
+    def test_precision_far_past_enclosure_range_fails_fast(self, table):
+        # the zeta ladder rules out every round before pi or any Hurwitz
+        # enclosure is built at 65536 bits
+        t0 = time.perf_counter()
+        cert, code = run_certification([3], table, precision_bits=65536)
+        took = time.perf_counter() - t0
+        assert code == 1 and cert["status"] == "failed"
+        assert cert["error"].startswith("r=3: PrecisionError")
+        assert took < 2.0, f"failing at 65536 bits took {took:.2f} s"
+
     def test_internal_error_yields_partial_failed_cert(self, table):
         cert, code = run_certification([1], table)  # rank 1 is out of contract
         assert code == 1
@@ -137,7 +153,7 @@ class TestRunCertification:
         monkeypatch.setattr(certificate, "certify_section", driver)
         monkeypatch.setattr(search_bounds, "chi_principal_numeric", dual_path)
         monkeypatch.chdir(tmp_path)
-        assert main([*argv, "--precision", "128", "--out", "c.json", "--report", "r.txt"]) == exit_code
+        assert main([*argv, "--out", "c.json", "--report", "r.txt"]) == exit_code
         certified = calls[:]
         calls.clear()
         recorded = [(v["label"], sec["r"]) for sec in read_certificate("c.json")["sections"] for v in sec["verdicts"]]
@@ -624,18 +640,7 @@ def relabelled_certificate(cert, r):
     return bad
 
 
-def rank_28_certificate(cert):
-    """A certificate of rank 28, whose evidence the certifier cannot
-    serialize: value_at_degree_five passes the int-to-str digit limit."""
-    return relabelled_certificate(cert, 28)
-
-
 class TestUnrecomputableRank:
-    def test_digit_limit_is_named_divergence(self, rank_three_cert, table):
-        outcome = verify_certificate(rank_28_certificate(rank_three_cert), table)
-        assert not outcome.ok
-        assert outcome.divergence.startswith("section r=28: cannot recompute the evidence (ValueError: ")
-
     def test_certifier_guard_is_named_divergence(self, rank_three_cert):
         # a --fields table whose only rank-3 survivor has h = 2: the
         # certifier's pass-one guard raises while the verifier recomputes
@@ -653,17 +658,27 @@ class TestUnrecomputableRank:
         )
 
 
-class TestSerializableRankLimit:
-    """Ranks above ``MAX_SERIALIZABLE_RANK`` are refused before any of their
-    evidence is computed, which would take time growing without bound in r."""
+class TestRankCeiling:
+    """Ranks above ``MAX_RANK`` are refused before any of their evidence is
+    computed, which would take time growing without bound in r."""
 
-    def test_limit_is_the_digit_limit(self, table):
-        assert MAX_SERIALIZABLE_RANK == 27
-        assert section_to_json(certify_section(27, table))["r"] == 27
-        with pytest.raises(ValueError, match="Exceeds the limit"):
-            section_to_json(certify_section(28, table))
+    def test_ceiling_is_the_largest_rank_certified(self, table):
+        assert MAX_RANK == 100
+        assert section_to_json(certify_section(MAX_RANK, table))["r"] == MAX_RANK
 
-    @pytest.mark.parametrize("r", [300, 10**6, 10**100], ids=["300", "1e6", "1e100"])
+    def test_bound_exclusion_section_size_is_flat_in_rank(self, table):
+        # no working enclosure is recorded, so only r, n and the cutoffs (1 at
+        # rank 13, 0 from rank 14 on) differ: the section does not grow with r
+        def text(r):
+            section = section_to_json(certify_section(r, table))
+            assert (section["r"], section["n"], section["kind"]) == (r, 2 * r, "bound-exclusion")
+            return json.dumps({**section, "r": 0, "n": 0}, sort_keys=True)
+
+        r13, r50, r100 = text(13), text(50), text(100)
+        assert r50 == r100
+        assert r13.replace('"disc_upper": 1,', '"disc_upper": 0,') == r50
+
+    @pytest.mark.parametrize("r", [MAX_RANK + 1, 300, 10**6, 10**100], ids=["101", "300", "1e6", "1e100"])
     def test_relabelled_rank_fails_fast(self, rank_three_cert, table, r):
         bad = relabelled_certificate(rank_three_cert, r)
         start = time.perf_counter()
@@ -672,23 +687,28 @@ class TestSerializableRankLimit:
         assert not outcome.ok
         assert outcome.divergence == (
             f"section r={r}: cannot recompute the evidence "
-            f"(ValueError: rank {r} is above 27, the largest rank whose section serializes)"
+            f"(ValueError: rank {r} is above 100, the largest rank certified)"
         )
 
-    def test_certifying_above_limit_fails_fast(self, table):
+    @pytest.mark.parametrize("r", [MAX_RANK + 1, 1000])
+    def test_certifying_above_limit_fails_fast(self, table, monkeypatch, r):
+        def driver(r, table):
+            raise AssertionError(f"rank {r} was certified")
+
+        monkeypatch.setattr(certificate, "certify_section", driver)  # refused before any work
         start = time.perf_counter()
-        cert, code = run_certification([1000], table)
+        cert, code = run_certification([r], table)
         assert time.perf_counter() - start < 0.1
         assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
-        assert cert["error"] == "r=1000: ValueError: rank 1000 is above 27, the largest rank whose section serializes"
+        assert cert["error"] == f"r={r}: ValueError: rank {r} is above 100, the largest rank certified"
 
     def test_certifying_past_digit_limit_fails(self, table):
         # the rank cannot be printed, so both messages name it by its bit length
         cert, code = run_certification([10**5000], table)
         assert code == 1 and cert["status"] == "failed" and cert["sections"] == []
         assert cert["error"] == (
-            "r=an integer of 16610 bits: ValueError: rank an integer of 16610 bits is above 27, "
-            "the largest rank whose section serializes"
+            "r=an integer of 16610 bits: ValueError: rank an integer of 16610 bits is above 100, "
+            "the largest rank certified"
         )
 
     def test_verifying_past_digit_limit_names_the_ceiling(self, rank_three_cert, table):
@@ -699,7 +719,7 @@ class TestSerializableRankLimit:
         assert not outcome.ok
         assert outcome.divergence == (
             "section r=an integer of 16610 bits: cannot recompute the evidence (ValueError: rank an "
-            "integer of 16610 bits is above 27, the largest rank whose section serializes)"
+            "integer of 16610 bits is above 100, the largest rank certified)"
         )
 
 
@@ -715,22 +735,22 @@ class TestGoldenBytes:
         [
             (
                 [3, 4, 5],
-                "c082ba1337cdeec9929cc5c9268abb4504bf8ca956b06c4adf198f66718b66ed",
+                "ef75145272b01197105abfafb3734cd85ae4c0dac0c8f11bb2792b622dbea65f",
                 "9c46600b8410af4cca40b96f697e1b7df083fa41bcdd17e359cce4f5e425fcbc",
             ),
             (
                 [2],
-                "f4983e76b8b7fb0f38d7592f8554493c2bb94ca099a1080a5fb01bd874fcbb40",
+                "61cef236eeb84cd243f0a8d4a686aa138ee98e03ec7a09316941be1465532491",
                 "159cf5e4ae2716243cd8f8aab98ca90d369b070416ac1a696fe2a644137c9333",
             ),
             (
                 list(range(3, 13)),
-                "0cd72c48128fa1e0d286de7ec728dcc4949ca1d2b1436742f17ad6a2d281fa3f",
+                "debb3237fdc5dbd0de6435c7e7abb9fe2e1bcb661754e5a921897cfe0a97785c",
                 "1cd2bf2fab2f5f32458763e8eb9932b5830000ee6950da284f0435d66bab7f46",
             ),
             (
                 [13, 14, 15],
-                "92a4d1a3f2f0eda41c1defde148e730c629f17f7e261a98540946e1fcad4a3f8",
+                "2aa6ca215081df405f2e4e94ece34d4b7fe042706868561221f9c3086c136e78",
                 "58ea92e988fd03d1499707ba8b9bcf78809469d7e90429385845f4faa43c3353",
             ),
         ],
@@ -789,7 +809,7 @@ class TestReport:
 class TestCliProcess:
     def test_theorem_dimensions_exit_zero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code = main(["--n", "6", "--n", "8", "--n", "10", "--precision", "128"])
+        code = main(["--n", "6", "--n", "8", "--n", "10"])
         assert code == 0
         out = capsys.readouterr().out
         assert "n = 6: nonexistence certified" in out
@@ -798,7 +818,7 @@ class TestCliProcess:
 
     def test_dimension_four_exit_two(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["--n", "4", "--precision", "128"]) == 2
+        assert main(["--n", "4"]) == 2
 
     def test_odd_dimension_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -809,22 +829,15 @@ class TestCliProcess:
         monkeypatch.chdir(tmp_path)
         assert main(["--n", "6", "--r", "3"]) == 1
 
-    @pytest.mark.parametrize("bits", ["0", "-3", "63"])
-    def test_precision_below_floor_usage_error(self, bits, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["--r", "3", "--precision", bits]) == 1
-        assert f"--precision must be at least 64 bits, got {bits}" in capsys.readouterr().err
-        assert not Path("hypeuler_certificate.json").exists()
-
     def test_verify_round_trip(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["--r", "3", "--precision", "128", "--out", "c.json", "--report", "r.txt"]) == 0
+        assert main(["--r", "3", "--out", "c.json", "--report", "r.txt"]) == 0
         assert main(["--verify", "c.json"]) == 0
         assert "verified" in capsys.readouterr().out
 
     def test_verify_detects_tamper(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["--r", "3", "--precision", "128", "--out", "c.json", "--report", "r.txt"]) == 0
+        assert main(["--r", "3", "--out", "c.json", "--report", "r.txt"]) == 0
         cert = read_certificate("c.json")
         cert["sections"][0]["verdicts"][0]["zeta_values"][0] = "1/31"
         Path("c.json").write_text(json.dumps(cert), encoding="utf-8")
@@ -853,11 +866,11 @@ class TestCliProcess:
 
     def test_verify_unrecomputable_rank_exits_one(self, rank_three_cert, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(serialize_certificate(rank_28_certificate(rank_three_cert)), encoding="utf-8")
+        path.write_text(serialize_certificate(relabelled_certificate(rank_three_cert, MAX_RANK + 1)), encoding="utf-8")
         run = run_hypeuler("--verify", str(path))
         assert run.returncode == 1
         assert "Traceback" not in run.stderr
-        assert "FAILED: section r=28: cannot recompute the evidence (ValueError: " in run.stderr
+        assert "FAILED: section r=101: cannot recompute the evidence (ValueError: " in run.stderr
 
     @pytest.mark.parametrize("flag, value", [("--n", "6"), ("--r", "3")])
     def test_max_r_with_explicit_ranks_usage_error(self, flag, value, tmp_path, monkeypatch, capsys):
@@ -866,19 +879,15 @@ class TestCliProcess:
         assert "error: --max-r cannot be combined with --n or --r" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["2", "28", "1000"])
+    @pytest.mark.parametrize("value", ["2", "101", "1000"])
     def test_max_r_out_of_range_usage_error(self, value, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["--max-r", value]) == 1
-        assert (
-            f"error: --max-r must be from 3 to {MAX_SERIALIZABLE_RANK}, the largest rank whose section serializes"
-            in capsys.readouterr().err
-        )
+        assert f"error: --max-r must be from 3 to {MAX_RANK}, the largest rank certified" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_help_shows_defaults(self):
         text = " ".join(build_parser().format_help().split())
-        assert f"(default {DEFAULT_PRECISION_BITS}, at least {MIN_PRECISION_BITS})" in text
         assert "(default 12; only without --n or --r)" in text
         assert "certificate output path (default hypeuler_certificate.json)" in text
         assert "report output path (default hypeuler_report.txt)" in text
@@ -887,9 +896,7 @@ class TestCliProcess:
         monkeypatch.chdir(tmp_path)
         assert main(["--verify", "nope.json"]) == 1
 
-    CERTIFY_ONLY = {
-        "--n": "6", "--r": "3", "--max-r": "5", "--precision": "128", "--out": "x.json", "--report": "x.txt"
-    }
+    CERTIFY_ONLY = {"--n": "6", "--r": "3", "--max-r": "5", "--out": "x.json", "--report": "x.txt"}
 
     @pytest.mark.parametrize("flag", CERTIFY_ONLY)
     def test_verify_with_rank_usage_error(self, flag, tmp_path, monkeypatch, capsys):
@@ -899,7 +906,7 @@ class TestCliProcess:
         assert main(["--verify", "c.json", flag, self.CERTIFY_ONLY[flag]]) == 1
         captured = capsys.readouterr()
         assert (
-            "error: --verify cannot be combined with --n, --r, --max-r, --precision, --out or --report"
+            "error: --verify cannot be combined with --n, --r, --max-r, --out or --report"
             in captured.err
         )
         assert "verified" not in captured.out
@@ -926,45 +933,53 @@ class TestCliProcess:
 
     def test_byte_identical_across_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["--r", "3", "--precision", "128", "--out", "a.json", "--report", "ra.txt"]) == 0
-        assert main(["--r", "3", "--precision", "128", "--out", "b.json", "--report", "rb.txt"]) == 0
+        assert main(["--r", "3", "--out", "a.json", "--report", "ra.txt"]) == 0
+        assert main(["--r", "3", "--out", "b.json", "--report", "rb.txt"]) == 0
         assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
         assert Path("ra.txt").read_bytes() == Path("rb.txt").read_bytes()
 
     @pytest.mark.parametrize("r", (28, 29, 30))
-    def test_rank_past_serialization_limit_fails_inside_envelope(self, r, tmp_path, monkeypatch, capsys):
-        # value_at_degree_five exceeds 10^4300 from r = 28 on, beyond the
-        # int-to-str limit of the num/den encoding: a partial certificate
-        # with status failed, a report and exit 1, not a traceback
+    def test_ranks_past_the_old_ceiling_certify(self, r, tmp_path, monkeypatch, capsys):
+        # a section records no working enclosure, so no number in it nears
+        # the int-to-str digit limit at any rank up to MAX_RANK
         monkeypatch.chdir(tmp_path)
-        assert main(["--r", str(r), "--out", "c.json", "--report", "r.txt"]) == 1
+        assert main(["--r", str(r), "--out", "c.json", "--report", "r.txt"]) == 0
         cert = read_certificate("c.json")
-        assert cert["status"] == "failed" and cert["sections"] == []
-        assert cert["error"].startswith(f"r={r}: ValueError")
-        assert f"error: r={r}: " in Path("r.txt").read_text(encoding="utf-8")
-        assert f"error: r={r}: " in capsys.readouterr().err
+        assert cert["status"] == "complete" and [s["r"] for s in cert["sections"]] == [r]
+        assert f"n = {2 * r}: nonexistence certified" in capsys.readouterr().out
+        assert main(["--verify", "c.json"]) == 0
 
-    def test_precision_past_enclosure_range_fails_inside_envelope(self, tmp_path, monkeypatch, capsys):
-        # about 800 bits is the most the 4096-term Hurwitz round reaches;
-        # past it every shorter round is skipped and that round fails fast
+    def test_internal_error_fails_inside_envelope(self, tmp_path, monkeypatch, capsys):
+        # an error at rank 4: a partial certificate with rank 3 and status
+        # failed, a report and exit 1, not a traceback
+        def driver(r, table):
+            if r == 4:
+                raise ValueError("injected")
+            return certify_section(r, table)
+
+        monkeypatch.setattr(certificate, "certify_section", driver)
         monkeypatch.chdir(tmp_path)
-        assert main(["--r", "3", "--precision", "1024", "--out", "c.json", "--report", "r.txt"]) == 1
+        assert main(["--r", "3", "--r", "4", "--out", "c.json", "--report", "r.txt"]) == 1
         cert = read_certificate("c.json")
-        assert cert["status"] == "failed" and cert["sections"] == []
-        assert cert["error"].startswith("r=3: PrecisionError")
-        assert "error: r=3: PrecisionError" in capsys.readouterr().err
+        assert cert["status"] == "failed" and [s["r"] for s in cert["sections"]] == [3]
+        assert cert["error"] == "r=4: ValueError: injected"
+        assert "error: r=4: ValueError: injected" in Path("r.txt").read_text(encoding="utf-8")
+        assert "error: r=4: ValueError: injected" in capsys.readouterr().err
 
-    def test_precision_far_past_enclosure_range_fails_fast(self, tmp_path):
-        # the zeta ladder rules out every round before pi or any Hurwitz
-        # enclosure is built at 65536 bits
-        t0 = time.perf_counter()
-        run = run_hypeuler("--r", "3", "--precision", "65536", "--out", str(tmp_path / "c.json"),
-                           "--report", str(tmp_path / "r.txt"))
-        took = time.perf_counter() - t0
-        assert run.returncode == 1
-        assert "error: r=3: PrecisionError" in run.stderr and "Traceback" not in run.stderr
-        assert read_certificate(tmp_path / "c.json")["status"] == "failed"
-        assert took < 2.0, f"failing at 65536 bits took {took:.2f} s"
+    def test_max_r_100_certifies_and_verifies(self, tmp_path):
+        c, r = str(tmp_path / "c.json"), str(tmp_path / "r.txt")
+        run = run_hypeuler("--max-r", "100", "--out", c, "--report", r)
+        assert run.returncode == 0, run.stderr
+        assert "n = 200: nonexistence certified" in run.stdout
+        run = run_hypeuler("--verify", c)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("certificate verified: ")
+
+    def test_precision_flag_is_gone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", "3", "--precision", "128"]) == 1
+        assert "unrecognized arguments: --precision 128" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_high_precision_without_dual_path_certifies(self, table):
         # rank 13 has no field verdict, so no enclosure is built at that precision
@@ -987,4 +1002,18 @@ class TestCliProcess:
                            "--report", str(tmp_path / "r.txt"))
         assert run.returncode == 1
         assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        assert not (tmp_path / "c.json").exists()
+
+    def test_malformed_fields_row_exits_one(self, tmp_path):
+        # a table with a valid checksum whose row does not parse
+        text = bundled_table_path().read_text(encoding="utf-8")
+        assert text.count("\n2.2.5.1|2|5|1|1|1|5|-\n") == 1
+        text = text.replace("\n2.2.5.1|2|5|1|1|1|5|-\n", "\n2.2.5.1|2|5|1|1|1|x5|-\n")
+        fields = tmp_path / "fields.txt"
+        fields.write_text(text, encoding="utf-8")
+        (tmp_path / "fields.txt.sha256").write_text(checksum_of_text(text) + "\n", encoding="utf-8")
+        run = run_hypeuler("--r", "3", "--fields", str(fields), "--out", str(tmp_path / "c.json"),
+                           "--report", str(tmp_path / "r.txt"))
+        assert run.returncode == 1
+        assert re.fullmatch(r"error: line \d+: malformed conductor 'x5'\n", run.stderr)
         assert not (tmp_path / "c.json").exists()

@@ -114,6 +114,11 @@ class TestLoading:
         with pytest.raises(ChecksumError, match="empty checksum file"):
             load_table(p)
 
+    def test_non_integer_conductor_is_format_error(self, tmp_path):
+        p = write_with_checksum(tmp_path, MINI_TABLE.replace("2.2.5.1|2|5|1|1|1|5|-", "2.2.5.1|2|5|1|1|1|x5|-"))
+        with pytest.raises(TableFormatError, match="^line 6: malformed conductor 'x5'$"):
+            load_table(p)
+
     def test_round_trip_via_file(self, tmp_path):
         p = write_with_checksum(tmp_path, MINI_TABLE)
         t = load_table(p)

@@ -1,6 +1,6 @@
 """Guard for the proof path's parameters: every precision is one a caller
 sets, the default precision is stated once (``DEFAULT_PRECISION_BITS``,
-read by ``run_certification`` and the CLI), the arithmetic datum has no
+read by ``run_certification``), the arithmetic datum has no
 bad places, and the proof driver takes no precision: the dual-path
 self-check is a step of ``run_certification``, not a mode of the driver."""
 
@@ -10,7 +10,6 @@ import pkgutil
 
 import hypeuler
 from hypeuler.certificate import DEFAULT_PRECISION_BITS, run_certification
-from hypeuler.cli import _CERTIFY_DEFAULTS
 from hypeuler.euler_char import ArithmeticDatum
 from hypeuler.search_bounds import certify_section, field_verdict
 
@@ -47,10 +46,6 @@ def test_precision_parameters_have_no_default():
     assert defaults == {"hypeuler.certificate.run_certification(precision_bits)": DEFAULT_PRECISION_BITS}
     default = inspect.signature(run_certification).parameters["precision_bits"].default
     assert default is DEFAULT_PRECISION_BITS
-
-
-def test_cli_default_is_the_library_default():
-    assert _CERTIFY_DEFAULTS["precision"] is DEFAULT_PRECISION_BITS
 
 
 def test_datum_has_no_bad_places():

@@ -378,9 +378,9 @@ PINNED_ENDS_SHA256 = "33a29d7466ba23975e2309afa234ac2c639c7a354f796cd960c7b5b9a4
 
 
 class TestWorkingEnds:
-    """Pin the working enclosures bit for bit, not only the 128-bit ends a
-    certificate stores: a change to the interval arithmetic that keeps
-    every enclosure sound but moves one rounded end shows here."""
+    """Pin the working enclosures bit for bit, which no certificate records:
+    a change to the interval arithmetic that keeps every enclosure sound
+    but moves one rounded end shows here."""
 
     @pytest.mark.parametrize("mode", list(BoundsMode))
     def test_every_cutoff_and_decisive_flag(self, mode):
