@@ -10,20 +10,25 @@ included, so the format is stated once, here in the writer, and there is
 one verification path; it reports the first divergence by its path.  The rebuild runs the certifier's own code,
 so it shows that a certificate is what this code writes, not that the code
 is right.  Both refuse a rank above ``MAX_RANK`` before computing any of
-its evidence.
+its evidence.  The verifier's walk is in ``verifier`` and the report in
+``report``; ``verify_certificate`` and ``render_report`` import them when
+first called.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .exact_arith import format_rational
 from .field_tables import FieldTable
 from .local_factors import table_fingerprint
 from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section, dual_path_check
+
+if TYPE_CHECKING:
+    from .verifier import VerificationOutcome
 
 CERTIFICATE_FORMAT = "hypeuler-certificate v4"
 
@@ -241,38 +246,9 @@ def run_certification(
 
 
 # ---------------------------------------------------------------------------
-# Verification
+# Verification and the report: each entry point imports, when first called,
+# the module that holds its body, so a process compiles only its own mode
 # ---------------------------------------------------------------------------
-
-
-class VerificationOutcome(NamedTuple):
-    ok: bool
-    checks: int
-    divergence: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class _Divergence(Exception):
-    """A claim of the certificate differs from its recomputation."""
-
-
-# What a missing key or a value of the wrong shape raises while a claim is read.
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
-
-
-class _Checks:
-    """Counts the checks made and raises the first divergence."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def __call__(self, ok: bool, divergence: str, *claimed) -> None:
-        """Count one check; a failed one raises ``divergence`` with each claimed value ``_quote``d into its ``{}``."""
-        self.count += 1
-        if not ok:
-            raise _Divergence(divergence.format(*map(_quote, claimed)))
 
 
 def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
@@ -300,37 +276,9 @@ def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
     certifier cannot recompute (any rank above ``MAX_RANK``),
     are reported as divergences, never raised.
     """
-    check = _Checks()
-    try:
-        _verify(cert, table, check)
-    except _Divergence as exc:
-        return VerificationOutcome(ok=False, checks=check.count, divergence=str(exc))
-    except _MALFORMED as exc:  # a missing key, a value of the wrong shape, or dict keys that cannot be sorted
-        divergence = f"malformed certificate ({type(exc).__name__}: {_quote(exc, str)})"
-        return VerificationOutcome(ok=False, checks=check.count, divergence=divergence)
-    return VerificationOutcome(ok=True, checks=check.count)
+    from .verifier import verify
 
-
-def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
-    fmt = cert.get("format")
-    check(fmt == CERTIFICATE_FORMAT, "unknown certificate format {}", fmt)
-    version = cert["tool"]["version"]
-    check(type(version) is str, "tool.version {} is not a string", version)
-    ranks = list(cert["parameters"]["requested_r"])
-    section_ranks = [sec["r"] for sec in cert["sections"]]
-    check(all(type(r) is int and r >= 2 for r in ranks), "requested ranks {} are not all integers >= 2", ranks)
-    check(all(a < b for a, b in zip(ranks, ranks[1:])), "requested ranks {} are not strictly increasing", ranks)
-    check(section_ranks == ranks, "sections cover ranks {}, requested ranks are {}", section_ranks, ranks)
-    sections = []
-    for r in ranks:
-        try:  # any error of the certifier itself, such as a rank above MAX_RANK
-            sections.append(section_to_json(_section(r, table)))
-        except Exception as exc:
-            failure = f"{type(exc).__name__}: {_quote(exc, str)}"
-            raise _Divergence(f"section r={_quote(r)}: cannot recompute the evidence ({failure})") from None
-    expected = build_certificate(sections, table, ranks)
-    expected["tool"]["version"] = version
-    _compare(cert, expected, "", check)
+    return verify(cert, table)
 
 
 def _quote(value, text=repr) -> str:
@@ -349,116 +297,8 @@ def _render(value, text) -> str:
         return f"an integer of {value.bit_length()} bits" if type(value) is int else f"a {type(value).__name__}"
 
 
-def _show(value) -> str:
-    """A leaf as JSON text, a container by its JSON type."""
-    return "an object" if type(value) is dict else "a list" if type(value) is list else _quote(value, json.dumps)
-
-
-def _compare(claimed, expected, where: str, check: _Checks) -> None:
-    """Compare the claimed JSON value at path ``where`` with the expected one,
-    in the expected key order."""
-    if type(expected) is dict and type(claimed) is dict:
-        missing, extra = sorted(expected.keys() - claimed.keys()), sorted(claimed.keys() - expected.keys())
-        if missing or extra:
-            raise _Divergence(f"{where or 'certificate'} keys: missing {_quote(missing)}, unexpected {_quote(extra)}")
-        for key, value in expected.items():
-            _compare(claimed[key], value, f"{where}.{key}" if where else key, check)
-    elif type(expected) is list and type(claimed) is list:
-        if len(claimed) != len(expected):
-            raise _Divergence(f"{where} has {len(claimed)} entries, recomputed {len(expected)}")
-        for i, (a, b) in enumerate(zip(claimed, expected)):
-            _compare(a, b, f"{where}[{i}]", check)
-    else:
-        check.count += 1  # the message is built only for a divergence
-        if type(claimed) is not type(expected) or claimed != expected:
-            raise _Divergence(f"{where} is {_show(claimed)}, recomputed {_show(expected)}")
-
-
-# ---------------------------------------------------------------------------
-# Report rendering
-# ---------------------------------------------------------------------------
-
-
-def _collect_zeta_matrix(cert: dict) -> dict[tuple[int, int], list[str]]:
-    rows: dict[tuple[int, int], list[str]] = {}
-    for sec in cert.get("sections", []):
-        for v in sec.get("verdicts", []):
-            key = (v["degree"], v["disc"])
-            if key not in rows or len(v["zeta_values"]) > len(rows[key]):
-                rows[key] = list(v["zeta_values"])
-    return rows
-
-
 def render_report(cert: dict) -> str:
-    """Human-readable summary of a certificate."""
-    lines: list[str] = []
-    lines.append("hypeuler certification report")
-    lines.append("=" * 60)
-    tool = cert.get("tool", {})
-    lines.append(f"tool: {tool.get('name', '?')} {tool.get('version', '?')}")
-    lines.append(f"dataset checksum: {cert.get('dataset', {}).get('checksum', '?')}")
-    lines.append(f"status: {cert.get('status', '?')}")
-    if cert.get("error"):
-        lines.append(f"error: {cert['error']}")
-    sections = cert.get("sections", [])
-    if not sections:
-        lines.append("")
-        lines.append("(no sections)")
-        return "\n".join(lines) + "\n"
+    """Human-readable summary of a certificate, by ``report.render``."""
+    from .report import render
 
-    for sec in sections:
-        lines.append("")
-        lines.append(f"dimension n = {sec['n']} (rank r = {sec['r']}, {sec['kind']})")
-        lines.append("-" * 60)
-        if "bounds" in sec:
-            for b in sec["bounds"]:
-                lines.append(
-                    f"  degree {b['degree']}: |D| <= {b['pass_one']['disc_upper']} "
-                    f"(first pass), <= {b['pass_two']['disc_upper']} (class number one); "
-                    f"survivors {list(b['pass_two_discs'])}"
-                )
-        if "high_degree" in sec:
-            for row in sec["high_degree"]["low_degree"]:
-                status = "excluded" if row["excluded"] else "NOT excluded"
-                lines.append(
-                    f"  degree {row['degree']}: bound {row['disc_upper']} vs smallest "
-                    f"disc {row['minimal_disc']} -> {status}"
-                )
-            lines.append("  degrees >= 5 excluded against the 6.5^d discriminant floor")
-        if "local_factors" in sec:
-            lf = sec["local_factors"]
-            lines.append(
-                f"  local factors: {len(lf['entries'])} maximal types, all integer "
-                f"polynomials, minimum at q=2 is {lf['minimum_at_q2']}"
-            )
-        for v in sec.get("verdicts", []):
-            zrow = ", ".join(v["zeta_values"])
-            lines.append(f"  D={v['disc']} (degree {v['degree']}, h={v['h']}): {zrow}")
-            if v["witness"] is not None:
-                lines.append(
-                    f"    -> obstructed: prime {v['witness']} divides the numerator "
-                    f"{v['odd_numerator']} of the zeta product {v['product']}"
-                )
-            else:
-                lines.append(
-                    f"    -> unobstructed: zeta product {v['product']} has trivial "
-                    "numerator, no odd-prime witness exists"
-                )
-        for note in sec.get("notes", []):
-            lines.append(f"  note: {note}")
-        lines.append(f"  verdict: {sec['verdict']}")
-
-    matrix = _collect_zeta_matrix(cert)
-    if matrix:
-        lines.append("")
-        lines.append("special values zeta_k(1-2j) of the candidate fields")
-        lines.append("-" * 60)
-        for (degree, disc), zs in sorted(matrix.items()):
-            lines.append(f"  d={degree} D={disc}: " + ", ".join(zs))
-
-    lines.append("")
-    lines.append("overall verdicts")
-    lines.append("-" * 60)
-    for n, verdict in sorted(cert.get("overall", {}).items(), key=lambda kv: int(kv[0])):
-        lines.append(f"  n = {n}: {verdict}")
-    return "\n".join(lines) + "\n"
+    return render(cert)

@@ -34,11 +34,10 @@ from .exact_arith import (
     Value,
     odd_part_of_numerator,
     pi_enclosure,
-    rational_power_half,
     smallest_prime_factor,
     two_adic_valuation,
 )
-from .characters_zeta import zeta_k_numeric, zeta_row
+from .characters_zeta import zeta_row
 from .field_tables import NumberFieldRecord
 
 
@@ -99,26 +98,11 @@ def chi_principal_exact(datum: ArithmeticDatum) -> Fraction:
 
 
 def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> RationalInterval:
-    """Rigorous enclosure of |chi(Lambda)| along the transcendental path.
+    """Rigorous enclosure of |chi(Lambda)| along the transcendental path, by
+    ``numeric_path.chi_principal_enclosure``."""
+    from .numeric_path import chi_principal_enclosure
 
-    The zeta factors come first: past the reach of their ladder (about
-    800 bits) ``zeta_k_numeric`` raises PrecisionError before pi is
-    enclosed at the precision asked for.
-
-    Every factor is positive with dyadic ends, integer mantissas at a scale
-    2^e, so the product is taken exactly in integers and rounded outward
-    once, at the factors' largest working precision.
-    """
-    r, d, D = datum.r, datum.degree, datum.field.disc
-    zetas = [zeta_k_numeric(datum.field, 2 * j, precision_bits) for j in range(1, r + 1)]
-    factors = [rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16), *[C_of_r(r, precision_bits)] * d, *zetas]
-    lo, hi, scale = 2, 2, 0
-    for x in factors:
-        x_lo, x_hi, e = x.dyadic_ends()
-        lo, hi, scale = lo * x_lo, hi * x_hi, scale - e
-    prec = max(x.prec or 0 for x in factors)
-    shift = max(0, min(scale, hi.bit_length() - prec - 1))
-    return RationalInterval(lo >> shift, -(-hi >> shift), prec, shift - scale)
+    return chi_principal_enclosure(datum, precision_bits)
 
 
 def index_divisor(h: int, degree: int) -> int:

@@ -104,41 +104,39 @@ class Value:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials
+# Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+# B_0 .. B_(2k+1) with the tangent column of T_k (see ``bernoulli_number``),
+# replaced as one tuple as the memo grows, so the two always agree.
+_BERNOULLI: tuple[tuple[Fraction, ...], tuple[int, ...]] = ((Fraction(1), Fraction(-1, 2)), ())
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with the convention B_1 = -1/2.
+    """B_n with the convention B_1 = -1/2, memoized.
 
-    Computed from the defining recurrence
-    sum_{k=0}^{n} C(n+1, k) B_k = 0 (n >= 1), memoized.  B_k vanishes at
-    every odd k >= 3, so those entries are stored without a sum and the
-    sum runs over k = 0, 1 and the even k only.
+    B_k vanishes at every odd k >= 3, and the even ones come from the
+    integer tangent numbers T_k (tan x = sum_k T_k x^(2k-1) / (2k-1)!) as
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (Brent and Harvey,
+    arXiv:1108.0286).  T_k is the last entry of the column
+    t_k^(1), ..., t_k^(k) of their in-place algorithm: t_k^(1) = (k-1)! and
+    t_k^(i) = (k-i) t_(k-1)^(i) + (k-i+2) t_k^(i-1), so each column is built
+    from the one before it with k integer multiply-adds, and the memo keeps
+    the last column to grow from.
     """
+    global _BERNOULLI
     if n < 0:
         raise ExactArithError("Bernoulli index must be nonnegative")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        if m > 1 and m % 2:
-            _BERNOULLI.append(Fraction(0))
-            continue
-        s = sum(math.comb(m + 1, k) * _BERNOULLI[k] for k in (0, 1, *range(2, m, 2)) if k < m)
-        _BERNOULLI.append(-s / (m + 1))
-    return _BERNOULLI[n]
-
-
-def bernoulli_polynomial_eval(n: int, x: int | Fraction) -> Fraction:
-    """B_n(x) = sum_{k=0}^{n} C(n, k) B_k x^{n-k}, exact."""
-    if n < 0:
-        raise ExactArithError("Bernoulli index must be nonnegative")
-    x = as_rational(x)
-    return sum(
-        (Fraction(math.comb(n, k)) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
+    numbers, column = _BERNOULLI
+    while len(numbers) <= n:
+        k = len(numbers) // 2
+        t, prev = [(k - 1) * column[0] if column else 1], column + (0,)  # the i = k term has weight k - i = 0
+        for i in range(2, k + 1):
+            t.append((k - i) * prev[i - 1] + (k - i + 2) * t[-1])
+        column = tuple(t)
+        numbers += (Fraction((-1) ** (k - 1) * 2 * k * column[-1], 4**k * (4**k - 1)), Fraction(0))
+        _BERNOULLI = numbers, column
+    return numbers[n]
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +432,6 @@ class RationalInterval(Value):
     def __contains__(self, x: int | Fraction) -> bool:
         return self.lo <= as_rational(x) <= self.hi
 
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def strictly_greater_than(self, c: int | Fraction) -> bool:
         return self.lo > as_rational(c)
 
@@ -459,9 +454,6 @@ class RationalInterval(Value):
 
     def __sub__(self, other: "RationalInterval") -> "RationalInterval":
         return self._binary(other, lambda a, b, c, d: (a - d, b - c), product=False)
-
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo, self.prec)
 
     def __mul__(self, other: "RationalInterval") -> "RationalInterval":
         """Rounded: the least mantissa product floored, the largest ceiled."""
@@ -525,20 +517,6 @@ def dyadic_round(x: Fraction, sig_bits: int, up: bool) -> Fraction:
     shift = sig_bits - (abs(n).bit_length() - d.bit_length())
     floor = Fraction((n << shift) // d, 1 << shift) if shift >= 0 else Fraction((n // (d << -shift)) << -shift)
     return -floor if up else floor
-
-
-def rational_power_half(x: int | Fraction, twice_exponent: int, bits: int) -> RationalInterval:
-    """Enclosure of x^(twice_exponent/2) for x > 0.
-
-    Integer exponents stay exact; genuine half-integer powers go through a
-    square-root enclosure of x^twice_exponent.
-    """
-    x = as_rational(x)
-    if x <= 0:
-        raise ExactArithError("half-integer power requires a positive base")
-    if twice_exponent % 2 == 0:
-        return RationalInterval.exact(x ** (twice_exponent // 2))
-    return RationalInterval.exact(x**twice_exponent).sqrt(bits)
 
 
 # ---------------------------------------------------------------------------

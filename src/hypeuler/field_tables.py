@@ -83,6 +83,8 @@ class NumberFieldRecord(_NumberFieldFields):  # checks in __new__, which a Named
             raise TableInvariantError(f"{self.label}: degree must be at least 2")
         if self.disc < 1 or self.h < 1:
             raise TableInvariantError(f"{self.label}: discriminant and class number must be positive")
+        if self.conductor is not None and self.conductor < 1:
+            raise TableInvariantError(f"{self.label}: conductor {self.conductor} must be positive")
         return self
 
 
@@ -124,12 +126,12 @@ def checksum_of_text(text: str) -> str:
 def is_fundamental_discriminant(D: int) -> bool:
     """Fundamental discriminant of a real quadratic field (D > 1)."""
 
-    def squarefree(n: int) -> bool:
-        d = 2
+    def squarefree(n: int) -> bool:  # for n not divisible by 4: trial division by odd d only
+        d = 3
         while d * d <= n:
             if n % (d * d) == 0:
                 return False
-            d += 1
+            d += 2
         return True
 
     if D <= 1:
@@ -142,12 +144,12 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-def _parse_bool(token: str, where: str) -> bool:
+def _parse_bool(token: str, idx: int) -> bool:
     if token == "1":
         return True
     if token == "0":
         return False
-    raise TableFormatError(f"{where}: boolean field must be 0 or 1, got {token!r}")
+    raise TableFormatError(f"line {idx}: boolean field must be 0 or 1, got {token!r}")
 
 
 def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
@@ -193,14 +195,7 @@ def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
                 raise TableFormatError(f"line {idx}: malformed char_gen {cg_s!r}") from exc
             char_gen = (g, e, order)
         rec = NumberFieldRecord(
-            label=label,
-            degree=degree,
-            disc=disc,
-            h=h,
-            totally_real=_parse_bool(tr_s, f"line {idx}"),
-            abelian=_parse_bool(ab_s, f"line {idx}"),
-            conductor=conductor,
-            char_gen=char_gen,
+            label, degree, disc, h, _parse_bool(tr_s, idx), _parse_bool(ab_s, idx), conductor, char_gen
         )
         key = (degree, disc)
         if key in seen:

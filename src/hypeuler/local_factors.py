@@ -23,7 +23,6 @@ import enum
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import prod
 from typing import NamedTuple
 
 from .exact_arith import RatPolynomial, long_division, smallest_prime_factor, taylor_shift
@@ -282,13 +281,6 @@ def _order_formula(t: ParahoricType, r: int) -> tuple[int, Binomials, Binomials]
     if gap % 2 != 0:
         raise LocalFactorError(f"{t.slug()}: odd dimension gap {gap}")
     return power - gap // 2, num, den
-
-
-def order_formula_value(t: ParahoricType, r: int, q: int) -> Fraction:
-    """Prasad's factor for type t at rank r, evaluated at the prime power q."""
-    power, num, den = _order_formula(t, r)
-    _check_q(q)
-    return Fraction(q) ** power * prod(q**e + s for e, s in num) / prod(q**e + s for e, s in den)
 
 
 def _cyclotomic(binomials: Binomials) -> Counter[int]:

@@ -1017,3 +1017,22 @@ class TestCliProcess:
         assert run.returncode == 1
         assert re.fullmatch(r"error: line \d+: malformed conductor 'x5'\n", run.stderr)
         assert not (tmp_path / "c.json").exists()
+
+    def test_negative_conductor_exits_one_before_any_rank(self, tmp_path, monkeypatch, capsys):
+        # a cyclic cubic row with conductor -7 and a valid checksum: refused by
+        # the loader, not at r = 3 by the character code
+        text = bundled_table_path().read_text(encoding="utf-8")
+        assert text.count("\n3.3.49.1|3|49|1|1|1|7|3:1:3\n") == 1
+        text = text.replace("\n3.3.49.1|3|49|1|1|1|7|3:1:3\n", "\n3.3.49.1|3|49|1|1|1|-7|3:1:3\n")
+        fields = tmp_path / "fields.txt"
+        fields.write_text(text, encoding="utf-8")
+        (tmp_path / "fields.txt.sha256").write_text(checksum_of_text(text) + "\n", encoding="utf-8")
+
+        def driver(r, table):
+            raise AssertionError(f"rank {r} ran")
+
+        monkeypatch.setattr(certificate, "certify_section", driver)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--r", "3", "--fields", str(fields)]) == 1
+        assert capsys.readouterr().err == "error: 3.3.49.1: conductor -7 must be positive\n"
+        assert not (tmp_path / "hypeuler_certificate.json").exists()

@@ -6,7 +6,6 @@ import pytest
 from mpmath import mp
 
 from hypeuler.characters_zeta import (
-    MAX_TERMS,
     CharacterError,
     NonFundamentalDiscriminantError,
     PrecisionError,
@@ -22,16 +21,19 @@ from hypeuler.characters_zeta import (
     zeta_k_special,
     zeta_row,
 )
-from hypeuler.characters_zeta import (
+from hypeuler.characters_zeta import _l_value_at_negative
+from hypeuler.exact_arith import ExactArithError, RationalInterval, Zeta3Number, bernoulli_number, pi_enclosure
+from hypeuler.field_tables import load_table
+from hypeuler.numeric_path import (
+    MAX_TERMS,
     _euler_maclaurin_coefficient,
     _hurwitz_units,
     _l_factor_enclosure,
-    _l_value_at_negative,
     _round_width_floor,
     _tail_weights,
+    rational_power_half,
 )
-from hypeuler.exact_arith import ExactArithError, RationalInterval, Zeta3Number, pi_enclosure, rational_power_half
-from hypeuler.field_tables import load_table
+from oracles import character_value, contains_interval
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +72,17 @@ class TestKronecker:
         # oracle: Legendre symbol via Euler's criterion mod 5
         for a in range(1, 5):
             legendre = 1 if pow(a, 2, 5) == 1 else -1
-            assert chi.value(a).as_rational() == legendre
+            assert character_value(chi, a).as_rational() == legendre
         assert [chi.exponent_of(a) for a in (1, 2, 3, 4)] == [0, 1, 1, 0]
 
     def test_d8(self):
         chi = kronecker_character(8)
-        assert [chi.value(a).as_rational() for a in (1, 3, 5, 7)] == [1, -1, -1, 1]
+        assert [character_value(chi, a).as_rational() for a in (1, 3, 5, 7)] == [1, -1, -1, 1]
         assert chi.exponent_of(2) is None
 
     def test_d12(self):
         chi = kronecker_character(12)
-        assert [chi.value(a).as_rational() for a in (1, 5, 7, 11)] == [1, -1, -1, 1]
+        assert [character_value(chi, a).as_rational() for a in (1, 5, 7, 11)] == [1, -1, -1, 1]
 
     def test_non_fundamental_rejected(self):
         for D in (1, 9, 20, 45):
@@ -103,7 +105,7 @@ class TestCharactersForField:
     def test_quadratic(self, table):
         chars = characters_for_field(rec_q(table, 5))
         assert len(chars) == 2
-        assert chars[0].is_trivial()
+        assert chars[0].order == 1
         assert chars[1] == kronecker_character(5)
 
     def test_cubic_49(self, table):
@@ -137,8 +139,8 @@ class TestCharactersForField:
         chi = characters_for_field(rec_c(table, 49))[1]
         chibar = character_from_generator(7, 3, 2, 3)
         for a in range(1, 7):
-            x = chi.value(a)
-            assert chibar.value(a) == Zeta3Number(x.a - x.b, -x.b)
+            x = character_value(chi, a)
+            assert character_value(chibar, a) == Zeta3Number(x.a - x.b, -x.b)
             assert x.norm() == 1
 
 
@@ -159,8 +161,6 @@ class TestGeneralizedBernoulli:
                 assert generalized_bernoulli(n, chi).is_zero()
 
     def test_trivial_character_gives_bernoulli(self):
-        from hypeuler.exact_arith import bernoulli_number
-
         for n in (2, 4, 6, 8):
             assert generalized_bernoulli(n, trivial_character()).as_rational() == bernoulli_number(n)
 
@@ -231,7 +231,7 @@ class TestHurwitzEnclosure:
     def test_nested_refinement(self):
         coarse = hurwitz_zeta_enclosure(2, F(1, 3), 8, 4, 192)
         fine = hurwitz_zeta_enclosure(2, F(1, 3), 64, 12, 192)
-        assert coarse.contains_interval(fine)
+        assert contains_interval(coarse, fine)
 
     def test_coarse_truncation_encloses(self):
         # independent crude oracle: plain truncation with integral tail bound
@@ -307,6 +307,30 @@ class TestHurwitzKernel:
                 lo, hi = _hurwitz_units(s, q.numerator, q.denominator, 0, m, P)
                 assert lo == math.floor(tail) + min(0, math.floor(omitted)), (q, m)
                 assert hi == math.ceil(tail) + max(0, math.ceil(omitted)), (q, m)
+
+
+    @pytest.mark.parametrize("s", (2, 4, 6))
+    def test_negative_omitted_term_lowers_the_lower_end(self, s):
+        # with an odd number m of kept corrections the omitted one, c_(m+1),
+        # is negative, and with few terms it spans many units of 2^-P: the
+        # lower end must take it, or it lies above zeta_H(s, q) (the ladder
+        # keeps an even m, so it never meets this case)
+        P = 64
+        for q in (F(1), F(1, 3), F(2, 5)):
+            for terms, m in ((1, 1), (2, 3), (4, 1)):
+                omitted = _euler_maclaurin_coefficient(s, m + 1) / (terms + q) ** (s + 2 * m + 1)
+                assert omitted * 2**P < -(2**20), (s, q, terms, m)
+                lo, hi = _hurwitz_units(s, q.numerator, q.denominator, terms, m, P)
+                with mp.workprec(256):
+                    true = mp.zeta(s, to_mpf(q)) * mp.mpf(2) ** P
+                    assert lo <= true <= hi, (s, q, terms, m)
+
+    def test_coefficient_is_bernoulli_times_rising_product(self):
+        # c_i = B_2i / (2i)! * s(s+1)...(s+2i-2), as first defined
+        for s in range(2, 25, 2):
+            for i in range(1, 42):
+                rising = math.prod(range(s, s + 2 * i - 1))
+                assert _euler_maclaurin_coefficient(s, i) == bernoulli_number(2 * i) / math.factorial(2 * i) * rising
 
 
 class TestNumericZeta:
@@ -398,7 +422,7 @@ class TestRoundSkipping:
             seen.append(terms)
             return _hurwitz_units(s, qn, qd, terms, corrections, P)
 
-        monkeypatch.setattr("hypeuler.characters_zeta._hurwitz_units", counting)
+        monkeypatch.setattr("hypeuler.numeric_path._hurwitz_units", counting)
         zeta_k_numeric(rec_q(table, 5), 2, precision_bits=176)
         assert seen and set(seen) == {64}
 
@@ -417,7 +441,7 @@ class TestRoundSkipping:
             seen.append(terms)
             return original(chi, s, terms, corrections, bits)
 
-        monkeypatch.setattr("hypeuler.characters_zeta._l_factor_enclosure", counting)
+        monkeypatch.setattr("hypeuler.numeric_path._l_factor_enclosure", counting)
         for bits, runs in ((e, True), (e + 1, False)):
             seen = []
             zeta_k_numeric(rec_q(table, 5), s, precision_bits=bits)
@@ -504,6 +528,24 @@ class TestLFactorOracle:
                 assert hi - lo < 2 ** (P - 128), (disc, s)
 
 
+class TestNumericAgainstMpmath:
+    @pytest.mark.parametrize("degree,disc", CANDIDATE_FIELDS)
+    def test_ends_hold_the_value(self, table, degree, disc):
+        # the product is rounded once to units of 2^-(P+16); in some of these
+        # cases its lower end is less than one unit below zeta_k(s), so a
+        # lower end one unit high would leave the value out
+        rec = table.by_disc(degree, disc)
+        tight = 0
+        with mp.workprec(400):
+            for s in (2, 4, 6):
+                true = mp.fprod(mpmath_l_factor(chi, s) for chi in characters_for_field(rec))
+                for bits in (64, 128):
+                    enc = zeta_k_numeric(rec, s, precision_bits=bits)
+                    assert to_mpf(enc.lo) <= true <= to_mpf(enc.hi), (s, bits)
+                    tight += true - to_mpf(enc.lo) < mp.mpf(2) ** -(bits + 16)
+        assert tight
+
+
 class TestPrecisionRange:
     def test_800_bits_reached(self, table):
         enc = zeta_k_numeric(rec_q(table, 5), 2, precision_bits=800)
@@ -523,7 +565,7 @@ class TestPrecisionRange:
         def refuse(*args):
             raise AssertionError("no Hurwitz enclosure may be built past the ladder's reach")
 
-        monkeypatch.setattr("hypeuler.characters_zeta._hurwitz_units", refuse)
+        monkeypatch.setattr("hypeuler.numeric_path._hurwitz_units", refuse)
         for bits in (806, 65536):
             with pytest.raises(PrecisionError, match=f"above target 2\\^-{bits} after 4096 terms") as err:
                 zeta_k_numeric(rec_q(table, 5), 2, precision_bits=bits)

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -15,15 +19,15 @@ from hypeuler.exact_arith import (
     RationalInterval,
     Zeta3Number,
     bernoulli_number,
-    bernoulli_polynomial_eval,
     dyadic_round,
     odd_part_of_numerator,
     pi_enclosure,
     poly_exact_divide,
-    rational_power_half,
     root_of_unity,
     two_adic_valuation,
 )
+from hypeuler.numeric_path import rational_power_half
+from oracles import bernoulli_polynomial_eval, contains_interval, negate
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -50,10 +54,30 @@ class TestBernoulli:
         assert oracle[2] == F(1, 6) and oracle[10] == F(5, 66)
         assert [bernoulli_number(n) for n in range(101)] == oracle
 
-    def test_recurrence_identity_up_to_30(self):
-        for n in range(1, 31):
+    def test_recurrence_identity_up_to_200(self):
+        for n in range(1, 201):
             s = sum(F(math.comb(n + 1, k)) * bernoulli_number(k) for k in range(n + 1))
             assert s == 0, f"recurrence fails at n={n}"
+
+    def test_memo_does_not_depend_on_the_order_asked(self):
+        # the tangent column grows from whatever index is asked first: B_82
+        # first, in a fresh process, gives the list that asking in order gives
+        code = (
+            "import sys\n"
+            "from hypeuler.exact_arith import bernoulli_number\n"
+            "if sys.argv[1] == 'first':\n"
+            "    bernoulli_number(82)\n"
+            "print([str(bernoulli_number(n)) for n in range(83)])"
+        )
+        src = str(Path(exact_arith.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        lists = [
+            subprocess.run([sys.executable, "-S", "-c", code, how], env=env, capture_output=True, text=True, check=True).stdout
+            for how in ("first", "in-order")
+        ]
+        assert lists[0] == lists[1]
+        assert lists[0].startswith("['1', '-1/2', '1/6', '0', '-1/30'")
+        assert lists[0].strip().endswith(f"'{bernoulli_number(82)}']")
 
     def test_against_sympy(self):
         for n in range(0, 41):
@@ -295,7 +319,7 @@ class TestRoundedIntervals:
         Y = make_interval(c, d).outward_round(q)
         x, y = point_inside(X, t1), point_inside(Y, t2)
         pq = max(p, q)
-        results = [(x + y, X + Y, pq), (x - y, X - Y, pq), (-x, -X, p), (x * y, X * Y, pq), (x * c, X.scale(c), p)]
+        results = [(x + y, X + Y, pq), (x - y, X - Y, pq), (-x, negate(X), p), (x * y, X * Y, pq), (x * c, X.scale(c), p)]
         if not Y.lo <= 0 <= Y.hi:
             results += [(1 / y, Y.reciprocal(), q), (x / y, X / Y, pq)]
         for exact, enclosure, prec in results:
@@ -346,7 +370,7 @@ class TestRoundedIntervals:
             acc = acc * step
         assert F(22, 7) ** 200 in acc
         assert max(acc.hi.numerator.bit_length(), acc.hi.denominator.bit_length()) < 400
-        assert acc.pow_int(3).contains_interval(RationalInterval(acc.lo**3, acc.hi**3))
+        assert contains_interval(acc.pow_int(3), RationalInterval(acc.lo**3, acc.hi**3))
 
 
 mantissas = st.one_of(st.just(0), st.integers(-(2**300), 2**300), st.integers(-64, 64))
@@ -441,4 +465,4 @@ class TestPiAndRoots:
     def test_outward_round_contains(self):
         iv = RationalInterval(F(1, 3), F(22, 7))
         out = iv.outward_round(32)
-        assert out.contains_interval(iv)
+        assert contains_interval(out, iv)

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,18 @@ class TestLoading:
         with pytest.raises(TableFormatError, match="^line 6: malformed conductor 'x5'$"):
             load_table(p)
 
+    def test_non_positive_conductor_refused(self, tmp_path):
+        # (-7)^2 = 49 and gcd(3, -7) = 1 would pass the cubic checks
+        for conductor in (-7, 0):
+            text = MINI_TABLE.replace("3.3.49.1|3|49|1|1|1|7|3:1:3", f"3.3.49.1|3|49|1|1|1|{conductor}|3:1:3")
+            p = write_with_checksum(tmp_path, text)
+            with pytest.raises(TableInvariantError, match=f"^3.3.49.1: conductor {conductor} must be positive$"):
+                load_table(p)
+
+    def test_bad_boolean_names_its_line(self):
+        with pytest.raises(TableFormatError, match="^line 6: boolean field must be 0 or 1, got '2'$"):
+            parse_table_text(MINI_TABLE.replace("2.2.5.1|2|5|1|1|1|5|-", "2.2.5.1|2|5|1|2|1|5|-"))
+
     def test_round_trip_via_file(self, tmp_path):
         p = write_with_checksum(tmp_path, MINI_TABLE)
         t = load_table(p)
@@ -195,6 +208,18 @@ class TestClassNumberOracle:
         assert not is_fundamental_discriminant(9)
         assert not is_fundamental_discriminant(20)
         assert not is_fundamental_discriminant(1)
+
+    def test_fundamental_discriminants_by_definition(self):
+        # D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree,
+        # with squarefreeness tried by every d >= 2
+        def squarefree(n):
+            return all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+        for D in range(-10, 3000):
+            expected = D > 1 and (
+                D % 4 == 1 and squarefree(D) or D % 4 == 0 and (D // 4) % 4 in (2, 3) and squarefree(D // 4)
+            )
+            assert is_fundamental_discriminant(D) == expected, D
 
     def test_known_class_numbers(self):
         # the table builder's anchors from standard tables, 5 through 229 (h = 3)

@@ -21,9 +21,9 @@ from hypeuler.local_factors import (
     is_prime_power,
     local_factor_polynomial,
     minimum_proof,
-    order_formula_value,
     table_fingerprint,
 )
+from oracles import order_formula_value
 
 PRIME_POWERS_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,

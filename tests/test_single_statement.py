@@ -18,7 +18,6 @@ from hypeuler.local_factors import (
     TypeMinimum,
     enumerate_maximal_types,
     local_factor_polynomial,
-    order_formula_value,
 )
 from hypeuler.search_bounds import (
     BoundsPass,
@@ -27,6 +26,7 @@ from hypeuler.search_bounds import (
     FieldVerdict,
     HighDegreeExclusion,
 )
+from oracles import order_formula_value
 
 
 RECORD_FIELDS = {

@@ -1,10 +1,13 @@
 """Guard for the start-up of a process: the table checksum and the type-table
 fingerprint take SHA-256 from the builtin module, so neither a certify nor a
 verify loads OpenSSL through ``hashlib``; without that module the same
-digests come from ``hashlib``."""
+digests come from ``hashlib``.  Each mode loads only its own modules: a
+verify neither the numeric path nor the report, a certify not the verifier's
+walk, and a certify with no field verdict not the numeric path."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -57,3 +60,45 @@ def test_hashlib_fallback_gives_the_same_digests():
         "print(local_factors.table_fingerprint())"
     )
     assert run_python(code)[:2] == [hypeuler.load_table().checksum, table_fingerprint()]
+
+
+def cli_modules(*args: str) -> list[str]:
+    """The hypeuler modules a fresh ``python -S`` process has loaded after
+    one CLI run, which must exit 0."""
+    code = (
+        "import json, sys\n"
+        "from hypeuler.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('hypeuler.'))]))"
+    )
+    code, modules = json.loads(run_python(code, *args)[-2])
+    assert code == 0
+    return modules
+
+
+@pytest.fixture(scope="module")
+def headline_modules(tmp_path_factory):
+    """The modules of a headline certify, and of a verify of its certificate."""
+    tmp = tmp_path_factory.mktemp("headline")
+    cert = str(tmp / "cert.json")
+    certify = cli_modules("--n", "6", "--n", "8", "--n", "10", "--out", cert, "--report", str(tmp / "report.txt"))
+    return certify, cli_modules("--verify", cert)
+
+
+def test_headline_certify_loads_no_verifier(headline_modules):
+    certify, _ = headline_modules
+    assert "hypeuler.verifier" not in certify
+    assert {"hypeuler.numeric_path", "hypeuler.report"} <= set(certify)
+
+
+def test_headline_verify_loads_neither_numeric_path_nor_report(headline_modules):
+    _, verify = headline_modules
+    assert "hypeuler.numeric_path" not in verify and "hypeuler.report" not in verify
+    assert "hypeuler.verifier" in verify
+
+
+def test_high_rank_certify_loads_no_numeric_path(tmp_path):
+    # ranks 13..15 have no field verdict, so the dual-path self-check encloses nothing
+    modules = cli_modules("--r", "13", "--r", "14", "--r", "15", "--out", str(tmp_path / "c.json"),
+                          "--report", str(tmp_path / "r.txt"))
+    assert "hypeuler.numeric_path" not in modules and "hypeuler.verifier" not in modules
