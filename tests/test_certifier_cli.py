@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hypeuler import certificate, local_factors, search_bounds
+from hypeuler import certificate, cli, local_factors, search_bounds
 from hypeuler.certificate import (
     MAX_RANK,
     MIN_PRECISION_BITS,
@@ -23,7 +23,7 @@ from hypeuler.certificate import (
     serialize_certificate,
     verify_certificate,
 )
-from hypeuler.cli import build_parser, main
+from hypeuler.cli import main
 from hypeuler.euler_char import chi_principal_numeric
 from hypeuler.exact_arith import RationalInterval
 from hypeuler.field_tables import bundled_table_path, checksum_of_text, load_table, parse_table_text
@@ -806,6 +806,68 @@ class TestReport:
         assert "(no sections)" in report
 
 
+OUT, REPORT = "hypeuler_certificate.json", "hypeuler_report.txt"
+
+
+class TestFlagParsing:
+    """Each command line maps to the ranks certified and the two paths
+    written, to exit 1 with its error under the usage line, or (None) to the
+    help; the flags parse as argparse parsed them."""
+
+    PARSES = [
+        (["--n=6"], ([3], OUT, REPORT)),
+        (["--n", "8", "--n", "6"], ([4, 3], OUT, REPORT)),
+        (["--r=3", "--out=c.json", "--report=r.txt"], ([3], "c.json", "r.txt")),
+        (["--max", "4", "--rep", "r.txt"], ([3, 4], OUT, "r.txt")),
+        (["--r", "3", "--o", "c.json", "--re=r.txt"], ([3], "c.json", "r.txt")),
+        (["--max-r", "3", "--max-r", "4"], ([3, 4], OUT, REPORT)),
+        (["--out", "-", "--r", "3"], ([3], "-", REPORT)),
+        (["--n", "-4"], "dimension must be an even integer >= 4, got -4"),
+        (["--r=-3"], "rank must be at least 2, got -3"),
+        (["--out"], "argument --out: expected one argument"),
+        (["--out", "--r", "3"], "argument --out: expected one argument"),
+        (["--out", "-x"], "argument --out: expected one argument"),
+        (["--r", "x"], "argument --r: invalid int value: 'x'"),
+        (["--max-r", "4.0"], "argument --max-r: invalid int value: '4.0'"),
+        (["--r", "1" * 5000], f"argument --r: invalid int value: '{'1' * 5000}'"),
+        (["--r", "3", "stray"], "unrecognized arguments: stray"),
+        (["--r", "3", "--precision", "128"], "unrecognized arguments: --precision 128"),
+        (["--r", "3", "--", "--n", "6"], "unrecognized arguments: -- --n 6"),
+        (["--=x"], "ambiguous option: --=x could match --help, --n, --r, --fields, --out, --report, --max-r, "
+                   "--verify"),
+        (["--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["-h"], None),
+        (["-hh"], None),
+        (["--r", "3", "--he", "--r", "x"], None),
+    ]
+
+    @pytest.mark.parametrize("argv, outcome", PARSES, ids=[" ".join(argv)[:40] for argv, _ in PARSES])
+    def test_parse(self, argv, outcome, tmp_path, monkeypatch, capsys):
+        requested = []
+
+        def certify(ranks, table):
+            requested.append(ranks)
+            return run_certification([], table)
+
+        monkeypatch.setattr(cli, "run_certification", certify)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        if isinstance(outcome, tuple):
+            ranks, out, report = outcome
+            assert code == 0 and requested == [ranks]
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out, report])
+            return
+        assert requested == [] and list(tmp_path.iterdir()) == []
+        if outcome is None:
+            assert code == 0 and captured.out.startswith("usage: hypeuler [-h] [--n N] [--r R]")
+            assert "show this help message and exit" in captured.out and captured.err == ""
+        else:
+            assert code == 1 and captured.out == ""
+            usage, error = captured.err.split("\nerror: ")
+            assert usage.startswith("usage: hypeuler [-h]") and error == f"{outcome}\n"
+
+
 class TestCliProcess:
     def test_theorem_dimensions_exit_zero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -886,8 +948,9 @@ class TestCliProcess:
         assert f"error: --max-r must be from 3 to {MAX_RANK}, the largest rank certified" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_help_shows_defaults(self):
-        text = " ".join(build_parser().format_help().split())
+    def test_help_shows_defaults(self, capsys):
+        assert main(["-h"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
         assert "(default 12; only without --n or --r)" in text
         assert "certificate output path (default hypeuler_certificate.json)" in text
         assert "report output path (default hypeuler_report.txt)" in text
@@ -930,6 +993,12 @@ class TestCliProcess:
         assert main(["--r", "13", "--out", "c.json", "--report", str(tmp_path)]) == 1
         assert f"error: cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
         assert main(["--verify", "c.json"]) == 0
+
+    def test_symlink_loop_out_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("loop").symlink_to("loop")
+        assert main(["--r", "13", "--out", "loop", "--report", "r.txt"]) == 1
+        assert "error: cannot write loop: Too many levels of symbolic links" in capsys.readouterr().err
 
     def test_byte_identical_across_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -974,6 +1043,16 @@ class TestCliProcess:
         run = run_hypeuler("--verify", c)
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("certificate verified: ")
+
+    @pytest.mark.parametrize("report", ["same.txt", "./same.txt", "sub/../same.txt", "SAME_ABS"])
+    def test_out_and_report_same_file_usage_error(self, report, tmp_path, monkeypatch, capsys):
+        # the report would overwrite the certificate, which then fails to verify
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        report = str(tmp_path / "same.txt") if report == "SAME_ABS" else report
+        assert main(["--r", "13", "--out", "same.txt", "--report", report]) == 1
+        assert "error: --out and --report name the same file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     def test_precision_flag_is_gone(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -3,7 +3,9 @@ fingerprint take SHA-256 from the builtin module, so neither a certify nor a
 verify loads OpenSSL through ``hashlib``; without that module the same
 digests come from ``hashlib``.  Each mode loads only its own modules: a
 verify neither the numeric path nor the report, a certify not the verifier's
-walk, and a certify with no field verdict not the numeric path."""
+walk, and a certify with no field verdict not the numeric path.  The CLI
+parses its flags itself, so neither mode loads ``argparse``, nor the
+``gettext`` and ``locale`` it would bring."""
 
 import hashlib
 import importlib.util
@@ -63,13 +65,13 @@ def test_hashlib_fallback_gives_the_same_digests():
 
 
 def cli_modules(*args: str) -> list[str]:
-    """The hypeuler modules a fresh ``python -S`` process has loaded after
-    one CLI run, which must exit 0."""
+    """The modules a fresh ``python -S`` process has loaded after one CLI
+    run, which must exit 0."""
     code = (
         "import json, sys\n"
         "from hypeuler.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('hypeuler.'))]))"
+        "print(json.dumps([code, sorted(sys.modules)]))"
     )
     code, modules = json.loads(run_python(code, *args)[-2])
     assert code == 0
@@ -102,3 +104,8 @@ def test_high_rank_certify_loads_no_numeric_path(tmp_path):
     modules = cli_modules("--r", "13", "--r", "14", "--r", "15", "--out", str(tmp_path / "c.json"),
                           "--report", str(tmp_path / "r.txt"))
     assert "hypeuler.numeric_path" not in modules and "hypeuler.verifier" not in modules
+
+
+def test_headline_loads_no_argparse_gettext_or_locale(headline_modules):
+    for modules in headline_modules:
+        assert not {"argparse", "gettext", "locale"} & set(modules)
