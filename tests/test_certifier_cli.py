@@ -831,7 +831,6 @@ class TestFlagParsing:
         (["--max-r", "4.0"], "argument --max-r: invalid int value: '4.0'"),
         (["--r", "1" * 5000], f"argument --r: invalid int value: '{'1' * 5000}'"),
         (["--r", "3", "stray"], "unrecognized arguments: stray"),
-        (["--r", "3", "--precision", "128"], "unrecognized arguments: --precision 128"),
         (["--r", "3", "--", "--n", "6"], "unrecognized arguments: -- --n 6"),
         (["--=x"], "ambiguous option: --=x could match --help, --n, --r, --fields, --out, --report, --max-r, "
                    "--verify"),
@@ -1044,15 +1043,15 @@ class TestCliProcess:
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("certificate verified: ")
 
-    @pytest.mark.parametrize("report", ["same.txt", "./same.txt", "sub/../same.txt", "SAME_ABS"])
+    @pytest.mark.parametrize("report", ["same.txt", "./same.txt", "sub/../same.txt", "link/same.txt"])
     def test_out_and_report_same_file_usage_error(self, report, tmp_path, monkeypatch, capsys):
         # the report would overwrite the certificate, which then fails to verify
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "sub").mkdir()
-        report = str(tmp_path / "same.txt") if report == "SAME_ABS" else report
+        Path("sub").mkdir()
+        Path("link").symlink_to(tmp_path)
         assert main(["--r", "13", "--out", "same.txt", "--report", report]) == 1
         assert "error: --out and --report name the same file" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
 
     def test_precision_flag_is_gone(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
