@@ -1,6 +1,6 @@
-"""Dirichlet characters and exact Dedekind zeta special values for
-totally real abelian fields, plus a rigorous numeric evaluator at even
-positive integers used as an independent cross-check.
+"""Exact Dedekind zeta special values for totally real abelian fields,
+plus a rigorous numeric evaluator at even positive integers used as an
+independent cross-check.
 
 Exact path: decompose zeta_k as a product of Dirichlet L-functions over
 the field's character group and evaluate L(1-n, chi) = -B_{n,chi}/n with
@@ -10,6 +10,8 @@ either L(s, chi) for the real character or L(s, chi) L(s, chibar) for a
 cubic character chi and chibar = chi^2.  The latter at 1-n is the norm
 from Q(zeta3) of L(1-n, chi), as B_{n,chibar} is the image of B_{n,chi}
 under zeta3 -> zeta3^2: each factor is a rational, from one character.
+The characters, Bernoulli numbers and Q(zeta3) are in ``field_path``, which
+``generalized_bernoulli`` and ``zeta_k_special`` import when first called.
 
 Numeric path: ``zeta_k_numeric`` and ``hurwitz_zeta_enclosure`` are
 entry points to ``numeric_path``, which they import when first called, so
@@ -18,19 +20,17 @@ a process that encloses no value never compiles it.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .exact_arith import (
-    RationalInterval,
-    Value,
-    Zeta3Number,
-    as_rational,
-    bernoulli_number,
-    root_of_unity,
-)
-from .field_tables import NumberFieldRecord, is_fundamental_discriminant
+from .exact_arith import RationalInterval, as_rational, field_path_getattr
+from .field_tables import NumberFieldRecord
+
+if TYPE_CHECKING:
+    from .field_path import DirichletCharacter, Zeta3Number
+
+__getattr__ = field_path_getattr(__name__, ("kronecker_character", "trivial_character"))
 
 
 class CharacterError(Exception):
@@ -54,118 +54,6 @@ class PrecisionError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet characters
-# ---------------------------------------------------------------------------
-
-
-class DirichletCharacter(Value):
-    """Character mod f with values chi(a) = zeta_order^{exponents[a mod f]}
-    on residues coprime to f, and 0 elsewhere, where the exponent is None."""
-
-    __slots__ = ("modulus", "order", "exponents")
-    _compared = __slots__
-
-    def __init__(self, modulus: int, order: int, exponents: tuple[int | None, ...]) -> None:
-        self.modulus, self.order, self.exponents = modulus, order, exponents
-
-    def exponent_of(self, a: int) -> int | None:
-        """Exponent e with chi(a) = zeta_order^e, or None when gcd(a, f) > 1."""
-        return self.exponents[a % self.modulus]
-
-    def is_even(self) -> bool:
-        return self.exponent_of(-1) == 0
-
-
-def trivial_character() -> DirichletCharacter:
-    return DirichletCharacter(modulus=1, order=1, exponents=(0,))
-
-
-def _kronecker_at_two(D: int) -> int:
-    if D % 2 == 0:
-        return 0
-    return 1 if D % 8 in (1, 7) else -1
-
-
-def _jacobi_symbol(m: int, n: int) -> int:
-    """Jacobi symbol (m/n) for odd n >= 1, by quadratic reciprocity and
-    the (2/n) rule."""
-    m %= n
-    value = 1
-    while m:
-        while m % 2 == 0:
-            m //= 2
-            if n % 8 in (3, 5):
-                value = -value
-        m, n = n, m
-        if m % 4 == 3 and n % 4 == 3:
-            value = -value
-        m %= n
-    return value if n == 1 else 0
-
-
-def kronecker_symbol(D: int, a: int) -> int:
-    """Kronecker symbol (D/a) for a >= 1."""
-    if a == 0:
-        return 0
-    if math.gcd(D, a) > 1:
-        return 0
-    value = 1
-    while a % 2 == 0:
-        a //= 2
-        value *= _kronecker_at_two(D)
-    if a == 1:
-        return value
-    return value * _jacobi_symbol(D, a)
-
-
-def kronecker_character(D: int) -> DirichletCharacter:
-    """The primitive real character mod D for a fundamental discriminant
-    D > 1 of a real quadratic field."""
-    if not is_fundamental_discriminant(D):
-        raise NonFundamentalDiscriminantError(f"{D} is not a fundamental discriminant > 1")
-    exps = tuple(None if math.gcd(a, D) > 1 else (0 if kronecker_symbol(D, a) == 1 else 1) for a in range(D))
-    return DirichletCharacter(modulus=D, order=2, exponents=exps)
-
-
-def character_from_generator(modulus: int, generator: int, image_exponent: int, order: int) -> DirichletCharacter:
-    """Character on a cyclic (Z/f)^* determined by chi(generator) =
-    zeta_order^image_exponent."""
-    # the generator's first phi(f) powers must be phi(f) distinct units,
-    # the next one 1 again
-    units = sum(math.gcd(a, modulus) == 1 for a in range(modulus))
-    exps: list[int | None] = [None] * modulus
-    cur = 1
-    for t in range(units):
-        exps[cur] = t * image_exponent % order
-        cur = cur * generator % modulus
-    if cur != 1 or exps.count(None) != modulus - units:
-        raise UnsupportedFieldError(
-            f"{generator} does not generate the units mod {modulus}; character data invalid"
-        )
-    return DirichletCharacter(modulus=modulus, order=order, exponents=tuple(exps))
-
-
-def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
-    """One character per factor of zeta_k for an abelian totally real
-    field: the trivial character first, then the real character of a
-    quadratic field or one cubic character chi of a cyclic cubic field,
-    which stands for the pair chi, chibar."""
-    if not rec.abelian:
-        raise UnsupportedFieldError(f"{rec.label}: field is not abelian, no character decomposition")
-    if rec.degree == 2:
-        return [trivial_character(), kronecker_character(rec.disc)]
-    if rec.degree == 3:
-        if rec.conductor is None or rec.char_gen is None:
-            raise UnsupportedFieldError(f"{rec.label}: missing character generator data")
-        g, e, order = rec.char_gen
-        chi = character_from_generator(rec.conductor, g, e, order)
-        if not chi.is_even():
-            raise UnsupportedFieldError(f"{rec.label}: character is odd, field cannot be totally real")
-        return [trivial_character(), chi]
-    raise UnsupportedFieldError(f"{rec.label}: abelian fields of degree {rec.degree} are not supported")
-
-
-# ---------------------------------------------------------------------------
 # Generalized Bernoulli numbers and exact special values
 # ---------------------------------------------------------------------------
 
@@ -182,6 +70,8 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Zeta3Number:
     integer over the common denominator L f of the weights, so the classes
     are added as integers and divided by L f once.
     """
+    from .field_path import Zeta3Number, _bernoulli_weights, root_of_unity
+
     if n < 1:
         raise CharacterError("generalized Bernoulli index must be positive")
     f = chi.modulus
@@ -202,19 +92,6 @@ def generalized_bernoulli(n: int, chi: DirichletCharacter) -> Zeta3Number:
     return total.scale(Fraction(1, den * f))
 
 
-@cache
-def _bernoulli_weights(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The nonzero C(n, k) B_k over one common denominator L, as the pairs
-    (k, C(n, k) B_k L) and L."""
-    den = math.lcm(*(bernoulli_number(k).denominator for k in range(n + 1)))
-    weights = tuple(
-        (k, math.comb(n, k) * bernoulli_number(k).numerator * (den // bernoulli_number(k).denominator))
-        for k in range(n + 1)
-        if bernoulli_number(k)
-    )
-    return weights, den
-
-
 def _l_value_at_negative(n: int, chi: DirichletCharacter) -> Zeta3Number:
     """L(1-n, chi) = -B_{n,chi}/n."""
     return generalized_bernoulli(n, chi).scale(Fraction(-1, n))
@@ -230,6 +107,8 @@ def zeta_k_special(rec: NumberFieldRecord, j: int) -> Fraction:
     Memoized: a field's row is needed by its obstruction verdict, its
     Euler characteristic and every higher rank, and is computed once.
     """
+    from .field_path import characters_for_field
+
     if j < 1:
         raise CharacterError("j must be a positive integer")
     value = Fraction(1)

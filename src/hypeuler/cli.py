@@ -28,7 +28,7 @@ from .certificate import (
     serialize_certificate,
     verify_certificate,
 )
-from .field_tables import TableError, load_table
+from .field_tables import TableError, bundled_table_path, load_table
 
 # The flags that only certification reads parse to None when absent, so one
 # rule rejects them all in verifier mode; certification then fills in these
@@ -176,6 +176,13 @@ def _requested_ranks(args: dict) -> list[int]:
     return list(range(3, args["max_r"] + 1))
 
 
+def _table_files(fields: str | None) -> set[str]:
+    """The real paths of the field table a run reads (``--fields``, else the
+    bundled one) and of its checksum file, which neither output may name."""
+    table = Path(fields) if fields is not None else bundled_table_path()
+    return {os.path.realpath(table), os.path.realpath(f"{table}.sha256")}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -191,6 +198,10 @@ def main(argv: list[str] | None = None) -> int:
             ranks = _requested_ranks(args)
             if os.path.realpath(args["out"]) == os.path.realpath(args["report"]):
                 raise _UsageError("--out and --report name the same file")
+            table_files = _table_files(args["fields"])
+            for flag in ("out", "report"):
+                if os.path.realpath(args[flag]) in table_files:
+                    raise _UsageError(f"--{flag} names the field table or its checksum file")
     except _UsageError as exc:
         print(_usage(), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,9 @@ integer (one local factor per bad place, each an integer above 4 by
 ``local_factors.minimum_proof``), so an odd prime in the numerator of
 the zeta product rules out a reciprocal-integer value.  The obstruction
 computes P once per field and rank, and ``build_euler_char`` takes
-chi(Lambda) from it.
+chi(Lambda) from it.  The closed form, the index bound and the 2-adic and
+odd-prime helpers are in ``field_path``, which the obstruction and
+``build_euler_char`` import when first called.
 """
 
 from __future__ import annotations
@@ -29,16 +31,11 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .exact_arith import (
-    RationalInterval,
-    Value,
-    odd_part_of_numerator,
-    pi_enclosure,
-    smallest_prime_factor,
-    two_adic_valuation,
-)
+from .exact_arith import RationalInterval, Value, field_path_getattr, pi_enclosure
 from .characters_zeta import zeta_row
 from .field_tables import NumberFieldRecord
+
+__getattr__ = field_path_getattr(__name__, ("chi_principal_exact",))
 
 
 class EulerCharError(Exception):
@@ -82,38 +79,12 @@ def C_of_r(r: int, precision_bits: int) -> RationalInterval:
     return RationalInterval.exact(fact) / two_pi.pow_int(r * (r + 1))
 
 
-def chi_lambda_from_product(product: Fraction, r: int, degree: int) -> Fraction:
-    """|chi(Lambda)| = P / 2^(r degree - 1) for the zeta product P.
-
-    Structurally independent of the discriminant: its power in the
-    covolume formula cancels against the functional equation.
-    """
-    return product / 2 ** (r * degree - 1)
-
-
-def chi_principal_exact(datum: ArithmeticDatum) -> Fraction:
-    """|chi(Lambda)| as an exact rational."""
-    product = math.prod(map(abs, zeta_row(datum.field, datum.r)))
-    return chi_lambda_from_product(product, datum.r, datum.degree)
-
-
 def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> RationalInterval:
     """Rigorous enclosure of |chi(Lambda)| along the transcendental path, by
     ``numeric_path.chi_principal_enclosure``."""
     from .numeric_path import chi_principal_enclosure
 
     return chi_principal_enclosure(datum, precision_bits)
-
-
-def index_divisor(h: int, degree: int) -> int:
-    """Upper bound h * 2^degree for the index of Lambda in its normalizer.
-
-    With b bad places the bound is h * 2^degree * 4^b, a power of 2 when
-    h = 1, so it moves no odd prime of a witness.
-    """
-    if h < 1 or degree < 1:
-        raise EulerCharError("invalid index-divisor arguments")
-    return h * 2**degree
 
 
 class EulerChar(NamedTuple):
@@ -125,6 +96,8 @@ class EulerChar(NamedTuple):
 
 def build_euler_char(datum: ArithmeticDatum, product: Fraction) -> EulerChar:
     """The Euler data of the field and rank, from their zeta product P."""
+    from .field_path import chi_lambda_from_product, index_divisor, two_adic_valuation
+
     chi = chi_lambda_from_product(product, datum.r, datum.degree)
     divisor = index_divisor(datum.field.h, datum.degree)
     lower = chi / divisor
@@ -147,13 +120,6 @@ class ObstructionVerdict(NamedTuple):
         return self.witness is not None
 
 
-def smallest_odd_prime_factor(n: int) -> int | None:
-    """Smallest prime factor of an odd n > 1; None for n = 1."""
-    if n == 1:
-        return None
-    return smallest_prime_factor(n)
-
-
 def reciprocal_integer_obstruction(datum: ArithmeticDatum) -> ObstructionVerdict:
     """Decide whether the field obstructs a reciprocal-integer Euler
     characteristic at this rank.
@@ -163,6 +129,8 @@ def reciprocal_integer_obstruction(datum: ArithmeticDatum) -> ObstructionVerdict
     |chi(Gamma)| = 2^-a * (integer local factors) * product keeps p in
     its numerator and cannot equal 1/q.
     """
+    from .field_path import odd_part_of_numerator, smallest_odd_prime_factor
+
     if datum.field.h != 1:
         raise ClassNumberPreconditionError(
             f"{datum.field.label}: class number {datum.field.h} != 1, decomposition unavailable"

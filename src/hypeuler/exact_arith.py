@@ -1,19 +1,18 @@
 """Exact arithmetic foundations.
 
-Scalar values are arbitrary-precision rationals (`fractions.Fraction`),
-polynomials have rational coefficients, and the values of Dirichlet
-characters of order at most 3 live in Q(zeta3) (`Zeta3Number`), all
-exact.  Intervals are pairs of rationals that provably enclose the real
+Scalar values are arbitrary-precision rationals (`fractions.Fraction`).
+Intervals are pairs of rationals that provably enclose the real
 number they stand for; an interval built from rationals stays exact,
 while the enclosures of transcendental quantities carry a working
 precision and every result computed from them is rounded outward to
 dyadic endpoints at that precision, integer mantissas at a power-of-two
 scale (see `RationalInterval`; one `dyadic_round` takes either direction
-and fixes the ends).  No floating point enters any computation.
+and fixes the ends).  No floating point enters any computation.  The
+exact kernels that only a field verdict needs (Bernoulli numbers, Q(zeta3),
+polynomials over Q, the 2-adic and odd-prime helpers) are in ``field_path``.
 
 All values are immutable after construction and all operations are pure,
-so everything here is safe to use concurrently.  The Bernoulli cache only
-ever grows and is guarded by the GIL.
+so everything here is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 
 class ExactArithError(Exception):
@@ -44,40 +42,22 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def two_adic_valuation(x: Fraction) -> int:
-    """v_2 of a nonzero rational (negative when 2 divides the denominator)."""
-    x = as_rational(x)
-    if x == 0:
-        raise ExactArithError("2-adic valuation of zero is undefined")
+def field_path_getattr(module: str, names: tuple[str, ...]):
+    """A module ``__getattr__`` (PEP 562) that serves ``names``, which moved to
+    ``field_path``, from there: reading one imports ``field_path``, and both
+    modules then give the same object."""
 
-    def v2(n: int) -> int:
-        n = abs(n)
-        return (n & -n).bit_length() - 1
+    def __getattr__(name: str):
+        if name in names:
+            from . import field_path
 
-    return v2(x.numerator) - v2(x.denominator)
+            return getattr(field_path, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
 
-
-def odd_part_of_numerator(x: Fraction) -> int:
-    """|numerator(x)| with every factor of 2 removed.  Requires x != 0."""
-    x = as_rational(x)
-    if x == 0:
-        raise ExactArithError("odd part of numerator is undefined for zero")
-    n = abs(x.numerator)
-    return n >> ((n & -n).bit_length() - 1)
+    return __getattr__
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of an integer n >= 2, by trial division by 2
-    and the odd d <= isqrt(n).
-
-    These are the divisions the certificate verifier makes to check a
-    witness, so finding a witness costs no more than checking it.
-    """
-    if n < 2:
-        raise ExactArithError(f"smallest prime factor of {n} is undefined")
-    if n % 2 == 0:
-        return 2
-    return next((d for d in range(3, math.isqrt(n) + 1, 2) if n % d == 0), n)
+__getattr__ = field_path_getattr(__name__, ("RatPolynomial", "bernoulli_number", "poly_exact_divide"))
 
 
 class Value:
@@ -101,201 +81,6 @@ class Value:
         names = dict.fromkeys((*self._compared, *self.__slots__))
         fields = (f"{name}={getattr(self, name)!r}" for name in names if not name.startswith("_"))
         return f"{type(self).__name__}({', '.join(fields)})"
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers
-# ---------------------------------------------------------------------------
-
-# B_0 .. B_(2k+1) with the tangent column of T_k (see ``bernoulli_number``),
-# replaced as one tuple as the memo grows, so the two always agree.
-_BERNOULLI: tuple[tuple[Fraction, ...], tuple[int, ...]] = ((Fraction(1), Fraction(-1, 2)), ())
-
-
-def bernoulli_number(n: int) -> Fraction:
-    """B_n with the convention B_1 = -1/2, memoized.
-
-    B_k vanishes at every odd k >= 3, and the even ones come from the
-    integer tangent numbers T_k (tan x = sum_k T_k x^(2k-1) / (2k-1)!) as
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (Brent and Harvey,
-    arXiv:1108.0286).  T_k is the last entry of the column
-    t_k^(1), ..., t_k^(k) of their in-place algorithm: t_k^(1) = (k-1)! and
-    t_k^(i) = (k-i) t_(k-1)^(i) + (k-i+2) t_k^(i-1), so each column is built
-    from the one before it with k integer multiply-adds, and the memo keeps
-    the last column to grow from.
-    """
-    global _BERNOULLI
-    if n < 0:
-        raise ExactArithError("Bernoulli index must be nonnegative")
-    numbers, column = _BERNOULLI
-    while len(numbers) <= n:
-        k = len(numbers) // 2
-        t, prev = [(k - 1) * column[0] if column else 1], column + (0,)  # the i = k term has weight k - i = 0
-        for i in range(2, k + 1):
-            t.append((k - i) * prev[i - 1] + (k - i + 2) * t[-1])
-        column = tuple(t)
-        numbers += (Fraction((-1) ** (k - 1) * 2 * k * column[-1], 4**k * (4**k - 1)), Fraction(0))
-        _BERNOULLI = numbers, column
-    return numbers[n]
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over Q
-# ---------------------------------------------------------------------------
-
-# The three kernels below take coefficients lowest degree first and work on
-# whatever exact numbers they are given: on integers they stay integers.
-
-
-def horner(coeffs: Sequence, x):
-    """p(x) by Horner's rule."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def taylor_shift(coeffs: Sequence, a) -> list:
-    """Coefficients of u -> p(u + a), by repeated synthetic division by
-    u - a (Ruffini-Horner) in place on a copy: pass i leaves the i-th
-    Taylor coefficient at a in position i."""
-    cs = list(coeffs)
-    for i in range(len(cs) - 1):
-        for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += a * cs[j + 1]
-    return cs
-
-
-def long_division(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and remainder of num by den (nonzero leading coefficient).
-
-    A monic den keeps integer coefficients integral; any other leading
-    coefficient divides as a ``Fraction``."""
-    rem = list(num)
-    lead, width = den[-1], len(den)
-    quot = [0] * max(len(rem) - width + 1, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + width - 1]
-        if lead != 1:
-            c = Fraction(c, lead)
-        quot[i] = c
-        if c:
-            for j, d in enumerate(den):
-                rem[i + j] -= c * d
-    return quot, rem
-
-
-class RatPolynomial(Value):
-    """Dense polynomial over Q.  Coefficients lowest degree first, no
-    trailing zero; the zero polynomial has an empty coefficient tuple."""
-
-    __slots__ = ("coeffs",)
-    _compared = __slots__
-
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        self.coeffs = coeffs
-
-    @classmethod
-    def of(cls, *coeffs: int | Fraction) -> "RatPolynomial":
-        return cls.from_seq(coeffs)
-
-    @classmethod
-    def from_seq(cls, coeffs: Iterable[int | Fraction]) -> "RatPolynomial":
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "RatPolynomial") -> "RatPolynomial":
-        if self.is_zero() or other.is_zero():
-            return RatPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPolynomial.from_seq(out)
-
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        return as_rational(horner(self.coeffs, as_rational(x)))
-
-    def shift_argument(self, a: int | Fraction) -> "RatPolynomial":
-        """The polynomial u -> p(u + a)."""
-        return RatPolynomial(tuple(taylor_shift(self.coeffs, as_rational(a))))
-
-    def divmod(self, den: "RatPolynomial") -> tuple["RatPolynomial", "RatPolynomial"]:
-        if den.is_zero():
-            raise ExactArithError("polynomial division by zero")
-        quot, rem = long_division(self.coeffs, den.coeffs)
-        return RatPolynomial.from_seq(quot), RatPolynomial.from_seq(rem)
-
-    def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-
-def poly_exact_divide(num: RatPolynomial, den: RatPolynomial) -> RatPolynomial:
-    """Quotient num/den in Q[q]; raises unless the division is exact."""
-    q, r = num.divmod(den)
-    if not r.is_zero():
-        coeffs = ", ".join(map(str, r.coeffs))
-        raise ExactDivisionError(f"nonzero remainder [{coeffs}] in exact polynomial division")
-    return q
-
-
-# ---------------------------------------------------------------------------
-# The field Q(zeta3)
-# ---------------------------------------------------------------------------
-
-
-class Zeta3Number(Value):
-    """The element a + b*zeta3 of Q(zeta3), where zeta3^2 = -1 - zeta3.
-
-    Every Dirichlet character the engine meets has order 1, 2 or 3, so
-    its values and every rational combination of them lie here.  Only
-    sums, rational multiples and the norm to Q are ever needed."""
-
-    __slots__ = ("a", "b")
-    _compared = __slots__
-
-    def __init__(self, a: Fraction, b: Fraction = Fraction(0)) -> None:
-        self.a, self.b = a, b
-
-    def __add__(self, other: "Zeta3Number") -> "Zeta3Number":
-        return Zeta3Number(self.a + other.a, self.b + other.b)
-
-    def scale(self, c: int | Fraction) -> "Zeta3Number":
-        return Zeta3Number(self.a * c, self.b * c)
-
-    def norm(self) -> Fraction:
-        """(a + b z)(a + b z^2) = a^2 - ab + b^2: the product with the
-        Galois image (a - b) - b z under z -> z^2 = -1 - z."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def as_rational(self) -> Fraction:
-        if self.b:
-            raise ExactArithError(f"{self.a} + {self.b}*zeta3 is not rational")
-        return self.a
-
-
-def root_of_unity(order: int, e: int) -> Zeta3Number:
-    """zeta_order^e in Q(zeta3), for order 1, 2 or 3."""
-    if order not in (1, 2, 3):
-        raise ExactArithError(f"roots of unity of order {order} do not lie in Q(zeta3)")
-    e %= order
-    if order == 3 and e:
-        return Zeta3Number(Fraction(0), Fraction(1)) if e == 1 else Zeta3Number(Fraction(-1), Fraction(-1))
-    return Zeta3Number(Fraction(-1 if e else 1))
 
 
 # ---------------------------------------------------------------------------

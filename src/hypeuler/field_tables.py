@@ -1,4 +1,5 @@
-"""Bundled totally-real number-field dataset: loading, querying, validation.
+"""Bundled totally-real number-field dataset: loading and querying (its
+independent validation, ``validate_table``, is in ``field_path``).
 
 The dataset is part of the trusted base of every certificate, so the file
 format is plain text (diffable, auditable) with a detached SHA-256 checksum
@@ -291,82 +292,3 @@ def query(table: FieldTable, degree: int, max_disc: int) -> list[NumberFieldReco
             f"table is only complete for degree {degree} up to {bound}, asked for {max_disc}"
         )
     return [r for r in table.records if r.degree == degree and r.disc <= max_disc]
-
-
-# ---------------------------------------------------------------------------
-# Independent class-number oracle for real quadratic fields
-# ---------------------------------------------------------------------------
-
-
-def quadratic_class_number(D: int) -> int:
-    """Class number of the real quadratic field of fundamental
-    discriminant D, by cycles of reduced forms (Cohen, GTM 138, 5.6).
-
-    A form (a, b, c) with b^2 - 4ac = D is reduced when
-    |sqrt(D) - 2|a|| < b < sqrt(D).  The reduction map rho permutes the
-    finitely many reduced forms, and its cycles are the narrow classes.
-    The narrow class number is h when the principal cycle holds a form
-    with a = -1 (the fundamental unit has norm -1) and 2h otherwise.
-    """
-    if not is_fundamental_discriminant(D):
-        raise TableInvariantError(f"{D} is not a fundamental discriminant")
-    s = math.isqrt(D)
-    remaining: set[tuple[int, int, int]] = set()
-    for b in range(2 - D % 2, s + 1, 2):
-        n = (D - b * b) // 4  # = -ac
-        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
-            if n % a == 0:
-                remaining |= {(a, b, -n // a), (-a, b, n // a)}
-    b = s - (s - D) % 2
-    form, cycles, norm_minus_one = (1, b, (b * b - D) // 4), 0, False  # the principal cycle first
-    while remaining:
-        cycles += 1
-        while form in remaining:
-            remaining.remove(form)
-            norm_minus_one |= cycles == 1 and form[0] == -1
-            _, b, c = form  # form = rho(form), with r = -b mod 2|c| and sqrt(D) - 2|c| < r < sqrt(D)
-            r = s - (s + b) % (2 * abs(c))
-            form = (c, r, (r * r - D) // (4 * c))
-        form = min(remaining, default=None)
-    return cycles if norm_minus_one else cycles // 2
-
-
-class ValidationReport(NamedTuple):
-    ok: bool
-    issues: list[str]
-
-
-def validate_table(table: FieldTable) -> ValidationReport:
-    """Re-check all dataset invariants, recompute every quadratic class
-    number with the independent oracle, and check that the quadratic
-    records are exactly the fundamental discriminants up to the degree-2
-    completeness bound."""
-    issues: list[str] = []
-    try:
-        _check_record_invariants(table)
-    except TableInvariantError as exc:
-        issues.append(str(exc))
-    seen: set[tuple[int, int]] = set()
-    for rec in table.records:
-        key = (rec.degree, rec.disc)
-        if key in seen:
-            issues.append(f"duplicate record for degree {rec.degree}, disc {rec.disc}")
-        seen.add(key)
-    quadratic = [rec for rec in table.records if rec.degree == 2]
-    for rec in quadratic:
-        try:
-            h = quadratic_class_number(rec.disc)
-        except TableError as exc:
-            issues.append(f"{rec.label}: class number oracle failed: {exc}")
-            continue
-        if h != rec.h:
-            issues.append(f"{rec.label}: recorded h={rec.h} but oracle computed h={h}")
-    bound = table.completeness.get(2, 0)
-    expected = {D for D in range(5, bound + 1) if is_fundamental_discriminant(D)}
-    recorded = {rec.disc for rec in quadratic if rec.disc <= bound}
-    if recorded != expected:
-        issues.append(
-            f"quadratic records up to the completeness bound {bound}: missing "
-            f"{sorted(expected - recorded)}, unexpected {sorted(recorded - expected)}"
-        )
-    return ValidationReport(ok=not issues, issues=issues)

@@ -12,21 +12,28 @@ as a rational function of q: both are powers of q times binomials
 q^e +- 1, and they agree exactly when their powers of q and their
 multisets of cyclotomic factors Phi_n(q) do.  The proofs hold at every
 q, so no factor is evaluated at a particular place: together with the
-power-of-2 index bound (``euler_char.index_divisor``) they carry each
+power-of-2 index bound (``field_path.index_divisor``) they carry each
 witness, found on the lattice with no bad places, to every maximal
-lattice.
+lattice.  The types and their reductive quotients, which every
+certificate fingerprints, are here; the closed forms, the order formula
+and the polynomial arithmetic of the proofs are in ``field_path``, which
+``minimum_proof`` and ``calibrate_oracle`` import when first called.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exact_arith import RatPolynomial, long_division, smallest_prime_factor, taylor_shift
+from .exact_arith import field_path_getattr
 from .field_tables import sha256
+
+if TYPE_CHECKING:
+    from .field_path import MinimumProof
+
+__getattr__ = field_path_getattr(__name__, ("local_factor_polynomial",))
 
 
 class LocalFactorError(Exception):
@@ -110,111 +117,14 @@ def _check_type(t: ParahoricType, r: int) -> None:
         raise LocalFactorError(f"{t} is not a maximal type at rank {r}")
 
 
-def is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = smallest_prime_factor(q)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-def _check_q(q: int) -> None:
-    if not is_prime_power(q):
-        raise LocalFactorError(f"q must be a prime power >= 2, got {q}")
-
-
-# Both statements of each factor share one form: q to a power times
-# binomials q^e + s over binomials, each binomial an (e, s) pair with
-# e >= 1 and s = +-1.  Every denominator is therefore monic.
-Binomials = list[tuple[int, int]]
-
-
-def _binomial_product(factors: Binomials) -> tuple[int, ...]:
-    """Coefficients of the product of q^e + s over the (e, s) pairs."""
-    out = [1]
-    for e, s in factors:
-        nxt = [s * c for c in out] + [0] * e
-        for k, c in enumerate(out):
-            nxt[k + e] += c
-        out = nxt
-    return tuple(out)
-
-
-def _closed_form(t: ParahoricType, r: int) -> tuple[Binomials, Binomials]:
-    """The factor's numerator and denominator binomials (its power of q is 0)."""
-    _check_type(t, r)
-    if t.kind is Kind.TORUS_SPLIT:
-        return [(2 * r, -1)], [(1, -1)]
-    if t.kind is Kind.TORUS_NONSPLIT:
-        return [(2 * r, -1)], [(1, 1)]
-    if t.kind is Kind.TOP_D:
-        return [(r, 1)], []
-    if t.kind is Kind.TOP_2D:
-        return [(r, -1)], []
-    if t.kind is Kind.CHAIN_D:
-        return [(t.i, 1)] + [(2 * k, -1) for k in range(t.i + 1, r + 1)], [(2 * k, -1) for k in range(1, r - t.i + 1)]
-    return [(t.i + 1, -1)] + [(2 * k, -1) for k in range(t.i + 2, r + 1)], [(2 * k, -1) for k in range(1, r - t.i)]
-
-
-def integer_exact_divide(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient num/den in Z[q] by ``long_division``, for integer
-    coefficient tuples lowest degree first with no trailing zero and a
-    monic den, so every step stays in Z.
-
-    Raises IntegralityError when den is not monic or when the remainder is
-    nonzero (the division is inexact).
-    """
-    if den[-1] != 1:
-        raise IntegralityError(f"leading coefficient {den[-1]} of the divisor is not 1")
-    quot, rem = long_division(num, den)
-    if any(rem):
-        raise IntegralityError(f"nonzero remainder [{', '.join(map(str, rem))}] in exact division")
-    return tuple(quot)
-
-
-def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
-    """The factor for type t at rank r as integer coefficients in q."""
-    num, den = _closed_form(t, r)
-    try:
-        return integer_exact_divide(_binomial_product(num), _binomial_product(den))
-    except IntegralityError as exc:
-        raise IntegralityError(f"{t.slug()} at rank {r}: {exc}") from exc
-
-
-def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
-    """The factor as a polynomial in q with integer coefficients.
-
-    Raises IntegralityError when the division is inexact (which would
-    break the divisibility argument the certificates rely on); the
-    denominator is monic, so an exact quotient is integral.
-    """
-    return RatPolynomial.from_seq(_quotient(t, r))
-
-
-class TypeMinimum(NamedTuple):
-    type: ParahoricType
-    polynomial: tuple[int, ...]  # integer coefficients, lowest degree first
-    value_at_two: Fraction
-
-
-class MinimumProof(NamedTuple):
-    entries: tuple[TypeMinimum, ...]
-    minimum: Fraction
-
-    def minimum_type(self) -> ParahoricType:
-        for e in self.entries:
-            if e.value_at_two == self.minimum:
-                return e.type
-        raise LocalFactorError("empty minimum proof")
-
-
 def minimum_proof(r: int) -> MinimumProof:
     """For every maximal type at rank r: certify that the factor is a
     polynomial with integer coefficients, that substituting q = 2 + u
     yields nonnegative coefficients (so the factor is nondecreasing for
     q >= 2), and that its value at q = 2 exceeds 4; raises
     MonotonicityError when either check fails."""
+    from .field_path import MinimumProof, TypeMinimum, _quotient, taylor_shift
+
     entries = []
     for t in enumerate_maximal_types(r):
         coeffs = _quotient(t, r)
@@ -233,21 +143,6 @@ def minimum_proof(r: int) -> MinimumProof:
 # ---------------------------------------------------------------------------
 
 
-def _order(family: str, m: int) -> tuple[int, Binomials]:
-    """|B_m|, |D_m| or |2D_m| over F_q (m >= 1) as a power of q and binomials."""
-    if family == "B":
-        return m * m, [(2 * k, -1) for k in range(1, m + 1)]
-    return m * (m - 1), [(m, -1 if family == "D" else 1)] + [(2 * k, -1) for k in range(1, m)]
-
-
-def _dim_b(m: int) -> int:
-    return m * (2 * m + 1)
-
-
-def _dim_d(m: int) -> int:
-    return m * (2 * m - 1)
-
-
 def _quotient_factors(t: ParahoricType, r: int) -> list[tuple[str, int]]:
     """The reductive quotient of type t at rank r, as (family, rank) factors."""
     if t.kind is Kind.TORUS_SPLIT:
@@ -263,32 +158,6 @@ def _quotient_factors(t: ParahoricType, r: int) -> list[tuple[str, int]]:
     return [("2D", r)]
 
 
-_DIM = {"B": _dim_b, "D": _dim_d, "2D": _dim_d}
-
-
-def _order_formula(t: ParahoricType, r: int) -> tuple[int, Binomials, Binomials]:
-    """Prasad's factor |B_r| / (|M| q^((dim B_r - dim M)/2)) for the reductive
-    quotient M of type t, as q to a power (possibly negative) times num / den."""
-    _check_type(t, r)
-    power, num = _order("B", r)
-    den: Binomials = []
-    gap = _dim_b(r)
-    for fam, m in _quotient_factors(t, r):
-        a, binomials = _order(fam, m)
-        power -= a
-        den += binomials
-        gap -= _DIM[fam](m)
-    if gap % 2 != 0:
-        raise LocalFactorError(f"{t.slug()}: odd dimension gap {gap}")
-    return power - gap // 2, num, den
-
-
-def _cyclotomic(binomials: Binomials) -> Counter[int]:
-    """The multiset of n with Phi_n(q) dividing the product of the binomials, by
-    q^e - 1 = prod_{n | e} Phi_n(q) and q^e + 1 = prod_{n | 2e, n not | e} Phi_n(q)."""
-    return Counter(n for e, s in binomials for n in range(1, 2 * e + 1) if 2 * e % n == 0 and (e % n == 0) == (s < 0))
-
-
 def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dict[str, Fraction]:
     """Prove that every closed form at rank r is Prasad's order formula as a
     rational function of q; returns the ratio, 1, per type.
@@ -298,6 +167,8 @@ def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dic
     Phi_n multisets do.  Raises CalibrationError naming the type and the
     rank otherwise.  Each q in ``qs`` must be a prime power; none is
     evaluated at."""
+    from .field_path import _check_q, _closed_form, _cyclotomic, _order_formula
+
     for q in qs:
         _check_q(q)
     for t in enumerate_maximal_types(r):

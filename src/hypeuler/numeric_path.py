@@ -18,9 +18,10 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .characters_zeta import DirichletCharacter, PrecisionError, characters_for_field, zeta_k_numeric
+from .characters_zeta import PrecisionError, zeta_k_numeric
 from .euler_char import ArithmeticDatum, C_of_r
-from .exact_arith import ExactArithError, RationalInterval, as_rational, bernoulli_number
+from .exact_arith import ExactArithError, RationalInterval, as_rational
+from .field_path import DirichletCharacter, bernoulli_number, characters_for_field
 from .field_tables import NumberFieldRecord
 
 

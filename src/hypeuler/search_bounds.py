@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact_arith import RationalInterval, _int_nthroot, pi_enclosure
 from .euler_char import (
@@ -30,7 +30,10 @@ from .euler_char import (
     reciprocal_integer_obstruction,
 )
 from .field_tables import FieldTable, NumberFieldRecord, query
-from .local_factors import MinimumProof, calibrate_oracle, minimum_proof
+from .local_factors import calibrate_oracle, minimum_proof
+
+if TYPE_CHECKING:
+    from .field_path import MinimumProof
 
 
 class SearchError(Exception):
@@ -296,11 +299,13 @@ def certify_section(r: int, table: FieldTable) -> CertificateSection:
     closed form is Prasad's factor), and certify when every survivor is
     obstructed.  ``regime(r)`` only decides which evidence is recorded.
     The verifier rebuilds with this same call.  Rank 2 is never certified
-    (see ``_scan_rank_two``).
+    (see ``field_path._scan_rank_two``).
     """
     if r < 2:
         raise SearchError("rank must be at least 2")
     if r == 2:
+        from .field_path import _scan_rank_two
+
         return _scan_rank_two(table)
     kind = regime(r)
     high = high_degree_exclusion(r)
@@ -324,34 +329,4 @@ def certify_section(r: int, table: FieldTable) -> CertificateSection:
         enumeration=enumeration,
         high_degree=high,
         notes=(SURVIVOR_NOTE,) if verdicts and kind == BOUND_EXCLUSION else (),
-    )
-
-
-def _scan_rank_two(table: FieldTable) -> CertificateSection:
-    """Rank 2 (n = 4) is always inconclusive: no local-factor integrality
-    proof exists below rank 3 (``minimum_proof(2)`` raises).  The scan
-    walks the h = 1 fields under the first-pass cutoffs, as far as the
-    table is complete, and stops at the first field whose zeta product has
-    trivial odd numerator, where the argument has no purchase at all.
-    """
-
-    def h_one_fields():
-        for d in SEARCH_DEGREES:
-            cutoff = compute_bounds_pass(2, d, BoundsMode.CLASS_NUMBER_BOUNDED).disc_upper
-            reach = min(cutoff, table.completeness.get(d, 0))
-            yield from (rec for rec in query(table, d, reach) if rec.h == 1)
-
-    verdicts: list[FieldVerdict] = []
-    notes = ("no local-factor integrality proof exists below rank 3",)
-    for rec in h_one_fields():
-        v = field_verdict(rec, 2)
-        verdicts.append(v)
-        if not v.obstruction.obstructed:
-            notes = (
-                f"{rec.label}: zeta product {v.obstruction.product} has trivial odd "
-                "numerator, no odd-prime witness exists",
-            )
-            break
-    return CertificateSection(
-        r=2, kind="failure-demo", verdict=VERDICT_INCONCLUSIVE, verdicts=tuple(verdicts), notes=notes
     )

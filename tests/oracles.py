@@ -5,9 +5,16 @@ against.  No certify or verify run computes any of them."""
 import math
 from fractions import Fraction
 
-from hypeuler.characters_zeta import DirichletCharacter
-from hypeuler.exact_arith import RationalInterval, Zeta3Number, bernoulli_number, root_of_unity
-from hypeuler.local_factors import ParahoricType, _check_q, _order_formula
+from hypeuler.exact_arith import RationalInterval
+from hypeuler.field_path import (
+    DirichletCharacter,
+    Zeta3Number,
+    _check_q,
+    _order_formula,
+    bernoulli_number,
+    root_of_unity,
+)
+from hypeuler.local_factors import ParahoricType
 
 
 def character_value(chi: DirichletCharacter, a: int) -> Zeta3Number:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hypeuler import certificate, cli, local_factors, search_bounds
+from hypeuler import certificate, cli, field_path, local_factors, search_bounds
 from hypeuler.certificate import (
     MAX_RANK,
     MIN_PRECISION_BITS,
@@ -776,9 +776,9 @@ class TestLocalFactorMutations:
 
     def test_closed_form_off_prasad_is_named(self, rank_three_cert, table, monkeypatch):
         # the verifier re-proves each closed form through certify_section
-        closed = local_factors._closed_form
+        closed = field_path._closed_form
         target = local_factors.enumerate_maximal_types(3)[-1]  # q^3 - 1, now written q^3 + 1
-        monkeypatch.setattr(local_factors, "_closed_form", lambda t, r: ([(3, 1)], []) if t == target else closed(t, r))
+        monkeypatch.setattr(field_path, "_closed_form", lambda t, r: ([(3, 1)], []) if t == target else closed(t, r))
         outcome = verify_certificate(rank_three_cert, table)
         assert not outcome.ok
         assert outcome.divergence == (
@@ -880,6 +880,24 @@ class TestCliProcess:
     def test_dimension_four_exit_two(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--n", "4"]) == 2
+
+    def test_last_unobstructed_candidate_exit_two(self, table, tmp_path, monkeypatch, capsys):
+        # every bundled candidate at r = 3 is obstructed; patched, the last
+        # one is not, so the section is inconclusive
+        last = search_bounds.enumerate_candidates(3, table).records[-1]
+        obstruction = search_bounds.reciprocal_integer_obstruction
+
+        def last_unobstructed(datum):
+            verdict = obstruction(datum)
+            return verdict._replace(witness=None) if datum.field == last else verdict
+
+        monkeypatch.setattr(search_bounds, "reciprocal_integer_obstruction", last_unobstructed)
+        section = certify_section(3, table)
+        assert [v.conclusion for v in section.verdicts][-2:] == ["obstructed", "unobstructed"]
+        assert section.verdict == "inconclusive"
+        monkeypatch.chdir(tmp_path)
+        assert main(["--n", "6"]) == 2
+        assert "n = 6: inconclusive" in capsys.readouterr().out
 
     def test_odd_dimension_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -1052,6 +1070,31 @@ class TestCliProcess:
         assert main(["--r", "13", "--out", "same.txt", "--report", report]) == 1
         assert "error: --out and --report name the same file" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    @pytest.mark.parametrize("target", ["fields.txt", "fields.txt.sha256", "link/fields.txt", "link/fields.txt.sha256"])
+    def test_output_naming_the_table_usage_error(self, flag, target, tmp_path, monkeypatch, capsys):
+        # writing over the table or its checksum would break every later run
+        monkeypatch.chdir(tmp_path)
+        Path("link").symlink_to(tmp_path)
+        table = bundled_table_path()
+        files = {"fields.txt": table.read_bytes(), "fields.txt.sha256": Path(f"{table}.sha256").read_bytes()}
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        other = "--report" if flag == "--out" else "--out"
+        assert main(["--r", "13", "--fields", "fields.txt", flag, target, other, "other.txt"]) == 1
+        assert f"error: {flag} names the field table or its checksum file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fields.txt", "fields.txt.sha256", "link"]
+        assert all(Path(name).read_bytes() == data for name, data in files.items())
+
+    @pytest.mark.parametrize("suffix", ["", ".sha256"])
+    def test_output_naming_the_bundled_table_usage_error(self, suffix, tmp_path, monkeypatch, capsys):
+        # without --fields the bundled table is read; a stand-in keeps the real one out of reach
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "bundled_table_path", lambda: tmp_path / "fields_v1.txt")
+        assert main(["--r", "13", "--report", f"fields_v1.txt{suffix}"]) == 1
+        assert "error: --report names the field table or its checksum file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_precision_flag_is_gone(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

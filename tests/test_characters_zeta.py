@@ -10,19 +10,23 @@ from hypeuler.characters_zeta import (
     NonFundamentalDiscriminantError,
     PrecisionError,
     UnsupportedFieldError,
-    character_from_generator,
-    characters_for_field,
     generalized_bernoulli,
     hurwitz_zeta_enclosure,
-    kronecker_character,
-    kronecker_symbol,
-    trivial_character,
     zeta_k_numeric,
     zeta_k_special,
     zeta_row,
 )
 from hypeuler.characters_zeta import _l_value_at_negative
-from hypeuler.exact_arith import ExactArithError, RationalInterval, Zeta3Number, bernoulli_number, pi_enclosure
+from hypeuler.exact_arith import ExactArithError, RationalInterval, pi_enclosure
+from hypeuler.field_path import (
+    Zeta3Number,
+    bernoulli_number,
+    character_from_generator,
+    characters_for_field,
+    kronecker_character,
+    kronecker_symbol,
+    trivial_character,
+)
 from hypeuler.field_tables import load_table
 from hypeuler.numeric_path import (
     MAX_TERMS,

@@ -10,16 +10,19 @@ from hypeuler.euler_char import (
     ClassNumberPreconditionError,
     EulerCharError,
     build_euler_char,
+    chi_principal_numeric,
+    reciprocal_integer_obstruction,
+)
+from hypeuler.field_path import (
     chi_lambda_from_product,
     chi_principal_exact,
-    chi_principal_numeric,
     index_divisor,
-    reciprocal_integer_obstruction,
+    local_factor_polynomial,
     smallest_odd_prime_factor,
+    two_adic_valuation,
 )
-from hypeuler.exact_arith import two_adic_valuation
 from hypeuler.field_tables import load_table
-from hypeuler.local_factors import enumerate_maximal_types, local_factor_polynomial
+from hypeuler.local_factors import enumerate_maximal_types
 from hypeuler.search_bounds import certify_section
 
 
@@ -116,7 +119,7 @@ class TestEulerCharRecord:
         assert e.chi_gamma_lower == F(67, 145152000)
         assert e.two_exponent == -two_adic_valuation(e.chi_gamma_lower)
         # odd part of the numerator is stable under any power of 2
-        from hypeuler.exact_arith import odd_part_of_numerator
+        from hypeuler.field_path import odd_part_of_numerator
 
         assert odd_part_of_numerator(e.chi_lambda) == odd_part_of_numerator(e.chi_lambda / 1024)
 

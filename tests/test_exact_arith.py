@@ -12,16 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypeuler import exact_arith
-from hypeuler.exact_arith import (
-    ExactArithError,
-    ExactDivisionError,
+from hypeuler.exact_arith import ExactArithError, ExactDivisionError, RationalInterval, dyadic_round, pi_enclosure
+from hypeuler.field_path import (
     RatPolynomial,
-    RationalInterval,
     Zeta3Number,
     bernoulli_number,
-    dyadic_round,
     odd_part_of_numerator,
-    pi_enclosure,
     poly_exact_divide,
     root_of_unity,
     two_adic_valuation,
@@ -64,7 +60,7 @@ class TestBernoulli:
         # first, in a fresh process, gives the list that asking in order gives
         code = (
             "import sys\n"
-            "from hypeuler.exact_arith import bernoulli_number\n"
+            "from hypeuler.field_path import bernoulli_number\n"
             "if sys.argv[1] == 'first':\n"
             "    bernoulli_number(82)\n"
             "print([str(bernoulli_number(n)) for n in range(83)])"

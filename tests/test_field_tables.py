@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from hypeuler.field_path import quadratic_class_number, validate_table
 from hypeuler.field_tables import (
-    HEADER,
     ChecksumError,
     CompletenessError,
+    HEADER,
     TableFormatError,
     TableInvariantError,
     bundled_table_path,
@@ -15,9 +16,7 @@ from hypeuler.field_tables import (
     is_fundamental_discriminant,
     load_table,
     parse_table_text,
-    quadratic_class_number,
     query,
-    validate_table,
 )
 
 _BUILDER = Path(__file__).resolve().parents[1] / "tools" / "build_field_table.py"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypeuler import local_factors
-from hypeuler.exact_arith import RatPolynomial, taylor_shift
+from hypeuler import field_path, local_factors
+from hypeuler.field_path import RatPolynomial, is_prime_power, local_factor_polynomial, taylor_shift
 from hypeuler.local_factors import (
     CalibrationError,
     IntegralityError,
@@ -18,8 +18,6 @@ from hypeuler.local_factors import (
     ParahoricType,
     calibrate_oracle,
     enumerate_maximal_types,
-    is_prime_power,
-    local_factor_polynomial,
     minimum_proof,
     table_fingerprint,
 )
@@ -165,13 +163,13 @@ class TestMinimumProof:
         ],
     )
     def test_failed_checks_raise(self, monkeypatch, coeffs, named):
-        monkeypatch.setattr(local_factors, "_quotient", lambda t, r: coeffs)
+        monkeypatch.setattr(field_path, "_quotient", lambda t, r: coeffs)
         with pytest.raises(MonotonicityError, match=named):
             minimum_proof(3)
 
     def test_inexact_closed_form_raises(self, monkeypatch):
         # (q^2 + 1) / (q - 1) leaves the remainder 2
-        monkeypatch.setattr(local_factors, "_closed_form", lambda t, r: ([(2, 1)], [(1, -1)]))
+        monkeypatch.setattr(field_path, "_closed_form", lambda t, r: ([(2, 1)], [(1, -1)]))
         with pytest.raises(IntegralityError, match="split.torus-split at rank 3: nonzero remainder"):
             local_factor_polynomial(t_split_gl1(), 3)
 
@@ -188,7 +186,7 @@ class TestOrderFormulaOracle:
 
     def test_group_order_identities(self):
         def order(family, m, q):
-            power, binomials = local_factors._order(family, m)
+            power, binomials = field_path._order(family, m)
             return q**power * math.prod(q**e + s for e, s in binomials)
 
         for q in (2, 3, 4):
@@ -208,7 +206,7 @@ class TestOrderFormulaOracle:
     def test_same_polynomial_written_another_way_passes(self, monkeypatch, r):
         # q^4 - 1 written as (q^2 - 1)(q^2 + 1) wherever a closed form has it:
         # the binomial lists differ, the rational function does not
-        closed = local_factors._closed_form
+        closed = field_path._closed_form
 
         def split(binomials):
             return [b for e, s in binomials for b in ([(2, -1), (2, 1)] if (e, s) == (4, -1) else [(e, s)])]
@@ -218,14 +216,14 @@ class TestOrderFormulaOracle:
             return split(num), split(den)
 
         assert any((4, -1) in num + den for num, den in (closed(t, r) for t in enumerate_maximal_types(r)))
-        monkeypatch.setattr(local_factors, "_closed_form", rewritten)
+        monkeypatch.setattr(field_path, "_closed_form", rewritten)
         assert set(calibrate_oracle(r).values()) == {F(1)}
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_changed_binomial_named(self, monkeypatch, r):
         # flip the sign of one binomial of one closed form, or shift its
         # exponent by 1: the error names that type and that rank
-        closed = local_factors._closed_form
+        closed = field_path._closed_form
         for target in enumerate_maximal_types(r):
             num, den = closed(target, r)
             for side, k in [(0, k) for k in range(len(num))] + [(1, k) for k in range(len(den))]:
@@ -236,10 +234,24 @@ class TestOrderFormulaOracle:
                     lists = [list(num), list(den)]
                     lists[side][k] = changed
                     monkeypatch.setattr(
-                        local_factors, "_closed_form", lambda t, rank: tuple(lists) if t == target else closed(t, rank)
+                        field_path, "_closed_form", lambda t, rank: tuple(lists) if t == target else closed(t, rank)
                     )
                     with pytest.raises(CalibrationError, match=rf"^{re.escape(target.slug())} at rank {r}: "):
                         calibrate_oracle(r)
+
+    def test_power_of_q_apart_named(self, monkeypatch):
+        # a closed form a factor q away from the order formula has the same
+        # Phi_n multisets, so only the power of q tells them apart
+        order = field_path._order_formula
+        target = enumerate_maximal_types(3)[0]
+
+        def one_q_more(t, rank):
+            power, num, den = order(t, rank)
+            return (power + 1 if t == target else power), num, den
+
+        monkeypatch.setattr(field_path, "_order_formula", one_q_more)
+        with pytest.raises(CalibrationError, match=rf"^{re.escape(target.slug())} at rank 3: "):
+            calibrate_oracle(3)
 
     def test_every_type_up_to_rank_27(self):
         # all 800 maximal types at r = 3..27; about 0.16 s on one core of a 2-vCPU Intel Xeon
@@ -276,8 +288,8 @@ def _binomial_pairs(draw):
 @given(_binomial_pairs())
 def test_cyclotomic_multisets_equal_exactly_when_polynomials_are(pair):
     a, b = pair
-    same = local_factors._binomial_product(a) == local_factors._binomial_product(b)
-    assert (local_factors._cyclotomic(a) == local_factors._cyclotomic(b)) == same
+    same = field_path._binomial_product(a) == field_path._binomial_product(b)
+    assert (field_path._cyclotomic(a) == field_path._cyclotomic(b)) == same
 
 
 class TestLocalFactorRecord:

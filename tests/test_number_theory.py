@@ -14,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypeuler
-from hypeuler.characters_zeta import _jacobi_symbol, kronecker_symbol
-from hypeuler.euler_char import smallest_odd_prime_factor
-from hypeuler.exact_arith import ExactArithError, smallest_prime_factor
-from hypeuler.local_factors import is_prime_power
+from hypeuler.exact_arith import ExactArithError
+from hypeuler.field_path import (
+    _jacobi_symbol,
+    is_prime_power,
+    kronecker_symbol,
+    smallest_odd_prime_factor,
+    smallest_prime_factor,
+)
 
 odd_moduli = st.integers(min_value=0, max_value=10**9).map(lambda k: 2 * k + 1)
 LARGE = 1 << 16
@@ -98,9 +102,9 @@ def test_import_loads_neither_sympy_nor_mpmath():
         "import sys\n"
         "sys.modules['sympy'] = sys.modules['mpmath'] = None\n"
         "import hypeuler.cli\n"
-        "from hypeuler.field_tables import load_table, validate_table\n"
+        "from hypeuler.field_tables import load_table\n"
         "from hypeuler.certificate import run_certification, verify_certificate\n"
-        "from hypeuler.exact_arith import smallest_prime_factor\n"
+        "from hypeuler.field_path import smallest_prime_factor, validate_table\n"
         "table = load_table()\n"
         "report = validate_table(table)\n"
         "cert, code = run_certification([3, 4, 5], table)\n"

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hypeuler.characters_zeta import character_from_generator, kronecker_character
 from hypeuler.euler_char import ArithmeticDatum, EulerCharError
-from hypeuler.exact_arith import RationalInterval, Zeta3Number
+from hypeuler.exact_arith import RationalInterval
+from hypeuler.field_path import Zeta3Number, character_from_generator, kronecker_character
 from hypeuler.field_tables import NumberFieldRecord, TableInvariantError
 from hypeuler.local_factors import Kind, ParahoricType
 

@@ -205,6 +205,18 @@ class TestEnumeration:
                 assert set(audit.pass_two_discs) <= set(audit.pass_one_discs)
                 assert audit.pass_two.disc_upper <= audit.pass_one.disc_upper
 
+    def test_field_at_the_pass_two_cutoff_is_admitted(self, table, monkeypatch):
+        # no bundled field sits at a pass-two cutoff (20 at r = 3, degree 2),
+        # so that cutoff is moved onto D = 17, which must stay a candidate
+        def at_seventeen(r, degree, mode):
+            p = compute_bounds_pass(r, degree, mode)
+            return p._replace(disc_upper=17) if (degree, mode) == (2, BoundsMode.CLASS_NUMBER_ONE) else p
+
+        monkeypatch.setattr(search_bounds, "compute_bounds_pass", at_seventeen)
+        audit = enumerate_candidates(3, table).audits[0]
+        assert (audit.degree, audit.pass_two.disc_upper) == (2, 17)
+        assert audit.pass_two_discs == (5, 8, 12, 13, 17)
+
     def test_pass_one_class_number_guard(self):
         doctored = """hypeuler-fields v1
 # completeness: 2 1000

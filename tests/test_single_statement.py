@@ -10,15 +10,8 @@ import pytest
 from hypeuler import exact_arith
 from hypeuler.euler_char import C_of_r
 from hypeuler.exact_arith import RationalInterval
-from hypeuler.local_factors import (
-    Kind,
-    LocalFactorError,
-    MinimumProof,
-    ParahoricType,
-    TypeMinimum,
-    enumerate_maximal_types,
-    local_factor_polynomial,
-)
+from hypeuler.field_path import MinimumProof, TypeMinimum, local_factor_polynomial
+from hypeuler.local_factors import Kind, LocalFactorError, ParahoricType, enumerate_maximal_types
 from hypeuler.search_bounds import (
     BoundsPass,
     CandidateEnumeration,

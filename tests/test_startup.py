@@ -3,11 +3,16 @@ fingerprint take SHA-256 from the builtin module, so neither a certify nor a
 verify loads OpenSSL through ``hashlib``; without that module the same
 digests come from ``hashlib``.  Each mode loads only its own modules: a
 verify neither the numeric path nor the report, a certify not the verifier's
-walk, and a certify with no field verdict not the numeric path.  The CLI
-parses its flags itself, so neither mode loads ``argparse``, nor the
-``gettext`` and ``locale`` it would bring."""
+walk, and a certify with no field verdict not the numeric path.  A run whose
+ranks have no field to decide, certify or verify, does not load the field
+path either; the names the acceptance suite still reads from the modules the
+field path came from are its own objects.  The CLI parses its flags itself,
+so neither mode loads ``argparse``, nor the ``gettext`` and ``locale`` it
+would bring."""
 
+import ast
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
@@ -18,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import hypeuler
+from hypeuler import characters_zeta, field_path
+from hypeuler.euler_char import ArithmeticDatum
 from hypeuler.field_tables import bundled_table_path, canonicalize, checksum_of_text
 from hypeuler.local_factors import table_fingerprint
 
@@ -64,9 +71,9 @@ def test_hashlib_fallback_gives_the_same_digests():
     assert run_python(code)[:2] == [hypeuler.load_table().checksum, table_fingerprint()]
 
 
-def cli_modules(*args: str) -> list[str]:
+def cli_modules(*args: str, exit_code: int = 0) -> list[str]:
     """The modules a fresh ``python -S`` process has loaded after one CLI
-    run, which must exit 0."""
+    run, which must exit with ``exit_code``."""
     code = (
         "import json, sys\n"
         "from hypeuler.cli import main\n"
@@ -74,7 +81,7 @@ def cli_modules(*args: str) -> list[str]:
         "print(json.dumps([code, sorted(sys.modules)]))"
     )
     code, modules = json.loads(run_python(code, *args)[-2])
-    assert code == 0
+    assert code == exit_code
     return modules
 
 
@@ -87,23 +94,77 @@ def headline_modules(tmp_path_factory):
     return certify, cli_modules("--verify", cert)
 
 
+@pytest.fixture(scope="module")
+def high_rank_modules(tmp_path_factory):
+    """The modules of a certify of ranks 13..15, and of a verify of its certificate."""
+    tmp = tmp_path_factory.mktemp("high_rank")
+    cert = str(tmp / "cert.json")
+    certify = cli_modules("--r", "13", "--r", "14", "--r", "15", "--out", cert, "--report", str(tmp / "report.txt"))
+    return certify, cli_modules("--verify", cert)
+
+
 def test_headline_certify_loads_no_verifier(headline_modules):
     certify, _ = headline_modules
     assert "hypeuler.verifier" not in certify
-    assert {"hypeuler.numeric_path", "hypeuler.report"} <= set(certify)
+    assert {"hypeuler.numeric_path", "hypeuler.report", "hypeuler.field_path"} <= set(certify)
 
 
 def test_headline_verify_loads_neither_numeric_path_nor_report(headline_modules):
     _, verify = headline_modules
     assert "hypeuler.numeric_path" not in verify and "hypeuler.report" not in verify
-    assert "hypeuler.verifier" in verify
+    assert {"hypeuler.verifier", "hypeuler.field_path"} <= set(verify)
 
 
-def test_high_rank_certify_loads_no_numeric_path(tmp_path):
+def test_high_rank_certify_loads_no_numeric_path(high_rank_modules):
     # ranks 13..15 have no field verdict, so the dual-path self-check encloses nothing
-    modules = cli_modules("--r", "13", "--r", "14", "--r", "15", "--out", str(tmp_path / "c.json"),
-                          "--report", str(tmp_path / "r.txt"))
-    assert "hypeuler.numeric_path" not in modules and "hypeuler.verifier" not in modules
+    certify, _ = high_rank_modules
+    assert "hypeuler.numeric_path" not in certify and "hypeuler.verifier" not in certify
+
+
+def test_high_rank_certify_and_verify_load_no_field_path(high_rank_modules):
+    # every field at ranks 13..15 is excluded by the bounds alone
+    for modules in high_rank_modules:
+        assert "hypeuler.field_path" not in modules and "hypeuler.certificate" in modules
+
+
+def test_rank_two_scan_loads_the_field_path(tmp_path):
+    modules = cli_modules("--n", "4", "--out", str(tmp_path / "c.json"), "--report", str(tmp_path / "r.txt"),
+                          exit_code=2)
+    assert "hypeuler.field_path" in modules
+
+
+def acceptance_names_read_from_old_modules() -> dict[str, set[str]]:
+    """module -> the names ``tests/test_acceptance.py`` imports from it that
+    the module does not define (its ``__getattr__`` serves them)."""
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    served: dict[str, set[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("hypeuler."):
+            module = vars(importlib.import_module(node.module))
+            served[node.module] = {a.name for a in node.names if a.name not in module}
+    return {name: names for name, names in served.items() if names}
+
+
+def test_acceptance_names_are_the_field_path_objects():
+    served = acceptance_names_read_from_old_modules()
+    assert served == {
+        "hypeuler.characters_zeta": {"kronecker_character", "trivial_character"},
+        "hypeuler.euler_char": {"chi_principal_exact"},
+        "hypeuler.exact_arith": {"RatPolynomial", "bernoulli_number", "poly_exact_divide"},
+        "hypeuler.local_factors": {"local_factor_polynomial"},
+    }
+    for module, names in served.items():
+        for name in names:
+            assert getattr(importlib.import_module(module), name) is getattr(field_path, name), (module, name)
+    # one Bernoulli memo and one zeta-value cache, whichever module a caller reads
+    from hypeuler.euler_char import chi_principal_exact
+    from hypeuler.exact_arith import bernoulli_number
+
+    bernoulli_number(120)
+    assert len(field_path._BERNOULLI[0]) > 120
+    characters_zeta.zeta_k_special.cache_clear()
+    chi_principal_exact(ArithmeticDatum(hypeuler.load_table().by_disc(2, 997), 4))
+    assert characters_zeta.zeta_k_special.cache_info().currsize == 4
 
 
 def test_headline_loads_no_argparse_gettext_or_locale(headline_modules):
