@@ -15,10 +15,12 @@ consumes refused at the end.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .certificate import (
     MAX_RANK,
@@ -243,5 +245,18 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """The process entry point (``python -m hypeuler`` and the ``hypeuler``
+    script): run ``main`` on ``sys.argv``, then exit with its code.
+
+    The run's objects are moved to the collector's permanent generation
+    first, so the collections of interpreter shutdown do not walk them;
+    atexit handlers, the flush of the standard streams and module teardown
+    still run.  ``main`` leaves the heap as it is for in-process callers."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

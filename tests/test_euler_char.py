@@ -56,7 +56,22 @@ class TestRankConstant:
 
 class TestChiExact:
     def test_dimension_four_value(self, table):
-        assert chi_principal_exact(datum(table, 5, 2)) == F(1, 14400)
+        """An outside value for the covolume formula, which the exact path and
+        the dual-path self-check share, so the self-check cannot catch a wrong
+        constant in it.  The compact Coxeter simplex group [5,3,3,3] is an
+        arithmetic reflection group over K = Q(sqrt 5) with covolume
+        pi^2/10800 (N. W. Johnson, R. Kellerhals, J. G. Ratcliffe and
+        S. T. Tschantz, The size of a hyperbolic Coxeter simplex, Transform.
+        Groups 4 (1999)), computed from the simplex's geometry, not from a
+        zeta value.  Gauss-Bonnet in dimension 4, |chi| = 3 vol / (4 pi^2),
+        turns it into 1/14400.  M. Belolipetsky (On volumes of arithmetic
+        quotients of SO(1, n), Ann. Sc. Norm. Super. Pisa Cl. Sci. (5) 3
+        (2004)) builds the compact arithmetic quotient of smallest covolume in
+        each even dimension from the principal arithmetic subgroup Lambda over
+        Q(sqrt 5), the datum here at r = 2; in dimension 4 the simplex group
+        has that smallest covolume, so |chi(Lambda)| must be its 1/14400."""
+        simplex_volume_over_pi_squared = F(1, 10800)
+        assert chi_principal_exact(datum(table, 5, 2)) == F(3, 4) * simplex_volume_over_pi_squared
 
     def test_rank_three_value(self, table):
         assert chi_principal_exact(datum(table, 5, 3)) == F(67, 36288000)

@@ -16,6 +16,7 @@ from hypeuler.search_bounds import (
     BoundsMode,
     PassOneClassNumberError,
     CertificateSection,
+    HighDegreeCheckError,
     SearchError,
     certify_section,
     compute_bounds_pass,
@@ -46,6 +47,16 @@ def bound_oracle(r, d, mode):
             rhs = mp.mpf(1) / 2 * (2 / C) ** d
             e = mp.mpf(r * r) + mp.mpf(r) / 2
         return int(mp.floor(mp.exp(mp.log(rhs) / e)))
+
+
+def rank3_growth(floor_base):
+    """The per-degree growth factor (6 C(3) / pi) b^(19/2) of the degree
+    exclusion at r = 3 for a discriminant floor b^d, at the caller's mpmath
+    precision."""
+    C3 = mp.mpf(1)
+    for j in (1, 2, 3):
+        C3 *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
+    return (6 * C3 / mp.pi) * (mp.mpf(floor_base.numerator) / floor_base.denominator) ** mp.mpf(9.5)
 
 
 class TestDiscUpperBounds:
@@ -82,6 +93,28 @@ class TestDiscUpperBounds:
             assert F(X + 1) ** e2 > p.threshold_squared.hi
             # the enclosure is tight enough that both endpoints agree
             assert p.enclosure_decisive
+
+    @pytest.fixture
+    def wide_pass(self, monkeypatch):
+        """Pass one at r = 3, degree 2, with C(3) known only to a factor of 2
+        either way: T^2 then spans a factor of 256, and its two ends give
+        different cutoffs (every real pass is decisive, so only this shows
+        which end the cutoff is taken from)."""
+
+        def wide(r, bits):
+            c = C_of_r(r, bits)
+            return RationalInterval(c.lo / 2, c.hi * 2)
+
+        monkeypatch.setattr(search_bounds, "C_of_r", wide)
+        return compute_bounds_pass(3, 2, BoundsMode.CLASS_NUMBER_BOUNDED)
+
+    def test_wide_enclosure_cuts_at_its_upper_end(self, wide_pass):
+        X, e2, t_sq = wide_pass.disc_upper, wide_pass.doubled_exponent, wide_pass.threshold_squared
+        assert F(X) ** e2 <= t_sq.hi < F(X + 1) ** e2
+        assert F(X) ** e2 > t_sq.lo  # the lower end alone would exclude X
+
+    def test_wide_enclosure_is_not_decisive(self, wide_pass):
+        assert wide_pass.enclosure_decisive is False
 
 
 # 2e = 2r^2 + r - 2 at rank 27 is 1,483, and 2r^2 + r is 1,485
@@ -160,13 +193,27 @@ class TestHighDegreeExclusion:
     def test_growth_factor_rank3_magnitude(self):
         hd = high_degree_exclusion(3)
         with mp.workdps(40):
-            C3 = mp.mpf(1)
-            for j in (1, 2, 3):
-                C3 *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
-            true = (6 * C3 / mp.pi) * mp.mpf(6.5) ** mp.mpf(9.5)
+            true = rank3_growth(F(13, 2))
             lo = mp.mpf(hd.growth_factor.lo.numerator) / hd.growth_factor.lo.denominator
             hi = mp.mpf(hd.growth_factor.hi.numerator) / hd.growth_factor.hi.denominator
             assert lo <= true <= hi
+
+    def test_growth_factor_at_most_one_raises(self, monkeypatch):
+        # a floor of 4^d leaves a per-degree growth of about 0.19 at r = 3
+        with mp.workdps(40):
+            assert rank3_growth(F(4)) <= 1
+        monkeypatch.setattr(search_bounds, "DISCRIMINANT_FLOOR_BASE", F(4))
+        with pytest.raises(HighDegreeCheckError, match="growth factor does not exceed 1"):
+            high_degree_exclusion(3)
+
+    def test_degree_five_value_at_most_one_raises(self, monkeypatch):
+        # a floor of 4.8^d gives a growth of about 1.08 at r = 3, above 1 but
+        # at most 8^(1/5), so the degree-5 value (1/8) growth^5 is about 0.18
+        with mp.workdps(40):
+            assert 1 < rank3_growth(F(24, 5)) <= mp.mpf(8) ** (mp.mpf(1) / 5)
+        monkeypatch.setattr(search_bounds, "DISCRIMINANT_FLOOR_BASE", F(24, 5))
+        with pytest.raises(HighDegreeCheckError, match="degree-5 exclusion inequality failed"):
+            high_degree_exclusion(3)
 
     def test_rank6_low_degree_rows(self, table):
         hd = high_degree_exclusion(6, table=table)

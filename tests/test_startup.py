@@ -8,9 +8,11 @@ ranks have no field to decide, certify or verify, does not load the field
 path either; the names the acceptance suite still reads from the modules the
 field path came from are its own objects.  The CLI parses its flags itself,
 so neither mode loads ``argparse``, nor the ``gettext`` and ``locale`` it
-would bring."""
+would bring.  A process started through ``cli.run`` freezes the run's objects
+before it exits, and changes nothing else a run does."""
 
 import ast
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -23,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import hypeuler
-from hypeuler import characters_zeta, field_path
+from hypeuler import characters_zeta, cli, field_path
 from hypeuler.euler_char import ArithmeticDatum
 from hypeuler.field_tables import bundled_table_path, canonicalize, checksum_of_text
 from hypeuler.local_factors import table_fingerprint
@@ -170,3 +172,44 @@ def test_acceptance_names_are_the_field_path_objects():
 def test_headline_loads_no_argparse_gettext_or_locale(headline_modules):
     for modules in headline_modules:
         assert not {"argparse", "gettext", "locale"} & set(modules)
+
+
+# An atexit hook that reports whether the heap is frozen, then a start the way
+# ``python -m`` starts a module.
+EXIT_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+    "runpy.run_module(sys.argv.pop(1), run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize("module", ["hypeuler", "hypeuler.cli"])
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [(("--r", "13"), 0), (("--r", "13", "--n", "6"), 1), (("--n", "4"), 2)],
+    ids=["certified", "usage-error", "inconclusive"],
+)
+def test_process_exits_frozen_and_otherwise_as_main(module, args, exit_code, tmp_path, monkeypatch, capsys):
+    """``python -m hypeuler`` (and ``-m hypeuler.cli``) freezes the heap before
+    the exit's atexit hooks run, and exits with the code, output and files of
+    an in-process ``cli.main``, which leaves the freeze count as it was."""
+    argv = [*args, "--out", "cert.json", "--report", "report.txt"]
+    child_dir, own_dir = tmp_path / "child", tmp_path / "in_process"
+    child_dir.mkdir()
+    own_dir.mkdir()
+    child = subprocess.run([sys.executable, "-S", "-c", EXIT_PROBE, module, *argv], cwd=child_dir, env=ENV,
+                           capture_output=True, text=True)
+    monkeypatch.chdir(own_dir)
+    frozen = gc.get_freeze_count()
+    assert cli.main(argv) == child.returncode == exit_code
+    assert gc.get_freeze_count() == frozen
+    out, err = capsys.readouterr()
+    assert (child.stdout, child.stderr) == (out + "True\n", err)
+    files = [{path.name: path.read_bytes() for path in folder.iterdir()} for folder in (child_dir, own_dir)]
+    assert files[0] == files[1] and bool(files[0]) == (exit_code != 1)
+
+
+def test_installed_script_starts_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["scripts"] == {"hypeuler": "hypeuler.cli:run"}

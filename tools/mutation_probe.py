@@ -54,6 +54,30 @@ MUTANTS = (
         "fields = [f for f in fields if f.disc < p2.disc_upper]",
         "enumerate_candidates drops a field exactly at the pass-two cutoff",
     ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "disc_upper = _largest_int_with_power_at_most(t_sq.hi, doubled_exponent)",
+        "disc_upper = _largest_int_with_power_at_most(t_sq.lo, doubled_exponent)",
+        "compute_bounds_pass takes the cutoff from the lower, unsound end of the threshold enclosure",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "enclosure_decisive=(lo_cut == disc_upper),",
+        "enclosure_decisive=True,",
+        "compute_bounds_pass calls every pass decisive",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "if not growth.strictly_greater_than(1):",
+        "if False:",
+        "high_degree_exclusion accepts a per-degree growth factor of at most 1",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "if not at_five.strictly_greater_than(1):",
+        "if False:",
+        "high_degree_exclusion accepts a degree-5 value of at most 1",
+    ),
 )
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
