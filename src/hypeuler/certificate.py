@@ -25,16 +25,15 @@ from . import __version__
 from .exact_arith import format_rational
 from .field_tables import FieldTable
 from .local_factors import table_fingerprint
-from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section, dual_path_check
+from .search_bounds import VERDICT_CERTIFIED, CertificateSection, certify_section
 
 if TYPE_CHECKING:
     from .verifier import VerificationOutcome
 
 CERTIFICATE_FORMAT = "hypeuler-certificate v4"
 
-# The working precision of the dual-path self-check when none is given, and
-# the least one a certificate may be made at (which keeps the self-check's
-# width bound 2^(8 - P) at or below 2^-56).
+# ``run_certification``'s precision when none is given, and the least it
+# accepts; no certify step reads it.
 DEFAULT_PRECISION_BITS = 192
 MIN_PRECISION_BITS = 64
 
@@ -218,11 +217,10 @@ def run_certification(
 
     Exit codes: 0 all certified, 2 at least one rank inconclusive,
     1 internal error (the certificate is then partial, status failed).
-    Each rank's section, the verifier's rebuild, is self-checked by
-    ``dual_path_check`` at ``precision_bits`` (no certificate byte depends on
-    it) and serialized inside the rank's own failure envelope, so an error
-    at any step names the rank.  Raises ValueError, before any rank runs,
-    when ``precision_bits`` is not an integer of at least ``MIN_PRECISION_BITS``.
+    Each rank's section, the verifier's rebuild, is serialized inside the
+    rank's own failure envelope, so an error at any step names the rank.
+    No certify step reads ``precision_bits``, which must still be an integer
+    of at least ``MIN_PRECISION_BITS``: else ValueError, before any rank runs.
     """
     if type(precision_bits) is not int or precision_bits < MIN_PRECISION_BITS:
         raise ValueError(
@@ -232,9 +230,7 @@ def run_certification(
     sections: list[dict] = []
     for r in sorted(set(requested_r)):
         try:
-            section = _section(r, table)
-            dual_path_check(section, precision_bits)
-            sections.append(section_to_json(section))
+            sections.append(section_to_json(_section(r, table)))
         except Exception as exc:  # embed the failure, per the exit-code contract
             cert = build_certificate(
                 sections, table, requested_r, status="failed", error=f"r={_quote(r)}: {type(exc).__name__}: {exc}"
@@ -262,15 +258,14 @@ def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
     ``certify_section`` per rank (which re-proves, by ``calibrate_oracle``,
     that each local factor's closed form is Prasad's order formula) and
     ``build_certificate``, with the claimed ``tool.version``, the one
-    unpinned value, copied in; certify adds only the unrecorded dual-path
-    self-check.  The two JSON trees are compared leaf by leaf, each leaf
-    one check, and the first difference is named by its path: a missing or
-    unexpected key, a list of another length, or a leaf of another JSON
-    type or value (so 5, 5.0 and true differ, and a rational must be the
-    reduced ``num/den`` string the writer gives), quoting at most 200
-    characters of any one value (and an int too long to print by its bit
-    length).  A certificate that verifies is the one this code writes,
-    which proves no more than the code does.
+    unpinned value, copied in.  The two JSON trees are compared leaf by
+    leaf, each leaf one check, and the first difference is named by its
+    path: a missing or unexpected key, a list of another length, or a leaf
+    of another JSON type or value (so 5, 5.0 and true differ, and a rational
+    must be the reduced ``num/den`` string the writer gives), quoting at
+    most 200 characters of any one value (and an int too long to print by
+    its bit length).  A certificate that verifies is the one this code
+    writes, which proves no more than the code does.
 
     A missing key or malformed value, and a rank whose evidence the
     certifier cannot recompute (any rank above ``MAX_RANK``),

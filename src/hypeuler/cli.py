@@ -185,6 +185,19 @@ def _table_files(fields: str | None) -> set[str]:
     return {os.path.realpath(table), os.path.realpath(f"{table}.sha256")}
 
 
+def _print(*lines: str) -> bool:
+    """Print ``lines`` on standard output and flush it; False, after naming
+    the failure on standard error, when the write fails."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -218,8 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         outcome = verify_certificate(cert, table)
         if outcome.ok:
-            print(f"certificate verified: {outcome.checks} checks passed")
-            return 0
+            return 0 if _print(f"certificate verified: {outcome.checks} checks passed") else 1
         print(f"certificate verification FAILED: {outcome.divergence}", file=sys.stderr)
         return 1
 
@@ -236,13 +248,12 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
             return 1
-    for n, verdict in sorted(cert.get("overall", {}).items(), key=lambda kv: int(kv[0])):
-        print(f"n = {n}: {verdict}")
+    overall = sorted(cert.get("overall", {}).items(), key=lambda kv: int(kv[0]))
+    if not _print(*(f"n = {n}: {verdict}" for n, verdict in overall)):
+        return 1
     if cert.get("status") == "failed":
         print(f"error: {cert.get('error')}", file=sys.stderr)
-    print(f"certificate: {args['out']}")
-    print(f"report: {args['report']}")
-    return code
+    return code if _print(f"certificate: {args['out']}", f"report: {args['report']}") else 1
 
 
 def run() -> NoReturn:

@@ -1,8 +1,8 @@
 """The numeric path: rigorous enclosures of zeta_k(s) at even s >= 2 and of
 |chi(Lambda)| along the transcendental covolume formula.
 
-Only certification's dual-path self-check runs this code, and the
-verifier never does, so ``characters_zeta.zeta_k_numeric``,
+Only ``search_bounds.dual_path_check`` and the tests run this code, no
+certify or verify does, so ``characters_zeta.zeta_k_numeric``,
 ``characters_zeta.hurwitz_zeta_enclosure`` and
 ``euler_char.chi_principal_numeric`` import it when first called: a
 process that never encloses a value never compiles it.

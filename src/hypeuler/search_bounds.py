@@ -257,10 +257,10 @@ def field_verdict(rec: NumberFieldRecord, r: int) -> FieldVerdict:
 
 
 def dual_path_check(section: CertificateSection, precision_bits: int) -> None:
-    """Self-check each verdict of a section, rank 2's included: enclose
+    """Cross-check each verdict of a section, rank 2's included: enclose
     |chi(Lambda)| along the transcendental path at ``precision_bits`` P and
     raise SearchError unless the enclosure holds the exact value and is at
-    most 2^(8 - P) relative wide.  A cross-check of the code, never recorded."""
+    most 2^(8 - P) relative wide.  The tests run it; certify and verify do not."""
     r = section.r
     for v in section.verdicts:
         label, exact = v.record.label, v.euler.chi_lambda

@@ -57,13 +57,13 @@ class TestRankConstant:
 class TestChiExact:
     def test_dimension_four_value(self, table):
         """An outside value for the covolume formula, which the exact path and
-        the dual-path self-check share, so the self-check cannot catch a wrong
-        constant in it.  The compact Coxeter simplex group [5,3,3,3] is an
-        arithmetic reflection group over K = Q(sqrt 5) with covolume
-        pi^2/10800 (N. W. Johnson, R. Kellerhals, J. G. Ratcliffe and
-        S. T. Tschantz, The size of a hyperbolic Coxeter simplex, Transform.
-        Groups 4 (1999)), computed from the simplex's geometry, not from a
-        zeta value.  Gauss-Bonnet in dimension 4, |chi| = 3 vol / (4 pi^2),
+        the transcendental cross-check ``dual_path_check`` share, so the
+        cross-check cannot catch a wrong constant in it.  The compact Coxeter
+        simplex group [5,3,3,3] is an arithmetic reflection group over
+        K = Q(sqrt 5) with covolume pi^2/10800 (N. W. Johnson, R. Kellerhals,
+        J. G. Ratcliffe and S. T. Tschantz, The size of a hyperbolic Coxeter
+        simplex, Transform. Groups 4 (1999)), computed from the simplex's
+        geometry, not from a zeta value.  Gauss-Bonnet in dimension 4, |chi| = 3 vol / (4 pi^2),
         turns it into 1/14400.  M. Belolipetsky (On volumes of arithmetic
         quotients of SO(1, n), Ann. Sc. Norm. Super. Pisa Cl. Sci. (5) 3
         (2004)) builds the compact arithmetic quotient of smallest covolume in

@@ -1,8 +1,9 @@
 """Guard for the proof path's parameters: every precision is one a caller
 sets, the default precision is stated once (``DEFAULT_PRECISION_BITS``,
 read by ``run_certification``), the arithmetic datum has no
-bad places, and the proof driver takes no precision: the dual-path
-self-check is a step of ``run_certification``, not a mode of the driver."""
+bad places, and the proof driver takes no precision: the transcendental
+cross-check ``search_bounds.dual_path_check`` is a function the tests run on
+a section, not a mode of the driver, and no certify step reads a precision."""
 
 import importlib
 import inspect

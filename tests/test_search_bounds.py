@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hypeuler import search_bounds
+from hypeuler.certificate import MAX_RANK
+from hypeuler.characters_zeta import PrecisionError
 from hypeuler.euler_char import ArithmeticDatum, C_of_r, chi_principal_numeric
 from hypeuler.exact_arith import RationalInterval, format_rational, pi_enclosure
 from hypeuler.field_tables import load_table, parse_table_text
@@ -297,14 +300,16 @@ class TestFieldVerdicts:
         assert enclosure.width / exact < F(1, 2**505)
         assert enclosure.prec >= 512
 
-    def test_too_wide_enclosure_raises(self, table, monkeypatch):
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_too_wide_enclosure_raises(self, table, monkeypatch, r):
         # contains the exact value, but is 2^(8 - 128) relative wide and a bit more
-        rec = table.by_disc(2, 5)
-        exact = field_verdict(rec, 3).euler.chi_lambda
-        wide = RationalInterval(exact * (1 - F(1, 2**120)), exact * (1 + F(1, 2**121)))
-        monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: wide)
-        with pytest.raises(SearchError, match=r"^2\.2\.5\.1, r=3: transcendental enclosure is wider than"):
-            dual_path_check(alone(rec, 3), 128)
+        def wide(datum, precision_bits):
+            exact = field_verdict(datum.field, datum.r).euler.chi_lambda
+            return RationalInterval(exact * (1 - F(1, 2**120)), exact * (1 + F(1, 2**121)))
+
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", wide)
+        with pytest.raises(SearchError, match=rf"^2\.2\.5\.1, r={r}: transcendental enclosure is wider than"):
+            dual_path_check(certify_section(r, table), 128)
 
     @pytest.mark.parametrize("bits", [64, 128, 192])
     def test_width_bound_is_inclusive(self, table, monkeypatch, bits):
@@ -315,25 +320,40 @@ class TestFieldVerdicts:
         monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: edge)
         dual_path_check(alone(rec, 3), bits)
 
-    def test_enclosure_missing_exact_raises(self, table, monkeypatch):
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_enclosure_missing_exact_raises(self, table, monkeypatch, r):
         # narrow, but just above the exact value
-        rec = table.by_disc(2, 5)
-        exact = field_verdict(rec, 3).euler.chi_lambda
-        above = RationalInterval(exact * (1 + F(1, 2**200)), exact * (1 + F(1, 2**199)))
-        monkeypatch.setattr(search_bounds, "chi_principal_numeric", lambda datum, precision_bits: above)
-        with pytest.raises(SearchError, match=r"^2\.2\.5\.1, r=3: transcendental enclosure does not contain"):
-            dual_path_check(alone(rec, 3), 128)
+        def above(datum, precision_bits):
+            exact = field_verdict(datum.field, datum.r).euler.chi_lambda
+            return RationalInterval(exact * (1 + F(1, 2**200)), exact * (1 + F(1, 2**199)))
+
+        monkeypatch.setattr(search_bounds, "chi_principal_numeric", above)
+        with pytest.raises(SearchError, match=rf"^2\.2\.5\.1, r={r}: transcendental enclosure does not contain"):
+            dual_path_check(certify_section(r, table), 128)
 
     @pytest.mark.parametrize("bits", [64, 128, 192, 256])
     def test_honest_width_leaves_room(self, table, bits):
-        # every recorded verdict's enclosure at r = 2..5 is at least 9 bits inside the 2^(8 - P) bound
-        for r in (2, 3, 4, 5):
+        # every recorded verdict's enclosure at r = 2..6 is at least 9 bits inside the 2^(8 - P) bound
+        for r in (2, 3, 4, 5, 6):
             section = certify_section(r, table)
             dual_path_check(section, bits)
             for v in section.verdicts:
                 enclosure = chi_principal_numeric(ArithmeticDatum(field=v.record, r=r), precision_bits=bits)
                 assert v.euler.chi_lambda in enclosure
                 assert enclosure.width <= v.euler.chi_lambda * F(1, 2 ** (bits + 1)), (v.record.label, r)
+
+    @pytest.mark.parametrize("bits", [1024, 65536])
+    def test_precision_past_enclosure_range_fails_fast(self, table, bits):
+        # about 800 bits is the most the 4096-term Hurwitz round reaches; past
+        # it every shorter round is skipped and that round fails fast, and at
+        # 65536 bits the zeta ladder rules out every round before pi or any
+        # Hurwitz enclosure is built
+        section = certify_section(3, table)
+        t0 = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            dual_path_check(section, bits)
+        took = time.perf_counter() - t0
+        assert took < 2.0, f"failing at {bits} bits took {took:.2f} s"
 
     def test_proof_driver_never_runs_dual_path(self, table, monkeypatch):
         def unreachable(datum, precision_bits):
@@ -343,6 +363,8 @@ class TestFieldVerdicts:
         assert field_verdict(table.by_disc(2, 5), 3).obstruction.witness == 67
         for r in (2, 3, 6):
             certify_section(r, table)
+        # no rank above 6 records a verdict, so test_honest_width_leaves_room encloses every recorded pair
+        assert not any(certify_section(r, table).verdicts for r in range(7, MAX_RANK + 1))
 
     def test_witness_divides_odd_numerator(self, table):
         for D in (8, 12, 13, 17):

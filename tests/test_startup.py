@@ -2,8 +2,8 @@
 fingerprint take SHA-256 from the builtin module, so neither a certify nor a
 verify loads OpenSSL through ``hashlib``; without that module the same
 digests come from ``hashlib``.  Each mode loads only its own modules: a
-verify neither the numeric path nor the report, a certify not the verifier's
-walk, and a certify with no field verdict not the numeric path.  A run whose
+verify neither the numeric path nor the report, and a certify neither the
+verifier's walk nor the numeric path, which no certify runs.  A run whose
 ranks have no field to decide, certify or verify, does not load the field
 path either; the names the acceptance suite still reads from the modules the
 field path came from are its own objects.  The CLI parses its flags itself,
@@ -105,10 +105,12 @@ def high_rank_modules(tmp_path_factory):
     return certify, cli_modules("--verify", cert)
 
 
-def test_headline_certify_loads_no_verifier(headline_modules):
-    certify, _ = headline_modules
-    assert "hypeuler.verifier" not in certify
-    assert {"hypeuler.numeric_path", "hypeuler.report", "hypeuler.field_path"} <= set(certify)
+def test_headline_and_sweep_certify_load_neither_verifier_nor_numeric_path(headline_modules, tmp_path):
+    # both have field verdicts, and certify encloses none of them
+    sweep = cli_modules("--out", str(tmp_path / "cert.json"), "--report", str(tmp_path / "report.txt"))
+    for certify in (headline_modules[0], sweep):
+        assert "hypeuler.verifier" not in certify and "hypeuler.numeric_path" not in certify
+        assert {"hypeuler.report", "hypeuler.field_path"} <= set(certify)
 
 
 def test_headline_verify_loads_neither_numeric_path_nor_report(headline_modules):
@@ -118,7 +120,7 @@ def test_headline_verify_loads_neither_numeric_path_nor_report(headline_modules)
 
 
 def test_high_rank_certify_loads_no_numeric_path(high_rank_modules):
-    # ranks 13..15 have no field verdict, so the dual-path self-check encloses nothing
+    # certify encloses no value at any rank, so it never needs the numeric path
     certify, _ = high_rank_modules
     assert "hypeuler.numeric_path" not in certify and "hypeuler.verifier" not in certify
 
