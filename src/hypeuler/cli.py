@@ -187,13 +187,20 @@ def _table_files(fields: str | None) -> set[str]:
 
 def _print(*lines: str) -> bool:
     """Print ``lines`` on standard output and flush it; False, after naming
-    the failure on standard error, when the write fails."""
+    the failure on standard error, when the write fails.
+
+    The bytes that could not be written stay in the stream's buffer, and
+    the interpreter's flush at exit would fail on them again; standard
+    output is pointed at the null device so that flush drops them."""
     try:
         for line in lines:
             print(line)
         sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return False
     return True
 

@@ -45,12 +45,19 @@ def clone(cert):
     return json.loads(json.dumps(cert))
 
 
-def run_hypeuler(*args, stdout=subprocess.PIPE):
-    """``python -m hypeuler`` in a fresh process on this checkout's sources,
-    its standard output captured unless ``stdout`` names a file to write."""
+def hypeuler_env():
+    """The environment of a fresh ``python -m hypeuler`` on this checkout's
+    sources, with Python's default buffering of standard output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "hypeuler", *args], env=env, stdout=stdout,
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_hypeuler(*args, stdout=subprocess.PIPE):
+    """``python -m hypeuler`` in a fresh process, its standard output
+    captured unless ``stdout`` names a file to write."""
+    return subprocess.run([sys.executable, "-m", "hypeuler", *args], env=hypeuler_env(), stdout=stdout,
                           stderr=subprocess.PIPE, text=True)
 
 
@@ -86,20 +93,15 @@ class TestRunCertification:
         assert serialize_certificate(theorem_cert) == serialize_certificate(again)
 
     def test_precision_changes_no_byte(self, table):
-        # no certify step reads the precision
-        low, _ = run_certification([3, 4, 5], table, precision_bits=64)
-        high, _ = run_certification([3, 4, 5], table, precision_bits=192)
-        assert serialize_certificate(low) == serialize_certificate(high)
-        assert low["parameters"] == {"requested_r": [3, 4, 5]}
-
-    def test_precision_past_enclosure_range_certifies(self, table):
-        # certify encloses no value, so a precision past the numeric path's
-        # reach (about 800 bits) certifies every rank with a field verdict,
-        # and rank 13 with none, to the bytes of the default
+        # no certify step reads the precision, not even one past the numeric
+        # path's reach (about 800 bits), at every rank with a field verdict
+        # and at rank 13 with none
         ranks = [3, 4, 5, 6, 13]
-        cert, code = run_certification(ranks, table, precision_bits=65536)
-        assert code == 0 and cert["status"] == "complete"
-        assert serialize_certificate(cert) == serialize_certificate(run_certification(ranks, table)[0])
+        default, code = run_certification(ranks, table)
+        assert code == 0 and default["parameters"] == {"requested_r": ranks}
+        for bits in (64, 192, 65536):
+            cert, code = run_certification(ranks, table, precision_bits=bits)
+            assert code == 0 and serialize_certificate(cert) == serialize_certificate(default)
 
     def test_internal_error_yields_partial_failed_cert(self, table):
         cert, code = run_certification([1], table)  # rank 1 is out of contract
@@ -993,6 +995,18 @@ class TestCliProcess:
             run = run_hypeuler(*(certify if mode == "certify" else ("--verify", cert)), stdout=full)
         assert run.returncode == 1
         assert run.stderr == "error: cannot write standard output: No space left on device\n"
+        assert read_certificate(cert)["status"] == "complete"
+
+    def test_closed_stdout_pipe_exits_one(self, tmp_path):
+        # the reader of the pipe is gone before the first line is written
+        cert = str(tmp_path / "c.json")
+        with subprocess.Popen([sys.executable, "-m", "hypeuler", "--r", "13", "--out", cert,
+                               "--report", str(tmp_path / "r.txt")], env=hypeuler_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert proc.returncode == 1
+        assert stderr == "error: cannot write standard output: Broken pipe\n"
         assert read_certificate(cert)["status"] == "complete"
 
     def test_symlink_loop_out_exits_one(self, tmp_path, monkeypatch, capsys):
