@@ -191,9 +191,22 @@ def serialize_certificate(cert: dict) -> str:
     return json.dumps(cert, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; ValueError naming a key the object repeats,
+    whose earlier values ``json.loads`` would drop unseen."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {_quote(key)}")
+            seen.add(key)
+    return obj
+
+
 def read_certificate(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     # ValueError: bad JSON, or an integer past the digit limit; RecursionError: nesting past the parser's depth
     except (OSError, ValueError, RecursionError) as exc:
         raise CertificateError(f"cannot read certificate {path}: {exc}") from exc

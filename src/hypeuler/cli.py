@@ -6,18 +6,15 @@ by rebuilding it.  Exit codes: 0 all requested dimensions certified (or
 verification passed), 2 at least one dimension inconclusive, 1 error
 (including usage errors).
 
-The flags are parsed from one table, ``_FLAGS``, by the standard library
-option parser's rules for the forms this command line has: ``--flag
-value`` and ``--flag=value``, a unique prefix of a long flag (an exact
-flag wins), a negative integer as a value, and every token no flag
-consumes refused at the end.
+The standard library's ``argparse`` defines the command line, from one
+flag table, ``_FLAGS``; ``_parse`` reads the plain forms every real run
+uses without importing it, so only the help and a refused command line do.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -41,120 +38,82 @@ _CERTIFY_ONLY = ("n", "r", *_CERTIFY_DEFAULTS)
 _DESCRIPTION = ("Certify the nonexistence of compact arithmetic hyperbolic n-manifolds "
                 "of Euler characteristic +-2, or verify a certificate.")
 
-# One row per flag: its option strings (the last names its value), the
-# metavar and type of its value (None: the flag takes none), whether it
-# repeats, and its help.
+# One row per valued flag (argparse adds -h/--help): the flag, the metavar
+# and type of its value, whether it repeats, and its help.
 _FLAGS = (
-    (("-h", "--help"), None, None, False, "show this help message and exit"),
-    (("--n",), "N", int, True, "even dimension to certify (repeatable)"),
-    (("--r",), "R", int, True, "rank to certify (repeatable, mutually exclusive with --n)"),
-    (("--fields",), "PATH", str, False, "field table file (default: bundled dataset)"),
-    (("--out",), "PATH", str, False, f"certificate output path (default {_CERTIFY_DEFAULTS['out']})"),
-    (("--report",), "PATH", str, False, f"report output path (default {_CERTIFY_DEFAULTS['report']})"),
-    (("--max-r",), "R", int, False, f"largest rank in the default sweep (default {_CERTIFY_DEFAULTS['max_r']}; "
+    ("--n", "N", int, True, "even dimension to certify (repeatable)"),
+    ("--r", "R", int, True, "rank to certify (repeatable, mutually exclusive with --n)"),
+    ("--fields", "PATH", str, False, "field table file (default: bundled dataset)"),
+    ("--out", "PATH", str, False, f"certificate output path (default {_CERTIFY_DEFAULTS['out']})"),
+    ("--report", "PATH", str, False, f"report output path (default {_CERTIFY_DEFAULTS['report']})"),
+    ("--max-r", "R", int, False, f"largest rank in the default sweep (default {_CERTIFY_DEFAULTS['max_r']}; "
      "only without --n or --r)"),
-    (("--verify",), "PATH", str, False, "verify a previously emitted certificate instead of certifying"),
+    ("--verify", "PATH", str, False, "verify a previously emitted certificate instead of certifying"),
 )
-_BY_OPTION = {option: row for row in _FLAGS for option in row[0]}
-_WIDTH = 79
+_BY_FLAG = {row[0]: row for row in _FLAGS}
 
 
 class _UsageError(Exception):
     """A refused command line: exit 1 after the usage line and ``error: <message>``."""
 
 
-def _dest(row: tuple) -> str:
-    return row[0][-1].lstrip("-").replace("-", "_")
+class _Help(Exception):
+    """``-h``: exit 0 after printing the help text, the exception's argument."""
 
 
-def _wrap(words: list[str], first: str, indent: int) -> list[str]:
-    lines = [first]
-    for word in words:
-        if len(lines[-1]) > indent and len(lines[-1]) + 1 + len(word) > _WIDTH:
-            lines.append(" " * indent)
-        lines[-1] += (" " if lines[-1].strip() else "") + word
-    return lines
+def _parser():
+    """argparse's parser of this command line, built from ``_FLAGS``: an
+    error raises ``_UsageError``, ``-h`` raises ``_Help`` with the help
+    text, and the text is wrapped at 78 columns whatever the terminal."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+        def print_help(self, file=None):  # the help action calls this, then exit()
+            raise _Help(self.format_help().rstrip("\n"))
+
+        def _get_values(self, action, arg_strings):
+            # a joined "--" (--out=--) is the value, which Python 3.11's parser drops
+            return self._get_value(action, "--") if arg_strings == ["--"] else super()._get_values(action, arg_strings)
+
+    parser = Parser(prog="hypeuler", description=_DESCRIPTION,
+                    formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
+    for flag, metavar, convert, repeats, text in _FLAGS:
+        parser.add_argument(flag, metavar=metavar, type=convert, action="append" if repeats else "store", help=text)
+    return parser
 
 
-def _invocation(options: tuple[str, ...], metavar: str | None) -> str:
-    return ", ".join(options) if metavar is None else f"{options[-1]} {metavar}"
+def _parse(argv: list[str]) -> dict:
+    """The flags' values by destination, None for an absent flag, as
+    ``vars(_parser().parse_args(argv))`` gives them.
 
-
-def _usage() -> str:
-    words = [f"[{options[0] if metavar is None else _invocation(options, metavar)}]"
-             for options, metavar, *_ in _FLAGS]
-    return "\n".join(_wrap(words, "usage: hypeuler", len("usage: hypeuler ")))
-
-
-def _help() -> str:
-    column = 4 + max(len(_invocation(options, metavar)) for options, metavar, *_ in _FLAGS)
-    lines = [_usage(), "", *_wrap(_DESCRIPTION.split(), "", 0), "", "options:"]
-    for options, metavar, _convert, _repeats, text in _FLAGS:
-        lines += _wrap(text.split(), f"  {_invocation(options, metavar)}".ljust(column - 1), column)
-    return "\n".join(lines)
-
-
-def _classify(token: str) -> tuple[tuple | None, str | None] | None:
-    """How the standard option parser reads a token: None for a value,
-    else (row, explicit value) for a flag, with row None for a flag not in
-    ``_FLAGS``."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in _BY_OPTION:
-        return _BY_OPTION[token], None
-    name, eq, explicit = token.partition("=")
-    if eq and name in _BY_OPTION:
-        return _BY_OPTION[name], explicit
-    if token.startswith("--"):
-        matches = [option for option in _BY_OPTION if option.startswith(name)]
-        if len(matches) > 1:
-            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return _BY_OPTION[matches[0]], explicit if eq else None
-    elif token.startswith("-h"):  # the short flag glued to an explicit value
-        return _BY_OPTION["-h"], token[2:]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
-
-
-def _parse(argv: list[str]) -> dict | None:
-    """The flags' values by destination, None for an absent flag; None
-    itself once ``-h`` has printed the help."""
-    end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_classify(token) for token in argv[:end]]
-    if end < len(argv):  # "--" is no value, and each token after it is a value
-        kinds += [(None, None)] + [None] * (len(argv) - end - 1)
-    args = {_dest(row): None for row in _FLAGS if row[1] is not None}
-    extras = []
-    i = 0
-    while i < len(argv):
-        token, kind = argv[i], kinds[i]
-        i += 1
-        if kind is None or kind[0] is None:
-            extras.append(token)
-            continue
-        (options, metavar, convert, repeats, _text), value = kind
-        name = "/".join(options)
-        if metavar is None:  # -h; -hh reads as -h -h
-            rest = value if token.startswith("--") or not value else value.lstrip("h")
-            if value is not None and (rest or not value):
-                raise _UsageError(f"argument {name}: ignored explicit argument {rest!r}")
-            print(_help())
-            return None
-        if value is None:
-            if i == len(argv) or kinds[i] is not None:
-                raise _UsageError(f"argument {name}: expected one argument")
-            value = argv[i]
-            i += 1
+    When each token is an exact flag of ``_FLAGS``, its value joined by
+    ``=`` or the next token, that token does not start with ``-``, and every
+    value converts, the values are read here, without importing argparse.
+    The result is argparse's: it reads an exact flag, or an exact flag
+    before the first ``=``, as that flag without trying prefixes; it reads
+    a token that does not start with ``-`` as an argument, which the flag
+    before it takes as its one value; and it converts each value by the
+    flag's type, a repeatable flag appending and any other keeping the last.
+    Every other command line (a prefix, ``-h``, ``--``, a stray token, a
+    missing or bad value) goes whole to ``_parser()``."""
+    args = {flag[2:].replace("-", "_"): None for flag, *_ in _FLAGS}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        if not joined:
+            value = next(tokens, "-")  # a missing value is refused like a flag
+        if flag not in _BY_FLAG or not joined and value.startswith("-"):
+            return vars(_parser().parse_args(argv))
+        _flag, _metavar, convert, repeats, _text = _BY_FLAG[flag]
         try:
             value = convert(value)
         except ValueError:
-            raise _UsageError(f"argument {name}: invalid {convert.__name__} value: {value!r}") from None
-        dest = _dest(kind[0])
+            return vars(_parser().parse_args(argv))
+        dest = flag[2:].replace("-", "_")
         args[dest] = [*(args[dest] or ()), value] if repeats else value
-    if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 
@@ -208,8 +167,6 @@ def _print(*lines: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            return 0
         if args["verify"] is not None:
             if any(args[name] is not None for name in _CERTIFY_ONLY):
                 raise _UsageError("--verify cannot be combined with --n, --r, --max-r, --out or --report")
@@ -224,8 +181,10 @@ def main(argv: list[str] | None = None) -> int:
             for flag in ("out", "report"):
                 if os.path.realpath(args[flag]) in table_files:
                     raise _UsageError(f"--{flag} names the field table or its checksum file")
+    except _Help as exc:
+        return 0 if _print(str(exc)) else 1
     except _UsageError as exc:
-        print(_usage(), file=sys.stderr)
+        print(_parser().format_usage(), end="", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -591,6 +591,21 @@ def test_oversized_integer_is_certificate_error(rank_three_cert, tmp_path):
         read_certificate(path)
 
 
+def duplicated_key_certificate(cert, path):
+    """``cert`` written with its first ``"witness"`` key stated twice, a
+    non-prime 9 before the real witness, which ``json.loads`` alone keeps."""
+    text = serialize_certificate(cert)
+    assert '"witness": 67,' in text
+    path.write_text(text.replace('"witness": 67,', '"witness": 9, "witness": 67,', 1), encoding="utf-8")
+    return path
+
+
+def test_duplicated_key_is_certificate_error(rank_three_cert, tmp_path):
+    path = duplicated_key_certificate(rank_three_cert, tmp_path / "c.json")
+    with pytest.raises(CertificateError, match=re.escape(f"cannot read certificate {path}: duplicate key 'witness'")):
+        read_certificate(path)
+
+
 def deeply_nested_certificate(path):
     """A file of 200,000 nested JSON lists, past the JSON reader's depth."""
     path.write_text("[" * 200_000, encoding="utf-8")
@@ -784,7 +799,8 @@ OUT, REPORT = "hypeuler_certificate.json", "hypeuler_report.txt"
 class TestFlagParsing:
     """Each command line maps to the ranks certified and the two paths
     written, to exit 1 with its error under the usage line, or (None) to the
-    help; the flags parse as argparse parsed them."""
+    help.  ``argparse`` defines the command line; the plain forms every real
+    run uses are read without it, and read as it reads them."""
 
     PARSES = [
         (["--n=6"], ([3], OUT, REPORT)),
@@ -794,12 +810,14 @@ class TestFlagParsing:
         (["--r", "3", "--o", "c.json", "--re=r.txt"], ([3], "c.json", "r.txt")),
         (["--max-r", "3", "--max-r", "4"], ([3, 4], OUT, REPORT)),
         (["--out", "-", "--r", "3"], ([3], "-", REPORT)),
+        (["--r", "3", "--ou=--"], ([3], "--", REPORT)),
         (["--n", "-4"], "dimension must be an even integer >= 4, got -4"),
         (["--r=-3"], "rank must be at least 2, got -3"),
         (["--out"], "argument --out: expected one argument"),
         (["--out", "--r", "3"], "argument --out: expected one argument"),
         (["--out", "-x"], "argument --out: expected one argument"),
         (["--r", "x"], "argument --r: invalid int value: 'x'"),
+        (["--r=--"], "argument --r: invalid int value: '--'"),
         (["--max-r", "4.0"], "argument --max-r: invalid int value: '4.0'"),
         (["--r", "1" * 5000], f"argument --r: invalid int value: '{'1' * 5000}'"),
         (["--r", "3", "stray"], "unrecognized arguments: stray"),
@@ -837,6 +855,26 @@ class TestFlagParsing:
             assert code == 1 and captured.out == ""
             usage, error = captured.err.split("\nerror: ")
             assert usage.startswith("usage: hypeuler [-h]") and error == f"{outcome}\n"
+
+    FAST = [
+        ["--n", "6", "--n", "8", "--n", "10", "--out", "c.json", "--report", "r.txt"],
+        ["--out", "c.json", "--report", "r.txt"],
+        ["--r", "13", "--r", "14", "--r", "15", "--out", "c.json", "--report", "r.txt"],
+        ["--verify", "c.json"],
+        ["--n=6"],
+        ["--r=-3"],
+        ["--r", "1_0"],
+        ["--fields", "t.txt", "--verify=c.json"],
+        ["--out=--"],
+        ["--max-r", "3", "--max-r", "4"],
+        [],
+    ]
+
+    @pytest.mark.parametrize("argv", FAST, ids=[" ".join(argv)[:40] for argv in FAST])
+    def test_plain_forms_read_as_argparse_reads_them(self, argv, monkeypatch):
+        expected = vars(cli._parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_parser", None)  # the plain forms build no parser
+        assert cli._parse(argv) == expected
 
 
 class TestCliProcess:
@@ -908,6 +946,12 @@ class TestCliProcess:
         oversized_integer_certificate(rank_three_cert, tmp_path / "c.json")
         assert main(["--verify", "c.json"]) == 1
         assert "cannot read certificate c.json" in capsys.readouterr().err
+
+    def test_verify_duplicated_key_exits_one(self, rank_three_cert, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        duplicated_key_certificate(rank_three_cert, tmp_path / "c.json")
+        assert main(["--verify", "c.json"]) == 1
+        assert capsys.readouterr() == ("", "error: cannot read certificate c.json: duplicate key 'witness'\n")
 
     def test_verify_deeply_nested_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -984,18 +1028,20 @@ class TestCliProcess:
         assert main(["--verify", "c.json"]) == 0
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("mode", ["certify", "verify"])
+    @pytest.mark.parametrize("mode", ["certify", "verify", "help"])
     def test_unwritable_stdout_exits_one(self, mode, tmp_path):
-        # a full standard output is named like an unwritable --out, after the files are written
+        # a full standard output is named like an unwritable --out, after any files are written
         cert = str(tmp_path / "c.json")
         certify = ("--r", "13", "--out", cert, "--report", str(tmp_path / "r.txt"))
         if mode == "verify":
             assert run_hypeuler(*certify).returncode == 0
+        args = {"certify": certify, "verify": ("--verify", cert), "help": ("-h",)}[mode]
         with open("/dev/full", "w") as full:
-            run = run_hypeuler(*(certify if mode == "certify" else ("--verify", cert)), stdout=full)
+            run = run_hypeuler(*args, stdout=full)
         assert run.returncode == 1
         assert run.stderr == "error: cannot write standard output: No space left on device\n"
-        assert read_certificate(cert)["status"] == "complete"
+        if mode != "help":
+            assert read_certificate(cert)["status"] == "complete"
 
     def test_closed_stdout_pipe_exits_one(self, tmp_path):
         # the reader of the pipe is gone before the first line is written

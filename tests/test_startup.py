@@ -6,9 +6,10 @@ verify neither the numeric path nor the report, and a certify neither the
 verifier's walk nor the numeric path, which no certify runs.  A run whose
 ranks have no field to decide, certify or verify, does not load the field
 path either; the names the acceptance suite still reads from the modules the
-field path came from are its own objects.  The CLI parses its flags itself,
-so neither mode loads ``argparse``, nor the ``gettext`` and ``locale`` it
-would bring.  A process started through ``cli.run`` freezes the run's objects
+field path came from are its own objects.  The CLI reads the plain flag
+forms of these runs itself, so neither mode loads ``argparse``, nor the
+``gettext`` and ``locale`` it would bring; only the help and a refused
+command line do.  A process started through ``cli.run`` freezes the run's objects
 before it exits, and changes nothing else a run does."""
 
 import ast
@@ -171,8 +172,11 @@ def test_acceptance_names_are_the_field_path_objects():
     assert characters_zeta.zeta_k_special.cache_info().currsize == 4
 
 
-def test_headline_loads_no_argparse_gettext_or_locale(headline_modules):
-    for modules in headline_modules:
+def test_headline_loads_no_argparse_gettext_or_locale(headline_modules, high_rank_modules, tmp_path):
+    # and neither does any other benchmark run: the sweep, the high ranks, and each one's verify
+    cert = str(tmp_path / "cert.json")
+    sweep = cli_modules("--out", cert, "--report", str(tmp_path / "report.txt")), cli_modules("--verify", cert)
+    for modules in (*headline_modules, *high_rank_modules, *sweep):
         assert not {"argparse", "gettext", "locale"} & set(modules)
 
 

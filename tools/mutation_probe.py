@@ -1,4 +1,4 @@
-"""Mutation probe of the proof path: does some test fail on each mutant?
+"""Mutation probe of the proof path and the verifier: does some test fail on each mutant?
 
 Each mutant replaces one exact text of one source file.  The probe copies
 the sources and the tests into a temporary directory, runs the tests there
@@ -77,6 +77,42 @@ MUTANTS = (
         "if not at_five.strictly_greater_than(1):",
         "if False:",
         "high_degree_exclusion accepts a degree-5 value of at most 1",
+    ),
+    Mutant(
+        "src/hypeuler/verifier.py",
+        "if type(claimed) is not type(expected) or claimed != expected:",
+        "if claimed != expected:",
+        "_compare accepts a leaf equal in value but of another JSON type (11.0 for 11)",
+    ),
+    Mutant(
+        "src/hypeuler/verifier.py",
+        "if missing or extra:",
+        "if missing:",
+        "_compare accepts an object with a key the rebuild lacks",
+    ),
+    Mutant(
+        "src/hypeuler/verifier.py",
+        "if len(claimed) != len(expected):",
+        "if len(claimed) > len(expected):",
+        "_compare accepts a list shorter than the rebuilt one",
+    ),
+    Mutant(
+        "src/hypeuler/verifier.py",
+        "check(section_ranks == ranks,",
+        "check(True,",
+        "the verifier accepts sections that do not cover the requested ranks",
+    ),
+    Mutant(
+        "src/hypeuler/verifier.py",
+        "all(a < b for a, b in zip(ranks, ranks[1:]))",
+        "all(a <= b for a, b in zip(ranks, ranks[1:]))",
+        "the verifier accepts a requested rank stated twice",
+    ),
+    Mutant(
+        "src/hypeuler/certificate.py",
+        "if len(obj) < len(pairs):",
+        "if False:",
+        "read_certificate keeps the last of a JSON object's duplicated keys",
     ),
 )
 
