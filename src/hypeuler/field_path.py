@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple, Sequence
@@ -107,8 +108,6 @@ def kronecker_symbol(D: int, a: int) -> int:
     """Kronecker symbol (D/a) for a >= 1."""
     if a == 0:
         return 0
-    if math.gcd(D, a) > 1:
-        return 0
     value = 1
     while a % 2 == 0:
         a //= 2
@@ -155,8 +154,6 @@ def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
     if rec.degree == 2:
         return [trivial_character(), kronecker_character(rec.disc)]
     if rec.degree == 3:
-        if rec.conductor is None or rec.char_gen is None:
-            raise UnsupportedFieldError(f"{rec.label}: missing character generator data")
         g, e, order = rec.char_gen
         chi = character_from_generator(rec.conductor, g, e, order)
         if not chi.is_even():
@@ -554,29 +551,20 @@ def _order(family: str, m: int) -> tuple[int, Binomials]:
     return m * (m - 1), [(m, -1 if family == "D" else 1)] + [(2 * k, -1) for k in range(1, m)]
 
 
-def _dim_b(m: int) -> int:
-    return m * (2 * m + 1)
-
-
-def _dim_d(m: int) -> int:
-    return m * (2 * m - 1)
-
-
-_DIM = {"B": _dim_b, "D": _dim_d, "2D": _dim_d}
-
-
 def _order_formula(t: ParahoricType, r: int) -> tuple[int, Binomials, Binomials]:
     """Prasad's factor |B_r| / (|M| q^((dim B_r - dim M)/2)) for the reductive
-    quotient M of type t, as q to a power (possibly negative) times num / den."""
+    quotient M of type t, as q to a power (possibly negative) times num / den.
+    A group of rank m whose order has q to the power N (its number of
+    positive roots) has dimension 2N + m."""
     _check_type(t, r)
     power, num = _order("B", r)
     den: Binomials = []
-    gap = _dim_b(r)
+    gap = 2 * power + r
     for fam, m in _quotient_factors(t, r):
         a, binomials = _order(fam, m)
         power -= a
         den += binomials
-        gap -= _DIM[fam](m)
+        gap -= 2 * a + m
     if gap % 2 != 0:
         raise LocalFactorError(f"{t.slug()}: odd dimension gap {gap}")
     return power - gap // 2, num, den
@@ -642,12 +630,6 @@ def validate_table(table: FieldTable) -> ValidationReport:
         _check_record_invariants(table)
     except TableInvariantError as exc:
         issues.append(str(exc))
-    seen: set[tuple[int, int]] = set()
-    for rec in table.records:
-        key = (rec.degree, rec.disc)
-        if key in seen:
-            issues.append(f"duplicate record for degree {rec.degree}, disc {rec.disc}")
-        seen.add(key)
     quadratic = [rec for rec in table.records if rec.degree == 2]
     for rec in quadratic:
         try:

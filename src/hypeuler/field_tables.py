@@ -64,7 +64,10 @@ class CompletenessError(TableError):
     """A query reached beyond the asserted completeness bound."""
 
 
-class _NumberFieldFields(NamedTuple):
+class NumberFieldRecord(NamedTuple):
+    """A table row, valid by membership in a table that ``parse_table_text``
+    returned: ``_check_record_invariants`` is the one check of its fields."""
+
     label: str
     degree: int
     disc: int
@@ -73,20 +76,6 @@ class _NumberFieldFields(NamedTuple):
     abelian: bool
     conductor: int | None = None
     char_gen: tuple[int, int, int] | None = None  # (generator residue, image exponent, order)
-
-
-class NumberFieldRecord(_NumberFieldFields):  # checks in __new__, which a NamedTuple body cannot define
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "NumberFieldRecord":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.degree < 2:
-            raise TableInvariantError(f"{self.label}: degree must be at least 2")
-        if self.disc < 1 or self.h < 1:
-            raise TableInvariantError(f"{self.label}: discriminant and class number must be positive")
-        if self.conductor is not None and self.conductor < 1:
-            raise TableInvariantError(f"{self.label}: conductor {self.conductor} must be positive")
-        return self
 
 
 class FieldTable(NamedTuple):
@@ -160,7 +149,6 @@ def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
     completeness: dict[int, int] = {}
     source = ""
     records: list[NumberFieldRecord] = []
-    seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -195,14 +183,9 @@ def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
             except ValueError as exc:
                 raise TableFormatError(f"line {idx}: malformed char_gen {cg_s!r}") from exc
             char_gen = (g, e, order)
-        rec = NumberFieldRecord(
-            label, degree, disc, h, _parse_bool(tr_s, idx), _parse_bool(ab_s, idx), conductor, char_gen
+        records.append(
+            NumberFieldRecord(label, degree, disc, h, _parse_bool(tr_s, idx), _parse_bool(ab_s, idx), conductor, char_gen)
         )
-        key = (degree, disc)
-        if key in seen:
-            raise TableInvariantError(f"line {idx}: duplicate record for degree {degree}, disc {disc}")
-        seen.add(key)
-        records.append(rec)
     for degree, bound in REQUIRED_COMPLETENESS.items():
         if completeness.get(degree, 0) < bound:
             raise TableInvariantError(
@@ -219,7 +202,19 @@ def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
 
 
 def _check_record_invariants(table: FieldTable) -> None:
+    """Every check of a table row: a record that passes is valid, and no
+    code that reads it checks it again."""
+    seen: set[tuple[int, int]] = set()
     for rec in table.records:
+        if rec.degree < 2:
+            raise TableInvariantError(f"{rec.label}: degree must be at least 2")
+        if rec.disc < 1 or rec.h < 1:
+            raise TableInvariantError(f"{rec.label}: discriminant and class number must be positive")
+        if rec.conductor is not None and rec.conductor < 1:
+            raise TableInvariantError(f"{rec.label}: conductor {rec.conductor} must be positive")
+        if (rec.degree, rec.disc) in seen:
+            raise TableInvariantError(f"{rec.label}: duplicate record for degree {rec.degree}, disc {rec.disc}")
+        seen.add((rec.degree, rec.disc))
         if not rec.totally_real:
             raise TableInvariantError(f"{rec.label}: all bundled records must be totally real")
         if rec.disc % 4 not in (0, 1):

@@ -71,6 +71,8 @@ def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
     check(all(type(r) is int and r >= 2 for r in ranks), "requested ranks {} are not all integers >= 2", ranks)
     check(all(a < b for a, b in zip(ranks, ranks[1:])), "requested ranks {} are not strictly increasing", ranks)
     check(section_ranks == ranks, "sections cover ranks {}, requested ranks are {}", section_ranks, ranks)
+    if not ranks:  # not counted, so a valid certificate's count is unchanged
+        raise _Divergence("parameters.requested_r is empty: the certificate claims no rank")
     sections = []
     for r in ranks:
         try:  # any error of the certifier itself, such as a rank above MAX_RANK

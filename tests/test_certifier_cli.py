@@ -375,10 +375,14 @@ class TestTopLevelKeys:
                 lambda c: c["parameters"].update(requested_r=[3, 3]),
                 "requested ranks [3, 3] are not strictly increasing",
             ),
+            (
+                lambda c: c.update(sections=[], overall={}) or c["parameters"].update(requested_r=[]),
+                "parameters.requested_r is empty: the certificate claims no rank",
+            ),
         ],
         ids=[
             "v1-format", "v2-format", "changed-version", "changed-name", "deleted-tool", "extra-key", "error-key",
-            "extra-parameter", "precision-parameter", "duplicate-rank",
+            "extra-parameter", "precision-parameter", "duplicate-rank", "no-rank",
         ],
     )
     def test_mutation_is_named_divergence(self, rank_three_cert, table, mutate, named):

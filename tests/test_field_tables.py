@@ -69,8 +69,23 @@ class TestLoading:
 
     def test_duplicate_detection(self, tmp_path):
         text = MINI_TABLE + "2.2.5.2|2|5|1|1|1|5|-\n"
-        with pytest.raises(TableInvariantError, match="duplicate"):
+        with pytest.raises(TableInvariantError, match="^2.2.5.2: duplicate record for degree 2, disc 5$"):
             parse_table_text(text)
+
+    @pytest.mark.parametrize(
+        ("row", "named"),
+        [
+            ("2.2.5.1|1|5|1|1|1|5|-", "degree must be at least 2"),
+            ("2.2.5.1|2|0|1|1|1|5|-", "discriminant and class number must be positive"),
+            ("2.2.5.1|2|5|0|1|1|5|-", "discriminant and class number must be positive"),
+            ("2.2.5.1|2|5|1|0|1|5|-", "all bundled records must be totally real"),
+        ],
+        ids=["degree-1", "disc-0", "h-0", "not-totally-real"],
+    )
+    def test_invalid_row_refused_at_load(self, row, named):
+        # every check of a row runs once, when its table is parsed
+        with pytest.raises(TableInvariantError, match=f"^2.2.5.1: {named}$"):
+            parse_table_text(MINI_TABLE.replace("2.2.5.1|2|5|1|1|1|5|-", row))
 
     def test_header_required(self):
         with pytest.raises(TableFormatError, match="header"):

@@ -253,6 +253,19 @@ class TestOrderFormulaOracle:
         with pytest.raises(CalibrationError, match=rf"^{re.escape(target.slug())} at rank 3: "):
             calibrate_oracle(3)
 
+    def test_odd_dimension_gap_named(self, monkeypatch):
+        # without its split torus D(1) the quotient of split.torus-split at
+        # rank 3 is B(2), 21 - 10 = 11 dimensions below B(3)
+        quotient = field_path._quotient_factors
+
+        def torus_dropped(t, rank):
+            factors = quotient(t, rank)
+            return [f for f in factors if f != ("D", 1)] if t.kind is Kind.TORUS_SPLIT else factors
+
+        monkeypatch.setattr(field_path, "_quotient_factors", torus_dropped)
+        with pytest.raises(LocalFactorError, match="^split.torus-split: odd dimension gap 11$"):
+            calibrate_oracle(3)
+
     def test_every_type_up_to_rank_27(self):
         # all 800 maximal types at r = 3..27; about 0.16 s on one core of a 2-vCPU Intel Xeon
         assert sum(len(calibrate_oracle(r)) for r in range(3, 28)) == 800

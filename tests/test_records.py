@@ -1,7 +1,8 @@
 """Record semantics the engine relies on: equal records hash equal (they
 are ``functools.cache`` keys), intervals compare by their endpoints only,
-the arithmetic value types are not tuples, and validating records raise
-at construction."""
+the arithmetic value types are not tuples, and an ``ArithmeticDatum``
+checks its rank at construction (a field record is checked once, when its
+table loads: ``tests/test_field_tables.py``)."""
 
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ import pytest
 from hypeuler.euler_char import ArithmeticDatum, EulerCharError
 from hypeuler.exact_arith import RationalInterval
 from hypeuler.field_path import Zeta3Number, character_from_generator, kronecker_character
-from hypeuler.field_tables import NumberFieldRecord, TableInvariantError
+from hypeuler.field_tables import NumberFieldRecord
 from hypeuler.local_factors import Kind, ParahoricType
 
 QSQRT5 = dict(label="2.2.5.1", degree=2, disc=5, h=1, totally_real=True, abelian=True, conductor=5)
@@ -55,13 +56,6 @@ def test_value_types_are_not_tuples():
         RationalInterval(F(0), F(1)) < RationalInterval(F(2), F(3))
 
 
-@pytest.mark.parametrize("changes", [dict(degree=1), dict(h=0)])
-def test_invalid_number_field_record_raises(changes):
-    with pytest.raises(TableInvariantError):
-        NumberFieldRecord(**{**QSQRT5, **changes})
-
-
-@pytest.mark.parametrize("r, changes", [(1, {}), (3, dict(totally_real=False))])
-def test_invalid_arithmetic_datum_raises(r, changes):
-    with pytest.raises(EulerCharError):
-        ArithmeticDatum(field=NumberFieldRecord(**{**QSQRT5, **changes}), r=r)
+def test_invalid_arithmetic_datum_raises():
+    with pytest.raises(EulerCharError, match="^rank must be at least 2$"):
+        ArithmeticDatum(field=NumberFieldRecord(**QSQRT5), r=1)

@@ -1,7 +1,8 @@
 """Each proof fact is stated once: records hold no rank their container
 already holds and no flag that a raise already guarantees, C(r) is its
-enclosure, there is one outward rounding, and a maximal type is valid at
-rank r exactly when ``enumerate_maximal_types(r)`` lists it."""
+enclosure, there is one outward rounding, a maximal type is valid at
+rank r exactly when ``enumerate_maximal_types(r)`` lists it, and a field
+record is valid by membership in a loaded table."""
 
 import itertools
 
@@ -11,6 +12,7 @@ from hypeuler import exact_arith
 from hypeuler.euler_char import C_of_r
 from hypeuler.exact_arith import RationalInterval
 from hypeuler.field_path import MinimumProof, TypeMinimum, local_factor_polynomial
+from hypeuler.field_tables import NumberFieldRecord
 from hypeuler.local_factors import Kind, LocalFactorError, ParahoricType, enumerate_maximal_types
 from hypeuler.search_bounds import (
     BoundsPass,
@@ -41,6 +43,11 @@ def test_record_fields(record):
 
 def test_parahoric_type_is_a_plain_named_tuple():
     assert ParahoricType.__bases__ == (tuple,)
+
+
+def test_number_field_record_is_a_plain_named_tuple():
+    # valid by membership in a loaded table, which checked its every row
+    assert NumberFieldRecord.__bases__ == (tuple,)
 
 
 def test_rank_constant_is_its_enclosure():

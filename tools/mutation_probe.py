@@ -114,6 +114,72 @@ MUTANTS = (
         "if False:",
         "read_certificate keeps the last of a JSON object's duplicated keys",
     ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "bad = [f for f in fields if f.h != 1]",
+        "bad = [f for f in fields if f.h > 2]",
+        "enumerate_candidates lets a pass-one survivor of class number 2 through",
+    ),
+    Mutant(
+        "src/hypeuler/euler_char.py",
+        "if datum.field.h != 1:",
+        "if datum.field.h < 1:",
+        "reciprocal_integer_obstruction decides a field of class number above 1",
+    ),
+    Mutant(
+        "src/hypeuler/local_factors.py",
+        "if at2 <= 4:",
+        "if at2 < 4:",
+        "minimum_proof accepts a factor whose value at q = 2 is exactly 4",
+    ),
+    Mutant(
+        "src/hypeuler/local_factors.py",
+        "if any(c < 0 for c in shifted):",
+        "if any(c < -1 for c in shifted):",
+        "minimum_proof accepts a shifted coefficient of -1",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "calibrate_oracle(r)  # raises CalibrationError unless each closed form is Prasad's factor",
+        "pass",
+        "certify_section certifies without proving the closed forms equal to Prasad's order formula",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "excluded=p.disc_upper < floor",
+        "excluded=p.disc_upper <= floor",
+        "_low_degree_rows excludes a degree whose cutoff is the smallest discriminant itself",
+    ),
+    Mutant(
+        "src/hypeuler/field_path.py",
+        "return cycles if norm_minus_one else cycles // 2",
+        "return cycles",
+        "quadratic_class_number returns the narrow class number",
+    ),
+    Mutant(
+        "src/hypeuler/field_tables.py",
+        "if (rec.degree, rec.disc) in seen:",
+        "if False:",
+        "the table loader accepts two records of one degree and discriminant",
+    ),
+    Mutant(
+        "src/hypeuler/field_tables.py",
+        "if rec.disc < 1 or rec.h < 1:",
+        "if rec.disc < 1:",
+        "the table loader accepts a class number of 0",
+    ),
+    Mutant(
+        "src/hypeuler/field_tables.py",
+        "if rec.degree < 2:",
+        "if rec.degree < 1:",
+        "the table loader accepts a record of degree 1",
+    ),
+    Mutant(
+        "src/hypeuler/field_path.py",
+        "if gap % 2 != 0:",
+        "if False:",
+        "_order_formula halves an odd dimension gap",
+    ),
 )
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
