@@ -37,22 +37,6 @@ class CharacterError(Exception):
     pass
 
 
-class NonFundamentalDiscriminantError(CharacterError):
-    pass
-
-
-class UnsupportedFieldError(CharacterError):
-    """The field is not abelian, or its character data is missing."""
-
-
-class InternalConsistencyError(Exception):
-    """A zeta special value that cannot vanish came out zero."""
-
-
-class PrecisionError(Exception):
-    """Requested enclosure width was not reached within the term budget."""
-
-
 # ---------------------------------------------------------------------------
 # Generalized Bernoulli numbers and exact special values
 # ---------------------------------------------------------------------------
@@ -116,7 +100,7 @@ def zeta_k_special(rec: NumberFieldRecord, j: int) -> Fraction:
         L = _l_value_at_negative(2 * j, chi)
         value *= L.norm() if chi.order == 3 else L.as_rational()
     if not value:
-        raise InternalConsistencyError(f"{rec.label}, j={j}: zeta special value vanished")
+        raise CharacterError(f"{rec.label}, j={j}: zeta special value vanished")
     return value
 
 
@@ -152,7 +136,7 @@ def zeta_k_numeric(rec: NumberFieldRecord, s: int, precision_bits: int) -> Ratio
     2^-precision_bits (relative to magnitude ~1), by the ladder of
     ``numeric_path.zeta_k_enclosure``.
 
-    Raises PrecisionError if the target width is not reached within
+    Raises CharacterError if the target width is not reached within
     ``numeric_path.MAX_TERMS`` series terms (about 800 bits).
     """
     if s < 2 or s % 2 != 0:

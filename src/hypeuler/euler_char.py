@@ -41,10 +41,6 @@ class EulerCharError(Exception):
     pass
 
 
-class ClassNumberPreconditionError(EulerCharError):
-    """The closed-form decomposition needs class number one."""
-
-
 class ArithmeticDatum(Value):
     """A field of a loaded table, whose rows are checked at load, and a rank."""
 
@@ -127,7 +123,7 @@ def reciprocal_integer_obstruction(datum: ArithmeticDatum) -> ObstructionVerdict
     from .field_path import odd_part_of_numerator, smallest_odd_prime_factor
 
     if datum.field.h != 1:
-        raise ClassNumberPreconditionError(
+        raise EulerCharError(
             f"{datum.field.label}: class number {datum.field.h} != 1, decomposition unavailable"
         )
     signed = tuple(zeta_row(datum.field, datum.r))

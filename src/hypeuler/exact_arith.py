@@ -23,11 +23,7 @@ from functools import lru_cache
 
 
 class ExactArithError(Exception):
-    """Base class for errors raised by the exact-arithmetic layer."""
-
-
-class ExactDivisionError(ExactArithError):
-    """Polynomial division left a nonzero remainder."""
+    """An error raised by the exact-arithmetic layer."""
 
 
 def as_rational(x: int | Fraction) -> Fraction:

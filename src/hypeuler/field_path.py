@@ -32,19 +32,17 @@ from functools import cache
 from typing import NamedTuple, Sequence
 
 from . import field_tables, search_bounds
-from .characters_zeta import NonFundamentalDiscriminantError, UnsupportedFieldError, zeta_row
+from .characters_zeta import CharacterError, zeta_row
 from .euler_char import ArithmeticDatum, EulerCharError
-from .exact_arith import ExactArithError, ExactDivisionError, Value, as_rational
+from .exact_arith import ExactArithError, Value, as_rational
 from .field_tables import (
     FieldTable,
     NumberFieldRecord,
     TableError,
-    TableInvariantError,
     _check_record_invariants,
     is_fundamental_discriminant,
 )
 from .local_factors import (
-    IntegralityError,
     Kind,
     LocalFactorError,
     ParahoricType,
@@ -121,7 +119,7 @@ def kronecker_character(D: int) -> DirichletCharacter:
     """The primitive real character mod D for a fundamental discriminant
     D > 1 of a real quadratic field."""
     if not is_fundamental_discriminant(D):
-        raise NonFundamentalDiscriminantError(f"{D} is not a fundamental discriminant > 1")
+        raise CharacterError(f"{D} is not a fundamental discriminant > 1")
     exps = tuple(None if math.gcd(a, D) > 1 else (0 if kronecker_symbol(D, a) == 1 else 1) for a in range(D))
     return DirichletCharacter(modulus=D, order=2, exponents=exps)
 
@@ -138,7 +136,7 @@ def character_from_generator(modulus: int, generator: int, image_exponent: int, 
         exps[cur] = t * image_exponent % order
         cur = cur * generator % modulus
     if cur != 1 or exps.count(None) != modulus - units:
-        raise UnsupportedFieldError(
+        raise CharacterError(
             f"{generator} does not generate the units mod {modulus}; character data invalid"
         )
     return DirichletCharacter(modulus=modulus, order=order, exponents=tuple(exps))
@@ -150,16 +148,16 @@ def characters_for_field(rec: NumberFieldRecord) -> list[DirichletCharacter]:
     quadratic field or one cubic character chi of a cyclic cubic field,
     which stands for the pair chi, chibar."""
     if not rec.abelian:
-        raise UnsupportedFieldError(f"{rec.label}: field is not abelian, no character decomposition")
+        raise CharacterError(f"{rec.label}: field is not abelian, no character decomposition")
     if rec.degree == 2:
         return [trivial_character(), kronecker_character(rec.disc)]
     if rec.degree == 3:
         g, e, order = rec.char_gen
         chi = character_from_generator(rec.conductor, g, e, order)
         if not chi.is_even():
-            raise UnsupportedFieldError(f"{rec.label}: character is odd, field cannot be totally real")
+            raise CharacterError(f"{rec.label}: character is odd, field cannot be totally real")
         return [trivial_character(), chi]
-    raise UnsupportedFieldError(f"{rec.label}: abelian fields of degree {rec.degree} are not supported")
+    raise CharacterError(f"{rec.label}: abelian fields of degree {rec.degree} are not supported")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +434,7 @@ def poly_exact_divide(num: RatPolynomial, den: RatPolynomial) -> RatPolynomial:
     q, r = num.divmod(den)
     if not r.is_zero():
         coeffs = ", ".join(map(str, r.coeffs))
-        raise ExactDivisionError(f"nonzero remainder [{coeffs}] in exact polynomial division")
+        raise ExactArithError(f"nonzero remainder [{coeffs}] in exact polynomial division")
     return q
 
 
@@ -497,14 +495,14 @@ def integer_exact_divide(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[in
     coefficient tuples lowest degree first with no trailing zero and a
     monic den, so every step stays in Z.
 
-    Raises IntegralityError when den is not monic or when the remainder is
+    Raises LocalFactorError when den is not monic or when the remainder is
     nonzero (the division is inexact).
     """
     if den[-1] != 1:
-        raise IntegralityError(f"leading coefficient {den[-1]} of the divisor is not 1")
+        raise LocalFactorError(f"leading coefficient {den[-1]} of the divisor is not 1")
     quot, rem = long_division(num, den)
     if any(rem):
-        raise IntegralityError(f"nonzero remainder [{', '.join(map(str, rem))}] in exact division")
+        raise LocalFactorError(f"nonzero remainder [{', '.join(map(str, rem))}] in exact division")
     return tuple(quot)
 
 
@@ -513,14 +511,14 @@ def _quotient(t: ParahoricType, r: int) -> tuple[int, ...]:
     num, den = _closed_form(t, r)
     try:
         return integer_exact_divide(_binomial_product(num), _binomial_product(den))
-    except IntegralityError as exc:
-        raise IntegralityError(f"{t.slug()} at rank {r}: {exc}") from exc
+    except LocalFactorError as exc:
+        raise LocalFactorError(f"{t.slug()} at rank {r}: {exc}") from exc
 
 
 def local_factor_polynomial(t: ParahoricType, r: int) -> RatPolynomial:
     """The factor as a polynomial in q with integer coefficients.
 
-    Raises IntegralityError when the division is inexact (which would
+    Raises LocalFactorError when the division is inexact (which would
     break the divisibility argument the certificates rely on); the
     denominator is monic, so an exact quotient is integral.
     """
@@ -593,7 +591,7 @@ def quadratic_class_number(D: int) -> int:
     with a = -1 (the fundamental unit has norm -1) and 2h otherwise.
     """
     if not is_fundamental_discriminant(D):
-        raise TableInvariantError(f"{D} is not a fundamental discriminant")
+        raise TableError(f"{D} is not a fundamental discriminant")
     s = math.isqrt(D)
     remaining: set[tuple[int, int, int]] = set()
     for b in range(2 - D % 2, s + 1, 2):
@@ -628,7 +626,7 @@ def validate_table(table: FieldTable) -> ValidationReport:
     issues: list[str] = []
     try:
         _check_record_invariants(table)
-    except TableInvariantError as exc:
+    except TableError as exc:
         issues.append(str(exc))
     quadratic = [rec for rec in table.records if rec.degree == 2]
     for rec in quadratic:

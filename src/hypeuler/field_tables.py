@@ -45,23 +45,7 @@ MINIMAL_DISCRIMINANT = {2: 5, 3: 49, 4: 725, 5: 14641, 6: 300125}
 
 
 class TableError(Exception):
-    """Base class for dataset errors."""
-
-
-class TableFormatError(TableError):
-    """The file does not parse under the v1 schema."""
-
-
-class TableInvariantError(TableError):
-    """A parsed record violates a dataset invariant."""
-
-
-class ChecksumError(TableError):
-    """The detached checksum does not match the canonicalized content."""
-
-
-class CompletenessError(TableError):
-    """A query reached beyond the asserted completeness bound."""
+    """A table that is unreadable or invalid, or a query past its completeness bound."""
 
 
 class NumberFieldRecord(NamedTuple):
@@ -139,13 +123,13 @@ def _parse_bool(token: str, idx: int) -> bool:
         return True
     if token == "0":
         return False
-    raise TableFormatError(f"line {idx}: boolean field must be 0 or 1, got {token!r}")
+    raise TableError(f"line {idx}: boolean field must be 0 or 1, got {token!r}")
 
 
 def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
-        raise TableFormatError(f"missing or wrong header line (expected {HEADER!r})")
+        raise TableError(f"missing or wrong header line (expected {HEADER!r})")
     completeness: dict[int, int] = {}
     source = ""
     records: list[NumberFieldRecord] = []
@@ -160,35 +144,35 @@ def parse_table_text(text: str, checksum: str | None = None) -> FieldTable:
                     deg_s, bound_s = body.removeprefix("completeness:").split()
                     completeness[int(deg_s)] = int(bound_s)
                 except ValueError as exc:
-                    raise TableFormatError(f"line {idx}: malformed completeness directive") from exc
+                    raise TableError(f"line {idx}: malformed completeness directive") from exc
             elif body.startswith("source:"):
                 source = body.removeprefix("source:").strip()
             continue
         parts = line.split("|")
         if len(parts) != 8:
-            raise TableFormatError(f"line {idx}: expected 8 fields, got {len(parts)}")
+            raise TableError(f"line {idx}: expected 8 fields, got {len(parts)}")
         label, deg_s, disc_s, h_s, tr_s, ab_s, cond_s, cg_s = parts
         try:
             degree, disc, h = int(deg_s), int(disc_s), int(h_s)
         except ValueError as exc:
-            raise TableFormatError(f"line {idx}: non-integer numeric field") from exc
+            raise TableError(f"line {idx}: non-integer numeric field") from exc
         try:
             conductor = None if cond_s == "-" else int(cond_s)
         except ValueError as exc:
-            raise TableFormatError(f"line {idx}: malformed conductor {cond_s!r}") from exc
+            raise TableError(f"line {idx}: malformed conductor {cond_s!r}") from exc
         char_gen = None
         if cg_s != "-":
             try:
                 g, e, order = (int(t) for t in cg_s.split(":"))
             except ValueError as exc:
-                raise TableFormatError(f"line {idx}: malformed char_gen {cg_s!r}") from exc
+                raise TableError(f"line {idx}: malformed char_gen {cg_s!r}") from exc
             char_gen = (g, e, order)
         records.append(
             NumberFieldRecord(label, degree, disc, h, _parse_bool(tr_s, idx), _parse_bool(ab_s, idx), conductor, char_gen)
         )
     for degree, bound in REQUIRED_COMPLETENESS.items():
         if completeness.get(degree, 0) < bound:
-            raise TableInvariantError(
+            raise TableError(
                 f"completeness bound for degree {degree} must cover at least {bound}"
             )
     table = FieldTable(
@@ -207,41 +191,45 @@ def _check_record_invariants(table: FieldTable) -> None:
     seen: set[tuple[int, int]] = set()
     for rec in table.records:
         if rec.degree < 2:
-            raise TableInvariantError(f"{rec.label}: degree must be at least 2")
+            raise TableError(f"{rec.label}: degree must be at least 2")
         if rec.disc < 1 or rec.h < 1:
-            raise TableInvariantError(f"{rec.label}: discriminant and class number must be positive")
+            raise TableError(f"{rec.label}: discriminant and class number must be positive")
         if rec.conductor is not None and rec.conductor < 1:
-            raise TableInvariantError(f"{rec.label}: conductor {rec.conductor} must be positive")
+            raise TableError(f"{rec.label}: conductor {rec.conductor} must be positive")
         if (rec.degree, rec.disc) in seen:
-            raise TableInvariantError(f"{rec.label}: duplicate record for degree {rec.degree}, disc {rec.disc}")
+            raise TableError(f"{rec.label}: duplicate record for degree {rec.degree}, disc {rec.disc}")
         seen.add((rec.degree, rec.disc))
         if not rec.totally_real:
-            raise TableInvariantError(f"{rec.label}: all bundled records must be totally real")
+            raise TableError(f"{rec.label}: all bundled records must be totally real")
         if rec.disc % 4 not in (0, 1):
-            raise TableInvariantError(
+            raise TableError(
                 f"{rec.label}: discriminant {rec.disc} violates the 0/1 mod 4 congruence"
             )
         floor = MINIMAL_DISCRIMINANT.get(rec.degree)
         if floor is not None and rec.disc < floor:
-            raise TableInvariantError(
+            raise TableError(
                 f"{rec.label}: disc {rec.disc} below the minimal totally real "
                 f"degree-{rec.degree} discriminant {floor}"
             )
         if rec.degree == 2:
+            if not rec.abelian:
+                raise TableError(f"{rec.label}: every quadratic field is abelian")
             if not is_fundamental_discriminant(rec.disc):
-                raise TableInvariantError(f"{rec.label}: {rec.disc} is not a fundamental discriminant")
+                raise TableError(f"{rec.label}: {rec.disc} is not a fundamental discriminant")
             if rec.conductor != rec.disc:
-                raise TableInvariantError(f"{rec.label}: quadratic conductor must equal the discriminant")
+                raise TableError(f"{rec.label}: quadratic conductor must equal the discriminant")
+        if rec.degree == 3 and not rec.abelian and math.isqrt(rec.disc) ** 2 == rec.disc:
+            raise TableError(f"{rec.label}: a cubic field of square discriminant {rec.disc} is cyclic, so abelian")
         if rec.degree == 3 and rec.abelian:
             if rec.conductor is None or rec.conductor**2 != rec.disc:
-                raise TableInvariantError(
+                raise TableError(
                     f"{rec.label}: cyclic cubic must satisfy conductor^2 = disc"
                 )
             if rec.char_gen is None:
-                raise TableInvariantError(f"{rec.label}: cyclic cubic record needs character data")
+                raise TableError(f"{rec.label}: cyclic cubic record needs character data")
             g, e, order = rec.char_gen
             if order != 3 or math.gcd(g, rec.conductor) != 1 or e % order == 0:
-                raise TableInvariantError(f"{rec.label}: invalid character generator data")
+                raise TableError(f"{rec.label}: invalid character generator data")
 
 
 def bundled_table_path() -> Path:
@@ -252,7 +240,7 @@ def _read_text(p: Path) -> str:
     try:
         return p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
-        raise TableFormatError(f"cannot read {p}: {exc}") from exc
+        raise TableError(f"cannot read {p}: {exc}") from exc
 
 
 def load_table(path: str | Path | None = None) -> FieldTable:
@@ -266,12 +254,12 @@ def load_table(path: str | Path | None = None) -> FieldTable:
     digest = checksum_of_text(text)
     sha_path = p.with_name(p.name + ".sha256")
     if not sha_path.exists():
-        raise ChecksumError(f"missing checksum file {sha_path}")
+        raise TableError(f"missing checksum file {sha_path}")
     recorded = next(iter(_read_text(sha_path).split()), None)
     if recorded is None:
-        raise ChecksumError(f"empty checksum file {sha_path}")
+        raise TableError(f"empty checksum file {sha_path}")
     if recorded != digest:
-        raise ChecksumError(f"checksum mismatch for {p}: recorded {recorded}, computed {digest}")
+        raise TableError(f"checksum mismatch for {p}: recorded {recorded}, computed {digest}")
     return parse_table_text(text, checksum=digest)
 
 
@@ -283,7 +271,7 @@ def query(table: FieldTable, degree: int, max_disc: int) -> list[NumberFieldReco
     """
     bound = table.completeness.get(degree)
     if bound is None or max_disc > bound:
-        raise CompletenessError(
+        raise TableError(
             f"table is only complete for degree {degree} up to {bound}, asked for {max_disc}"
         )
     return [r for r in table.records if r.degree == degree and r.disc <= max_disc]

@@ -40,18 +40,6 @@ class LocalFactorError(Exception):
     pass
 
 
-class IntegralityError(LocalFactorError):
-    """A factor failed to be an integer-coefficient polynomial in q."""
-
-
-class MonotonicityError(LocalFactorError):
-    """A factor failed the shifted-coefficient nonnegativity check."""
-
-
-class CalibrationError(LocalFactorError):
-    """A closed form is not Prasad's order formula as a rational function of q."""
-
-
 class Kind(enum.Enum):
     """Isogeny type of the reductive quotient attached to a maximal type.
 
@@ -122,7 +110,7 @@ def minimum_proof(r: int) -> MinimumProof:
     polynomial with integer coefficients, that substituting q = 2 + u
     yields nonnegative coefficients (so the factor is nondecreasing for
     q >= 2), and that its value at q = 2 exceeds 4; raises
-    MonotonicityError when either check fails."""
+    LocalFactorError when either check fails."""
     from .field_path import MinimumProof, TypeMinimum, _quotient, taylor_shift
 
     entries = []
@@ -130,10 +118,10 @@ def minimum_proof(r: int) -> MinimumProof:
         coeffs = _quotient(t, r)
         shifted = taylor_shift(coeffs, 2)
         if any(c < 0 for c in shifted):
-            raise MonotonicityError(f"{t.slug()} at rank {r}: shifted coefficients go negative")
+            raise LocalFactorError(f"{t.slug()} at rank {r}: shifted coefficients go negative")
         at2 = Fraction(shifted[0] if shifted else 0)  # p(2 + u) at u = 0
         if at2 <= 4:
-            raise MonotonicityError(f"{t.slug()} at rank {r}: value {at2} at q=2 does not exceed 4")
+            raise LocalFactorError(f"{t.slug()} at rank {r}: value {at2} at q=2 does not exceed 4")
         entries.append(TypeMinimum(t, coeffs, at2))
     return MinimumProof(entries=tuple(entries), minimum=min(e.value_at_two for e in entries))
 
@@ -164,7 +152,7 @@ def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dic
 
     q and the Phi_n are distinct primes of Z[q], so the two agree at every q
     exactly when their powers of q agree and, cross-multiplied, their
-    Phi_n multisets do.  Raises CalibrationError naming the type and the
+    Phi_n multisets do.  Raises LocalFactorError naming the type and the
     rank otherwise.  Each q in ``qs`` must be a prime power; none is
     evaluated at."""
     from .field_path import _check_q, _closed_form, _cyclotomic, _order_formula
@@ -175,7 +163,7 @@ def calibrate_oracle(r: int, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> dic
         power, num, den = _order_formula(t, r)
         closed_num, closed_den = _closed_form(t, r)
         if power != 0 or _cyclotomic(closed_num + den) != _cyclotomic(num + closed_den):
-            raise CalibrationError(f"{t.slug()} at rank {r}: closed form differs from Prasad's order formula")
+            raise LocalFactorError(f"{t.slug()} at rank {r}: closed form differs from Prasad's order formula")
     return {t.slug(): Fraction(1) for t in enumerate_maximal_types(r)}
 
 

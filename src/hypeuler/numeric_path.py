@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .characters_zeta import PrecisionError, zeta_k_numeric
+from .characters_zeta import CharacterError, zeta_k_numeric
 from .euler_char import ArithmeticDatum, C_of_r
 from .exact_arith import ExactArithError, RationalInterval, as_rational
 from .field_path import DirichletCharacter, bernoulli_number, characters_for_field
@@ -166,7 +166,7 @@ def zeta_k_enclosure(rec: NumberFieldRecord, s: int, precision_bits: int) -> Rat
     precision), so zeta(s) is shared across fields and L(s, chi) across
     ranks.
 
-    Raises PrecisionError if the target width is not reached within
+    Raises CharacterError if the target width is not reached within
     ``MAX_TERMS`` series terms (about 800 bits), stating that round's width,
     or its floor when the floor already ruled it out.
     """
@@ -189,7 +189,7 @@ def zeta_k_enclosure(rec: NumberFieldRecord, s: int, precision_bits: int) -> Rat
                 return acc
         if terms >= MAX_TERMS:
             width = f"width floor {float(floor):.3e}" if acc is None else f"width {float(acc.width):.3e}"
-            raise PrecisionError(f"{width} above target 2^-{precision_bits} after {terms} terms")
+            raise CharacterError(f"{width} above target 2^-{precision_bits} after {terms} terms")
         terms *= 2
         corrections = min(corrections + 6, 40)
 
@@ -213,7 +213,7 @@ def chi_principal_enclosure(datum: ArithmeticDatum, precision_bits: int) -> Rati
     C(r)^d prod_j zeta_k(2j), enclosed.
 
     The zeta factors come first: past the reach of their ladder (about
-    800 bits) ``zeta_k_numeric`` raises PrecisionError before pi is
+    800 bits) ``zeta_k_numeric`` raises CharacterError before pi is
     enclosed at the precision asked for.
 
     Every factor is positive with dyadic ends, integer mantissas at a scale

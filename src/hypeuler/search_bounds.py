@@ -40,15 +40,6 @@ class SearchError(Exception):
     pass
 
 
-class PassOneClassNumberError(SearchError):
-    """A first-pass survivor has class number > 1; the class-number-one
-    shortcut used by the certification flow would be unsound for it."""
-
-
-class HighDegreeCheckError(SearchError):
-    """The degree >= 5 exclusion inequality failed to verify."""
-
-
 class BoundsMode(enum.Enum):
     CLASS_NUMBER_BOUNDED = "class-number-bounded"  # h eliminated via the analytic bound
     CLASS_NUMBER_ONE = "class-number-one"  # h = 1 assumed
@@ -158,9 +149,9 @@ def high_degree_exclusion(r: int, table: FieldTable | None = None) -> HighDegree
     growth = growth_sq.sqrt(BOUNDS_PRECISION_BITS)
     at_five = growth.pow_int(5).scale(Fraction(1, 8))
     if not growth.strictly_greater_than(1):
-        raise HighDegreeCheckError(f"r={r}: per-degree growth factor does not exceed 1")
+        raise SearchError(f"r={r}: per-degree growth factor does not exceed 1")
     if not at_five.strictly_greater_than(1):
-        raise HighDegreeCheckError(f"r={r}: degree-5 exclusion inequality failed")
+        raise SearchError(f"r={r}: degree-5 exclusion inequality failed")
     rows: tuple[LowDegreeRow, ...] = ()
     if table is not None:
         passes = (compute_bounds_pass(r, d, BoundsMode.CLASS_NUMBER_BOUNDED) for d in SEARCH_DEGREES)
@@ -219,7 +210,7 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
         fields = query(table, d, p1.disc_upper) if p1.disc_upper >= 1 else []
         bad = [f for f in fields if f.h != 1]
         if bad:
-            raise PassOneClassNumberError(
+            raise SearchError(
                 f"r={r}, degree {d}: pass-one survivors with h > 1: "
                 + ", ".join(f"{f.label} (h={f.h})" for f in bad)
             )
@@ -318,7 +309,7 @@ def certify_section(r: int, table: FieldTable) -> CertificateSection:
         enumeration = None
     verdicts = tuple(field_verdict(rec, r) for rec in candidates)
     if verdicts:
-        calibrate_oracle(r)  # raises CalibrationError unless each closed form is Prasad's factor
+        calibrate_oracle(r)  # raises LocalFactorError unless each closed form is Prasad's factor
     certified = all(v.obstruction.obstructed for v in verdicts)
     return CertificateSection(
         r=r,

@@ -644,7 +644,7 @@ class TestUnrecomputableRank:
         outcome = verify_certificate(cert, doctored)
         assert not outcome.ok
         assert outcome.divergence == (
-            "section r=3: cannot recompute the evidence (PassOneClassNumberError: "
+            "section r=3: cannot recompute the evidence (SearchError: "
             "r=3, degree 2: pass-one survivors with h > 1: 2.2.5.1 (h=2))"
         )
 
@@ -773,7 +773,7 @@ class TestLocalFactorMutations:
         outcome = verify_certificate(rank_three_cert, table)
         assert not outcome.ok
         assert outcome.divergence == (
-            f"section r=3: cannot recompute the evidence (CalibrationError: {target.slug()} at rank 3: "
+            f"section r=3: cannot recompute the evidence (LocalFactorError: {target.slug()} at rank 3: "
             "closed form differs from Prasad's order formula)"
         )
 

@@ -7,7 +7,6 @@ from mpmath import mp
 from hypeuler.euler_char import (
     ArithmeticDatum,
     C_of_r,
-    ClassNumberPreconditionError,
     EulerCharError,
     build_euler_char,
     chi_principal_numeric,
@@ -156,8 +155,8 @@ class TestObstruction:
         assert v.product == F(1, 1800) and v.odd_numerator == 1
 
     def test_class_number_precondition(self, table):
-        with pytest.raises(ClassNumberPreconditionError):
-            reciprocal_integer_obstruction(datum(table, 40, 3))  # h = 2
+        with pytest.raises(EulerCharError, match="^2.2.40.1: class number 2 != 1, decomposition unavailable$"):
+            reciprocal_integer_obstruction(datum(table, 40, 3))
 
     def test_smallest_odd_prime_factor(self):
         assert smallest_odd_prime_factor(1) is None

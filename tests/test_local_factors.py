@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from hypeuler import field_path, local_factors
 from hypeuler.field_path import RatPolynomial, is_prime_power, local_factor_polynomial, taylor_shift
 from hypeuler.local_factors import (
-    CalibrationError,
-    IntegralityError,
     Kind,
     LocalFactorError,
-    MonotonicityError,
     ParahoricType,
     calibrate_oracle,
     enumerate_maximal_types,
@@ -22,6 +19,8 @@ from hypeuler.local_factors import (
     table_fingerprint,
 )
 from oracles import order_formula_value
+
+CALIBRATION = "closed form differs from Prasad's order formula"
 
 PRIME_POWERS_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -164,13 +163,14 @@ class TestMinimumProof:
     )
     def test_failed_checks_raise(self, monkeypatch, coeffs, named):
         monkeypatch.setattr(field_path, "_quotient", lambda t, r: coeffs)
-        with pytest.raises(MonotonicityError, match=named):
+        with pytest.raises(LocalFactorError, match=rf"^\S+ at rank 3: .*{named}$"):
             minimum_proof(3)
 
     def test_inexact_closed_form_raises(self, monkeypatch):
         # (q^2 + 1) / (q - 1) leaves the remainder 2
         monkeypatch.setattr(field_path, "_closed_form", lambda t, r: ([(2, 1)], [(1, -1)]))
-        with pytest.raises(IntegralityError, match="split.torus-split at rank 3: nonzero remainder"):
+        inexact = r"^split.torus-split at rank 3: nonzero remainder \[2, 0, 0\] in exact division$"
+        with pytest.raises(LocalFactorError, match=inexact):
             local_factor_polynomial(t_split_gl1(), 3)
 
 
@@ -236,7 +236,7 @@ class TestOrderFormulaOracle:
                     monkeypatch.setattr(
                         field_path, "_closed_form", lambda t, rank: tuple(lists) if t == target else closed(t, rank)
                     )
-                    with pytest.raises(CalibrationError, match=rf"^{re.escape(target.slug())} at rank {r}: "):
+                    with pytest.raises(LocalFactorError, match=rf"^{re.escape(target.slug())} at rank {r}: {CALIBRATION}$"):
                         calibrate_oracle(r)
 
     def test_power_of_q_apart_named(self, monkeypatch):
@@ -250,7 +250,7 @@ class TestOrderFormulaOracle:
             return (power + 1 if t == target else power), num, den
 
         monkeypatch.setattr(field_path, "_order_formula", one_q_more)
-        with pytest.raises(CalibrationError, match=rf"^{re.escape(target.slug())} at rank 3: "):
+        with pytest.raises(LocalFactorError, match=rf"^{re.escape(target.slug())} at rank 3: {CALIBRATION}$"):
             calibrate_oracle(3)
 
     def test_odd_dimension_gap_named(self, monkeypatch):

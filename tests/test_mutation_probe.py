@@ -25,7 +25,7 @@ def probe():
 
 def test_each_old_text_occurs_once_in_src(probe):
     sources = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py")}
-    assert len(probe.MUTANTS) == 24
+    assert len(probe.MUTANTS) == 36
     for mutant in probe.MUTANTS:
         assert mutant.old != mutant.new
         assert {path: text.count(mutant.old) for path, text in sources.items() if mutant.old in text} == {

@@ -9,7 +9,7 @@ from mpmath import mp
 
 from hypeuler import search_bounds
 from hypeuler.certificate import MAX_RANK
-from hypeuler.characters_zeta import PrecisionError
+from hypeuler.characters_zeta import CharacterError
 from hypeuler.euler_char import ArithmeticDatum, C_of_r, chi_principal_numeric
 from hypeuler.exact_arith import RationalInterval, format_rational, pi_enclosure
 from hypeuler.field_tables import load_table, parse_table_text
@@ -17,9 +17,7 @@ from hypeuler.search_bounds import (
     VERDICT_CERTIFIED,
     VERDICT_INCONCLUSIVE,
     BoundsMode,
-    PassOneClassNumberError,
     CertificateSection,
-    HighDegreeCheckError,
     SearchError,
     certify_section,
     compute_bounds_pass,
@@ -206,7 +204,7 @@ class TestHighDegreeExclusion:
         with mp.workdps(40):
             assert rank3_growth(F(4)) <= 1
         monkeypatch.setattr(search_bounds, "DISCRIMINANT_FLOOR_BASE", F(4))
-        with pytest.raises(HighDegreeCheckError, match="growth factor does not exceed 1"):
+        with pytest.raises(SearchError, match="growth factor does not exceed 1"):
             high_degree_exclusion(3)
 
     def test_degree_five_value_at_most_one_raises(self, monkeypatch):
@@ -215,7 +213,7 @@ class TestHighDegreeExclusion:
         with mp.workdps(40):
             assert 1 < rank3_growth(F(24, 5)) <= mp.mpf(8) ** (mp.mpf(1) / 5)
         monkeypatch.setattr(search_bounds, "DISCRIMINANT_FLOOR_BASE", F(24, 5))
-        with pytest.raises(HighDegreeCheckError, match="degree-5 exclusion inequality failed"):
+        with pytest.raises(SearchError, match="degree-5 exclusion inequality failed"):
             high_degree_exclusion(3)
 
     def test_rank6_low_degree_rows(self, table):
@@ -275,7 +273,7 @@ class TestEnumeration:
 2.2.5.1|2|5|2|1|1|5|-
 """
         t = parse_table_text(doctored)
-        with pytest.raises(PassOneClassNumberError, match="2.2.5.1"):
+        with pytest.raises(SearchError, match=r"^r=3, degree 2: pass-one survivors with h > 1: 2.2.5.1 \(h=2\)$"):
             enumerate_candidates(3, t)
 
 
@@ -350,7 +348,7 @@ class TestFieldVerdicts:
         # Hurwitz enclosure is built
         section = certify_section(3, table)
         t0 = time.perf_counter()
-        with pytest.raises(PrecisionError):
+        with pytest.raises(CharacterError, match=rf"above target 2\^-{bits} after 4096 terms$"):
             dual_path_check(section, bits)
         took = time.perf_counter() - t0
         assert took < 2.0, f"failing at {bits} bits took {took:.2f} s"

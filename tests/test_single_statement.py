@@ -1,13 +1,17 @@
 """Each proof fact is stated once: records hold no rank their container
 already holds and no flag that a raise already guarantees, C(r) is its
 enclosure, there is one outward rounding, a maximal type is valid at
-rank r exactly when ``enumerate_maximal_types(r)`` lists it, and a field
-record is valid by membership in a loaded table."""
+rank r exactly when ``enumerate_maximal_types(r)`` lists it, a field
+record is valid by membership in a loaded table, and each layer has one
+error class, whose message names the check that failed."""
 
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
+import hypeuler
 from hypeuler import exact_arith
 from hypeuler.euler_char import C_of_r
 from hypeuler.exact_arith import RationalInterval
@@ -69,3 +73,17 @@ def test_type_valid_exactly_when_enumerated(r):
             else:
                 with pytest.raises(LocalFactorError, match=f"is not a maximal type at rank {r}"):
                     build()
+
+
+def test_one_error_class_per_module():
+    defined = []
+    for info in pkgutil.iter_modules(hypeuler.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"hypeuler.{info.name}")
+            defined += [obj for obj in vars(module).values() if isinstance(obj, type)
+                        and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    assert sorted(cls.__name__ for cls in defined) == sorted([
+        "ExactArithError", "CharacterError", "EulerCharError", "LocalFactorError", "SearchError", "TableError",
+        "CertificateError", "_UsageError", "_Help", "_Divergence",
+    ])
+    assert all(cls.__bases__ == (Exception,) for cls in defined)

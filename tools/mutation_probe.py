@@ -140,7 +140,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/hypeuler/search_bounds.py",
-        "calibrate_oracle(r)  # raises CalibrationError unless each closed form is Prasad's factor",
+        "calibrate_oracle(r)  # raises LocalFactorError unless each closed form is Prasad's factor",
         "pass",
         "certify_section certifies without proving the closed forms equal to Prasad's order formula",
     ),
@@ -179,6 +179,78 @@ MUTANTS = (
         "if gap % 2 != 0:",
         "if False:",
         "_order_formula halves an odd dimension gap",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "return (-(-m >> drop) if up else m >> drop), e + drop",
+        "return m >> drop, e + drop",
+        "_round_mantissa rounds an upper end down",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "-(-(1 << k_hi) // lo)",
+        "(1 << k_hi) // lo",
+        "reciprocal rounds the upper end of 1/x down",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "RationalInterval(lo, hi + 1, ",
+        "RationalInterval(lo, hi, ",
+        "sqrt takes the floor of the square root as its upper end",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "up = up != negative",
+        "up = up",
+        "_pow_mantissa rounds an odd power of a negative mantissa the wrong way",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "if k % 2 == 0 and lo < 0:",
+        "if False:",
+        "pow_int takes an even power of an interval with a negative end from the powers of its ends",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "if hi - lo >= 1 << max(0, 4 - bits - e):",
+        "if False:",
+        "pi_enclosure returns an enclosure wider than asked for",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "query(table, d, p1.disc_upper)",
+        "query(table, d, p1.disc_upper - 1)",
+        "enumerate_candidates drops a field exactly at the pass-one cutoff",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "if exact not in enclosure:",
+        "if False:",
+        "dual_path_check accepts an enclosure that misses the exact value",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "if enclosure.width > exact * Fraction(2) ** (8 - precision_bits):",
+        "if False:",
+        "dual_path_check accepts an enclosure wider than its precision allows",
+    ),
+    Mutant(
+        "src/hypeuler/local_factors.py",
+        "_check_q(q)",
+        "pass",
+        "calibrate_oracle accepts a q that is not a prime power",
+    ),
+    Mutant(
+        "src/hypeuler/field_tables.py",
+        'raise TableError(f"{rec.label}: every quadratic field is abelian")',
+        "pass",
+        "the table loader accepts a quadratic record marked non-abelian",
+    ),
+    Mutant(
+        "src/hypeuler/field_tables.py",
+        "if rec.degree == 3 and not rec.abelian and math.isqrt(rec.disc) ** 2 == rec.disc:",
+        "if False:",
+        "the table loader accepts a cubic record of square discriminant marked non-abelian",
     ),
 )
 
