@@ -264,7 +264,8 @@ def verify_certificate(cert: dict, table: FieldTable) -> VerificationOutcome:
     """Check a certificate by rebuilding it with the writer and comparing.
 
     First, guards that must hold before anything is recomputed: the
-    ``format`` is this one, ``tool.version`` is a string,
+    certificate is a JSON object, its ``format`` is this one,
+    ``tool.version`` is a string,
     ``parameters.requested_r`` is a strictly increasing list of integers
     >= 2 and the sections are exactly those ranks.  Then the expected
     certificate is rebuilt from ``table`` by the certifier's own calls,

@@ -30,7 +30,7 @@ from .field_tables import NumberFieldRecord
 if TYPE_CHECKING:
     from .field_path import DirichletCharacter, Zeta3Number
 
-__getattr__ = field_path_getattr(__name__, ("kronecker_character", "trivial_character"))
+__getattr__ = field_path_getattr(__name__, {"kronecker_character": "field_path", "trivial_character": "field_path"})
 
 
 class CharacterError(Exception):

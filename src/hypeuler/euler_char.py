@@ -26,15 +26,15 @@ odd-prime helpers are in ``field_path``, which the obstruction and
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from .exact_arith import RationalInterval, Value, field_path_getattr, pi_enclosure
 from .characters_zeta import zeta_row
 from .field_tables import NumberFieldRecord
 
-__getattr__ = field_path_getattr(__name__, ("chi_principal_exact",))
+__getattr__ = field_path_getattr(__name__, {"chi_principal_exact": "offline"})
 
 
 class EulerCharError(Exception):
@@ -78,11 +78,7 @@ def chi_principal_numeric(datum: ArithmeticDatum, precision_bits: int) -> Ration
     return chi_principal_enclosure(datum, precision_bits)
 
 
-class EulerChar(NamedTuple):
-    chi_lambda: Fraction
-    index_divisor: int
-    chi_gamma_lower: Fraction
-    two_exponent: int
+EulerChar = namedtuple("EulerChar", "chi_lambda index_divisor chi_gamma_lower two_exponent")
 
 
 def build_euler_char(datum: ArithmeticDatum, product: Fraction) -> EulerChar:
@@ -100,11 +96,11 @@ def build_euler_char(datum: ArithmeticDatum, product: Fraction) -> EulerChar:
     )
 
 
-class ObstructionVerdict(NamedTuple):
-    zeta_values: tuple[Fraction, ...]  # signed
-    product: Fraction  # product of magnitudes, reduced
-    odd_numerator: int
-    witness: int | None  # smallest odd prime factor of the numerator
+class ObstructionVerdict(namedtuple("ObstructionVerdict", "zeta_values product odd_numerator witness")):
+    """The signed zeta values, the product of their magnitudes (reduced), its
+    numerator's odd part, and that part's smallest prime factor, or None."""
+
+    __slots__ = ()
 
     @property
     def obstructed(self) -> bool:

@@ -9,7 +9,8 @@ dyadic endpoints at that precision, integer mantissas at a power-of-two
 scale (see `RationalInterval`; one `dyadic_round` takes either direction
 and fixes the ends).  No floating point enters any computation.  The
 exact kernels that only a field verdict needs (Bernoulli numbers, Q(zeta3),
-polynomials over Q, the 2-adic and odd-prime helpers) are in ``field_path``.
+the 2-adic and odd-prime helpers) are in ``field_path``, and the polynomials
+over Q, which none needs, in ``offline``.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to use concurrently.
@@ -38,22 +39,25 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def field_path_getattr(module: str, names: tuple[str, ...]):
-    """A module ``__getattr__`` (PEP 562) that serves ``names``, which moved to
-    ``field_path``, from there: reading one imports ``field_path``, and both
+def field_path_getattr(module: str, homes: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) that serves each name of ``homes``,
+    which moved out of ``module``, from the module it maps the name to
+    (``field_path`` or ``offline``): reading one imports that module, and both
     modules then give the same object."""
 
     def __getattr__(name: str):
-        if name in names:
-            from . import field_path
+        if name in homes:
+            from importlib import import_module
 
-            return getattr(field_path, name)
+            return getattr(import_module(f"{__package__}.{homes[name]}"), name)
         raise AttributeError(f"module {module!r} has no attribute {name!r}")
 
     return __getattr__
 
 
-__getattr__ = field_path_getattr(__name__, ("RatPolynomial", "bernoulli_number", "poly_exact_divide"))
+__getattr__ = field_path_getattr(
+    __name__, {"RatPolynomial": "offline", "bernoulli_number": "field_path", "poly_exact_divide": "offline"}
+)
 
 
 class Value:

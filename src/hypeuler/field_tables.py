@@ -1,5 +1,5 @@
 """Bundled totally-real number-field dataset: loading and querying (its
-independent validation, ``validate_table``, is in ``field_path``).
+independent validation, ``validate_table``, is in ``offline``).
 
 The dataset is part of the trusted base of every certificate, so the file
 format is plain text (diffable, auditable) with a detached SHA-256 checksum
@@ -22,8 +22,8 @@ group is generated by the character sending the residue ``g`` to
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 # SHA-256 from the builtin module, so that no process loads OpenSSL through
 # hashlib (its start-up cost is in README); the module is private, and is
@@ -48,25 +48,16 @@ class TableError(Exception):
     """A table that is unreadable or invalid, or a query past its completeness bound."""
 
 
-class NumberFieldRecord(NamedTuple):
-    """A table row, valid by membership in a table that ``parse_table_text``
-    returned: ``_check_record_invariants`` is the one check of its fields."""
-
-    label: str
-    degree: int
-    disc: int
-    h: int
-    totally_real: bool
-    abelian: bool
-    conductor: int | None = None
-    char_gen: tuple[int, int, int] | None = None  # (generator residue, image exponent, order)
+# A table row, valid by membership in a table that ``parse_table_text``
+# returned: ``_check_record_invariants`` is the one check of its fields.
+# ``char_gen`` is (generator residue, image exponent, order) or None.
+NumberFieldRecord = namedtuple(
+    "NumberFieldRecord", "label degree disc h totally_real abelian conductor char_gen", defaults=(None, None)
+)
 
 
-class FieldTable(NamedTuple):
-    records: tuple[NumberFieldRecord, ...]
-    completeness: dict[int, int]
-    source: str
-    checksum: str
+class FieldTable(namedtuple("FieldTable", "records completeness source checksum")):
+    __slots__ = ()
 
     def by_disc(self, degree: int, disc: int) -> NumberFieldRecord | None:
         for rec in self.records:

@@ -23,9 +23,10 @@ and the polynomial arithmetic of the proofs are in ``field_path``, which
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .exact_arith import field_path_getattr
 from .field_tables import sha256
@@ -33,7 +34,7 @@ from .field_tables import sha256
 if TYPE_CHECKING:
     from .field_path import MinimumProof
 
-__getattr__ = field_path_getattr(__name__, ("local_factor_polynomial",))
+__getattr__ = field_path_getattr(__name__, {"local_factor_polynomial": "offline"})
 
 
 class LocalFactorError(Exception):
@@ -56,28 +57,31 @@ class Kind(enum.Enum):
     TOP_2D = "top-2d"  # 2D(r)
 
 
-class ParahoricType(NamedTuple):
-    """A maximal type, valid at rank r exactly when ``enumerate_maximal_types(r)`` lists it."""
+# A maximal type, valid at rank r exactly when ``enumerate_maximal_types(r)``
+# lists it: ``splitness`` is "split" or "nonsplit", ``kind`` a Kind, and ``i``
+# the chain kinds' index.  A plain tuple class: its methods are set below.
+ParahoricType = namedtuple("ParahoricType", "splitness kind i", defaults=(None,))
 
-    splitness: str  # "split" | "nonsplit"
-    kind: Kind
-    i: int | None = None
 
-    def slug(self) -> str:
-        base = f"{self.splitness}.{self.kind.value}"
-        return base if self.i is None else f"{base}.i{self.i}"
+def _slug(self: ParahoricType) -> str:
+    base = f"{self.splitness}.{self.kind.value}"
+    return base if self.i is None else f"{base}.i{self.i}"
 
-    def describe(self, r: int) -> str:
-        if self.kind is Kind.CHAIN_D:
-            return f"D({self.i}) x B({r - self.i})"
-        if self.kind is Kind.CHAIN_2D:
-            return f"2D({self.i + 1}) x B({r - self.i - 1})"
-        if self.kind is Kind.TOP_D:
-            return f"1D({r})"
-        if self.kind is Kind.TOP_2D:
-            return f"2D({r})"
-        torus = "split torus" if self.kind is Kind.TORUS_SPLIT else "nonsplit torus"
-        return f"B({r - 1}) x {torus}"
+
+def _describe(self: ParahoricType, r: int) -> str:
+    if self.kind is Kind.CHAIN_D:
+        return f"D({self.i}) x B({r - self.i})"
+    if self.kind is Kind.CHAIN_2D:
+        return f"2D({self.i + 1}) x B({r - self.i - 1})"
+    if self.kind is Kind.TOP_D:
+        return f"1D({r})"
+    if self.kind is Kind.TOP_2D:
+        return f"2D({r})"
+    torus = "split torus" if self.kind is Kind.TORUS_SPLIT else "nonsplit torus"
+    return f"B({r - 1}) x {torus}"
+
+
+ParahoricType.slug, ParahoricType.describe = _slug, _describe
 
 
 @cache

@@ -15,25 +15,20 @@ record holds a flag that a raise already guarantees.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
 from .exact_arith import RationalInterval, _int_nthroot, pi_enclosure
 from .euler_char import (
     ArithmeticDatum,
     C_of_r,
-    EulerChar,
-    ObstructionVerdict,
     build_euler_char,
     chi_principal_numeric,
     reciprocal_integer_obstruction,
 )
 from .field_tables import FieldTable, NumberFieldRecord, query
 from .local_factors import calibrate_oracle, minimum_proof
-
-if TYPE_CHECKING:
-    from .field_path import MinimumProof
 
 
 class SearchError(Exception):
@@ -57,13 +52,10 @@ def _largest_int_with_power_at_most(bound: Fraction, exponent: int) -> int:
     return _int_nthroot(bound.numerator // bound.denominator, exponent)
 
 
-class BoundsPass(NamedTuple):
-    degree: int
-    mode: BoundsMode
-    disc_upper: int
-    threshold_squared: RationalInterval  # enclosure of T^2 in X^(2e) <= T^2
-    doubled_exponent: int  # 2e, always an integer
-    enclosure_decisive: bool  # both endpoints of the enclosure give the same cutoff
+# ``threshold_squared`` encloses T^2 in X^(2e) <= T^2, ``doubled_exponent`` is
+# the integer 2e, and ``enclosure_decisive`` says that both ends of the
+# enclosure give the same cutoff ``disc_upper``.
+BoundsPass = namedtuple("BoundsPass", "degree mode disc_upper threshold_squared doubled_exponent enclosure_decisive")
 
 
 def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
@@ -103,17 +95,12 @@ def disc_upper_bound(r: int, degree: int, mode: BoundsMode = BoundsMode.CLASS_NU
     return compute_bounds_pass(r, degree, mode).disc_upper
 
 
-class LowDegreeRow(NamedTuple):
-    degree: int
-    disc_upper: int
-    minimal_disc: int
-    excluded: bool  # disc_upper < minimal_disc
+LowDegreeRow = namedtuple("LowDegreeRow", "degree disc_upper minimal_disc excluded")  # excluded: the cutoff is below it
 
-
-class HighDegreeExclusion(NamedTuple):
-    growth_factor: RationalInterval  # (6 C(r)/pi) * 6.5^(r^2 + r/2 - 1), must exceed 1
-    value_at_degree_five: RationalInterval  # (1/8) * growth^5, must exceed 1
-    low_degree: tuple[LowDegreeRow, ...]  # informational for the r >= 6 sections
+# ``growth_factor`` encloses (6 C(r)/pi) * 6.5^(r^2 + r/2 - 1) and
+# ``value_at_degree_five`` (1/8) * growth^5, each of which must exceed 1;
+# ``low_degree`` holds the LowDegreeRows of the r >= 6 sections.
+HighDegreeExclusion = namedtuple("HighDegreeExclusion", "growth_factor value_at_degree_five low_degree")
 
 
 def _low_degree_rows(passes: Iterable[BoundsPass], table: FieldTable) -> tuple[LowDegreeRow, ...]:
@@ -172,24 +159,16 @@ def regime(r: int) -> str:
     first-pass cutoffs against the smallest discriminant of each degree,
     and pass two is not run: on the bundled table it removes no further
     field.  The split is a certificate-format decision, not a cost one
-    (pass two takes about a millisecond per rank at r = 13..15): each
-    section's ``kind`` and recorded keys are pinned by the expected
-    benchmark certificates and the golden-byte tests.
+    (with C(r) and pi enclosed, pass two takes about 0.1 ms per rank at
+    r = 13..15): each section's ``kind`` and recorded keys are pinned by
+    the expected benchmark certificates and the golden-byte tests.
     """
     return FIELD_VERDICTS if r <= 5 else BOUND_EXCLUSION
 
 
-class DegreeAudit(NamedTuple):
-    degree: int
-    pass_one: BoundsPass
-    pass_one_discs: tuple[int, ...]
-    pass_two: BoundsPass | None = None  # None where the regime skips pass two
-    pass_two_discs: tuple[int, ...] | None = None
-
-
-class CandidateEnumeration(NamedTuple):
-    audits: tuple[DegreeAudit, ...]
-    records: tuple[NumberFieldRecord, ...]  # final candidates, sorted
+# The pass-two fields are None where the regime skips pass two.
+DegreeAudit = namedtuple("DegreeAudit", "degree pass_one pass_one_discs pass_two pass_two_discs", defaults=(None, None))
+CandidateEnumeration = namedtuple("CandidateEnumeration", "audits records")  # records: the final candidates, sorted
 
 
 def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
@@ -230,10 +209,8 @@ def enumerate_candidates(r: int, table: FieldTable) -> CandidateEnumeration:
 # ---------------------------------------------------------------------------
 
 
-class FieldVerdict(NamedTuple):
-    record: NumberFieldRecord
-    obstruction: ObstructionVerdict
-    euler: EulerChar
+class FieldVerdict(namedtuple("FieldVerdict", "record obstruction euler")):
+    __slots__ = ()
 
     @property
     def conclusion(self) -> str:
@@ -269,15 +246,14 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 SURVIVOR_NOTE = "bound-only exclusion left survivors; their zeta-numerator obstruction decides the rank"
 
 
-class CertificateSection(NamedTuple):
-    r: int  # the dimension n is 2r
-    kind: str  # regime(r) for r >= 3, "failure-demo" for r = 2
-    verdict: str
-    verdicts: tuple[FieldVerdict, ...]
-    local_factor_proof: MinimumProof | None = None
-    enumeration: CandidateEnumeration | None = None  # recorded in the field-verdicts regime only
-    high_degree: HighDegreeExclusion | None = None
-    notes: tuple[str, ...] = ()
+# One rank r (the dimension n is 2r); ``kind`` is regime(r) for r >= 3 and
+# "failure-demo" for r = 2, and ``enumeration`` is recorded in the
+# field-verdicts regime only.
+CertificateSection = namedtuple(
+    "CertificateSection",
+    "r kind verdict verdicts local_factor_proof enumeration high_degree notes",
+    defaults=(None, None, None, ()),
+)
 
 
 def certify_section(r: int, table: FieldTable) -> CertificateSection:
@@ -290,12 +266,12 @@ def certify_section(r: int, table: FieldTable) -> CertificateSection:
     closed form is Prasad's factor), and certify when every survivor is
     obstructed.  ``regime(r)`` only decides which evidence is recorded.
     The verifier rebuilds with this same call.  Rank 2 is never certified
-    (see ``field_path._scan_rank_two``).
+    (see ``offline._scan_rank_two``).
     """
     if r < 2:
         raise SearchError("rank must be at least 2")
     if r == 2:
-        from .field_path import _scan_rank_two
+        from .offline import _scan_rank_two
 
         return _scan_rank_two(table)
     kind = regime(r)

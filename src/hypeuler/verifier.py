@@ -10,17 +10,15 @@ call, so it runs whatever writer that module holds.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import certificate
 from .certificate import CERTIFICATE_FORMAT, _quote
 from .field_tables import FieldTable
 
 
-class VerificationOutcome(NamedTuple):
-    ok: bool
-    checks: int
-    divergence: str | None = None
+class VerificationOutcome(namedtuple("VerificationOutcome", "ok checks divergence", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -62,6 +60,8 @@ def verify(cert: dict, table: FieldTable) -> VerificationOutcome:
 
 
 def _verify(cert: dict, table: FieldTable, check: _Checks) -> None:
+    if type(cert) is not dict:  # not counted, like the no-rank refusal below
+        raise _Divergence(f"certificate is {_show(cert)}, not an object")
     fmt = cert.get("format")
     check(fmt == CERTIFICATE_FORMAT, "unknown certificate format {}", fmt)
     version = cert["tool"]["version"]

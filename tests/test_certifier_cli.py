@@ -391,6 +391,15 @@ class TestTopLevelKeys:
         outcome = verify_certificate(bad, table)
         assert not outcome.ok and named in outcome.divergence
 
+    @pytest.mark.parametrize(
+        ("cert", "named"),
+        [([], "a list"), ("x", '"x"'), (5, "5"), (None, "null")],
+        ids=["list", "string", "number", "null"],
+    )
+    def test_non_object_certificate_named(self, table, cert, named):
+        # refused before any check is counted, like a certificate that claims no rank
+        assert verify_certificate(cert, table) == (False, 0, f"certificate is {named}, not an object")
+
     def test_version_string_is_unpinned(self, rank_three_cert, table):
         cert = clone(rank_three_cert)
         cert["tool"]["version"] = "0.0.1"

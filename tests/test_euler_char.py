@@ -12,16 +12,10 @@ from hypeuler.euler_char import (
     chi_principal_numeric,
     reciprocal_integer_obstruction,
 )
-from hypeuler.field_path import (
-    chi_lambda_from_product,
-    chi_principal_exact,
-    index_divisor,
-    local_factor_polynomial,
-    smallest_odd_prime_factor,
-    two_adic_valuation,
-)
+from hypeuler.field_path import chi_lambda_from_product, index_divisor, smallest_odd_prime_factor, two_adic_valuation
 from hypeuler.field_tables import load_table
 from hypeuler.local_factors import enumerate_maximal_types
+from hypeuler.offline import chi_principal_exact, local_factor_polynomial
 from hypeuler.search_bounds import certify_section
 
 

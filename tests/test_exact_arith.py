@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 from hypeuler import exact_arith
 from hypeuler.exact_arith import ExactArithError, RationalInterval, dyadic_round, pi_enclosure
 from hypeuler.field_path import (
-    RatPolynomial,
     Zeta3Number,
     bernoulli_number,
     odd_part_of_numerator,
-    poly_exact_divide,
     root_of_unity,
     two_adic_valuation,
 )
 from hypeuler.numeric_path import rational_power_half
+from hypeuler.offline import RatPolynomial, poly_exact_divide
 from oracles import bernoulli_polynomial_eval, contains_interval, negate
 
 

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from hypeuler.field_path import quadratic_class_number, validate_table
 from hypeuler.field_tables import (
     HEADER,
     TableError,
@@ -15,6 +14,7 @@ from hypeuler.field_tables import (
     parse_table_text,
     query,
 )
+from hypeuler.offline import quadratic_class_number, validate_table
 
 _BUILDER = Path(__file__).resolve().parents[1] / "tools" / "build_field_table.py"
 _spec = importlib.util.spec_from_file_location("build_field_table", _BUILDER)

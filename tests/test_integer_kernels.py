@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 
 from hypeuler.characters_zeta import generalized_bernoulli
 from hypeuler.field_path import (
-    RatPolynomial,
     Zeta3Number,
     character_from_generator,
     characters_for_field,
-    horner,
     integer_exact_divide,
-    poly_exact_divide,
     taylor_shift,
 )
 from hypeuler.field_tables import load_table
 from hypeuler.local_factors import LocalFactorError
+from hypeuler.offline import RatPolynomial, horner, poly_exact_divide
 from oracles import bernoulli_polynomial_eval, character_value
 
 small_ints = st.integers(min_value=-50, max_value=50)

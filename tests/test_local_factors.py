@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypeuler import field_path, local_factors
-from hypeuler.field_path import RatPolynomial, is_prime_power, local_factor_polynomial, taylor_shift
+from hypeuler.field_path import is_prime_power, taylor_shift
 from hypeuler.local_factors import (
     Kind,
     LocalFactorError,
@@ -18,6 +18,7 @@ from hypeuler.local_factors import (
     minimum_proof,
     table_fingerprint,
 )
+from hypeuler.offline import RatPolynomial, local_factor_polynomial
 from oracles import order_formula_value
 
 CALIBRATION = "closed form differs from Prasad's order formula"

@@ -1,7 +1,8 @@
 """The mutation probe (``tools/mutation_probe.py``) keeps up with the code:
 each mutant's old text occurs exactly once in its file, and nowhere else
-in ``src/``.  Running the probe itself takes about 30 s per mutant, so it
-stays out of the test suite."""
+in ``src/``, and only the one listed mutant is marked equivalent.  Running
+the probe itself takes about 30 s per mutant, so it stays out of the test
+suite."""
 
 import importlib.util
 import sys
@@ -25,7 +26,9 @@ def probe():
 
 def test_each_old_text_occurs_once_in_src(probe):
     sources = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py")}
-    assert len(probe.MUTANTS) == 36
+    assert len(probe.MUTANTS) == 37
+    equivalent = [mutant.breaks for mutant in probe.MUTANTS if mutant.equivalent]
+    assert equivalent == ["chi_principal_numeric rounds its product 2 bits coarser"]
     for mutant in probe.MUTANTS:
         assert mutant.old != mutant.new
         assert {path: text.count(mutant.old) for path, text in sources.items() if mutant.old in text} == {

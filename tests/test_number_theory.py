@@ -104,7 +104,8 @@ def test_import_loads_neither_sympy_nor_mpmath():
         "import hypeuler.cli\n"
         "from hypeuler.field_tables import load_table\n"
         "from hypeuler.certificate import run_certification, verify_certificate\n"
-        "from hypeuler.field_path import smallest_prime_factor, validate_table\n"
+        "from hypeuler.field_path import smallest_prime_factor\n"
+        "from hypeuler.offline import validate_table\n"
         "table = load_table()\n"
         "report = validate_table(table)\n"
         "cert, code = run_certification([3, 4, 5], table)\n"

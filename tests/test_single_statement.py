@@ -15,9 +15,10 @@ import hypeuler
 from hypeuler import exact_arith
 from hypeuler.euler_char import C_of_r
 from hypeuler.exact_arith import RationalInterval
-from hypeuler.field_path import MinimumProof, TypeMinimum, local_factor_polynomial
+from hypeuler.field_path import MinimumProof, TypeMinimum
 from hypeuler.field_tables import NumberFieldRecord
 from hypeuler.local_factors import Kind, LocalFactorError, ParahoricType, enumerate_maximal_types
+from hypeuler.offline import local_factor_polynomial
 from hypeuler.search_bounds import (
     BoundsPass,
     CandidateEnumeration,

@@ -5,8 +5,10 @@ digests come from ``hashlib``.  Each mode loads only its own modules: a
 verify neither the numeric path nor the report, and a certify neither the
 verifier's walk nor the numeric path, which no certify runs.  A run whose
 ranks have no field to decide, certify or verify, does not load the field
-path either; the names the acceptance suite still reads from the modules the
-field path came from are its own objects.  The CLI reads the plain flag
+path either, and only a rank-2 run loads the code that no rank >= 3 runs
+(``offline``); the names the acceptance suite still reads from the modules
+that code came from are the objects of its new home.  No module a run loads
+builds a ``typing.ForwardRef`` at import.  The CLI reads the plain flag
 forms of these runs itself, so neither mode loads ``argparse``, nor the
 ``gettext`` and ``locale`` it would bring; only the help and a refused
 command line do.  A process started through ``cli.run`` freezes the run's objects
@@ -26,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import hypeuler
-from hypeuler import characters_zeta, cli, field_path
+from hypeuler import characters_zeta, cli, field_path, offline
 from hypeuler.euler_char import ArithmeticDatum
 from hypeuler.field_tables import bundled_table_path, canonicalize, checksum_of_text
 from hypeuler.local_factors import table_fingerprint
@@ -98,6 +100,14 @@ def headline_modules(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def sweep_modules(tmp_path_factory):
+    """The modules of a no-flag sweep certify, and of a verify of its certificate."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    cert = str(tmp / "cert.json")
+    return cli_modules("--out", cert, "--report", str(tmp / "report.txt")), cli_modules("--verify", cert)
+
+
+@pytest.fixture(scope="module")
 def high_rank_modules(tmp_path_factory):
     """The modules of a certify of ranks 13..15, and of a verify of its certificate."""
     tmp = tmp_path_factory.mktemp("high_rank")
@@ -106,10 +116,9 @@ def high_rank_modules(tmp_path_factory):
     return certify, cli_modules("--verify", cert)
 
 
-def test_headline_and_sweep_certify_load_neither_verifier_nor_numeric_path(headline_modules, tmp_path):
+def test_headline_and_sweep_certify_load_neither_verifier_nor_numeric_path(headline_modules, sweep_modules):
     # both have field verdicts, and certify encloses none of them
-    sweep = cli_modules("--out", str(tmp_path / "cert.json"), "--report", str(tmp_path / "report.txt"))
-    for certify in (headline_modules[0], sweep):
+    for certify in (headline_modules[0], sweep_modules[0]):
         assert "hypeuler.verifier" not in certify and "hypeuler.numeric_path" not in certify
         assert {"hypeuler.report", "hypeuler.field_path"} <= set(certify)
 
@@ -132,35 +141,56 @@ def test_high_rank_certify_and_verify_load_no_field_path(high_rank_modules):
         assert "hypeuler.field_path" not in modules and "hypeuler.certificate" in modules
 
 
-def test_rank_two_scan_loads_the_field_path(tmp_path):
+def test_benchmark_runs_load_no_offline_code(headline_modules, sweep_modules, high_rank_modules):
+    # certify and verify of every rank >= 3 run none of it
+    for modules in (*headline_modules, *sweep_modules, *high_rank_modules):
+        assert "hypeuler.offline" not in modules
+
+
+def test_rank_two_scan_loads_the_field_path_and_offline_code(tmp_path):
     modules = cli_modules("--n", "4", "--out", str(tmp_path / "c.json"), "--report", str(tmp_path / "r.txt"),
                           exit_code=2)
-    assert "hypeuler.field_path" in modules
+    assert {"hypeuler.field_path", "hypeuler.offline"} <= set(modules)
 
 
-def acceptance_names_read_from_old_modules() -> dict[str, set[str]]:
-    """module -> the names ``tests/test_acceptance.py`` imports from it that
-    the module does not define (its ``__getattr__`` serves them)."""
+def test_imports_build_no_forward_reference():
+    # typing.NamedTuple builds one per annotated field at class creation
+    code = (
+        "import typing\n"
+        "built = []\n"
+        "init = typing.ForwardRef.__init__\n"
+        "typing.ForwardRef.__init__ = lambda self, *a, **k: built.append(a) or init(self, *a, **k)\n"
+        "import hypeuler.cli, hypeuler.field_path, hypeuler.report, hypeuler.verifier\n"
+        "print(len(built))"
+    )
+    assert run_python(code)[-2] == "0"
+
+
+def acceptance_names_read_from_old_modules() -> dict[str, dict]:
+    """module -> each name ``tests/test_acceptance.py`` imports from it that
+    the module does not define (its ``__getattr__`` serves it), with the
+    module that defines the object it serves."""
     tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
-    served: dict[str, set[str]] = {}
+    served: dict[str, dict] = {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module.startswith("hypeuler."):
-            module = vars(importlib.import_module(node.module))
-            served[node.module] = {a.name for a in node.names if a.name not in module}
-    return {name: names for name, names in served.items() if names}
+            module = importlib.import_module(node.module)
+            names = [a.name for a in node.names if a.name not in vars(module)]
+            served[node.module] = {name: sys.modules[getattr(module, name).__module__] for name in names}
+    return {name: homes for name, homes in served.items() if homes}
 
 
 def test_acceptance_names_are_the_field_path_objects():
     served = acceptance_names_read_from_old_modules()
     assert served == {
-        "hypeuler.characters_zeta": {"kronecker_character", "trivial_character"},
-        "hypeuler.euler_char": {"chi_principal_exact"},
-        "hypeuler.exact_arith": {"RatPolynomial", "bernoulli_number", "poly_exact_divide"},
-        "hypeuler.local_factors": {"local_factor_polynomial"},
+        "hypeuler.characters_zeta": {"kronecker_character": field_path, "trivial_character": field_path},
+        "hypeuler.euler_char": {"chi_principal_exact": offline},
+        "hypeuler.exact_arith": {"RatPolynomial": offline, "bernoulli_number": field_path, "poly_exact_divide": offline},
+        "hypeuler.local_factors": {"local_factor_polynomial": offline},
     }
-    for module, names in served.items():
-        for name in names:
-            assert getattr(importlib.import_module(module), name) is getattr(field_path, name), (module, name)
+    for module, homes in served.items():
+        for name, home in homes.items():
+            assert getattr(importlib.import_module(module), name) is vars(home)[name], (module, name)
     # one Bernoulli memo and one zeta-value cache, whichever module a caller reads
     from hypeuler.euler_char import chi_principal_exact
     from hypeuler.exact_arith import bernoulli_number
@@ -172,11 +202,9 @@ def test_acceptance_names_are_the_field_path_objects():
     assert characters_zeta.zeta_k_special.cache_info().currsize == 4
 
 
-def test_headline_loads_no_argparse_gettext_or_locale(headline_modules, high_rank_modules, tmp_path):
+def test_headline_loads_no_argparse_gettext_or_locale(headline_modules, sweep_modules, high_rank_modules):
     # and neither does any other benchmark run: the sweep, the high ranks, and each one's verify
-    cert = str(tmp_path / "cert.json")
-    sweep = cli_modules("--out", cert, "--report", str(tmp_path / "report.txt")), cli_modules("--verify", cert)
-    for modules in (*headline_modules, *high_rank_modules, *sweep):
+    for modules in (*headline_modules, *sweep_modules, *high_rank_modules):
         assert not {"argparse", "gettext", "locale"} & set(modules)
 
 

@@ -2,7 +2,7 @@
 
 Quadratic records: every fundamental discriminant up to the completeness
 bound, with class numbers counted exactly from the cycles of reduced
-binary quadratic forms (``field_path.quadratic_class_number``) and
+binary quadratic forms (``offline.quadratic_class_number``) and
 spot-checked against standard anchor values.  The ``# source:`` line
 written below still names the analytic formula that first produced the
 table: it is part of the checksummed file, and both methods give the
@@ -25,8 +25,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from hypeuler.field_path import quadratic_class_number  # noqa: E402
 from hypeuler.field_tables import checksum_of_text, is_fundamental_discriminant  # noqa: E402
+from hypeuler.offline import quadratic_class_number  # noqa: E402
 
 BOUND = 1000
 
