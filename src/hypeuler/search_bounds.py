@@ -58,6 +58,15 @@ def _largest_int_with_power_at_most(bound: Fraction, exponent: int) -> int:
 BoundsPass = namedtuple("BoundsPass", "degree mode disc_upper threshold_squared doubled_exponent enclosure_decisive")
 
 
+def _threshold(r: int, mode: BoundsMode) -> tuple[int | Fraction, RationalInterval, int]:
+    """(lead, base, 2e) of X^(2e) <= T^2 with T = lead * base^d, the one place T is built:
+    8 (pi/(6 C(r)))^d and 2r^2 + r - 2 in pass one, (1/2) (2/C(r))^d and 2r^2 + r in pass two."""
+    c = C_of_r(r, BOUNDS_PRECISION_BITS)
+    if mode is BoundsMode.CLASS_NUMBER_BOUNDED:
+        return 8, pi_enclosure(bits=BOUNDS_PRECISION_BITS) / c.scale(6), 2 * r * r + r - 2
+    return Fraction(1, 2), c.reciprocal().scale(2), 2 * r * r + r
+
+
 def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
     """The largest admissible |D| at this rank/degree under the chosen
     class-number assumption.
@@ -70,15 +79,8 @@ def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
     """
     if r < 2 or degree < 2:
         raise SearchError("bounds require rank >= 2 and degree >= 2")
-    c = C_of_r(r, BOUNDS_PRECISION_BITS)
-    pi_iv = pi_enclosure(bits=BOUNDS_PRECISION_BITS)
-    if mode is BoundsMode.CLASS_NUMBER_BOUNDED:
-        threshold = (pi_iv / c.scale(6)).pow_int(degree).scale(8)
-        doubled_exponent = 2 * r * r + r - 2
-    else:
-        threshold = c.reciprocal().scale(2).pow_int(degree).scale(Fraction(1, 2))
-        doubled_exponent = 2 * r * r + r
-    t_sq = threshold.pow_int(2)
+    lead, base, doubled_exponent = _threshold(r, mode)
+    t_sq = base.pow_int(degree).scale(lead).pow_int(2)
     disc_upper = _largest_int_with_power_at_most(t_sq.hi, doubled_exponent)
     lo_cut = _largest_int_with_power_at_most(t_sq.lo, doubled_exponent)
     return BoundsPass(
@@ -97,9 +99,9 @@ def disc_upper_bound(r: int, degree: int, mode: BoundsMode = BoundsMode.CLASS_NU
 
 LowDegreeRow = namedtuple("LowDegreeRow", "degree disc_upper minimal_disc excluded")  # excluded: the cutoff is below it
 
-# ``growth_factor`` encloses (6 C(r)/pi) * 6.5^(r^2 + r/2 - 1) and
-# ``value_at_degree_five`` (1/8) * growth^5, each of which must exceed 1;
-# ``low_degree`` holds the LowDegreeRows of the r >= 6 sections.
+# With pass one's T = lead * base^d from ``_threshold``, ``growth_factor``
+# encloses 6.5^e / base and ``value_at_degree_five`` growth^5 / lead, each of
+# which must exceed 1; ``low_degree`` holds the LowDegreeRows of r >= 6.
 HighDegreeExclusion = namedtuple("HighDegreeExclusion", "growth_factor value_at_degree_five low_degree")
 
 
@@ -119,22 +121,20 @@ def _low_degree_rows(passes: Iterable[BoundsPass], table: FieldTable) -> tuple[L
 
 
 def high_degree_exclusion(r: int, table: FieldTable | None = None) -> HighDegreeExclusion:
-    """Certify that degrees d >= 5 are impossible at rank r: plugging the
-    floor |D| > 6.5^d into the first-pass inequality already exceeds 1 at
-    d = 5, and the per-degree growth factor exceeds 1, so every higher
-    degree follows.  Failure of either check raises.
+    """Certify that degrees d >= 5 are impossible at rank r: with the floor
+    |D| > 6.5^d, |D|^e / T(r, d) for pass one's T = lead * base^d (built
+    once, by ``_threshold``) already exceeds 1 at d = 5, and its per-degree
+    growth factor 6.5^e / base exceeds 1, so every higher degree follows.
+    Failure of either check raises.
 
     When a table is supplied, the d in {2,3,4} cutoffs are also compared
     against the smallest totally real discriminant of each degree (the
     bound-only exclusion recorded for ranks >= 6).
     """
-    c = C_of_r(r, BOUNDS_PRECISION_BITS)
-    pi_iv = pi_enclosure(bits=BOUNDS_PRECISION_BITS)
-    doubled = 2 * r * r + r - 2
-    growth_sq = c.scale(6).pow_int(2) / pi_iv.pow_int(2)
-    growth_sq = growth_sq * RationalInterval.exact(DISCRIMINANT_FLOOR_BASE**doubled)
-    growth = growth_sq.sqrt(BOUNDS_PRECISION_BITS)
-    at_five = growth.pow_int(5).scale(Fraction(1, 8))
+    lead, base, doubled = _threshold(r, BoundsMode.CLASS_NUMBER_BOUNDED)
+    floor = RationalInterval(DISCRIMINANT_FLOOR_BASE, DISCRIMINANT_FLOOR_BASE, BOUNDS_PRECISION_BITS)
+    growth = (floor.pow_int(doubled) / base.pow_int(2)).sqrt(BOUNDS_PRECISION_BITS)
+    at_five = growth.pow_int(5).scale(1 / Fraction(lead))
     if not growth.strictly_greater_than(1):
         raise SearchError(f"r={r}: per-degree growth factor does not exceed 1")
     if not at_five.strictly_greater_than(1):

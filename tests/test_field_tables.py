@@ -253,6 +253,27 @@ class TestClassNumberOracle:
         built = _builder.quadratic_records() + _builder.cubic_records() + _builder.quartic_records()
         assert len(built) == 330 and built == bundled
 
+    @pytest.mark.parametrize(
+        "argv, status", [(["--help"], 0), (["--out", "x"], 2), (["x"], 2)], ids=["help", "option", "argument"]
+    )
+    def test_builder_refuses_arguments_and_writes_nothing(self, argv, status, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(_builder, "SRC", tmp_path)
+        monkeypatch.setattr("sys.argv", ["build_field_table.py", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            _builder.main()
+        assert exit_info.value.code == status
+        out, err = capsys.readouterr()
+        assert "usage: build_field_table.py" in (err if status else out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_builder_writes_the_bundled_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_builder, "SRC", tmp_path)
+        monkeypatch.setattr("sys.argv", ["build_field_table.py"])
+        _builder.main()
+        for name in ("fields_v1.txt", "fields_v1.txt.sha256"):
+            written = (tmp_path / "hypeuler" / "data" / name).read_bytes()
+            assert written == (bundled_table_path().parent / name).read_bytes()
+
     def test_oracle_agrees_with_bundle(self, table):
         quadratic = [rec for rec in table.records if rec.degree == 2]
         assert len(quadratic) == 302

@@ -50,14 +50,19 @@ def bound_oracle(r, d, mode):
         return int(mp.floor(mp.exp(mp.log(rhs) / e)))
 
 
-def rank3_growth(floor_base):
-    """The per-degree growth factor (6 C(3) / pi) b^(19/2) of the degree
-    exclusion at r = 3 for a discriminant floor b^d, at the caller's mpmath
-    precision."""
-    C3 = mp.mpf(1)
-    for j in (1, 2, 3):
-        C3 *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
-    return (6 * C3 / mp.pi) * (mp.mpf(floor_base.numerator) / floor_base.denominator) ** mp.mpf(9.5)
+def growth_oracle(r, floor_base):
+    """The per-degree growth factor (6 C(r) / pi) b^(r^2 + r/2 - 1) of the
+    degree exclusion at rank r for a discriminant floor b^d, at the caller's
+    mpmath precision."""
+    C = mp.mpf(1)
+    for j in range(1, r + 1):
+        C *= mp.factorial(2 * j - 1) / (2 * mp.pi) ** (2 * j)
+    e = mp.mpf(r * r) + mp.mpf(r) / 2 - 1
+    return (6 * C / mp.pi) * (mp.mpf(floor_base.numerator) / floor_base.denominator) ** e
+
+
+def as_mpf(x):
+    return mp.mpf(x.numerator) / x.denominator
 
 
 class TestDiscUpperBounds:
@@ -191,18 +196,21 @@ class TestHighDegreeExclusion:
         assert hd.growth_factor.strictly_greater_than(1)
         assert hd.value_at_degree_five.strictly_greater_than(1)
 
-    def test_growth_factor_rank3_magnitude(self):
-        hd = high_degree_exclusion(3)
-        with mp.workdps(40):
-            true = rank3_growth(F(13, 2))
-            lo = mp.mpf(hd.growth_factor.lo.numerator) / hd.growth_factor.lo.denominator
-            hi = mp.mpf(hd.growth_factor.hi.numerator) / hd.growth_factor.hi.denominator
-            assert lo <= true <= hi
+    @pytest.mark.parametrize("r", (3, 6, 15, 27, 50, 100))
+    def test_ends_hold_the_true_values_tightly(self, r):
+        # the floor 6.5^(2e) is enclosed at the working precision, not
+        # exactly, so both values are checked against mpmath far above it
+        hd = high_degree_exclusion(r)
+        with mp.workprec(400):
+            growth = growth_oracle(r, F(13, 2))
+            for iv, true in ((hd.growth_factor, growth), (hd.value_at_degree_five, growth**5 / 8)):
+                assert as_mpf(iv.lo) <= true <= as_mpf(iv.hi)
+                assert iv.width <= iv.lo * F(2) ** -140
 
     def test_growth_factor_at_most_one_raises(self, monkeypatch):
         # a floor of 4^d leaves a per-degree growth of about 0.19 at r = 3
         with mp.workdps(40):
-            assert rank3_growth(F(4)) <= 1
+            assert growth_oracle(3, F(4)) <= 1
         monkeypatch.setattr(search_bounds, "DISCRIMINANT_FLOOR_BASE", F(4))
         with pytest.raises(SearchError, match="growth factor does not exceed 1"):
             high_degree_exclusion(3)
@@ -211,7 +219,7 @@ class TestHighDegreeExclusion:
         # a floor of 4.8^d gives a growth of about 1.08 at r = 3, above 1 but
         # at most 8^(1/5), so the degree-5 value (1/8) growth^5 is about 0.18
         with mp.workdps(40):
-            assert 1 < rank3_growth(F(24, 5)) <= mp.mpf(8) ** (mp.mpf(1) / 5)
+            assert 1 < growth_oracle(3, F(24, 5)) <= mp.mpf(8) ** (mp.mpf(1) / 5)
         monkeypatch.setattr(search_bounds, "DISCRIMINANT_FLOOR_BASE", F(24, 5))
         with pytest.raises(SearchError, match="degree-5 exclusion inequality failed"):
             high_degree_exclusion(3)
@@ -452,8 +460,10 @@ PINNED_CUTOFFS = {
     + [1] * 6
     + [0] * 42,
 }
-# sha256 over the num/den strings of the working ends (see TestWorkingEnds)
-PINNED_ENDS_SHA256 = "33a29d7466ba23975e2309afa234ac2c639c7a354f796cd960c7b5b9a4d2e586"
+# sha256 over the num/den strings of the working ends (see TestWorkingEnds):
+# of T^2, C(r) and pi, and of the degree exclusion's two values
+PINNED_THRESHOLD_ENDS_SHA256 = "f2313fa35aafaaf69566d7cf1183d47118cb60dd0f186688f2e42f8e2d6461cb"
+PINNED_EXCLUSION_ENDS_SHA256 = "270f437486e14fb04dc1c03eef27db255234c7e9cf176e42874cb25a58f96a5f"
 
 
 class TestWorkingEnds:
@@ -467,15 +477,23 @@ class TestWorkingEnds:
         assert [p.disc_upper for p in passes] == PINNED_CUTOFFS[mode]
         assert all(p.enclosure_decisive for p in passes)
 
-    def test_working_ends_hash(self):
-        ivs = [compute_bounds_pass(r, d, mode).threshold_squared for mode in BoundsMode for r in range(3, 28) for d in (2, 3, 4)]
-        for r in range(3, 28):
-            hd = high_degree_exclusion(r)
-            ivs += [hd.growth_factor, hd.value_at_degree_five]
-        ivs += [C_of_r(r, bits) for r in range(3, 28) for bits in (160, 192)]
-        ivs += [pi_enclosure(bits) for bits in (160, 192, 224)]
+    @staticmethod
+    def ends_digest(ivs):
         digest = hashlib.sha256()
         for iv in ivs:
             for x in (iv.lo, iv.hi):
                 digest.update(format_rational(x).encode() + b";")
-        assert digest.hexdigest() == PINNED_ENDS_SHA256
+        return digest.hexdigest()
+
+    def test_threshold_ends_hash(self):
+        ivs = [compute_bounds_pass(r, d, mode).threshold_squared for mode in BoundsMode for r in range(3, 28) for d in (2, 3, 4)]
+        ivs += [C_of_r(r, bits) for r in range(3, 28) for bits in (160, 192)]
+        ivs += [pi_enclosure(bits) for bits in (160, 192, 224)]
+        assert self.ends_digest(ivs) == PINNED_THRESHOLD_ENDS_SHA256
+
+    def test_exclusion_ends_hash(self):
+        ivs = []
+        for r in range(3, 28):
+            hd = high_degree_exclusion(r)
+            ivs += [hd.growth_factor, hd.value_at_degree_five]
+        assert self.ends_digest(ivs) == PINNED_EXCLUSION_ENDS_SHA256

@@ -14,10 +14,13 @@ class number one.  Cyclic cubics carry their conductor and a character
 generator (residue g with chi(g) = zeta_3).
 
 Run from the repository root:  python3 tools/build_field_table.py
+(it takes no argument: ``--help`` prints the usage and writes nothing,
+and any other argument is refused with exit status 2).
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
 from pathlib import Path
@@ -79,6 +82,7 @@ def quartic_records() -> list[str]:
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     lines = [
         "hypeuler-fields v1",
         "# Totally real number fields: label|degree|disc|h|totally_real|abelian|conductor|char_gen",

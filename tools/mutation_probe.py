@@ -256,6 +256,24 @@ MUTANTS = (
         "the table loader accepts a cubic record of square discriminant marked non-abelian",
     ),
     Mutant(
+        "src/hypeuler/search_bounds.py",
+        "return 8, pi_enclosure(",
+        "return 16, pi_enclosure(",
+        "_threshold doubles pass one's lead, so T and every pass-one cutoff grow",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "2 * r * r + r - 2",
+        "2 * r * r + r - 1",
+        "_threshold gives pass one the exponent 2e + 1",
+    ),
+    Mutant(
+        "src/hypeuler/search_bounds.py",
+        "floor.pow_int(doubled)",
+        "floor.pow_int(doubled - 2)",
+        "high_degree_exclusion raises the discriminant floor to 2e - 2 instead of 2e",
+    ),
+    Mutant(
         "src/hypeuler/numeric_path.py",
         "shift = max(0, min(scale, hi.bit_length() - prec - 1))",
         "shift = max(0, min(scale, hi.bit_length() - prec + 1))",
