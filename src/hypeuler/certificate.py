@@ -37,8 +37,8 @@ CERTIFICATE_FORMAT = "hypeuler-certificate v4"
 DEFAULT_PRECISION_BITS = 192
 MIN_PRECISION_BITS = 64
 
-# The largest rank certified, a bound on cost (a section takes about 0.013 s
-# at r = 100, 0.21 s at 200 and 4.2 s at 400), so a huge rank fails at once.
+# The largest rank certified, a bound on cost (a section takes about 0.003 s
+# at r = 100, 0.045 s at 200 and 0.48 s at 400), so a huge rank fails at once.
 MAX_RANK = 100
 
 

@@ -277,13 +277,19 @@ class RationalInterval(Value):
         return _outward(*_pow_mantissa(lo, e, k, p, False), *_pow_mantissa(hi, e, k, p, True), p)
 
     def sqrt(self, bits: int) -> "RationalInterval":
-        """Enclosure of the square root (requires lo >= 0): isqrt(floor(x 4^bits))
-        / 2^bits at x = lo, squaring to at most lo, and one unit more at x = hi,
-        squaring to above hi; at precision ``bits`` or the operand's if larger."""
+        """Enclosure of the square root (requires lo >= 0): isqrt at the lower end, one
+        unit more at the upper.  Exact ends x give isqrt(floor(x 4^bits)) / 2^bits; rounded
+        ends m 2^e give p = max(prec, bits) significant bits, from isqrt(m 2^s) with s = 2p + 2
+        + (e mod 2), so e - s is even, rounded outward at p: no end is rebuilt as a Fraction."""
         if self._lo < 0:
             raise ExactArithError("square root of an interval with negative lower end")
-        lo, hi = (math.isqrt((x.numerator << 2 * bits) // x.denominator) for x in (self.lo, self.hi))
-        return RationalInterval(lo, hi + 1, max(self.prec or 0, bits), -bits)
+        if self.prec is None:
+            lo, hi = (math.isqrt((x.numerator << 2 * bits) // x.denominator) for x in (self._lo, self._hi))
+            return RationalInterval(lo, hi + 1, bits, -bits)
+        p = max(self.prec, bits)
+        lo, hi, e = self.dyadic_ends(p)
+        shift = 2 * p + 2 + (e & 1)
+        return _outward(math.isqrt(lo << shift), (e - shift) // 2, math.isqrt(hi << shift) + 1, (e - shift) // 2, p)
 
     def outward_round(self, sig_bits: int) -> "RationalInterval":
         """Widen to dyadic endpoints with about ``sig_bits`` significant bits,

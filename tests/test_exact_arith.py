@@ -350,6 +350,35 @@ class TestRoundedIntervals:
         assert root.lo**2 <= x <= root.hi**2
         assert root.prec == max(p, bits)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**400 - 1),
+        st.integers(min_value=1, max_value=2**400 - 1),
+        st.integers(min_value=-1500, max_value=1500),
+        st.sampled_from((0, 1)),
+        st.integers(min_value=2, max_value=200),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_sqrt_of_rounded_takes_the_mantissas(self, a, b, half, parity, prec, bits):
+        """At p = max(prec, bits): each end's root is enclosed, a point's root
+        is at most 2^-(p - 2) relative wide, and no end is read as a Fraction."""
+
+        def unread(self, m):
+            raise AssertionError("sqrt of a rounded interval read an end as a Fraction")
+
+        e, p = 2 * half + parity, max(prec, bits)
+        X, point = RationalInterval(min(a, b), max(a, b), prec, e), RationalInterval(b, b, prec, e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RationalInterval, "_value", unread)
+            root, point_root = X.sqrt(bits), point.sqrt(bits)
+        assert root.prec == point_root.prec == p
+        assert root.lo**2 <= X.lo and X.hi <= root.hi**2
+        assert point_root.lo**2 <= point.lo <= point_root.hi**2
+        # isqrt oracle: t 2^k <= sqrt(b 2^e) with 2p + 8 bits more under the root
+        shift = 2 * p + 8 + parity
+        t, k = math.isqrt(b << shift), (e - shift) // 2
+        assert point_root.width <= t * F(2) ** k * F(1, 2 ** (p - 2))
+
     def test_exact_stays_exact_until_it_meets_a_rounded_interval(self):
         third = RationalInterval.exact(F(1, 3))
         assert (third * third + third).prec is None

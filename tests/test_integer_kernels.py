@@ -127,7 +127,7 @@ def test_generalized_bernoulli_matches_definition():
     for rec in load_table().records:
         if not rec.abelian:
             continue
-        chars = characters_for_field(rec)
+        chars = list(characters_for_field(rec))  # a copy: the memo's tuple is shared
         if max(chi.modulus for chi in chars) > 120:
             continue
         if rec.degree == 3:

@@ -2,8 +2,10 @@
 already holds and no flag that a raise already guarantees, C(r) is its
 enclosure, there is one outward rounding, a maximal type is valid at
 rank r exactly when ``enumerate_maximal_types(r)`` lists it, a field
-record is valid by membership in a loaded table, and each layer has one
-error class, whose message names the check that failed."""
+record is valid by membership in a loaded table, each layer has one
+error class, whose message names the check that failed, and the bounds
+threshold of a rank and pass and the characters of a field are each built
+once per process."""
 
 import importlib
 import itertools
@@ -12,7 +14,8 @@ import pkgutil
 import pytest
 
 import hypeuler
-from hypeuler import exact_arith
+from hypeuler import characters_zeta, exact_arith, field_path, search_bounds
+from hypeuler.cli import main
 from hypeuler.euler_char import C_of_r
 from hypeuler.exact_arith import RationalInterval
 from hypeuler.field_path import MinimumProof, TypeMinimum
@@ -57,6 +60,23 @@ def test_number_field_record_is_a_plain_named_tuple():
 
 def test_rank_constant_is_its_enclosure():
     assert isinstance(C_of_r(3, 160), RationalInterval)
+
+
+@pytest.mark.parametrize(
+    "argv, threshold_misses, character_misses",
+    [((), 13, 7), (("--n", "6", "--n", "8", "--n", "10"), 6, 7), (("--r", "13", "--r", "14", "--r", "15"), 3, 0)],
+    ids=["sweep", "headline", "high_rank"],
+)
+def test_threshold_and_characters_built_once(argv, threshold_misses, character_misses, tmp_path, monkeypatch):
+    # one miss per rank and pass (pass two at r = 3..5 only) and one per field
+    # (7 of r = 3..5); zeta_k_special's memo is cleared too, as it would hide
+    # the lookups of the characters
+    for memo in (search_bounds._threshold, field_path.characters_for_field, characters_zeta.zeta_k_special):
+        memo.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "c.json", "--report", "r.txt"]) == 0
+    assert search_bounds._threshold.cache_info().misses == threshold_misses
+    assert field_path.characters_for_field.cache_info().misses == character_misses
 
 
 def test_one_outward_rounding():

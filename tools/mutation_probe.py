@@ -59,8 +59,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hypeuler/search_bounds.py",
-        "disc_upper = _largest_int_with_power_at_most(t_sq.hi, doubled_exponent)",
-        "disc_upper = _largest_int_with_power_at_most(t_sq.lo, doubled_exponent)",
+        "disc_upper = _floor_root(lo, e, doubled_exponent), _floor_root(hi, e, doubled_exponent)",
+        "disc_upper = _floor_root(lo, e, doubled_exponent), _floor_root(lo, e, doubled_exponent)",
         "compute_bounds_pass takes the cutoff from the lower, unsound end of the threshold enclosure",
     ),
     Mutant(
@@ -272,6 +272,18 @@ MUTANTS = (
         "floor.pow_int(doubled)",
         "floor.pow_int(doubled - 2)",
         "high_degree_exclusion raises the discriminant floor to 2e - 2 instead of 2e",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "math.isqrt(hi << shift) + 1, (e - shift) // 2",
+        "math.isqrt(hi << shift), (e - shift) // 2",
+        "sqrt of a rounded interval takes the floor of the upper end's root",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        "shift = 2 * p + 2 + (e & 1)",
+        "shift = 2 * p + 2",
+        "sqrt of a rounded interval ignores an odd exponent, so its root is off by a factor of sqrt(2)",
     ),
     Mutant(
         "src/hypeuler/numeric_path.py",
