@@ -59,14 +59,14 @@ class ArithmeticDatum(Value):
 
 @cache
 def C_of_r(r: int, precision_bits: int) -> RationalInterval:
-    """C(r) = prod_{j=1}^{r} (2j-1)! / (2 pi)^(2j), enclosed rigorously.
+    """C(r) = prod_{j=1}^{r} (2j-1)! / (2 pi)^(2j), enclosed at working precision ``precision_bits``.
 
     Memoized: every bounds pass and exclusion check of a rank uses it.
     """
     if r < 1:
         raise EulerCharError("rank constant needs r >= 1")
     fact = math.prod(math.factorial(2 * j - 1) for j in range(1, r + 1))
-    two_pi = pi_enclosure(bits=precision_bits + 16).scale(2)
+    two_pi = pi_enclosure(bits=precision_bits).scale(2)
     return RationalInterval.exact(fact) / two_pi.pow_int(r * (r + 1))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 
 class ExactArithError(Exception):
@@ -329,24 +329,20 @@ def _arctan_inv_enclosure(x: int, terms: int) -> RationalInterval:
     return RationalInterval(*sorted((Fraction(prev, den), Fraction(total, den))))
 
 
-@lru_cache(maxsize=8)
+@cache
 def _pi_enclosure_bits(bits: int) -> RationalInterval:
     # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239).
-    # Each extra arctan(1/5) term gains log2(25) = 4.64 bits.
-    terms = max(4, int(bits / 4.6) + 4)
+    # Each extra arctan(1/5) term gains log2(25) > 23/5 bits.
+    terms = max(4, 5 * bits // 23 + 4)
     a5 = _arctan_inv_enclosure(5, terms)
     a239 = _arctan_inv_enclosure(239, max(4, terms // 2))
-    # 32 guard bits: the rounding widens each end by under 2^-(bits+29).
-    return (a5.scale(16) - a239.scale(4)).outward_round(bits + 32)
+    # Rounding outward once at ``bits`` moves each end by under 2^(2 - bits), as pi < 4.
+    return (a5.scale(16) - a239.scale(4)).outward_round(bits)
 
 
 def pi_enclosure(bits: int) -> RationalInterval:
-    """Rigorous enclosure of pi of width below 2^-(bits-4), bits rounded
-    up to a multiple of 32.  The enclosure is cached per precision tier
-    and carries working precision bits + 32, so every interval computed
-    from it is rounded at that precision.
-    """
-    bits = ((bits + 31) // 32) * 32  # quantize for cache reuse
+    """Rigorous enclosure of pi, memoized per precision, of width checked to be below 2^-(bits-4):
+    it carries working precision ``bits``, at which every interval computed from it is rounded."""
     enc = _pi_enclosure_bits(bits)
     lo, hi, e = enc.dyadic_ends()
     if hi - lo >= 1 << max(0, 4 - bits - e):  # width (hi - lo) 2^e >= 2^(4 - bits)

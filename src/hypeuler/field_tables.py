@@ -22,6 +22,7 @@ group is generated by the character sending the residue ``g`` to
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from pathlib import Path
 
@@ -59,15 +60,18 @@ NumberFieldRecord = namedtuple(
 class FieldTable(namedtuple("FieldTable", "records completeness source checksum")):
     __slots__ = ()
 
+    def _index(self, *key: int) -> int:
+        """The index of the first record whose (degree, disc) is at least ``key``, by bisection:
+        ``records`` are sorted by (degree, disc, label), as ``parse_table_text`` builds them."""
+        return bisect_left(self.records, key, key=lambda rec: (rec.degree, rec.disc))
+
     def by_disc(self, degree: int, disc: int) -> NumberFieldRecord | None:
-        for rec in self.records:
-            if rec.degree == degree and rec.disc == disc:
-                return rec
-        return None
+        i = self._index(degree, disc)
+        return self.records[i] if i < self._index(degree, disc + 1) else None
 
     def minimal_disc(self, degree: int) -> int | None:
-        discs = [r.disc for r in self.records if r.degree == degree]
-        return min(discs) if discs else None
+        i = self._index(degree)
+        return self.records[i].disc if i < self._index(degree + 1) else None
 
 
 # ---------------------------------------------------------------------------
@@ -265,4 +269,4 @@ def query(table: FieldTable, degree: int, max_disc: int) -> list[NumberFieldReco
         raise TableError(
             f"table is only complete for degree {degree} up to {bound}, asked for {max_disc}"
         )
-    return [r for r in table.records if r.degree == degree and r.disc <= max_disc]
+    return list(table.records[table._index(degree) : table._index(degree, max_disc + 1)])

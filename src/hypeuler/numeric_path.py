@@ -218,15 +218,15 @@ def chi_principal_enclosure(datum: ArithmeticDatum, precision_bits: int) -> Rati
 
     Every factor is positive with dyadic ends, integer mantissas at a scale
     2^e, so the product is taken exactly in integers and rounded outward
-    once, at the factors' largest working precision.
+    once, at the precision_bits + 16 bits that every rounded factor carries.
     """
     r, d, D = datum.r, datum.degree, datum.field.disc
     zetas = [zeta_k_numeric(datum.field, 2 * j, precision_bits) for j in range(1, r + 1)]
-    factors = [rational_power_half(D, 2 * r * r + r, bits=precision_bits + 16), *[C_of_r(r, precision_bits)] * d, *zetas]
+    prec = precision_bits + 16
+    factors = [rational_power_half(D, 2 * r * r + r, bits=prec), *[C_of_r(r, prec)] * d, *zetas]
     lo, hi, scale = 2, 2, 0
     for x in factors:
         x_lo, x_hi, e = x.dyadic_ends()
         lo, hi, scale = lo * x_lo, hi * x_hi, scale - e
-    prec = max(x.prec or 0 for x in factors)
     shift = max(0, min(scale, hi.bit_length() - prec - 1))
     return RationalInterval(lo >> shift, -(-hi >> shift), prec, shift - scale)

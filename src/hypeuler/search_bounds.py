@@ -43,7 +43,7 @@ class BoundsMode(enum.Enum):
 
 DISCRIMINANT_FLOOR_BASE = Fraction(13, 2)  # |D| > 6.5^d for degree d >= 5 (external axiom)
 SEARCH_DEGREES = (2, 3, 4)
-BOUNDS_PRECISION_BITS = 160  # working precision of C(r) and pi in the bounds passes and the exclusion
+BOUNDS_PRECISION_BITS = 160  # the working precision of pi, C(r), T, T^2 and the exclusion's two values
 
 
 def _floor_root(m: int, e: int, exponent: int) -> int:
@@ -83,7 +83,7 @@ def compute_bounds_pass(r: int, degree: int, mode: BoundsMode) -> BoundsPass:
         raise SearchError("bounds require rank >= 2 and degree >= 2")
     lead, base, doubled_exponent = _threshold(r, mode)
     t_sq = base.pow_int(degree).scale(lead).pow_int(2)
-    lo, hi, e = t_sq.dyadic_ends(BOUNDS_PRECISION_BITS)
+    lo, hi, e = t_sq.dyadic_ends()
     lo_cut, disc_upper = _floor_root(lo, e, doubled_exponent), _floor_root(hi, e, doubled_exponent)
     return BoundsPass(
         degree=degree,

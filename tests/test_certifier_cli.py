@@ -725,10 +725,11 @@ class TestRankCeiling:
 
 class TestGoldenBytes:
     """The certificate and report bytes of the headline ranks, of rank 2, of
-    the default sweep and of ranks 13 to 15 at the default precision, as
-    the CLI writes them for ``--n 6 --n 8 --n 10``, ``--n 4``, no flags and
-    ``--r 13 --r 14 --r 15``.  A deliberate change of the certificate or
-    report format updates these hashes together with a CHANGES.md entry."""
+    the default sweep, of ranks 13 to 15 and of every rank up to MAX_RANK at
+    the default precision, as the CLI writes them for ``--n 6 --n 8 --n 10``,
+    ``--n 4``, no flags, ``--r 13 --r 14 --r 15`` and ``--max-r 100``.  A
+    deliberate change of the certificate or report format updates these
+    hashes together with a CHANGES.md entry."""
 
     @pytest.mark.parametrize(
         ("ranks", "cert_sha256", "report_sha256"),
@@ -752,6 +753,11 @@ class TestGoldenBytes:
                 [13, 14, 15],
                 "2aa6ca215081df405f2e4e94ece34d4b7fe042706868561221f9c3086c136e78",
                 "58ea92e988fd03d1499707ba8b9bcf78809469d7e90429385845f4faa43c3353",
+            ),
+            (
+                list(range(3, MAX_RANK + 1)),
+                "a4e1893bd9823930da3467eac34fa47bd3c9fb7feb2263f214832fa1ef696854",
+                "5defb46be713781ba166923d50075c4ad697411b968a38b3595ae168ce024f0a",
             ),
         ],
     )

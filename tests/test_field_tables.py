@@ -166,6 +166,16 @@ class TestQuery:
         discs = [r.disc for r in query(table, 3, 1000)]
         assert discs == sorted(discs) and discs[0] == 49
 
+    def test_lookups_equal_a_full_scan(self, table):
+        # the lookups bisect the sorted records; each answer is the one a scan of all of them gives
+        for degree in range(1, 8):
+            of_degree = [rec for rec in table.records if rec.degree == degree]
+            assert table.minimal_disc(degree) == min((rec.disc for rec in of_degree), default=None)
+            for bound in range(1001):
+                assert table.by_disc(degree, bound) == next((rec for rec in of_degree if rec.disc == bound), None)
+                if degree in table.completeness:
+                    assert query(table, degree, bound) == [rec for rec in of_degree if rec.disc <= bound]
+
     def test_beyond_completeness_refused(self, table):
         with pytest.raises(TableError, match="^table is only complete for degree 2 up to 1000, asked for 1001$"):
             query(table, 2, 1001)

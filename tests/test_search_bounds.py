@@ -193,12 +193,40 @@ class TestEndpointSizes:
 
     def test_rank100_growth_factor(self):
         # the square root is taken on the mantissas, so they keep the size of
-        # the working precision, that of C(r) (rooting the ends as Fractions
-        # gave mantissas of 55,759 bits here)
+        # the working precision (rooting the ends as Fractions gave mantissas
+        # of 55,759 bits here)
         growth = high_degree_exclusion(100).growth_factor
         lo, hi, _ = growth.dyadic_ends()
-        assert growth.prec == C_of_r(100, search_bounds.BOUNDS_PRECISION_BITS).prec
-        assert max(lo.bit_length(), hi.bit_length()) <= growth.prec + 2
+        assert growth.prec == search_bounds.BOUNDS_PRECISION_BITS
+        assert max(lo.bit_length(), hi.bit_length()) <= search_bounds.BOUNDS_PRECISION_BITS + 2
+
+
+class TestPrecisionContract:
+    """An enclosure carries exactly the precision its caller asks for, so the
+    bounds layer runs at BOUNDS_PRECISION_BITS and no higher."""
+
+    @pytest.mark.parametrize("bits", [64, 160, 192, 256])
+    def test_constant_carries_the_precision_asked_for(self, bits):
+        for r in (3, 15, 100):
+            assert C_of_r(r, bits).prec == bits
+
+    def test_pi_rounded_once_at_every_precision(self):
+        # rounding outward at ``bits`` moves each end by under 2^(2 - bits), so
+        # the width stays below 2^(3 - bits), inside the checked 2^(4 - bits)
+        with mp.workprec(600):
+            for bits in range(1, 501):
+                enc = pi_enclosure(bits)
+                assert enc.prec == bits and enc.width < F(2) ** (3 - bits)
+                assert as_mpf(enc.lo) < mp.pi < as_mpf(enc.hi)
+
+    @pytest.mark.parametrize("mode", list(BoundsMode))
+    @pytest.mark.parametrize("r", [3, 15, 100])
+    def test_bounds_layer_runs_at_its_precision(self, r, mode):
+        _, base, _ = search_bounds._threshold(r, mode)
+        hd = high_degree_exclusion(r)
+        ivs = [base, hd.growth_factor, hd.value_at_degree_five]
+        ivs += [compute_bounds_pass(r, d, mode).threshold_squared for d in search_bounds.SEARCH_DEGREES]
+        assert [iv.prec for iv in ivs] == [search_bounds.BOUNDS_PRECISION_BITS] * len(ivs)
 
 
 class TestHighDegreeExclusion:
@@ -474,8 +502,8 @@ PINNED_CUTOFFS = {
 }
 # sha256 over the num/den strings of the working ends (see TestWorkingEnds):
 # of T^2, C(r) and pi, and of the degree exclusion's two values
-PINNED_THRESHOLD_ENDS_SHA256 = "f2313fa35aafaaf69566d7cf1183d47118cb60dd0f186688f2e42f8e2d6461cb"
-PINNED_EXCLUSION_ENDS_SHA256 = "30724b8d5e8ed2686d0b450b80114046ca3fe2df30d6ef573341834850b79d3a"
+PINNED_THRESHOLD_ENDS_SHA256 = "7f48e84c778713eb98fa881ff5b9d221f3679b150366c4ed1d28a17983f1c150"
+PINNED_EXCLUSION_ENDS_SHA256 = "77eff1408c1ac934cf7948efce3740ab32ceb5cfbbf034bd83e44bba98dfe57e"
 
 
 class TestWorkingEnds:

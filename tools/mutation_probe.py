@@ -286,6 +286,18 @@ MUTANTS = (
         "sqrt of a rounded interval ignores an odd exponent, so its root is off by a factor of sqrt(2)",
     ),
     Mutant(
+        "src/hypeuler/euler_char.py",
+        "pi_enclosure(bits=precision_bits)",
+        "pi_enclosure(bits=precision_bits - 32)",
+        "C_of_r encloses pi 32 bits below the precision asked for",
+    ),
+    Mutant(
+        "src/hypeuler/exact_arith.py",
+        ".outward_round(bits)",
+        ".outward_round(bits - 8)",
+        "_pi_enclosure_bits rounds pi 8 bits below the precision asked for",
+    ),
+    Mutant(
         "src/hypeuler/numeric_path.py",
         "shift = max(0, min(scale, hi.bit_length() - prec - 1))",
         "shift = max(0, min(scale, hi.bit_length() - prec + 1))",
