@@ -4,20 +4,25 @@ and verification by rebuilding.
 A certificate is a plain JSON tree in which every rational is an exact
 ``num/den`` string; it states each bound by its integer cutoff, not by the
 working enclosure behind it, and no floating point number appears anywhere.
+``serialize_certificate`` states its bytes (sorted keys, two-space indent,
+a final newline, the bytes of ``json.dumps(cert, indent=2,
+sort_keys=True, ensure_ascii=False)``) and refuses, by TypeError, any value
+that is not a dict with str keys, a list, a str, an int, a bool or None, so
+a float cannot be written.
 Given the bundled dataset, the verifier rebuilds the certificate with the
 writer itself and compares the two JSON trees leaf by leaf, field verdicts
 included, so the format is stated once, here in the writer, and there is
 one verification path; it reports the first divergence by its path.  The rebuild runs the certifier's own code,
 so it shows that a certificate is what this code writes, not that the code
 is right.  Both refuse a rank above ``MAX_RANK`` before computing any of
-its evidence.  The verifier's walk is in ``verifier`` and the report in
-``report``; ``verify_certificate`` and ``render_report`` import them when
-first called.
+its evidence.  The verifier's walk is in ``verifier``, and the writer of
+the certificate's text and the report in ``report``; ``verify_certificate``,
+``serialize_certificate`` and ``render_report`` import them when first
+called.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -188,7 +193,10 @@ def build_certificate(
 
 
 def serialize_certificate(cert: dict) -> str:
-    return json.dumps(cert, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The certificate's bytes, by ``report.json_text``, and a final newline."""
+    from .report import json_text
+
+    return json_text(cert) + "\n"
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -205,6 +213,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_certificate(path: str | Path) -> dict:
+    import json
+
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     # ValueError: bad JSON, or an integer past the digit limit; RecursionError: nesting past the parser's depth

@@ -452,7 +452,13 @@ def _order_formula(t: ParahoricType, r: int) -> tuple[int, Binomials, Binomials]
     return power - gap // 2, num, den
 
 
+@cache
+def _phi_indices(e: int, s: int) -> tuple[int, ...]:
+    """The n with Phi_n(q) dividing q^e + s, by q^e - 1 = prod_{n | e} Phi_n(q)
+    and q^e + 1 = prod_{n | 2e, n not | e} Phi_n(q)."""
+    return tuple(n for n in range(1, 2 * e + 1) if 2 * e % n == 0 and (e % n == 0) == (s < 0))
+
+
 def _cyclotomic(binomials: Binomials) -> Counter[int]:
-    """The multiset of n with Phi_n(q) dividing the product of the binomials, by
-    q^e - 1 = prod_{n | e} Phi_n(q) and q^e + 1 = prod_{n | 2e, n not | e} Phi_n(q)."""
-    return Counter(n for e, s in binomials for n in range(1, 2 * e + 1) if 2 * e % n == 0 and (e % n == 0) == (s < 0))
+    """The multiset of n with Phi_n(q) dividing the product of the binomials."""
+    return Counter(n for e, s in binomials for n in _phi_indices(e, s))

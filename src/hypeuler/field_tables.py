@@ -265,8 +265,8 @@ def query(table: FieldTable, degree: int, max_disc: int) -> list[NumberFieldReco
     reaches beyond the table's asserted completeness bound.
     """
     bound = table.completeness.get(degree)
-    if bound is None or max_disc > bound:
-        raise TableError(
-            f"table is only complete for degree {degree} up to {bound}, asked for {max_disc}"
-        )
+    if bound is None:
+        raise TableError(f"table states no completeness bound for degree {degree}, asked for {max_disc}")
+    if max_disc > bound:
+        raise TableError(f"table is only complete for degree {degree} up to {bound}, asked for {max_disc}")
     return list(table.records[table._index(degree) : table._index(degree, max_disc + 1)])

@@ -24,6 +24,11 @@ from .exact_arith import ExactArithError, RationalInterval, as_rational
 from .field_path import DirichletCharacter, bernoulli_number, characters_for_field
 from .field_tables import NumberFieldRecord
 
+# The bits past the precision asked for at which every rounded factor of
+# ``zeta_k_enclosure`` and ``chi_principal_enclosure`` is carried, and each
+# product rounded.
+GUARD_BITS = 16
+
 
 @cache
 def _euler_maclaurin_coefficient(s: int, i: int) -> Fraction:
@@ -139,8 +144,8 @@ def zeta_k_enclosure(rec: NumberFieldRecord, s: int, precision_bits: int) -> Rat
 
     The enclosure is the product of the L-factor enclosures of
     ``characters_for_field``, taken in integers and rounded outward once to
-    units of 2^-(precision_bits+16).  They are computed on a ladder of
-    rounds (terms, m): 32 series terms and m = 14 Euler-Maclaurin
+    units of 2^-(precision_bits + GUARD_BITS).  They are computed on a
+    ladder of rounds (terms, m): 32 series terms and m = 14 Euler-Maclaurin
     corrections, then the terms doubled and m raised by 6 (at most 40) per
     round, until the width is at most 2^-precision_bits.
 
@@ -171,7 +176,7 @@ def zeta_k_enclosure(rec: NumberFieldRecord, s: int, precision_bits: int) -> Rat
     or its floor when the floor already ruled it out.
     """
     chars = characters_for_field(rec)
-    bits = precision_bits + 16  # the product's ends are in units of 2^-bits
+    bits = precision_bits + GUARD_BITS  # the product's ends are in units of 2^-bits
     terms, corrections = 32, 14
     while True:
         floor = _round_width_floor(s, terms, corrections, rec.degree)
@@ -218,11 +223,12 @@ def chi_principal_enclosure(datum: ArithmeticDatum, precision_bits: int) -> Rati
 
     Every factor is positive with dyadic ends, integer mantissas at a scale
     2^e, so the product is taken exactly in integers and rounded outward
-    once, at the precision_bits + 16 bits that every rounded factor carries.
+    once, at the precision_bits + GUARD_BITS bits that every rounded factor
+    carries.
     """
     r, d, D = datum.r, datum.degree, datum.field.disc
     zetas = [zeta_k_numeric(datum.field, 2 * j, precision_bits) for j in range(1, r + 1)]
-    prec = precision_bits + 16
+    prec = precision_bits + GUARD_BITS
     factors = [rational_power_half(D, 2 * r * r + r, bits=prec), *[C_of_r(r, prec)] * d, *zetas]
     lo, hi, scale = 2, 2, 0
     for x in factors:

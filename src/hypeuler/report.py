@@ -1,9 +1,42 @@
-"""The plain-text report of a certificate (see ``certificate.render_report``,
-which imports this module when first called, so a verify process never
-compiles it).  It reads only the certificate's JSON tree.
+"""The bytes a certify writes: the certificate's JSON text and its
+plain-text report (see ``certificate.serialize_certificate`` and
+``certificate.render_report``, which import this module when first called,
+so a verify process never compiles it).  Both read only the certificate's
+JSON tree.
 """
 
 from __future__ import annotations
+
+# str.translate's table of the characters a JSON string escapes, as json
+# writes them with ensure_ascii=False
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(32)} | {ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')}
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """The body of ``certificate.serialize_certificate``: ``value`` as
+    ``json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)``
+    writes it, for a tree of dicts with str keys, lists, strs, ints, bools
+    and None.  Any other value or key (a float, a tuple, a Fraction) raises
+    TypeError naming its type, so no float can reach a certificate."""
+    kind = type(value)
+    if kind is str:  # a printable str holds no control character
+        if value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        return f'"{value.translate(_ESCAPES)}"'
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    if kind is list:
+        return f"[{inner}{(',' + inner).join([json_text(v, inner) for v in value])}{indent}]" if value else "[]"
+    if kind is not dict:
+        raise TypeError(f"a certificate holds no {kind.__name__}")
+    for key in value:
+        if type(key) is not str:
+            raise TypeError(f"a certificate's keys are str, not {type(key).__name__}")
+    items = [f"{json_text(key)}: {json_text(value[key], inner)}" for key in sorted(value)]
+    return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
 
 
 def _collect_zeta_matrix(cert: dict) -> dict[tuple[int, int], list[str]]:

@@ -5,9 +5,12 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypeuler import certificate, cli, field_path, local_factors, search_bounds
 from hypeuler.certificate import (
@@ -765,6 +768,65 @@ class TestGoldenBytes:
         cert, _ = run_certification(ranks, table)
         assert hashlib.sha256(serialize_certificate(cert).encode("utf-8")).hexdigest() == cert_sha256
         assert hashlib.sha256(render_report(cert).encode("utf-8")).hexdigest() == report_sha256
+
+
+# strs of every control character, the two characters JSON escapes besides
+# them, DEL, a lone surrogate, non-ASCII and astral characters, and any other
+json_strs = st.text(
+    st.sampled_from([*map(chr, range(32)), '"', "\\", "\x7f", "\ud800", "é", "\u2028", "\U0001f600"])
+    | st.characters(),
+    max_size=8,
+)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**80), 10**80) | json_strs,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_strs, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def json_dumps_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class TestJsonText:
+    """``serialize_certificate`` writes the bytes of ``json.dumps(cert,
+    indent=2, sort_keys=True, ensure_ascii=False)`` and a newline, without
+    the json module, and refuses every value a JSON tree of dicts with str
+    keys, lists, strs, ints, bools and None does not hold."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_trees)
+    def test_trees_are_written_as_json_writes_them(self, tree):
+        assert serialize_certificate(tree) == json_dumps_text(tree)
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [[3, 4, 5], list(range(3, 13)), [13, 14, 15], [2], list(range(3, MAX_RANK + 1))],
+        ids=["headline", "sweep", "high_rank", "n4", "max_r_100"],
+    )
+    def test_certificates_are_written_as_json_writes_them(self, table, ranks):
+        cert, _ = run_certification(ranks, table)
+        assert serialize_certificate(cert) == json_dumps_text(cert)
+
+    @pytest.mark.parametrize(
+        ("value", "kind"),
+        [
+            (0.5, "float"),
+            ((1, 2), "tuple"),
+            (Fraction(1, 2), "Fraction"),
+            ({1}, "set"),
+            ({1: "a"}, "int"),
+            ({True: "a"}, "bool"),
+            ({None: "a"}, "NoneType"),
+        ],
+    )
+    def test_other_values_and_keys_raise(self, theorem_cert, value, kind):
+        bad = clone(theorem_cert)
+        bad["sections"][0]["notes"].append(value)
+        with pytest.raises(TypeError, match=rf" {kind}$"):
+            serialize_certificate(bad)
+        with pytest.raises(TypeError, match=rf" {kind}$"):
+            serialize_certificate(value)
 
 
 class TestLocalFactorMutations:

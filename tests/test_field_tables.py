@@ -179,7 +179,7 @@ class TestQuery:
     def test_beyond_completeness_refused(self, table):
         with pytest.raises(TableError, match="^table is only complete for degree 2 up to 1000, asked for 1001$"):
             query(table, 2, 1001)
-        with pytest.raises(TableError, match="^table is only complete for degree 5 up to None, asked for 10$"):
+        with pytest.raises(TableError, match="^table states no completeness bound for degree 5, asked for 10$"):
             query(table, 5, 10)
 
 

@@ -11,7 +11,8 @@ that code came from are the objects of its new home.  No module a run loads
 builds a ``typing.ForwardRef`` at import.  The CLI reads the plain flag
 forms of these runs itself, so neither mode loads ``argparse``, nor the
 ``gettext`` and ``locale`` it would bring; only the help and a refused
-command line do.  A process started through ``cli.run`` freezes the run's objects
+command line do.  A certify writes its certificate without the ``json``
+module, which only a verify loads, to read one.  A process started through ``cli.run`` freezes the run's objects
 before it exits, and changes nothing else a run does."""
 
 import ast
@@ -80,10 +81,12 @@ def cli_modules(*args: str, exit_code: int = 0) -> list[str]:
     """The modules a fresh ``python -S`` process has loaded after one CLI
     run, which must exit with ``exit_code``."""
     code = (
-        "import json, sys\n"
+        "import sys\n"
         "from hypeuler.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, modules]))"
     )
     code, modules = json.loads(run_python(code, *args)[-2])
     assert code == exit_code
@@ -127,6 +130,16 @@ def test_headline_verify_loads_neither_numeric_path_nor_report(headline_modules)
     _, verify = headline_modules
     assert "hypeuler.numeric_path" not in verify and "hypeuler.report" not in verify
     assert {"hypeuler.verifier", "hypeuler.field_path"} <= set(verify)
+
+
+JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+
+
+def test_certify_loads_no_json_and_verify_no_writer(headline_modules, sweep_modules, high_rank_modules):
+    # report.json_text writes the certificate; a verify reads it with json.loads and compiles no writer
+    for certify, verify in (headline_modules, sweep_modules, high_rank_modules):
+        assert not JSON_MODULES & set(certify)
+        assert "json" in verify and "hypeuler.report" not in verify
 
 
 def test_high_rank_certify_loads_no_numeric_path(high_rank_modules):
