@@ -12,8 +12,9 @@ builds a ``typing.ForwardRef`` at import.  The CLI reads the plain flag
 forms of these runs itself, so neither mode loads ``argparse``, nor the
 ``gettext`` and ``locale`` it would bring; only the help and a refused
 command line do.  A certify writes its certificate without the ``json``
-module, which only a verify loads, to read one.  A process started through ``cli.run`` freezes the run's objects
-before it exits, and changes nothing else a run does."""
+module, which only a verify loads, to read one.  A process started through
+``cli.run`` freezes the run's objects before it exits, and changes nothing
+else a run does."""
 
 import ast
 import gc
